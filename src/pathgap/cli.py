@@ -126,6 +126,13 @@ def _horizons(args) -> list[float]:
     raise CliError("a horizon is required: --T or --T-grid")
 
 
+def _require_positive(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise CliError(f"--{name} must be >= 1, got {value}")
+
+
 def cmd_bounds(args) -> int:
     try:
         cb = bd.CurvatureBounds(args.k1, args.k2)
@@ -211,14 +218,19 @@ def _simulate_rows(m, args, seed):
 
 
 def cmd_simulate(args) -> int:
+    _require_positive(args, "paths", "steps", "functionals")
     seed = args.seed if args.seed is not None else _default_seed()
     m = _manifold(args.manifold, args.dim, args.kappa)
-    rows, status = _simulate_rows(m, args, seed)
+    try:
+        rows, status = _simulate_rows(m, args, seed)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     _emit(SIMULATE_COLUMNS, rows, args.format)
     return status
 
 
 def cmd_asymptotics(args) -> int:
+    _require_positive(args, "paths")
     seed = args.seed if args.seed is not None else _default_seed()
     m = _manifold(args.manifold, args.dim, args.kappa)
     ladder = [float(t) for t in args.T_ladder.split(",") if t.strip()]

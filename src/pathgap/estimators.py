@@ -4,6 +4,11 @@ Everything is deterministic in (seed, configuration): paths are seeded
 counter-style, per-path statistics are written into preallocated arrays at
 fixed offsets, and reductions happen once over the full arrays, so the
 results do not depend on chunking or on the number of worker threads.
+
+The chi estimators compute nothing twice.  An antithetic mirror path
+``-increments`` has the same gradient field as its draw, so each pair is
+computed once.  Along a horizon ladder every path draws its normals once, for
+the longest rung, and the shorter rungs use a prefix of them.
 """
 
 from __future__ import annotations
@@ -85,6 +90,11 @@ def _chunk_ranges(n: int, chunk: int):
     return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
 
+# Draws per chunk of the chi estimators: keeps the (draws, steps, d)
+# temporaries cache-sized; the result does not depend on it.
+_CHI_CHUNK = 256
+
+
 def estimate_chi(
     m: ModelManifold,
     a: np.ndarray,
@@ -94,7 +104,7 @@ def estimate_chi(
     seed: int,
     antithetic: bool = True,
     include_i_terms: bool = False,
-    chunk: int = 4096,
+    chunk: int = _CHI_CHUNK,
     threads: int = 1,
     variance: str = "auto",
 ) -> ChiReport:
@@ -112,62 +122,76 @@ def estimate_chi(
       (the estimator is then exactly 1 with zero spread), else "sample".
 
     The sample variance of F is estimated and reported in either mode.
+
+    With ``antithetic`` sampling, each draw is paired with its mirror path
+    ``-increments``.  The field is even in the increments, so the mirror
+    shares its draw's field and Dirichlet value while F changes sign; the
+    pair is computed once and the pair means are exact.  An odd ``n_paths``
+    is rounded up to the next pair.  The result does not depend on ``chunk``
+    or ``threads``.
+    """
+    return _chi_ladder(
+        m, a, [(T, n_steps)], n_paths, seed, antithetic, include_i_terms, chunk, threads,
+        variance,
+    )[0]
+
+
+def _chi_ladder(
+    m: ModelManifold,
+    a: np.ndarray,
+    rungs: Sequence[tuple[float, int]],
+    n_paths: int,
+    seed: int,
+    antithetic: bool,
+    include_i_terms: bool,
+    chunk: int,
+    threads: int,
+    variance: str,
+) -> list[ChiReport]:
+    """``estimate_chi`` for each (T, n_steps) rung, sharing every path's draw.
+
+    Path k draws its normals once, for the longest rung; a rung of n steps
+    uses the first n rows, which are exactly the normals its own grid would
+    draw for path k, scaled by the same sqrt(dt).
     """
     if m.kind == SYNTHETIC:
         raise ValueError("chi estimation needs a curvature tensor")
     a = np.asarray(a, dtype=float)
     if abs(np.linalg.norm(a) - 1.0) > 1e-9:
         raise ValueError("direction a must be a unit vector")
-    if antithetic and n_paths % 2:
-        n_paths += 1
-    grid = TimeGrid.uniform(T, n_steps)
-    c = m.ricci_scalar
-    predicted = 1.0 + 0.5 * T * c
     if variance not in ("auto", "sample", "analytic"):
         raise ValueError(f"unknown variance mode {variance!r}")
+    if antithetic and n_paths % 2:
+        n_paths += 1
+    n_draws = n_paths // 2 if antithetic else n_paths
+    if n_draws < 2:
+        raise ValueError(
+            f"the chi estimate needs at least 2 independent draws, got {max(n_draws, 0)}"
+            + (" (a mirrored pair is one draw)" if antithetic else "")
+        )
+    c = m.ricci_scalar
     if variance == "auto":
         variance = "analytic" if c == 0.0 else "sample"
 
-    n_draws = n_paths // 2 if antithetic else n_paths
-    dirichlet_p = np.empty(n_paths)
-    f_p = np.empty(n_paths)
-    it_p = np.empty((6, n_paths)) if include_i_terms else None
-
-    dts = grid.dts
-    taus = grid.times[:-1]
+    grids = [TimeGrid.uniform(T, n_steps) for T, n_steps in rungs]
+    dts = [grid.dts for grid in grids]
+    n_max = max(grid.n_steps for grid in grids)
+    # unit steps: batch_increments returns the raw normals
+    normals_grid = TimeGrid.uniform(float(n_max), n_max)
+    x_r = np.empty((len(grids), n_draws))  # integral |field|^2 per draw
+    f_r = np.empty((len(grids), n_draws))  # F per draw
+    it_r = np.empty((len(grids), 6, n_draws)) if include_i_terms else None
 
     def run_chunk(lo_hi):
         lo, hi = lo_hi
-        inc = batch_increments(grid, m.dim, seed, range(lo, hi))
-        if antithetic:
-            inc = np.concatenate([inc, -inc], axis=0)
-        fields = linear_gradient_batch(inc, grid.times, a, m.kappa, c)
-        x = np.einsum("pkd,pkd,k->p", fields, fields, dts)
-        f = np.einsum("pkd,d->p", inc, a)
-        if antithetic:
-            b = hi - lo
-            sl_plus = slice(2 * lo, 2 * lo + b)
-            sl_minus = slice(2 * lo + b, 2 * lo + 2 * b)
-            dirichlet_p[sl_plus], dirichlet_p[sl_minus] = x[:b], x[b:]
-            f_p[sl_plus], f_p[sl_minus] = f[:b], f[b:]
-        else:
-            dirichlet_p[lo:hi] = x
-            f_p[lo:hi] = f
-        if include_i_terms:
-            det = a[None, None, :] * (1.0 + 0.5 * c * (T - taus))[None, :, None]
-            mart = fields - det
-            t1 = np.einsum("pkd,pkd,k->p", mart, mart, dts)
-            t2 = np.full(x.shape[0], T)
-            t3 = 0.25 * c * c * float(np.sum((T - taus) ** 2 * dts)) * np.ones(x.shape[0])
-            t4 = c * float(np.sum((T - taus) * dts)) * np.ones(x.shape[0])
-            mart_a = np.einsum("pkd,d->pk", mart, a)
-            t5 = 2.0 * np.einsum("pk,k->p", mart_a, dts)
-            t6 = c * np.einsum("pk,k->p", mart_a, (T - taus) * dts)
-            terms = np.stack([t1, t2, t3, t4, t5, t6])
-            if antithetic:
-                it_p[:, sl_plus], it_p[:, sl_minus] = terms[:, :b], terms[:, b:]
-            else:
-                it_p[:, lo:hi] = terms
+        z = batch_increments(normals_grid, m.dim, seed, range(lo, hi))
+        for r, grid in enumerate(grids):
+            inc = z[:, : grid.n_steps] * np.sqrt(dts[r])[:, None]
+            fields = linear_gradient_batch(inc, grid.times, a, m.kappa, c)
+            x_r[r, lo:hi] = np.einsum("pkd,pkd,k->p", fields, fields, dts[r])
+            f_r[r, lo:hi] = np.einsum("pkd,d->p", inc, a)
+            if include_i_terms:
+                it_r[r, :, lo:hi] = _i_terms(fields, a, c, grid)
 
     ranges = _chunk_ranges(n_draws, chunk)
     if threads > 1:
@@ -177,49 +201,61 @@ def estimate_chi(
         for r in ranges:
             run_chunk(r)
 
-    if antithetic:
-        # pair p with its mirrored partner; the pair mean of F is exactly 0
-        half = n_paths // 2
-        x_pair = 0.5 * (dirichlet_p[:half] + dirichlet_p[half:])
-        v_pair = 0.5 * (f_p[:half] ** 2 + f_p[half:] ** 2)
-    else:
-        x_pair = dirichlet_p
-        f_bar = float(np.mean(f_p))
-        v_pair = (f_p - f_bar) ** 2 * (n_paths / (n_paths - 1.0))
-    dirichlet = _mean_ci(x_pair, seed)
-    var_F = _mean_ci(v_pair, seed)
-    if var_F.mean <= 0:
-        raise ValueError("degenerate sample: variance estimate is not positive")
-
-    if variance == "analytic":
-        # Var(F) = |a|^2 T is an identity for F = <a, w_T> on any manifold
-        chi = EstimateWithCI(dirichlet.mean / T, dirichlet.stderr / T, dirichlet.n, seed)
-    else:
-        r = dirichlet.mean / var_F.mean
-        npair = x_pair.shape[0]
-        cov = np.cov(np.stack([x_pair, v_pair]), ddof=1)
-        var_r = (
-            cov[0, 0] - 2.0 * r * cov[0, 1] + r * r * cov[1, 1]
-        ) / (var_F.mean ** 2 * npair)
-        chi = EstimateWithCI(r, math.sqrt(max(var_r, 0.0)), npair, seed)
-
-    i_terms = None
-    if include_i_terms:
+    reports = []
+    for r, grid in enumerate(grids):
+        T = grid.T
+        x, f = x_r[r], f_r[r]
         if antithetic:
-            half = n_paths // 2
-            it_pair = 0.5 * (it_p[:, :half] + it_p[:, half:])
+            # the pair means of x and F^2 over a draw and its mirror
+            v = f * f
         else:
-            it_pair = it_p
-        i_terms = tuple(_mean_ci(it_pair[i], seed) for i in range(6))
-    return ChiReport(
-        T=T,
-        chi=chi,
-        predicted_first_order=predicted,
-        var_F=var_F,
-        dirichlet=dirichlet,
-        variance_mode=variance,
-        i_terms=i_terms,
-    )
+            f_bar = float(np.mean(f))
+            v = (f - f_bar) ** 2 * (n_paths / (n_paths - 1.0))
+        dirichlet = _mean_ci(x, seed)
+        var_F = _mean_ci(v, seed)
+        if var_F.mean <= 0:
+            raise ValueError("degenerate sample: variance estimate is not positive")
+        if variance == "analytic":
+            # Var(F) = |a|^2 T is an identity for F = <a, w_T> on any manifold
+            chi = EstimateWithCI(dirichlet.mean / T, dirichlet.stderr / T, dirichlet.n, seed)
+        else:
+            ratio = dirichlet.mean / var_F.mean
+            cov = np.cov(np.stack([x, v]), ddof=1)
+            var_r = (
+                cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio * ratio * cov[1, 1]
+            ) / (var_F.mean ** 2 * n_draws)
+            chi = EstimateWithCI(ratio, math.sqrt(max(var_r, 0.0)), n_draws, seed)
+        i_terms = None
+        if include_i_terms:
+            i_terms = tuple(_mean_ci(it_r[r, i], seed) for i in range(6))
+        reports.append(
+            ChiReport(
+                T=T,
+                chi=chi,
+                predicted_first_order=1.0 + 0.5 * T * c,
+                var_F=var_F,
+                dirichlet=dirichlet,
+                variance_mode=variance,
+                i_terms=i_terms,
+            )
+        )
+    return reports
+
+
+def _i_terms(fields: np.ndarray, a: np.ndarray, c: float, grid: TimeGrid) -> np.ndarray:
+    """The six terms of integral |field|^2 split at the deterministic part, (6, P)."""
+    T, dts, taus = grid.T, grid.dts, grid.times[:-1]
+    P = fields.shape[0]
+    det = a[None, None, :] * (1.0 + 0.5 * c * (T - taus))[None, :, None]
+    mart = fields - det
+    t1 = np.einsum("pkd,pkd,k->p", mart, mart, dts)
+    t2 = np.full(P, T)
+    t3 = 0.25 * c * c * float(np.sum((T - taus) ** 2 * dts)) * np.ones(P)
+    t4 = c * float(np.sum((T - taus) * dts)) * np.ones(P)
+    mart_a = np.einsum("pkd,d->pk", mart, a)
+    t5 = 2.0 * np.einsum("pk,k->p", mart_a, dts)
+    t6 = c * np.einsum("pk,k->p", mart_a, (T - taus) * dts)
+    return np.stack([t1, t2, t3, t4, t5, t6])
 
 
 def damped_energy_pairwise(ts: np.ndarray, gram: np.ndarray, c: float) -> float:
@@ -235,15 +271,6 @@ def damped_energy_pairwise(ts: np.ndarray, gram: np.ndarray, c: float) -> float:
         weights = tmin
     else:
         weights = np.exp(-0.5 * c * tsum) * np.expm1(c * tmin) / c
-    return float(np.sum(gram * weights))
-
-
-def lambda_weighted_energy_pairwise(
-    ts: np.ndarray, gram: np.ndarray, T: float, cb: CurvatureBounds
-) -> float:
-    """Exact integral Lambda(tau, T) |D_tau F|^2 dtau via the antiderivative."""
-    tmin = np.minimum.outer(ts, ts)
-    weights = np.vectorize(lambda t: lambda_integral(t, T, cb))(tmin)
     return float(np.sum(gram * weights))
 
 
@@ -370,6 +397,8 @@ def verify_lsi(
     """
     if m.kind == SYNTHETIC:
         raise ValueError("the entropy check needs a curvature tensor")
+    if n_paths < 2:
+        raise ValueError(f"the entropy check needs at least 2 paths, got {n_paths}")
     grid = TimeGrid.with_times(T, n_steps, list(F.eval_times))
     eval_idx = np.array([grid.index_of(t) for t in F.eval_times], dtype=np.int64)
     ts = grid.times[eval_idx]
@@ -442,21 +471,10 @@ def small_time_slope(
         raise ValueError("need at least 4 horizons for the slope fit")
     if n_steps_per_T is None:
         n_steps_per_T = [default_steps(T) for T in T_list]
-    points = []
-    for T, n_steps in zip(T_list, n_steps_per_T):
-        points.append(
-            estimate_chi(
-                m,
-                a,
-                T,
-                n_steps,
-                n_paths,
-                seed,
-                antithetic=antithetic,
-                threads=threads,
-                variance="analytic",
-            )
-        )
+    points = _chi_ladder(
+        m, a, list(zip(T_list, n_steps_per_T)), n_paths, seed, antithetic, False,
+        _CHI_CHUNK, threads, "analytic",
+    )
     ts = np.array([p.T for p in points])
     ys = np.array([p.chi.mean - 1.0 for p in points])
     sig = np.array([p.chi.stderr for p in points])

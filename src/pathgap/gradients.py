@@ -484,21 +484,25 @@ def linear_gradient_batch(
     if kappa == 0.0:
         return np.broadcast_to(det_part, (P, n, d)).copy()
 
-    w = np.concatenate([np.zeros((P, 1, d)), np.cumsum(increments, axis=1)], axis=1)
+    w = np.empty((P, n + 1, d))
+    w[:, 0] = 0.0
+    np.cumsum(increments, axis=1, out=w[:, 1:])
     w_nodes = w[:, :n, :]  # w at left points t_k
     wa = w_nodes @ a  # (P, n)
-    # suffix sums over cells k >= K
-    sA = np.flip(np.cumsum(np.flip(wa[:, :, None] * increments, axis=1), axis=1), axis=1)
-    sC = np.flip(
-        np.cumsum(np.flip(np.einsum("pkd,pkd->pk", w_nodes, increments), axis=1), axis=1),
-        axis=1,
-    )
-    w_T = w[:, -1, :]
-    B = w_T[:, None, :] - w_nodes  # (P, n, d)
-    term_vec = sA - wa[:, :, None] * B
+    # suffix sums over cells k >= K, accumulated in place on reversed views
+    field = wa[:, :, None] * increments
+    np.cumsum(field[:, ::-1], axis=1, out=field[:, ::-1])  # sA
+    sC = np.einsum("pkd,pkd->pk", w_nodes, increments)
+    np.cumsum(sC[:, ::-1], axis=1, out=sC[:, ::-1])
+    B = w[:, -1:, :] - w_nodes  # w_T - w_{t_k}, (P, n, d)
     term_sca = sC - np.einsum("pkd,pkd->pk", w_nodes, B)
-    martingale = -kappa * (term_vec - term_sca[:, :, None] * a[None, None, :])
-    return det_part + martingale
+    B *= wa[:, :, None]
+    field -= B  # sA - <w_{t_k}, a> B
+    np.multiply(term_sca[:, :, None], a, out=B)
+    field -= B
+    field *= -kappa  # the martingale part
+    field += det_part
+    return field
 
 
 def linear_functional_gradient(

@@ -118,6 +118,29 @@ class TestSimulateCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--paths", "0"],
+            ["--paths", "1", "--no-antithetic"],
+            ["--paths", "2"],  # one mirrored pair is one independent draw
+            ["--steps", "0"],
+            ["--mode", "theorem1", "--functionals", "0"],
+            ["--mode", "lsi", "--paths", "1"],
+            ["--T", "0"],
+        ],
+        ids=lambda extra: " ".join(extra),
+    )
+    def test_bad_size_exit_2(self, extra, capsys):
+        code, out = run_cli(
+            ["simulate", "--manifold", "sphere", "--dim", "2", "--kappa", "1.0",
+             "--T", "0.1", "--steps", "8", "--seed", "1"] + extra
+        )
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestAsymptoticsCommand:
     def test_flat_slope(self):
         code, out = run_cli(
@@ -136,6 +159,14 @@ class TestAsymptoticsCommand:
              "--paths", "100"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("paths", ["0", "2"])
+    def test_too_few_paths_exit_2(self, paths):
+        code, out = run_cli(
+            ["asymptotics", "--manifold", "sphere", "--kappa", "1.0", "--paths", paths]
+        )
+        assert code == 2
+        assert out == ""
 
     def test_failing_tolerance_exit_1(self):
         code, _ = run_cli(

@@ -69,14 +69,35 @@ class TestEstimateChi:
         r2 = est.estimate_chi(m, np.array([1.0, 0.0]), 0.05, 64, 4000, 19, chunk=512, threads=4)
         assert r1 == r2
 
-    def test_antithetic_reduces_stderr(self):
+    def test_antithetic_pairs_match_independent_draws(self):
+        """The Dirichlet numerator is even in the increments, so a mirrored
+        pair carries exactly one draw's information: 2n antithetic paths give
+        the estimate of n independent ones."""
         m = pg.sphere(3, 1.0)
         a = np.array([1.0, 0.0, 0.0])
-        plain = est.estimate_chi(m, a, 0.02, 64, 20_000, 23, antithetic=False,
+        plain = est.estimate_chi(m, a, 0.02, 64, 3000, 23, antithetic=False,
                                  variance="analytic")
-        anti = est.estimate_chi(m, a, 0.02, 64, 20_000, 23, antithetic=True,
+        anti = est.estimate_chi(m, a, 0.02, 64, 6000, 23, antithetic=True,
                                 variance="analytic")
-        assert anti.chi.stderr < plain.chi.stderr
+        assert anti.chi == plain.chi
+        assert anti.dirichlet == plain.dirichlet
+
+    def test_chunking_does_not_change_results(self):
+        m = pg.sphere(3, 1.0)
+        a = np.array([0.0, 1.0, 0.0])
+        args = (m, a, 0.02, 64, 5000, 29)
+        many = est.estimate_chi(*args, include_i_terms=True, chunk=512)
+        one = est.estimate_chi(*args, include_i_terms=True, chunk=1 << 20)
+        assert many == one
+
+    def test_too_few_draws_rejected(self):
+        m = pg.sphere(2, 1.0)
+        a = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="2 independent draws"):
+            est.estimate_chi(m, a, 0.1, 8, 2, 3)
+        with pytest.raises(ValueError, match="2 independent draws"):
+            est.estimate_chi(m, a, 0.1, 8, 1, 3, antithetic=False)
+        assert est.estimate_chi(m, a, 0.1, 8, 2, 3, antithetic=False).chi.n == 2
 
     def test_unit_vector_required(self):
         with pytest.raises(ValueError):
@@ -207,6 +228,20 @@ class TestSmallTimeSlope:
         )
         assert rep.predicted_slope == pytest.approx(-0.5)
         assert abs(rep.slope.mean + 0.5) <= 0.05
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_points_are_single_horizon_estimates(self, antithetic):
+        """Each rung reuses a prefix of the longest rung's normals; the
+        points equal the stand-alone estimates exactly."""
+        m = pg.sphere(2, 1.0)
+        a = np.array([0.6, 0.8])
+        ladder = [0.005, 0.01, 0.02, 0.04]
+        rep = est.small_time_slope(m, a, ladder, 1001, 31, antithetic=antithetic)
+        for point, T in zip(rep.points, ladder):
+            assert point == est.estimate_chi(
+                m, a, T, est.default_steps(T), 1001, 31, antithetic=antithetic,
+                variance="analytic",
+            )
 
     def test_ladder_length_enforced(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from pathgap.gradients import (
     field_energy,
     field_l2_distance,
     linear_functional_gradient,
+    linear_gradient_batch,
     resolvent,
     transform_pair,
     usual_gradient,
@@ -308,6 +309,19 @@ class TestLinearFunctionalGradient:
             assert slope == pytest.approx(want, rel=0.05)
             resid = e_sq[:, i] - slope * ts
             assert np.max(np.abs(resid)) <= 0.05 * max(slope, 1.0) * ts[-1]
+
+    @pytest.mark.parametrize(
+        "m", [pg.sphere(3, 1.0), pg.hyperbolic(2, -1.0), pg.euclidean(2)], ids=lambda m: m.kind
+    )
+    def test_mirror_path_has_the_same_field(self, m):
+        """The field is even in the increments: -inc gives it bit for bit."""
+        g = TimeGrid.uniform(0.1, 48)
+        inc = batch_increments(g, m.dim, seed=57, indices=range(64))
+        a = np.zeros(m.dim)
+        a[0] = 1.0
+        plus = linear_gradient_batch(inc, g.times, a, m.kappa, m.ricci_scalar)
+        minus = linear_gradient_batch(-inc, g.times, a, m.kappa, m.ricci_scalar)
+        assert np.array_equal(plus, minus)
 
     def test_variance_of_linear_functional(self):
         """Var(F) = T for the driving-increment functional on any manifold."""
