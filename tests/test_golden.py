@@ -1,8 +1,9 @@
-"""Golden-output corpus: CLI stdout compared byte for byte with tests/golden/.
+"""Golden-output corpus: output compared byte for byte with tests/golden/.
 
-Each case is a small fixed invocation; its expected stdout is stored in
-``tests/golden/<name>.csv``.  A change that deliberately alters the random
-stream regenerates the corpus with
+Each CLI case is a small fixed invocation; its expected stdout is stored in
+``tests/golden/<name>.csv``.  Each in-process case is a function returning
+text, stored in ``tests/golden/<name>.txt``.  A change that deliberately
+alters the random stream regenerates the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -14,8 +15,11 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import pathgap as pg
+from pathgap import estimators as est
 from pathgap.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -52,7 +56,54 @@ CASES = {
         "--T", "0.1", "--steps", "128", "--paths", "8192", "--seed", "80", "--mode", "chi",
         "--threads", "2",
     ],
+    "bounds_k2_positive": ["bounds", "--k1", "1.0", "--k2", "1.0", "--T-grid", "0.1:2.0:5"],
+    "bounds_k2_negative": [
+        "bounds", "--k1", "1.0", "--k2=-0.5", "--T", "0.5", "--T", "1.0", "--T", "3.0",
+    ],
+    "bounds_k2_zero": ["bounds", "--k1", "2.0", "--k2", "0.0", "--T-grid", "0.1:1.0:4"],
+    "bounds_profile": ["bounds", "--k1", "1.0", "--k2=-0.5", "--T", "1.0", "--profile", "11"],
+    "theorem1_sphere2": [
+        "simulate", "--manifold", "sphere", "--dim", "2", "--kappa", "1.0",
+        "--T", "0.5", "--steps", "32", "--paths", "50", "--seed", "81", "--mode", "theorem1",
+        "--functionals", "4",
+    ],
+    "theorem1_hyperbolic2": [
+        "simulate", "--manifold", "hyperbolic", "--dim", "2", "--kappa", "-1.0",
+        "--T", "1.0", "--steps", "32", "--paths", "50", "--seed", "82", "--mode", "theorem1",
+        "--functionals", "4",
+    ],
+    "lsi_sphere2": [
+        "simulate", "--manifold", "sphere", "--dim", "2", "--kappa", "1.0",
+        "--T", "0.5", "--steps", "32", "--paths", "500", "--seed", "83", "--mode", "lsi",
+    ],
+    "lsi_euclidean3": [
+        "simulate", "--manifold", "euclidean", "--dim", "3",
+        "--T", "0.5", "--steps", "16", "--paths", "500", "--seed", "84", "--mode", "lsi",
+    ],
 }
+
+
+def theorem1_synthetic() -> str:
+    """verify_theorem1 on a non-symmetric 2x2 Ricci path.
+
+    This is the only case that runs the RK4 propagator triangle and the
+    trapezoid damped energy; no CLI command reaches either.
+    """
+
+    def ric(t):
+        return np.array(
+            [[0.5 + 0.3 * np.sin(2 * t), 0.2 * np.cos(3 * t)],
+             [-0.2 * np.cos(3 * t), 0.6 - 0.2 * np.sin(t)]]
+        )
+
+    m = pg.synthetic_ricci_path(2, ric)
+    family = est.random_two_point_family(m, 1.0, 3, seed=5)
+    rep = est.verify_theorem1(m, pg.CurvatureBounds(1.0, 0.4), family, 1.0, 24, 8, seed=5)
+    return repr(rep) + "\n"
+
+
+# name -> function returning the expected text
+IN_PROCESS = {"theorem1_synthetic": theorem1_synthetic}
 
 
 def run_cli(argv):
@@ -69,8 +120,14 @@ def test_stdout_matches_golden(name):
     assert out == (GOLDEN_DIR / f"{name}.csv").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(IN_PROCESS))
+def test_in_process_matches_golden(name):
+    assert IN_PROCESS[name]() == (GOLDEN_DIR / f"{name}.txt").read_text()
+
+
 def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.csv")) == sorted(CASES)
+    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.txt")) == sorted(IN_PROCESS)
 
 
 if __name__ == "__main__":
@@ -81,3 +138,6 @@ if __name__ == "__main__":
             sys.exit(f"{name}: exit code {code}")
         (GOLDEN_DIR / f"{name}.csv").write_text(out)
         print(f"wrote {name}.csv")
+    for name, case in IN_PROCESS.items():
+        (GOLDEN_DIR / f"{name}.txt").write_text(case())
+        print(f"wrote {name}.txt")
