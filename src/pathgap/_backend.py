@@ -1,46 +1,15 @@
-"""Kernel backend selection.
+"""The kernel module: the numpy geodesic walk and RK4 propagator kernels.
 
-The compiled extension ``_kernels_c`` is preferred when importable; the
-pure-numpy twin ``_kernels_py`` is the fallback.  ``PATHGAP_BACKEND`` forces
-the choice ("compiled" or "python"); forcing "compiled" without the built
-extension is an error rather than a silent fallback.
+Callers reach the kernels as attributes of ``kernels``, so they can be
+wrapped in one place; ``backend_name`` names the implementation for run
+records.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels_py
-
-_FORCED = os.environ.get("PATHGAP_BACKEND", "").strip().lower()
-
-try:
-    from . import _kernels_c
-except ImportError:
-    _kernels_c = None
-
-if _FORCED in ("python", "py"):
-    kernels = _kernels_py
-elif _FORCED in ("compiled", "c", "cython"):
-    if _kernels_c is None:
-        raise ImportError(
-            "PATHGAP_BACKEND=compiled but the pathgap._kernels_c extension is not built"
-        )
-    kernels = _kernels_c
-elif _FORCED:
-    raise ImportError(f"unknown PATHGAP_BACKEND value {_FORCED!r}")
-else:
-    kernels = _kernels_c if _kernels_c is not None else _kernels_py
+from . import _kernels_py as kernels
 
 
 def backend_name() -> str:
-    """Name of the kernel backend in use: 'compiled' or 'python'."""
-    return "compiled" if kernels is _kernels_c else "python"
-
-
-def available_backends():
-    """Mapping of backend name to kernel module, for benchmarks and tests."""
-    out = {"python": _kernels_py}
-    if _kernels_c is not None:
-        out["compiled"] = _kernels_c
-    return out
+    """Name of the kernel backend in use: always 'python' (numpy)."""
+    return "python"

@@ -1,7 +1,6 @@
-"""Pure-numpy implementations of the hot kernels.
+"""Numpy implementations of the hot kernels.
 
-Import-time fallback twin of the compiled extension ``_kernels_c``; both
-expose the same two entry points with identical semantics:
+Two entry points:
 
 * ``simulate_paths`` -- geodesic random walk on a model manifold for a batch
   of driving-increment arrays, recording positions and frames at selected
@@ -10,7 +9,7 @@ expose the same two entry points with identical semantics:
   damping matrix ODE dQ/dt = -1/2 A(t) Q, per start column.
 
 Vectorization is across paths (simulate) and across start columns
-(resolvent); the per-step arithmetic mirrors the compiled loops.
+(resolvent).
 """
 
 from __future__ import annotations

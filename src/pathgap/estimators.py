@@ -25,7 +25,7 @@ from .geometry import SYNTHETIC, ModelManifold, _project_tangent
 from .gradients import (
     CylindricalFunctional,
     ResolventGrid,
-    frame_pullback_slots,
+    _damped_limits,
     linear_gradient_batch,
     resolvent_on_grid,
 )
@@ -354,14 +354,7 @@ def verify_theorem1(
 
 def _damped_energy_trapezoid(idx, slots, R: ResolventGrid, grid: TimeGrid) -> float:
     """Trapezoid-in-tau integral of |D~_tau F|^2 from the propagator triangle."""
-    n, d = grid.n_steps, slots.shape[1]
-    left = np.zeros((n, d))
-    right = np.zeros((n, d))
-    for j, slot in zip(idx, slots):
-        row = R.row(int(j))  # Q_{t_j, t_k}, k = 0..j
-        contrib = np.einsum("kab,a->kb", row, slot)
-        left[:j] += contrib[:j]
-        right[:j] += contrib[1 : j + 1]
+    left, right = _damped_limits(idx, slots, R)
     dts = grid.dts
     return float(0.5 * np.einsum("k,k->", dts, np.einsum("kd,kd->k", left, left)
                                  + np.einsum("kd,kd->k", right, right)))

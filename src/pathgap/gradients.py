@@ -105,7 +105,9 @@ class ResolventGrid:
 
     Constant Ricci c*Id produces the exact scalar form Q = e^{-c (t_i-t_j)/2} Id
     ("scalar" mode, nothing stored); otherwise the packed lower triangle from
-    the RK4 kernel is held with pair (i, j) at index i*(i+1)/2 + j.
+    the RK4 kernel is held with pair (i, j) at index i*(i+1)/2 + j.  Callers
+    read propagators only through ``entry``, ``row`` and ``column``, which
+    return (d, d) matrices in either mode.
     """
 
     grid: TimeGrid
@@ -246,18 +248,25 @@ def damped_gradient(
 ) -> GradientField:
     """Damped version: each future slot is twisted by Q*_{t_j, tau}."""
     idx, slots = frame_pullback_slots(F, path, m)
-    n, d = path.grid.n_steps, slots.shape[1]
-    values = np.zeros((n, d))
-    if R.mode == "scalar":
-        taus = path.grid.times[:n]
-        for j, slot in zip(idx, slots):
-            decay = np.exp(-0.5 * R.scalar_rate * (path.grid.times[j] - taus[:j]))
-            values[:j] += decay[:, None] * slot
-    else:
-        for j, slot in zip(idx, slots):
-            row = R.row(int(j))[:j]  # Q_{t_j, t_k} for cells k < j
-            values[:j] += np.einsum("kab,a->kb", row, slot)
-    return GradientField(path.grid, values)
+    left, _ = _damped_limits(idx, slots, R)
+    return GradientField(path.grid, left)
+
+
+def _damped_limits(idx, slots, R: ResolventGrid):
+    """Left and right limits of the damped gradient on each grid cell, (n, d) each.
+
+    On cell k the damped gradient is the sum of Q*_{t_j, tau} slots[j] over
+    the slots with t_j > t_k; ``left`` evaluates it at tau = t_k and
+    ``right`` at tau = t_{k+1}.  The left limit is the cell value.
+    """
+    n, d = R.grid.n_steps, slots.shape[1]
+    left = np.zeros((n, d))
+    right = np.zeros((n, d))
+    for j, slot in zip(idx, slots):
+        contrib = np.einsum("kab,a->kb", R.row(int(j)), slot)  # Q*_{t_j, t_k} g_j, k = 0..j
+        left[:j] += contrib[:j]
+        right[:j] += contrib[1 : j + 1]
+    return left, right
 
 
 def damped_gradient_integral_form(
@@ -271,29 +280,13 @@ def damped_gradient_integral_form(
     tracks under grid refinement.
     """
     usual = usual_gradient(F, path, m)
-    n, d = path.grid.n_steps, usual.values.shape[1]
     dts = path.grid.dts
     values = usual.values.copy()
-    if R.mode == "scalar":
-        c = R.scalar_rate
-        times = path.grid.times
-        for k in range(n):
-            # W(i) = c * e^{-c (t_i - t_k)/2} for nodes i = k..n
-            w = c * np.exp(-0.5 * c * (times[k:] - times[k]))
-            cell = 0.5 * dts[k:] * (w[:-1] + w[1:])
-            values[k] -= 0.5 * np.einsum("l,ld->d", cell, usual.values[k:])
-    else:
-        ric_nodes = np.array(
-            [ricci_matrix(m, t) for t in path.grid.times]
-        )  # synthetic: time-indexed
-        idx_all = np.arange(n + 1)
-        bases = idx_all * (idx_all + 1) // 2
-        for k in range(n):
-            col = R.packed[bases[k:] + k]  # Q_{t_i, t_k} for i = k..n
-            w = np.einsum("iab,ibc->iac", ric_nodes[k:], col)  # ric(t_i) Q_{t_i,t_k}
-            cell = 0.5 * dts[k:, None, None] * (w[:-1] + w[1:])
-            corr = np.einsum("lab,lb->a", np.swapaxes(cell, -1, -2), usual.values[k:])
-            values[k] -= 0.5 * corr
+    ric_nodes = np.array([ricci_matrix(m, t) for t in path.grid.times])
+    for k in range(path.grid.n_steps):
+        w = np.einsum("iab,ibc->iac", ric_nodes[k:], R.column(k))  # ric(t_i) Q_{t_i,t_k}
+        cell = 0.5 * dts[k:, None, None] * (w[:-1] + w[1:])
+        values[k] -= 0.5 * np.einsum("lba,lb->a", cell, usual.values[k:])
     return GradientField(path.grid, values)
 
 
@@ -335,28 +328,19 @@ def _quadratic_cell_weights(times: np.ndarray):
 def _damped_integral(row: np.ndarray, values: np.ndarray, k: int, grid: TimeGrid, wcache):
     """integral_0^{t_k} Q_{t_k, s} v_s ds from row k of the propagator stack.
 
-    ``row`` holds Q_{t_k, t_j} for j = 0..k (matrices or scalars); v is
-    piecewise constant.  Uses the per-cell quadratic rule, trapezoid when
-    only one cell is available.
+    ``row`` holds the matrices Q_{t_k, t_j} for j = 0..k; v is piecewise
+    constant.  Uses the per-cell quadratic rule, trapezoid when only one cell
+    is available.
     """
     if k == 1:
         w = 0.5 * (grid.times[1] - grid.times[0])
-        return np.tensordot(w * (row[0] + row[1]), values[0], axes=([-1], [0])) if row.ndim == 3 else (
-            w * (row[0] + row[1])
-        ) * values[0]
+        return (w * (row[0] + row[1])) @ values[0]
     first, inner = wcache
-    if row.ndim == 3:
-        acc = np.einsum("lab,l,lb->a", row[:3], first, np.broadcast_to(values[0], (3, values.shape[1])))
-        w = inner[: k - 1]
-        acc = acc + np.einsum("lab,l,lb->a", row[: k - 1], w[:, 0], values[1:k])
-        acc = acc + np.einsum("lab,l,lb->a", row[1:k], w[:, 1], values[1:k])
-        acc = acc + np.einsum("lab,l,lb->a", row[2 : k + 1], w[:, 2], values[1:k])
-        return acc
-    acc = (first @ row[:3]) * values[0]
+    acc = np.einsum("lab,l,lb->a", row[:3], first, np.broadcast_to(values[0], (3, values.shape[1])))
     w = inner[: k - 1]
-    acc = acc + np.einsum("l,ld->d", w[:, 0] * row[: k - 1], values[1:k])
-    acc = acc + np.einsum("l,ld->d", w[:, 1] * row[1:k], values[1:k])
-    acc = acc + np.einsum("l,ld->d", w[:, 2] * row[2 : k + 1], values[1:k])
+    acc = acc + np.einsum("lab,l,lb->a", row[: k - 1], w[:, 0], values[1:k])
+    acc = acc + np.einsum("lab,l,lb->a", row[1:k], w[:, 1], values[1:k])
+    acc = acc + np.einsum("lab,l,lb->a", row[2 : k + 1], w[:, 2], values[1:k])
     return acc
 
 
@@ -377,18 +361,11 @@ def transform_pair(
     tilde = v.values.copy()
     hat = v.values.copy()
     wcache = _quadratic_cell_weights(times) if n >= 2 else None
-    scalar = R.mode == "scalar"
-    c = R.scalar_rate
     running = np.zeros(d)
     for k in range(n):
-        ric_k = c * np.eye(d) if scalar else ricci_matrix(m, times[k])
+        ric_k = ricci_matrix(m, times[k])
         if k > 0:
-            row = (
-                np.exp(-0.5 * c * (times[k] - times[: k + 1]))
-                if scalar
-                else R.row(k)
-            )
-            integ = _damped_integral(row, v.values, k, path.grid, wcache)
+            integ = _damped_integral(R.row(k), v.values, k, path.grid, wcache)
             tilde[k] -= 0.5 * ric_k @ integ
         hat[k] += 0.5 * ric_k @ running
         running = running + dts[k] * v.values[k]
@@ -415,35 +392,17 @@ def duality_defect(
     dts = grid.dts
     times = grid.times
 
-    # left/right limits of the damped gradient on each cell
-    left = np.zeros((n, d))
-    right = np.zeros((n, d))
-    for j, slot in zip(idx, slots):
-        if R.mode == "scalar":
-            decay = np.exp(-0.5 * R.scalar_rate * (times[j] - times[: j + 1]))
-            contrib = decay[:, None] * slot
-        else:
-            contrib = np.einsum("kab,a->kb", R.row(int(j)), slot)
-        left[:j] += contrib[:j]
-        right[:j] += contrib[1 : j + 1]
+    left, right = _damped_limits(idx, slots, R)
     lhs = float(0.5 * np.einsum("k,kd,kd->", dts, left + right, v.values))
 
     usual = usual_gradient(F, path, m)
     # left/right limits of tilde(v) on each cell: v is constant there, the
     # damping correction is evaluated at both cell ends
     wcache = _quadratic_cell_weights(times) if n >= 2 else None
-    scalar = R.mode == "scalar"
-    c = R.scalar_rate
     corr_node = np.zeros((n + 1, d))
     for k in range(1, n + 1):
-        if scalar:
-            row = np.exp(-0.5 * c * (times[k] - times[: k + 1]))
-            ric_k = c * np.eye(d)
-        else:
-            row = R.row(k)
-            ric_k = ricci_matrix(m, times[k])
-        integ = _damped_integral(row, v.values, k, grid, wcache)
-        corr_node[k] = 0.5 * ric_k @ integ
+        integ = _damped_integral(R.row(k), v.values, k, grid, wcache)
+        corr_node[k] = 0.5 * ricci_matrix(m, times[k]) @ integ
     tilde_left = v.values.copy()
     tilde_left[1:] -= corr_node[1:n]
     tilde_right = v.values - corr_node[1:]

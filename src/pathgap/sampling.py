@@ -20,7 +20,7 @@ from .geometry import EUCLIDEAN, HYPERBOLIC, SPHERE, SYNTHETIC, FramePoint, Mode
 
 __all__ = ["TimeGrid", "PathSample", "sample_path", "batch_sample", "path_to_csv"]
 
-# Kernel codes shared by both backends: 0 flat, 1 sphere, 2 hyperboloid.
+# Kernel codes: 0 flat, 1 sphere, 2 hyperboloid.
 _KIND_CODE = {EUCLIDEAN: 0, SYNTHETIC: 0, SPHERE: 1, HYPERBOLIC: 2}
 
 

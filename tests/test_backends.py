@@ -1,22 +1,17 @@
-"""Compiled and pure-Python kernel backends must agree and be deterministic."""
-
-import os
-import subprocess
-import sys
+"""The numpy kernels are deterministic and record consistently."""
 
 import numpy as np
 import pytest
 
 import pathgap as pg
-from pathgap._backend import available_backends, backend_name
+from pathgap import _kernels_py
+from pathgap._backend import backend_name
 from pathgap.sampling import TimeGrid, batch_increments
 
 from conftest import smooth_ricci
 
-BACKENDS = available_backends()
-needs_both = pytest.mark.skipif(
-    len(BACKENDS) < 2, reason="compiled backend not built"
-)
+# the kernel module, under the name run records give it
+with_kernels = pytest.mark.parametrize("kern", [_kernels_py], ids=[backend_name()])
 
 KIND = {"euclidean": 0, "sphere": 1, "hyperbolic": 2}
 
@@ -29,22 +24,8 @@ def _simulate(kern, m, inc, record):
 
 
 class TestSimulateKernels:
-    @needs_both
-    @pytest.mark.parametrize(
-        "m", [pg.euclidean(3), pg.sphere(3, 1.0), pg.sphere(2, 2.0), pg.hyperbolic(2, -1.0)]
-    )
-    def test_backends_agree(self, m):
-        g = TimeGrid.uniform(0.8, 128)
-        inc = batch_increments(g, m.dim, seed=99, indices=range(16))
-        record = np.arange(g.n_steps + 1, dtype=np.int64)
-        pos_py, fr_py = _simulate(BACKENDS["python"], m, inc, record)
-        pos_c, fr_c = _simulate(BACKENDS["compiled"], m, inc, record)
-        np.testing.assert_allclose(pos_c, pos_py, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(fr_c, fr_py, rtol=1e-10, atol=1e-12)
-
-    @pytest.mark.parametrize("name", sorted(BACKENDS))
-    def test_deterministic(self, name):
-        kern = BACKENDS[name]
+    @with_kernels
+    def test_deterministic(self, kern):
         m = pg.sphere(2, 1.0)
         g = TimeGrid.uniform(0.5, 64)
         inc = batch_increments(g, m.dim, seed=3, indices=range(4))
@@ -54,9 +35,8 @@ class TestSimulateKernels:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
-    @pytest.mark.parametrize("name", sorted(BACKENDS))
-    def test_record_subset(self, name):
-        kern = BACKENDS[name]
+    @with_kernels
+    def test_record_subset(self, kern):
         m = pg.hyperbolic(2, -1.0)
         g = TimeGrid.uniform(0.5, 32)
         inc = batch_increments(g, m.dim, seed=5, indices=range(3))
@@ -77,59 +57,10 @@ class TestResolventKernels:
         g = TimeGrid.uniform(1.0, n)
         return gr._stage_ricci(m, g), g.dts
 
-    @needs_both
-    def test_triangle_agrees(self):
-        stages, dts = self._stages(96, 3, seed=47)
-        out_py = BACKENDS["python"].resolvent_triangle(stages, dts)
-        out_c = BACKENDS["compiled"].resolvent_triangle(stages, dts)
-        np.testing.assert_allclose(out_c, out_py, rtol=1e-12, atol=1e-14)
-
-    @needs_both
-    def test_column_agrees(self):
-        stages, dts = self._stages(512, 2, seed=53)
-        col_py = BACKENDS["python"].resolvent_column(stages, dts, 10)
-        col_c = BACKENDS["compiled"].resolvent_column(stages, dts, 10)
-        np.testing.assert_allclose(col_c, col_py, rtol=1e-12, atol=1e-14)
-
-    @pytest.mark.parametrize("name", sorted(BACKENDS))
-    def test_column_matches_triangle(self, name):
-        kern = BACKENDS[name]
+    @with_kernels
+    def test_column_matches_triangle(self, kern):
         stages, dts = self._stages(48, 2, seed=59)
         tri = kern.resolvent_triangle(stages, dts)
         col = kern.resolvent_column(stages, dts, 0)
         idx = np.arange(49)
         np.testing.assert_allclose(tri[idx * (idx + 1) // 2], col, atol=1e-12)
-
-
-class TestSelection:
-    def test_default_prefers_compiled(self):
-        forced = os.environ.get("PATHGAP_BACKEND", "").strip().lower()
-        if forced in ("python", "py"):
-            assert backend_name() == "python"
-        elif "compiled" in BACKENDS:
-            assert backend_name() == "compiled"
-        else:
-            assert backend_name() == "python"
-
-    def test_env_forces_python(self):
-        # The child gets a minimal env, but must import the same pathgap
-        # this process imported (src/, editable or site-packages install).
-        pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(pg.__file__)))
-        pythonpath = os.pathsep.join(
-            p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p
-        )
-        code = "import pathgap; print(pathgap.__file__); print(pathgap.backend_name())"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={
-                "PATH": "/usr/bin:/bin",
-                "PATHGAP_BACKEND": "python",
-                "PYTHONPATH": pythonpath,
-            },
-        )
-        assert out.returncode == 0, out.stderr
-        child_file, child_backend = out.stdout.splitlines()
-        assert os.path.realpath(child_file) == os.path.realpath(pg.__file__)
-        assert child_backend.strip() == "python"
