@@ -222,6 +222,19 @@ def psi(T: float, cb: CurvatureBounds) -> float:
     return n_stable / ((1.0 + b) ** 2 + root)
 
 
+def _x_minus_sinh(x: float) -> float:
+    """x - sinh(x); the Taylor series -x^3/3! - x^5/5! - ... for |x| < 1/2."""
+    if abs(x) >= 0.5:
+        return x - math.sinh(x)
+    x2 = x * x
+    term = -x * x2 / 6.0
+    acc = 0.0
+    for n in range(5, 21, 2):  # through x^17: the next term is below 1e-17 relative
+        acc += term
+        term *= x2 / ((n - 1) * n)
+    return acc
+
+
 def lambda_integral(t: float, T: float, cb: CurvatureBounds) -> float:
     """Antiderivative L(t) = integral_0^t Lambda(tau, T) dtau, closed form.
 
@@ -236,9 +249,23 @@ def lambda_integral(t: float, T: float, cb: CurvatureBounds) -> float:
     if k1 == 0.0:
         return t
     if _degenerate_k2(T, cb):
-        return t + k1 * T * t / 2 + k1 * k1 * (T * t * t / 8 - t ** 3 / 24)
+        lim = t + k1 * T * t / 2 + k1 * k1 * (T * t * t / 8 - t ** 3 / 24)
+        corr = -k2 * (k1 * (T ** 3 - (T - t) ** 3 + t ** 3) / 24 + k1 * k1 * T * T * t * t / 32)
+        return lim + corr
     b = k1 / k2
     a = k2 / 2
+    if abs(k2) * T < 2.0:
+        # The direct form below cancels (1+b)^2 t against the b/a and b^2/a
+        # terms, and b ~ 1/k2 amplifies the roundoff.  Integrating each term
+        # of lambda_profile with 1 - e^{-u} = -expm1(-u), e^{-y} = 1 + expm1(-y)
+        # and cosh(x) - 1 = 2 sinh^2(x/2) leaves no cancellation while
+        # |a T| < 1; for larger positive a T the e^x terms here cancel instead.
+        x, y = a * t, a * T
+        xs = _x_minus_sinh(x)
+        em_y = math.expm1(-y)
+        lin = 2.0 * xs - em_y * math.expm1(x)
+        quad = xs - em_y * 2.0 * math.sinh(0.5 * x) ** 2
+        return t + (b / a) * lin + (b * b / a) * quad
     e_T = math.exp(-a * T)
     term_right = (b / a) * (math.exp(-a * (T - t)) - e_T)
     term_left = ((b + b * b) / a) * (-math.expm1(-a * t))

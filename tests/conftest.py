@@ -32,6 +32,11 @@ def lambda_mp(t, T, k1, k2):
     return 1 + term1 + term2 + term3
 
 
+def lambda_integral_mp(t, T, k1, k2):
+    """integral_0^t lambda_mp(tau, T, k1, k2) dtau by mpmath quadrature."""
+    return mp.quad(lambda tau: lambda_mp(tau, T, k1, k2), [0, t])
+
+
 def golden_max(f, lo, hi, tol):
     """Golden-section maximization; works on mpmath callables."""
     lo, hi = mp.mpf(lo), mp.mpf(hi)

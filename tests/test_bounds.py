@@ -20,7 +20,7 @@ from pathgap.bounds import (
     psi,
 )
 
-from conftest import admissible_params, golden_max, lambda_mp
+from conftest import admissible_params, golden_max, lambda_integral_mp, lambda_mp
 
 # 40-digit reference values, frozen from the mpmath oracle in conftest
 LAMBDA_0_K1 = 1.3934693402873665763962  # lambda(0, 1) at k1 = k2 = 1
@@ -269,6 +269,21 @@ class TestLambdaIntegral:
             )
             # windows drawn near the k2 switch cost a few digits to cancellation
             assert lambda_integral(t, T, window) == pytest.approx(simpson, rel=1e-8)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_sweep_near_k2_zero(self, sign):
+        # |k2| T from far below K2_SWITCH to far above the 2.0 change of form,
+        # with k1 / |k2| up to 1e8, where (k1 / k2)^2 amplifies any cancellation
+        T = 0.8
+        for k2T in (1e-9, 1e-7, 9e-7, 1.1e-6, 1e-4, 1e-2, 0.5, 1.99, 2.01, 10.0, 100.0):
+            k2 = sign * k2T / T
+            for ratio in (1.0, 1e4, 1e8):
+                k1 = ratio * abs(k2)
+                assert lambda_integral(0.0, T, cb(k1, k2)) == 0.0
+                for t in (0.37 * T, T):
+                    want = float(lambda_integral_mp(t, T, k1, k2))
+                    got = lambda_integral(t, T, cb(k1, k2))
+                    assert got == pytest.approx(want, rel=1e-10), (k2T, ratio, t)
 
     def test_flat(self):
         assert lambda_integral(0.7, 1.0, cb(0.0, 0.0)) == pytest.approx(0.7, rel=1e-15)

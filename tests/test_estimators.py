@@ -113,6 +113,15 @@ class TestVerifyTheorem1:
         assert rep.satisfied_fraction == 1.0
         assert abs(rep.max_violation) <= 1e-12
 
+    def test_flat_with_k1_far_above_k2(self):
+        # a window with k1 / k2 = 5e5: the right-hand side weights must not
+        # lose their digits to cancellation near k2 = 0
+        m = pg.euclidean(2)
+        family = est.random_two_point_family(m, 1.0, 4, seed=3)
+        rep = est.verify_theorem1(m, pg.CurvatureBounds(1.0, 2e-6), family, 1.0, 32, 50, 3)
+        assert rep.satisfied_fraction == 1.0
+        assert rep.max_violation <= 1e-8
+
     def test_sphere(self):
         m = pg.sphere(2, 1.0)
         family = est.random_two_point_family(m, 1.0, 5, seed=5)
