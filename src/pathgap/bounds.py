@@ -166,18 +166,20 @@ def lambda_sup(T: float, cb: CurvatureBounds) -> float:
     """sup_t Lambda(t, T): the log-Sobolev constant C(T, k1, k2).
 
     k2 > 0 uses the interior-maximum closed form; k2 < 0 the right-endpoint
-    value 1/2 + (1 + (k1/k2)(1 - e^{-k2 T/2}))^2 / 2; k2 ~ 0 the limit
-    1 + k1*T/2 + (k1*T)^2/8.
+    value 1/2 + (1 + (k1/k2)(1 - e^{-k2 T/2}))^2 / 2; 0 <= k2 < K2_SWITCH/T
+    the limit 1 + k1*T/2 + (k1*T)^2/8.
     """
     T = _require_horizon(T)
     k1, k2 = cb.k1, cb.k2
     if k1 == 0.0:
         return 1.0
+    if k2 < 0.0:
+        # no cancellation for any k2 < 0, so no k2 -> 0 limit: the limit
+        # would drop the first-order k2 term that lambda_profile keeps
+        base = 1.0 + k1 * (-math.expm1(-k2 * T / 2)) / k2
+        return 0.5 + 0.5 * base * base
     if _degenerate_k2(T, cb):
         return 1.0 + k1 * T / 2 + (k1 * T) ** 2 / 8
-    if k2 < 0.0:
-        base = 1.0 + (k1 / k2) * (-math.expm1(-k2 * T / 2))
-        return 0.5 + 0.5 * base * base
     # interior-maximum closed form: (1+b)^2 minus two positive terms.  The
     # direct subtraction loses ~b^2 * eps absolutely (catastrophic for small
     # k2 where b ~ 1/k2), so evaluate through the conjugate: with the exact
@@ -206,11 +208,13 @@ def psi(T: float, cb: CurvatureBounds) -> float:
     k1, k2 = cb.k1, cb.k2
     if k1 == 0.0:
         return 1.0
+    if k2 < 0.0:
+        # no cancellation for any k2 < 0, so no k2 -> 0 limit: the limit
+        # would drop the first-order k2 term that lambda_profile keeps
+        base = 1.0 + k1 * (-math.expm1(-k2 * T / 2)) / k2
+        return 0.5 + 0.5 * base * base
     if _degenerate_k2(T, cb):
         return 1.0 + k1 * T / 2 + (k1 * T) ** 2 / 8
-    if k2 < 0.0:
-        base = 1.0 + (k1 / k2) * (-math.expm1(-k2 * T / 2))
-        return 0.5 + 0.5 * base * base
     # conjugate evaluation of (1+b)^2 - b sqrt(inner) e^{-k2 T/4}: the
     # numerator (1+b)^4 - b^2 inner e^{-k2 T/2} reduces exactly to a sum of
     # positive terms, avoiding the b^2-amplified cancellation near k2 = 0

@@ -138,14 +138,23 @@ def cmd_bounds(args) -> int:
         cb = bd.CurvatureBounds(args.k1, args.k2)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    horizons = _horizons(args)
+    try:
+        columns, rows = _bounds_rows(args, cb, _horizons(args))
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    except OverflowError as exc:
+        raise CliError(f"the closed forms overflow for this window and horizon ({exc})") from exc
+    _emit(columns, rows, args.format)
+    return 0
+
+
+def _bounds_rows(args, cb, horizons):
     if args.profile:
         rows = []
         for T in horizons:
             for t in np.linspace(0.0, T, args.profile):
                 rows.append((T, args.k1, args.k2, float(t), bd.lambda_profile(float(t), T, cb)))
-        _emit(PROFILE_COLUMNS, rows, args.format)
-        return 0
+        return PROFILE_COLUMNS, rows
     rows = []
     for T in horizons:
         rep = bd.bound_report(T, cb)
@@ -163,8 +172,7 @@ def cmd_bounds(args) -> int:
                 rep.gap_lower_from_psi,
             )
         )
-    _emit(BOUNDS_COLUMNS, rows, args.format)
-    return 0
+    return BOUNDS_COLUMNS, rows
 
 
 def _simulate_rows(m, args, seed):

@@ -320,6 +320,15 @@ class TestBoundReport:
         assert rep.gap_lower_from_psi == pytest.approx(1.0 / rep.psi, rel=1e-15)
         assert rep.gap_lower_from_sup == pytest.approx(1.0 / rep.lambda_sup, rel=1e-15)
 
+    @pytest.mark.parametrize("k2T", [0.5e-6, 0.9e-6, 1.1e-6])
+    def test_negative_k2_near_switch(self, k2T):
+        # on both sides of K2_SWITCH the supremum is the endpoint value
+        T, k1, k2 = 0.05, 2.0, -k2T / 0.05
+        rep = bound_report(T, cb(k1, k2))
+        want = float(lambda_mp(T, T, k1, k2))
+        assert rep.lambda_sup == pytest.approx(want, rel=1e-10)
+        assert rep.psi == pytest.approx(want, rel=1e-10)
+
     def test_invariants(self, rng):
         for k1, k2, T in admissible_params(rng, 100):
             rep = bound_report(T, cb(k1, k2))

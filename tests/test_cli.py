@@ -62,6 +62,28 @@ class TestBoundsCommand:
         code, _ = run_cli(["bounds", "--k1", "1", "--k2", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--k2", "1", "--T", "nan"],
+            ["--k2", "1", "--T", "0"],
+            ["--k2", "1", "--T-grid", "0:1:3"],
+            ["--k2", "1", "--T", "1.0", "--profile", "-1"],
+            ["--k2=-1", "--T", "2000"],  # e^{k1 T / 2} overflows a float
+        ],
+        ids=" ".join,
+    )
+    def test_bad_horizon_exit_2(self, extra, capsys):
+        code, out = run_cli(["bounds", "--k1", "1"] + extra)
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_k2_just_below_switch(self):
+        code, out = run_cli(["bounds", "--k1", "2", "--k2=-1e-5", "--T", "0.05"])
+        assert code == 0
+        assert len(out.strip().split("\n")) == 2
+
 
 class TestSimulateCommand:
     def test_chi_euclidean_row(self):
