@@ -16,6 +16,7 @@ requested checks pass, 1 a check failed, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
 import os
 import sys
@@ -294,8 +295,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
             )
         flat = []
         for key, val in cfg.params.items():
-            flat.append(f"--{key.replace('_', '-')}")
-            flat.append(val)
+            flag = f"--{key.replace('_', '-')}"
+            if key in _BOOLEAN_KEYS:
+                state = configparser.ConfigParser.BOOLEAN_STATES.get(val.lower())
+                if state is None:
+                    raise CliError(f"config key {key} must be true or false, got {val!r}")
+                flat.append(flag if state else f"--no-{key}")
+            else:
+                flat += [flag, val]
         argv = [argv[0]] + flat + argv[1:]
     return parser.parse_args(argv)
 
@@ -312,6 +319,14 @@ def _resolved_config(args, command: str, keys: list[str]) -> ExperimentConfig:
     return ExperimentConfig(command=command, params=params)
 
 
+def _floats(text: str) -> list[float]:
+    """Comma-separated floats: how a written config stores a repeated flag."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected numbers separated by commas, got {text!r}") from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathgap",
@@ -323,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--config", help="config file supplying defaults")
     p_bounds.add_argument("--k1", type=float, required=True)
     p_bounds.add_argument("--k2", type=float, required=True)
-    p_bounds.add_argument("--T", type=float, action="append", help="horizon (repeatable)")
+    p_bounds.add_argument(
+        "--T", type=_floats, action="extend", help="horizon (repeatable, or comma-separated)"
+    )
     p_bounds.add_argument("--T-grid", dest="T_grid", help="start:stop:count horizon grid")
     p_bounds.add_argument(
         "--profile", type=int, default=0, metavar="N",
@@ -368,13 +385,17 @@ _CONFIG_KEYS = {
     "bounds": ["k1", "k2", "T", "T-grid", "profile", "format"],
     "simulate": [
         "manifold", "dim", "kappa", "T", "steps", "paths", "seed", "mode",
-        "functionals", "threads", "format",
+        "functionals", "antithetic", "threads", "format",
     ],
     "asymptotics": [
         "manifold", "dim", "kappa", "T-ladder", "paths", "seed", "tol-rel",
         "threads", "format",
     ],
 }
+
+
+# on/off flags: written as True/False, replayed as --key or --no-key
+_BOOLEAN_KEYS = ("antithetic",)
 
 
 def main(argv=None) -> int:

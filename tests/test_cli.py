@@ -2,11 +2,15 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathgap import bound_report, CurvatureBounds
 from pathgap.cli import BOUNDS_COLUMNS, SIMULATE_COLUMNS, main
@@ -233,7 +237,60 @@ class TestDeterminism:
         assert out_env == out_flag
 
 
+@st.composite
+def bounds_argv(draw):
+    k1 = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    k2 = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])) * k1
+    argv = ["bounds", "--k1", repr(k1), f"--k2={k2!r}"]
+    if draw(st.booleans()):
+        for T in draw(st.lists(st.sampled_from(["0.1", "0.5", "1.0", "2.5"]), min_size=1, max_size=3)):
+            argv += ["--T", T]
+    else:
+        argv += ["--T-grid", draw(st.sampled_from(["0.1:1.0:3", "0.5:2.0:4"]))]
+    if draw(st.booleans()):
+        argv += ["--profile", draw(st.sampled_from(["2", "5"]))]
+    return argv + ["--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+MANIFOLDS = [
+    ["--manifold", "euclidean"],
+    ["--manifold", "sphere", "--kappa", "1.0"],
+    ["--manifold", "hyperbolic", "--kappa", "-1.0"],
+]
+
+
+@st.composite
+def simulate_argv(draw):
+    argv = ["simulate"] + draw(st.sampled_from(MANIFOLDS))
+    argv += ["--dim", draw(st.sampled_from(["2", "3"])), "--T", draw(st.sampled_from(["0.1", "0.4"]))]
+    argv += ["--steps", draw(st.sampled_from(["8", "16"])), "--paths", draw(st.sampled_from(["9", "20"]))]
+    argv += ["--mode", draw(st.sampled_from(["chi", "theorem1", "lsi"]))]
+    argv += ["--functionals", draw(st.sampled_from(["1", "2"]))]
+    argv.append(draw(st.sampled_from(["--antithetic", "--no-antithetic"])))
+    argv += ["--threads", draw(st.sampled_from(["1", "2"]))]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(0, 2**31)))]
+    return argv + ["--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+@st.composite
+def asymptotics_argv(draw):
+    argv = ["asymptotics"] + draw(st.sampled_from(MANIFOLDS))
+    argv += ["--dim", draw(st.sampled_from(["2", "3"])), "--T-ladder", "0.01,0.02,0.03,0.04"]
+    argv += ["--paths", draw(st.sampled_from(["8", "15"])), "--seed", str(draw(st.integers(0, 99)))]
+    argv += ["--tol-rel", draw(st.sampled_from(["0.1", "100"]))]
+    return argv + ["--format", draw(st.sampled_from(["csv", "json"]))]
+
+
 class TestConfigFiles:
+    @settings(max_examples=30, deadline=None)
+    @given(argv=st.one_of(bounds_argv(), simulate_argv(), asymptotics_argv()))
+    def test_written_config_replays_flags(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "exp.cfg")
+            assert run_cli(argv + ["--write-config", path]) == (0, "")
+            assert run_cli([argv[0], "--config", path]) == run_cli(argv)
+
     def test_round_trip_lossless(self):
         cfg = ExperimentConfig(
             "simulate",
