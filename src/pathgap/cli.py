@@ -191,6 +191,7 @@ def _simulate_rows(m, args, seed):
             antithetic=args.antithetic,
             threads=args.threads,
         )
+        base = base[:4] + (rep.n_paths,) + base[5:]
         rows = [
             base + ("chi", rep.chi.mean, rep.chi.stderr),
             base + ("chi_predicted", rep.predicted_first_order, 0.0),
@@ -259,7 +260,7 @@ def cmd_asymptotics(args) -> int:
                 m.kind,
                 m.dim,
                 m.kappa,
-                args.paths,
+                point.n_paths,
                 est.default_steps(point.T),
                 seed,
                 "chi",
@@ -268,7 +269,8 @@ def cmd_asymptotics(args) -> int:
             )
         )
     T_tag = ladder[-1]
-    tail = (T_tag, m.kind, m.dim, m.kappa, args.paths, est.default_steps(T_tag), seed)
+    n_paths = rep.points[-1].n_paths
+    tail = (T_tag, m.kind, m.dim, m.kappa, n_paths, est.default_steps(T_tag), seed)
     rows.append(tail + ("slope_fitted", rep.slope.mean, rep.slope.stderr))
     rows.append(tail + ("slope_predicted", rep.predicted_slope, 0.0))
     _emit(SIMULATE_COLUMNS, rows, args.format)

@@ -78,6 +78,7 @@ class ChiReport:
     var_F: EstimateWithCI
     dirichlet: EstimateWithCI
     variance_mode: str  # "sample" (ratio of sample means) | "analytic"
+    n_paths: int  # paths run: antithetic sampling rounds an odd count up to whole pairs
     i_terms: Optional[tuple[EstimateWithCI, ...]] = None
 
 
@@ -236,6 +237,7 @@ def _chi_ladder(
                 var_F=var_F,
                 dirichlet=dirichlet,
                 variance_mode=variance,
+                n_paths=n_paths,
                 i_terms=i_terms,
             )
         )

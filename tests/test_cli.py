@@ -167,6 +167,25 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize(
+        "argv, n_paths",
+        [
+            (["simulate", "--T", "0.1", "--steps", "8", "--paths", "9"], "10"),
+            (["simulate", "--T", "0.1", "--steps", "8", "--paths", "9", "--no-antithetic"], "9"),
+            (["asymptotics", "--paths", "9", "--tol-rel", "100"], "10"),
+        ],
+    )
+    def test_rows_report_paths_run(self, argv, n_paths):
+        # antithetic sampling runs whole mirrored pairs: an odd count is rounded up
+        code, out = run_cli(
+            argv[:1] + ["--manifold", "sphere", "--dim", "2", "--kappa", "1.0", "--seed", "1"]
+            + argv[1:]
+        )
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert {row.split(",")[SIMULATE_COLUMNS.index("n_paths")] for row in rows} == {n_paths}
+
+
 class TestAsymptoticsCommand:
     def test_flat_slope(self):
         code, out = run_cli(
