@@ -5,8 +5,6 @@ wrapped in one place; ``backend_name`` names the implementation for run
 records.
 """
 
-from __future__ import annotations
-
 from . import _kernels_py as kernels
 
 

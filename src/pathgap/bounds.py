@@ -174,8 +174,8 @@ def lambda_sup(T: float, cb: CurvatureBounds) -> float:
     if k1 == 0.0:
         return 1.0
     if k2 < 0.0:
-        # no cancellation for any k2 < 0, so no k2 -> 0 limit: the limit
-        # would drop the first-order k2 term that lambda_profile keeps
+        # no cancellation for any k2 < 0; a k2 -> 0 limit would drop the
+        # first-order k2 term that lambda_profile keeps
         base = 1.0 + k1 * (-math.expm1(-k2 * T / 2)) / k2
         return 0.5 + 0.5 * base * base
     if _degenerate_k2(T, cb):
@@ -209,8 +209,6 @@ def psi(T: float, cb: CurvatureBounds) -> float:
     if k1 == 0.0:
         return 1.0
     if k2 < 0.0:
-        # no cancellation for any k2 < 0, so no k2 -> 0 limit: the limit
-        # would drop the first-order k2 term that lambda_profile keeps
         base = 1.0 + k1 * (-math.expm1(-k2 * T / 2)) / k2
         return 0.5 + 0.5 * base * base
     if _degenerate_k2(T, cb):
@@ -227,16 +225,10 @@ def psi(T: float, cb: CurvatureBounds) -> float:
 
 
 def _x_minus_sinh(x: float) -> float:
-    """x - sinh(x); the Taylor series -x^3/3! - x^5/5! - ... for |x| < 1/2."""
+    """x - sinh(x); for |x| < 1/2 its Taylor series through x^15 (1e-18 relative)."""
     if abs(x) >= 0.5:
         return x - math.sinh(x)
-    x2 = x * x
-    term = -x * x2 / 6.0
-    acc = 0.0
-    for n in range(5, 21, 2):  # through x^17: the next term is below 1e-17 relative
-        acc += term
-        term *= x2 / ((n - 1) * n)
-    return acc
+    return -sum(x**n / math.factorial(n) for n in range(15, 1, -2))
 
 
 def lambda_integral(t: float, T: float, cb: CurvatureBounds) -> float:
@@ -254,19 +246,15 @@ def lambda_integral(t: float, T: float, cb: CurvatureBounds) -> float:
         return t
     if _degenerate_k2(T, cb):
         lim = t + k1 * T * t / 2 + k1 * k1 * (T * t * t / 8 - t ** 3 / 24)
-        corr = -k2 * (k1 * (T ** 3 - (T - t) ** 3 + t ** 3) / 24 + k1 * k1 * T * T * t * t / 32)
-        return lim + corr
+        return lim - k2 * (k1 * (T**3 - (T - t) ** 3 + t**3) / 24 + k1 * k1 * T * T * t * t / 32)
     b = k1 / k2
     a = k2 / 2
     if abs(k2) * T < 2.0:
-        # The direct form below cancels (1+b)^2 t against the b/a and b^2/a
-        # terms, and b ~ 1/k2 amplifies the roundoff.  Integrating each term
-        # of lambda_profile with 1 - e^{-u} = -expm1(-u), e^{-y} = 1 + expm1(-y)
-        # and cosh(x) - 1 = 2 sinh^2(x/2) leaves no cancellation while
-        # |a T| < 1; for larger positive a T the e^x terms here cancel instead.
+        # The direct form below cancels (1+b)^2 t against terms of size b^2/a
+        # ~ 1/k2^3.  Integrated term by term through expm1 and sinh, nothing
+        # cancels while |a T| < 1; beyond that the e^x terms here would.
         x, y = a * t, a * T
-        xs = _x_minus_sinh(x)
-        em_y = math.expm1(-y)
+        xs, em_y = _x_minus_sinh(x), math.expm1(-y)
         lin = 2.0 * xs - em_y * math.expm1(x)
         quad = xs - em_y * 2.0 * math.sinh(0.5 * x) ** 2
         return t + (b / a) * lin + (b * b / a) * quad

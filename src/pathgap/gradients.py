@@ -15,7 +15,6 @@ consistent to second order in the step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -120,10 +119,7 @@ class ResolventGrid:
         """Q_{t_i, t_j} as a (d, d) matrix."""
         if j > i:
             raise IndexError("propagator defined for i >= j only")
-        if self.mode == "scalar":
-            dt = self.grid.times[i] - self.grid.times[j]
-            return math.exp(-0.5 * self.scalar_rate * dt) * np.eye(self.dim)
-        return self.packed[i * (i + 1) // 2 + j]
+        return self.row(i)[j]
 
     def row(self, i: int) -> np.ndarray:
         """Stack Q_{t_i, t_j} for j = 0..i, shape (i+1, d, d)."""
@@ -357,19 +353,25 @@ def transform_pair(
     """
     n, d = v.values.shape
     dts = path.grid.dts
-    times = path.grid.times
-    tilde = v.values.copy()
+    tilde = v.values - _tilde_corrections(v, R, m)[:n]
     hat = v.values.copy()
-    wcache = _quadratic_cell_weights(times) if n >= 2 else None
     running = np.zeros(d)
     for k in range(n):
-        ric_k = ricci_matrix(m, times[k])
-        if k > 0:
-            integ = _damped_integral(R.row(k), v.values, k, path.grid, wcache)
-            tilde[k] -= 0.5 * ric_k @ integ
-        hat[k] += 0.5 * ric_k @ running
+        hat[k] += 0.5 * ricci_matrix(m, path.grid.times[k]) @ running
         running = running + dts[k] * v.values[k]
     return GradientField(path.grid, tilde), GradientField(path.grid, hat)
+
+
+def _tilde_corrections(v: GradientField, R: ResolventGrid, m: ModelManifold) -> np.ndarray:
+    """1/2 ric(t_k) integral_0^{t_k} Q_{t_k, s} v_s ds at the nodes k = 0..n, (n+1, d)."""
+    grid = v.grid
+    n, d = v.values.shape
+    wcache = _quadratic_cell_weights(grid.times) if n >= 2 else None
+    corr = np.zeros((n + 1, d))
+    for k in range(1, n + 1):
+        integ = _damped_integral(R.row(k), v.values, k, grid, wcache)
+        corr[k] = 0.5 * ricci_matrix(m, grid.times[k]) @ integ
+    return corr
 
 
 def duality_defect(
@@ -387,25 +389,16 @@ def duality_defect(
     the usual gradient and v themselves are exactly piecewise constant.
     """
     idx, slots = frame_pullback_slots(F, path, m)
-    grid = path.grid
-    n, d = grid.n_steps, slots.shape[1]
-    dts = grid.dts
-    times = grid.times
-
+    dts = path.grid.dts
     left, right = _damped_limits(idx, slots, R)
     lhs = float(0.5 * np.einsum("k,kd,kd->", dts, left + right, v.values))
 
     usual = usual_gradient(F, path, m)
     # left/right limits of tilde(v) on each cell: v is constant there, the
     # damping correction is evaluated at both cell ends
-    wcache = _quadratic_cell_weights(times) if n >= 2 else None
-    corr_node = np.zeros((n + 1, d))
-    for k in range(1, n + 1):
-        integ = _damped_integral(R.row(k), v.values, k, grid, wcache)
-        corr_node[k] = 0.5 * ricci_matrix(m, times[k]) @ integ
-    tilde_left = v.values.copy()
-    tilde_left[1:] -= corr_node[1:n]
-    tilde_right = v.values - corr_node[1:]
+    corr = _tilde_corrections(v, R, m)
+    tilde_left = v.values - corr[:-1]
+    tilde_right = v.values - corr[1:]
     rhs = float(0.5 * np.einsum("k,kd,kd->", dts, usual.values, tilde_left + tilde_right))
     return abs(lhs - rhs)
 
