@@ -224,11 +224,19 @@ def psi(T: float, cb: CurvatureBounds) -> float:
     return n_stable / ((1.0 + b) ** 2 + root)
 
 
+# 1/15!, 1/13!, ..., 1/3!: Taylor coefficients of sinh(x) - x, Horner order
+_SINH_TAIL = tuple(1.0 / math.factorial(n) for n in range(15, 1, -2))
+
+
 def _x_minus_sinh(x: float) -> float:
     """x - sinh(x); for |x| < 1/2 its Taylor series through x^15 (1e-18 relative)."""
     if abs(x) >= 0.5:
         return x - math.sinh(x)
-    return -sum(x**n / math.factorial(n) for n in range(15, 1, -2))
+    x2 = x * x
+    acc = 0.0
+    for c in _SINH_TAIL:
+        acc = acc * x2 + c
+    return -x * x2 * acc
 
 
 def lambda_integral(t: float, T: float, cb: CurvatureBounds) -> float:

@@ -378,8 +378,7 @@ _CONFIG_KEYS = {
 }
 
 
-# on/off flags: written as True/False, replayed as --key or --no-key
-_BOOLEAN_KEYS = ("antithetic",)
+_BOOLEAN_KEYS = ("antithetic",)  # on/off flags: written True/False, replayed --key/--no-key
 
 
 def main(argv=None) -> int:
