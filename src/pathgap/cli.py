@@ -283,7 +283,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         flat = []
         for key, val in cfg.params.items():
             flag = f"--{key.replace('_', '-')}"
-            if key in _BOOLEAN_KEYS:
+            if key == "antithetic":  # an on/off flag: written True/False, replayed --key/--no-key
                 state = configparser.ConfigParser.BOOLEAN_STATES.get(val.lower())
                 if state is None:
                     raise CliError(f"config key {key} must be true or false, got {val!r}")
@@ -376,9 +376,6 @@ _CONFIG_KEYS = {
         "threads", "format",
     ],
 }
-
-
-_BOOLEAN_KEYS = ("antithetic",)  # on/off flags: written True/False, replayed --key/--no-key
 
 
 def main(argv=None) -> int:

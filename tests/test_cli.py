@@ -166,7 +166,6 @@ class TestSimulateCommand:
         assert out == ""
         assert capsys.readouterr().err.startswith("error: ")
 
-
     @pytest.mark.parametrize(
         "argv, n_paths",
         [
