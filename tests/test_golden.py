@@ -76,6 +76,15 @@ CASES = {
         "simulate", "--manifold", "sphere", "--dim", "2", "--kappa", "1.0",
         "--T", "0.5", "--steps", "32", "--paths", "500", "--seed", "83", "--mode", "lsi",
     ],
+    "lsi_sphere2_readme": [
+        "simulate", "--manifold", "sphere", "--dim", "2", "--kappa", "1.0",
+        "--T", "0.5", "--steps", "64", "--paths", "10000", "--seed", "1", "--mode", "lsi",
+    ],
+    "theorem1_hyperbolic2_readme": [
+        "simulate", "--manifold", "hyperbolic", "--dim", "2", "--kappa", "-1.0",
+        "--T", "1.0", "--steps", "128", "--paths", "1000", "--seed", "1", "--mode", "theorem1",
+        "--functionals", "10",
+    ],
     "lsi_euclidean3": [
         "simulate", "--manifold", "euclidean", "--dim", "3",
         "--T", "0.5", "--steps", "16", "--paths", "500", "--seed", "84", "--mode", "lsi",
