@@ -121,12 +121,13 @@ def lambda_prime(t: float, T: float, cb: CurvatureBounds) -> float:
     k1, k2 = cb.k1, cb.k2
     if k1 == 0.0:
         return 0.0
-    if _degenerate_k2(T, cb):
-        lim = k1 * k1 * (T - t) / 4
-        corr = k2 * (k1 * (T - 2 * t) / 4 - k1 * k1 * T * T / 16)
-        return lim + corr
     a = k2 / 2
-    e_right = math.exp(-a * (T - t))
+    # (k1/2)(e^{-a t} - e^{-a(T-t)}) through expm1: both exponentials are
+    # ~1 for small |a| T and their difference is O(a)
+    lin = (k1 / 2) * (math.expm1(-a * t) - math.expm1(-a * (T - t)))
+    if _degenerate_k2(T, cb):
+        # only the k1^2/(8a) term is 0/0; keep its first-order k2 term
+        return lin + k1 * k1 * ((T - t) / 4 - k2 * T * T / 16)
     e_left = math.exp(-a * t)
     # 2 e^{-a t} - e^{-a(T+t)} - e^{-a(T-t)} = 2(e^{-a t} - e^{-a T} cosh(a t));
     # with e^{-x} - cosh(x) = -sinh(x) this becomes cancellation-free (the
@@ -135,7 +136,7 @@ def lambda_prime(t: float, T: float, cb: CurvatureBounds) -> float:
         pair = -2.0 * (math.sinh(a * t) + math.expm1(-a * T) * math.cosh(a * t))
     else:
         pair = 2.0 * (e_left - math.exp(-a * T) * math.cosh(a * t))
-    return (k1 / 2) * (e_left - e_right) + (k1 * k1 / (8 * a)) * pair
+    return lin + (k1 * k1 / (8 * a)) * pair
 
 
 def lambda_argmax(T: float, cb: CurvatureBounds, return_kind: bool = False):
@@ -167,7 +168,8 @@ def lambda_sup(T: float, cb: CurvatureBounds) -> float:
 
     k2 > 0 uses the interior-maximum closed form; k2 < 0 the right-endpoint
     value 1/2 + (1 + (k1/k2)(1 - e^{-k2 T/2}))^2 / 2; 0 <= k2 < K2_SWITCH/T
-    the limit 1 + k1*T/2 + (k1*T)^2/8.
+    the limit 1 + k1*T/2 + (k1*T)^2/8 plus its first-order k2 term (see
+    ``_degenerate_sup``).
     """
     T = _require_horizon(T)
     k1, k2 = cb.k1, cb.k2
@@ -179,7 +181,7 @@ def lambda_sup(T: float, cb: CurvatureBounds) -> float:
         base = 1.0 + k1 * (-math.expm1(-k2 * T / 2)) / k2
         return 0.5 + 0.5 * base * base
     if _degenerate_k2(T, cb):
-        return 1.0 + k1 * T / 2 + (k1 * T) ** 2 / 8
+        return _degenerate_sup(T, k1, k2)
     # interior-maximum closed form: (1+b)^2 minus two positive terms.  The
     # direct subtraction loses ~b^2 * eps absolutely (catastrophic for small
     # k2 where b ~ 1/k2), so evaluate through the conjugate: with the exact
@@ -194,6 +196,18 @@ def lambda_sup(T: float, cb: CurvatureBounds) -> float:
     a2 = (b + b * b - (b * b / 2) * (1.0 - f)) * e / s
     n_stable = 1.0 + 4.0 * b + 2.0 * b * b + b * b * (2.0 + b) * f * (2.0 + b * f)
     return (n_stable - (a1 - a2) ** 2) / ((1.0 + b) ** 2 + a1 + a2)
+
+
+def _degenerate_sup(T: float, k1: float, k2: float) -> float:
+    """sup_t Lambda(t, T) for 0 <= k2 with k2*T below the switch.
+
+    The k2 -> 0 profile peaks at t = T with zero slope, so to first order in
+    k2 the supremum is Lambda(T, T): the limit plus its first-order k2 term.
+    The maximizer moves inside by O(k2), which changes the value only at
+    second order.  At k2 = 0 the correction is a signed zero and the limit
+    is returned unchanged.
+    """
+    return 1.0 + k1 * T / 2 + (k1 * T) ** 2 / 8 - k2 * (k1 * T * T / 8 + k1 * k1 * T**3 / 16)
 
 
 def psi(T: float, cb: CurvatureBounds) -> float:
@@ -212,7 +226,7 @@ def psi(T: float, cb: CurvatureBounds) -> float:
         base = 1.0 + k1 * (-math.expm1(-k2 * T / 2)) / k2
         return 0.5 + 0.5 * base * base
     if _degenerate_k2(T, cb):
-        return 1.0 + k1 * T / 2 + (k1 * T) ** 2 / 8
+        return _degenerate_sup(T, k1, k2)
     # conjugate evaluation of (1+b)^2 - b sqrt(inner) e^{-k2 T/4}: the
     # numerator (1+b)^4 - b^2 inner e^{-k2 T/2} reduces exactly to a sum of
     # positive terms, avoiding the b^2-amplified cancellation near k2 = 0

@@ -266,8 +266,28 @@ def cmd_asymptotics(args) -> int:
     return 0 if ok else CHECK_FAILED
 
 
+# Flags that exclude each other: setting one on the command line drops both
+# from a config file.
+_EXCLUSIVE = {"T": "T_grid", "T_grid": "T"}
+
+
+def _dests_given(parser: argparse.ArgumentParser, argv: list[str]) -> set[str]:
+    """Destinations that argv sets itself, abbreviated and --no- forms included."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    probe = commands.choices[argv[0]]
+    for action in probe._actions:
+        action.default, action.required = argparse.SUPPRESS, False
+    given, _ = probe.parse_known_args(argv[1:])
+    return set(vars(given))
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv, letting --config supply defaults that flags override."""
+    """Parse argv, letting --config supply defaults that flags override.
+
+    A config key is dropped when argv sets that key, or a flag that excludes
+    it (--T and --T-grid), so an explicit flag replaces a file value rather
+    than adding to it.
+    """
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv[1:])
@@ -280,8 +300,12 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
             raise CliError(
                 f"config section [{cfg.command}] does not match command {argv[0]!r}"
             )
+        given = _dests_given(build_parser(), argv)
         flat = []
         for key, val in cfg.params.items():
+            dest = key.replace("-", "_")
+            if dest in given or _EXCLUSIVE.get(dest) in given:
+                continue
             flag = f"--{key.replace('_', '-')}"
             if key == "antithetic":  # an on/off flag: written True/False, replayed --key/--no-key
                 state = configparser.ConfigParser.BOOLEAN_STATES.get(val.lower())

@@ -164,14 +164,19 @@ def curvature_action(m: ModelManifold, a: np.ndarray, b: np.ndarray) -> np.ndarr
 
 
 def _project_tangent(m: ModelManifold, pos: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Remove the normal component of an ambient vector at ``pos``."""
+    """Remove the normal component of ambient vectors at ``pos``.
+
+    ``pos`` and ``vec`` are (..., ambient_dim) stacks that broadcast against
+    each other.  Each pairing is an ``np.vecdot`` row, which rounds exactly
+    like the 1-D ``vec @ pos`` of a single vector.
+    """
     if m.kind == SPHERE:
         r2 = 1.0 / m.kappa
-        return vec - (vec @ pos) / r2 * pos
+        return vec - (np.vecdot(vec, pos) / r2)[..., None] * pos
     if m.kind == HYPERBOLIC:
         g = m.metric_diag()
         r2 = -1.0 / m.kappa
-        return vec + ((vec * g) @ pos) / r2 * pos
+        return vec + (np.vecdot(vec * g, pos) / r2)[..., None] * pos
     return vec
 
 

@@ -53,15 +53,16 @@ class DataError(ValueError):
 class CylindricalFunctional:
     """F(path) = value(x_{t_1}, ..., x_{t_N}) with per-slot tangent gradients.
 
-    ``value`` maps the (N, ambient_dim) array of positions at the evaluation
-    times to a float; ``slot_gradients`` maps the same array to the (N,
-    ambient_dim) array of intrinsic (tangent) gradients, one per slot.
-    Evaluation times must be grid points of any path the functional is
-    applied to.
+    Both callbacks are batched over paths.  ``value`` maps the (P, N,
+    ambient_dim) stack of positions at the evaluation times, one row per
+    path, to the (P,) array of values; ``slot_gradients`` maps the same stack
+    to the (P, N, ambient_dim) array of intrinsic (tangent) gradients, one
+    per path and slot.  Single-path callers pass P = 1.  Evaluation times
+    must be grid points of any path the functional is applied to.
     """
 
     eval_times: tuple
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     slot_gradients: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
@@ -209,6 +210,22 @@ def resolvent_propagator(
     return kernels.resolvent_column(stages, grid.dts, j0)
 
 
+def _pullback(F: CylindricalFunctional, positions: np.ndarray, frames: np.ndarray, g: np.ndarray):
+    """Frame-coordinate slot gradients u^{-1} (grad_j f) for a batch of paths.
+
+    ``positions`` (P, N, amb) and ``frames`` (P, N, d, amb) hold each path
+    at the evaluation times of F and ``g`` is the ambient metric diagonal.
+    Returns (P, N, d).
+    """
+    grads = np.asarray(F.slot_gradients(positions), dtype=float)
+    if grads.shape != positions.shape:
+        raise ValueError(
+            f"slot_gradients must return one ambient vector per path and slot: "
+            f"expected shape {positions.shape}, got {grads.shape}"
+        )
+    return np.einsum("pjia,pja->pji", frames * g, grads)
+
+
 def frame_pullback_slots(F: CylindricalFunctional, path: PathSample, m: ModelManifold):
     """Slot gradients of F pulled back through the frames.
 
@@ -216,13 +233,8 @@ def frame_pullback_slots(F: CylindricalFunctional, path: PathSample, m: ModelMan
     gradient u^{-1} (grad_j f) in R^d at evaluation time j.
     """
     idx = np.array([path.grid.index_of(t) for t in F.eval_times], dtype=np.int64)
-    positions = path.positions[idx]
-    ambient_grads = np.asarray(F.slot_gradients(positions), dtype=float)
-    if ambient_grads.shape != (len(idx), path.positions.shape[1]):
-        raise ValueError("slot_gradients must return one ambient vector per slot")
-    g = m.metric_diag()
-    slots = np.einsum("jia,ja->ji", path.frames[idx] * g, ambient_grads)
-    return idx, slots
+    slots = _pullback(F, path.positions[idx][None], path.frames[idx][None], m.metric_diag())
+    return idx, slots[0]
 
 
 def usual_gradient(F: CylindricalFunctional, path: PathSample, m: ModelManifold) -> GradientField:

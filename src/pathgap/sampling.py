@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -22,6 +23,11 @@ __all__ = ["TimeGrid", "PathSample", "sample_path", "batch_sample", "path_to_csv
 
 # Kernel codes: 0 flat, 1 sphere, 2 hyperboloid.
 _KIND_CODE = {EUCLIDEAN: 0, SYNTHETIC: 0, SPHERE: 1, HYPERBOLIC: 2}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -70,9 +76,15 @@ class TimeGrid:
     def n_steps(self) -> int:
         return self.times.shape[0] - 1
 
-    @property
+    @cached_property
     def dts(self) -> np.ndarray:
-        return np.diff(self.times)
+        """Step sizes, (n_steps,); read-only, computed once per grid."""
+        return _read_only(np.diff(self.times))
+
+    @cached_property
+    def sqrt_dts(self) -> np.ndarray:
+        """Square roots of the step sizes: the increment scale per step."""
+        return _read_only(np.sqrt(self.dts))
 
     def index_of(self, t: float) -> int:
         """Exact index of a grid time; raises if t is not on the grid."""
@@ -107,12 +119,16 @@ def path_increments(grid: TimeGrid, dim: int, seed: int, path_index: int = 0) ->
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_index,))
     rng = np.random.default_rng(ss)
     z = rng.standard_normal((grid.n_steps, dim))
-    return z * np.sqrt(grid.dts)[:, None]
+    return z * grid.sqrt_dts[:, None]
 
 
 def batch_increments(grid: TimeGrid, dim: int, seed: int, indices: Iterable[int]) -> np.ndarray:
-    """Stack of per-path increments for the given path indices."""
-    return np.stack([path_increments(grid, dim, seed, k) for k in indices])
+    """Stack of per-path increments for the given path indices, (P, n_steps, dim)."""
+    indices = list(indices)
+    out = np.empty((len(indices), grid.n_steps, dim))
+    for row, k in zip(out, indices):
+        row[...] = path_increments(grid, dim, seed, k)
+    return out
 
 
 def simulate_increments(

@@ -221,8 +221,8 @@ def test_criterion_5_gradient_algebra():
     b1, b2 = rng.normal(size=2), rng.normal(size=2)
     F = CylindricalFunctional(
         (0.375, 0.75),
-        lambda pos: float(b1 @ pos[0] + b2 @ pos[1]),
-        lambda pos: np.stack([b1, b2]),
+        lambda pos: pos[:, 0] @ b1 + pos[:, 1] @ b2,
+        lambda pos: np.broadcast_to(np.stack([b1, b2]), pos.shape),
     )
 
     def measure(n, reps):

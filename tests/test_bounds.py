@@ -33,6 +33,16 @@ def cb(k1, k2):
     return CurvatureBounds(k1, k2)
 
 
+# (k1, k2, T) across the degenerate window |k2| T < K2_SWITCH = 1e-6 and just
+# above it, both signs of k2 and k2 = 0, with k1 / |k2| up to 1e8
+DEGENERATE_WINDOW = [(1e-7, 0.0, 0.8), (1.0, 0.0, 0.8)] + [
+    (ratio * k2T / 0.8, sign * k2T / 0.8, 0.8)
+    for k2T in (1e-12, 1e-9, 1e-7, 9e-7, 9.99e-7, 1.1e-6)
+    for ratio in (1.0, 1e4, 1e8)
+    for sign in (1.0, -1.0)
+]
+
+
 admissible = st.tuples(
     st.floats(min_value=0.01, max_value=4.0),
     st.floats(min_value=-0.99, max_value=1.0),
@@ -97,6 +107,13 @@ class TestLambdaProfile:
                     got = lambda_profile(t, T, cb(k1, k2))
                     assert abs(got - lim) <= 1e-3 * lim
 
+    def test_sweep_near_k2_zero(self):
+        for k1, k2, T in DEGENERATE_WINDOW:
+            for t in (0.0, 0.37 * T, 0.5 * T, T):
+                want = float(lambda_mp(t, T, k1, k2))
+                got = lambda_profile(t, T, cb(k1, k2))
+                assert got == pytest.approx(want, rel=1e-10), (k1, k2, t)
+
     def test_at_least_one(self, rng):
         for k1, k2, T in admissible_params(rng, 100):
             t = rng.uniform(0.0, T)
@@ -139,6 +156,16 @@ class TestLambdaPrime:
             lp = lambda_prime(t, T, window)
             scale = max(abs(lp), k1, 1e-12)
             assert abs(lp - fd) <= 1e-6 * scale
+
+    def test_sweep_near_k2_zero(self):
+        # relative to the largest slope on [0, T]: the slope itself crosses
+        # zero at an interior maximum
+        for k1, k2, T in DEGENERATE_WINDOW:
+            slope = lambda t: mp.diff(lambda x: lambda_mp(x, T, k1, k2), t)
+            scale = float(max(abs(slope(0.0)), abs(slope(T))))
+            for t in (0.0, 0.37 * T, 0.5 * T, T):
+                got = lambda_prime(t, T, cb(k1, k2))
+                assert abs(got - float(slope(t))) <= 1e-10 * scale, (k1, k2, t)
 
     def test_sign_structure(self, rng):
         for k1, k2, T in admissible_params(rng, 100):
@@ -239,6 +266,19 @@ class TestSupAndPsi:
             for k2 in (1e-4, -1e-4):
                 assert abs(lambda_sup(T, cb(k1, k2)) - lim) <= 1e-3 * lim
                 assert abs(psi(T, cb(k1, k2)) - lim) <= 1e-3 * lim
+
+    def test_sweep_near_k2_zero(self):
+        for k1, k2, T in DEGENERATE_WINDOW:
+            t_star = golden_max(lambda t: lambda_mp(t, T, k1, k2), 0.0, T, mp.mpf(10) ** -25)
+            want = float(lambda_mp(t_star, T, k1, k2))
+            assert lambda_sup(T, cb(k1, k2)) == pytest.approx(want, rel=1e-10), (k1, k2)
+            assert psi(T, cb(k1, k2)) == pytest.approx(want, rel=1e-10), (k1, k2)
+
+    def test_k2_zero_keeps_the_limit(self):
+        for k1, T in [(1.0, 1.0), (2.0, 0.1), (2.0, 0.7)]:
+            lim = 1.0 + k1 * T / 2 + (k1 * T) ** 2 / 8
+            assert lambda_sup(T, cb(k1, 0.0)) == lim
+            assert psi(T, cb(k1, 0.0)) == lim
 
     def test_monotone_in_horizon(self, rng):
         for k1, k2, _ in admissible_params(rng, 30):

@@ -345,6 +345,39 @@ class TestConfigFiles:
         assert code == 0
         assert ",150," in out
 
+    @pytest.mark.parametrize(
+        "flags, horizons",
+        [
+            (["--T", "2.0"], ["2.0"]),
+            (["--T", "2.0,3.0"], ["2.0", "3.0"]),
+            (["--T-grid", "1:2:2"], ["1.0", "2.0"]),
+            (["--T-g", "1:2:2"], ["1.0", "2.0"]),  # abbreviated flag
+            ([], ["0.5"]),
+        ],
+    )
+    def test_flag_replaces_config_horizon(self, tmp_path, flags, horizons):
+        path = str(tmp_path / "exp.cfg")
+        assert run_cli(["bounds", "--k1", "1", "--k2", "1", "--T", "0.5",
+                        "--write-config", path]) == (0, "")
+        code, out = run_cli(["bounds", "--config", path] + flags)
+        assert code == 0
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == horizons
+
+    def test_grid_config_replaced_by_horizon_flag(self, tmp_path):
+        path = str(tmp_path / "exp.cfg")
+        assert run_cli(["bounds", "--k1", "1", "--k2", "1", "--T-grid", "1:2:2",
+                        "--write-config", path]) == (0, "")
+        assert run_cli(["bounds", "--config", path, "--T", "0.5"]) == run_cli(
+            ["bounds", "--k1", "1", "--k2", "1", "--T", "0.5"]
+        )
+
+    def test_on_off_flag_replaces_config(self, tmp_path):
+        path = str(tmp_path / "exp.cfg")
+        base = ["simulate", "--manifold", "sphere", "--T", "0.05", "--steps", "16",
+                "--paths", "21", "--seed", "3"]
+        assert run_cli(base + ["--no-antithetic", "--write-config", path]) == (0, "")
+        assert run_cli(["simulate", "--config", path, "--antithetic"]) == run_cli(base)
+
     def test_write_config_round_trip(self, tmp_path):
         path = tmp_path / "written.cfg"
         code, _ = run_cli(

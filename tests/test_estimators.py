@@ -7,6 +7,8 @@ import pytest
 
 import pathgap as pg
 from pathgap import estimators as est
+from pathgap.gradients import CylindricalFunctional, frame_pullback_slots
+from pathgap.sampling import TimeGrid, batch_increments, sample_path, simulate_increments
 
 from conftest import smooth_ricci
 
@@ -140,14 +142,13 @@ class TestVerifyTheorem1:
         """Single slot at the full horizon saturates the comparison exactly."""
         m = pg.hyperbolic(2, -1.0)
         from pathgap.geometry import _project_tangent
-        from pathgap.gradients import CylindricalFunctional
 
         b = np.array([0.0, 0.7, -0.4])
         g = m.metric_diag()
         F = CylindricalFunctional(
             (1.0,),
-            lambda pos: float((b * g) @ pos[0]),
-            lambda pos: _project_tangent(m, pos[0], b)[None, :],
+            lambda pos: pos[:, 0] @ (b * g),
+            lambda pos: _project_tangent(m, pos, b),
         )
         rep = est.verify_theorem1(m, m.curvature_window, [F], 1.0, 64, 100, 13)
         assert rep.satisfied_fraction == 1.0
@@ -213,6 +214,78 @@ class TestVerifyLsi:
         r1 = est.verify_lsi(m, F, 0.3, 32, 500, 41)
         r2 = est.verify_lsi(m, F, 0.3, 32, 500, 41)
         assert r1 == r2
+
+
+GEOMETRIES = {
+    "euclidean": pg.euclidean(3),
+    "sphere": pg.sphere(2, 1.0),
+    "hyperbolic": pg.hyperbolic(2, -1.0),
+}
+
+
+def factory_functionals(m):
+    """One functional of each factory; the cap clips part of the paths."""
+    b = np.random.default_rng(5).normal(size=m.ambient_dim)
+    return {
+        "two_point": est.random_two_point_family(m, 1.0, 1, seed=19)[0],
+        "exponential": est.exponential_functional(m, b, 0.6),
+        "truncated": est.truncated_exponential_functional(b, 0.6, cap=0.4),
+    }
+
+
+class TestBatchedContract:
+    @pytest.mark.parametrize("kind", sorted(GEOMETRIES))
+    def test_batched_rows_equal_single_path_calls(self, kind):
+        m = GEOMETRIES[kind]
+        for name, F in factory_functionals(m).items():
+            grid = TimeGrid.with_times(1.0, 16, list(F.eval_times))
+            idx = [grid.index_of(t) for t in F.eval_times]
+            inc = batch_increments(grid, m.dim, 23, range(9))
+            pos = simulate_increments(m, grid, inc, record=np.array(idx))[0]
+            values = F.value(pos)
+            grads = F.slot_gradients(pos)
+            assert values.shape == (9,) and grads.shape == pos.shape, name
+            if name == "truncated":  # both sides of the cap are exercised
+                assert 0 < np.count_nonzero(grads) < grads.size, name
+            for p in range(9):
+                np.testing.assert_array_equal(F.value(pos[p : p + 1]), values[p : p + 1])
+                np.testing.assert_array_equal(F.slot_gradients(pos[p : p + 1]), grads[p : p + 1])
+
+    @pytest.mark.parametrize("kind", ["sphere", "synthetic"])
+    def test_theorem1_report_does_not_depend_on_chunk(self, kind):
+        if kind == "synthetic":
+            m, cb = smooth_ricci(2, seed=43)
+        else:
+            m = GEOMETRIES[kind]
+            cb = m.curvature_window
+        family = est.random_two_point_family(m, 1.0, 3, seed=3)
+        reps = [est.verify_theorem1(m, cb, family, 1.0, 32, 30, 5, chunk=c) for c in (7, 1024)]
+        assert reps[0] == reps[1]
+
+    def test_lsi_report_does_not_depend_on_chunk(self):
+        m = GEOMETRIES["sphere"]
+        F = est.exponential_functional(m, np.array([0.4, -0.3, 0.5]), 0.5)
+        reps = [est.verify_lsi(m, F, 0.5, 32, 40, 37, chunk=c) for c in (7, 4096)]
+        assert reps[0] == reps[1]
+
+    def test_wrong_gradient_shape_rejected(self):
+        m = GEOMETRIES["sphere"]
+        F = est.exponential_functional(m, np.array([0.4, -0.3, 0.5]), 0.5)
+        one_path = CylindricalFunctional(F.eval_times, F.value, lambda pos: F.slot_gradients(pos)[0])
+        with pytest.raises(ValueError, match="slot_gradients"):
+            est.verify_theorem1(m, m.curvature_window, [one_path], 1.0, 16, 5, 1)
+        with pytest.raises(ValueError, match="slot_gradients"):
+            est.verify_lsi(m, one_path, 0.5, 16, 5, 1)
+        path = sample_path(m, TimeGrid.with_times(1.0, 16, [0.5]), 1)
+        with pytest.raises(ValueError, match="slot_gradients"):
+            frame_pullback_slots(one_path, path, m)
+
+    def test_wrong_value_shape_rejected(self):
+        m = GEOMETRIES["sphere"]
+        F = est.exponential_functional(m, np.array([0.4, -0.3, 0.5]), 0.5)
+        scalar = CylindricalFunctional(F.eval_times, lambda pos: F.value(pos)[0], F.slot_gradients)
+        with pytest.raises(ValueError, match="value"):
+            est.verify_lsi(m, scalar, 0.5, 16, 5, 1)
 
 
 class TestSmallTimeSlope:

@@ -27,16 +27,23 @@ from pathgap.sampling import TimeGrid, batch_increments, sample_path
 from conftest import smooth_ricci
 
 
-def linear_flat_functional(a, t_eval):
-    a = np.asarray(a, dtype=float)
+def linear_functional(m, ts, bs):
+    """F = sum_j <b_j, x_{t_j}> with tangent-projected slot gradients (batched contract)."""
+    bs = np.asarray(bs, dtype=float).reshape(len(ts), -1)
     return CylindricalFunctional(
-        (t_eval,), lambda pos: float(a @ pos[0]), lambda pos: a[None, :]
+        tuple(ts),
+        lambda pos: np.einsum("pja,ja->p", pos, bs),
+        lambda pos: np.broadcast_to(_project_tangent(m, pos, bs), pos.shape),
     )
+
+
+def linear_flat_functional(a, t_eval):
+    return linear_functional(pg.euclidean(len(a)), (t_eval,), [a])
 
 
 def constant_functional(dim, t_eval):
     return CylindricalFunctional(
-        (t_eval,), lambda pos: 1.0, lambda pos: np.zeros((1, dim))
+        (t_eval,), lambda pos: np.ones(pos.shape[0]), lambda pos: np.zeros(pos.shape)
     )
 
 
@@ -67,11 +74,7 @@ class TestUsualGradient:
         g = TimeGrid.uniform(1.0, 16)
         path = sample_path(m, g, 5)
         b = np.array([0.3, -0.2, 0.9])
-        F = CylindricalFunctional(
-            (0.5,),
-            lambda pos: float(b @ pos[0]),
-            lambda pos: _project_tangent(m, pos[0], b)[None, :],
-        )
+        F = linear_functional(m, (0.5,), [b])
         field = usual_gradient(F, path, m)
         i = g.index_of(0.5)
         grad_amb = _project_tangent(m, path.positions[i], b)
@@ -94,13 +97,7 @@ class TestCorrelatedNorm:
         g = TimeGrid.with_times(1.0, 64, [0.3, 0.7])
         path = sample_path(m, g, 9)
         b1, b2 = rng.normal(size=3), rng.normal(size=3)
-        F = CylindricalFunctional(
-            (0.3, 0.7),
-            lambda pos: float(b1 @ pos[0] + b2 @ pos[1]),
-            lambda pos: np.stack(
-                [_project_tangent(m, pos[0], b1), _project_tangent(m, pos[1], b2)]
-            ),
-        )
+        F = linear_functional(m, (0.3, 0.7), [b1, b2])
         field = usual_gradient(F, path, m)
         assert correlated_norm(F, path, m) == pytest.approx(field_energy(field), rel=1e-10)
 
@@ -128,11 +125,7 @@ class TestDampedGradient:
         path = sample_path(m, g, 7)
         R = resolvent(path, m, m.curvature_window)
         b = np.array([0.2, -0.4, 0.1])
-        F = CylindricalFunctional(
-            (0.5,),
-            lambda pos: float(b @ pos[0]),
-            lambda pos: _project_tangent(m, pos[0], b)[None, :],
-        )
+        F = linear_functional(m, (0.5,), [b])
         du = usual_gradient(F, path, m)
         dd = damped_gradient(F, path, R, m)
         j = g.index_of(0.5)
@@ -147,11 +140,7 @@ class TestDampedGradient:
         R = resolvent(path, m, cb)
         rng = np.random.default_rng(4)
         b1, b2 = rng.normal(size=2), rng.normal(size=2)
-        F = CylindricalFunctional(
-            (0.35, 0.8),
-            lambda pos: float(b1 @ pos[0] + b2 @ pos[1]),
-            lambda pos: np.stack([b1, b2]),
-        )
+        F = linear_functional(m, (0.35, 0.8), [b1, b2])
         d22 = damped_gradient(F, path, R, m)
         d28 = damped_gradient_integral_form(F, path, R, m)
         assert field_l2_distance(d22, d28) <= budget
@@ -164,13 +153,7 @@ class TestDampedGradient:
         R = resolvent(path, m, m.curvature_window)
         rng = np.random.default_rng(6)
         b1, b2 = rng.normal(size=3), rng.normal(size=3)
-        F = CylindricalFunctional(
-            (0.35, 0.8),
-            lambda pos: float(b1 @ pos[0] + b2 @ pos[1]),
-            lambda pos: np.stack(
-                [_project_tangent(m, pos[0], b1), _project_tangent(m, pos[1], b2)]
-            ),
-        )
+        F = linear_functional(m, (0.35, 0.8), [b1, b2])
         d22 = damped_gradient(F, path, R, m)
         d28 = damped_gradient_integral_form(F, path, R, m)
         assert field_l2_distance(d22, d28) <= 1e-6
@@ -179,11 +162,7 @@ class TestDampedGradient:
         m, cb = smooth_ricci(2, seed=31, amplitude=0.8)
         rng = np.random.default_rng(4)
         b1, b2 = rng.normal(size=2), rng.normal(size=2)
-        F = CylindricalFunctional(
-            (0.375, 0.75),
-            lambda pos: float(b1 @ pos[0] + b2 @ pos[1]),
-            lambda pos: np.stack([b1, b2]),
-        )
+        F = linear_functional(m, (0.375, 0.75), [b1, b2])
 
         def defect(n):
             g = TimeGrid.uniform(1.0, n)  # eval times are multiples of 1/8
@@ -246,11 +225,7 @@ class TestTransformPair:
         R = resolvent(path, m, cb)
         rng = np.random.default_rng(3)
         b1, b2 = rng.normal(size=2), rng.normal(size=2)
-        F = CylindricalFunctional(
-            (0.3, 0.65),
-            lambda pos: float(b1 @ pos[0] + b2 @ pos[1]),
-            lambda pos: np.stack([b1, b2]),
-        )
+        F = linear_functional(m, (0.3, 0.65), [b1, b2])
         v = GradientField(g, rng.normal(size=(g.n_steps, 2)))
         assert duality_defect(F, v, path, R, m) <= 1e-6
 
