@@ -16,53 +16,37 @@ from __future__ import annotations
 
 import numpy as np
 
-KIND_FLAT = 0
-KIND_SPHERE = 1
-KIND_HYPERBOLOID = 2
-
-
-def _step_flat(pos, frames, disp):
-    return pos + disp, frames
+from .geometry import HYPERBOLIC, SPHERE
 
 
 def _step_curved(kind, kappa, pos, frames, disp, g):
     """One geodesic step with parallel transport for a batch of paths.
 
     pos (P, amb), frames (P, d, amb), disp (P, amb) ambient displacement.
+    The surface is <x, x> = s r^2 in the ambient metric g, with s = +1 and
+    (cos, sin) on the sphere, s = -1 and (cosh, sinh) on the hyperboloid;
+    the factors s and g are +-1, so both share one exact code path.
     """
+    s, cos, sin = (1.0, np.cos, np.sin) if kind == SPHERE else (-1.0, np.cosh, np.sinh)
     arc = np.sqrt(np.einsum("pa,pa->p", disp * g, disp))
     moving = arc > 0.0
     safe = np.where(moving, arc, 1.0)
     direction = disp / safe[:, None]
-    if kind == KIND_SPHERE:
-        radius = 1.0 / np.sqrt(kappa)
-        theta = arc / radius
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        new_pos = cos_t[:, None] * pos + radius * sin_t[:, None] * direction
-        correction = (cos_t - 1.0)[:, None] * direction - sin_t[:, None] * pos / radius
-    else:
-        radius = 1.0 / np.sqrt(-kappa)
-        theta = arc / radius
-        cos_t, sin_t = np.cosh(theta), np.sinh(theta)
-        new_pos = cos_t[:, None] * pos + radius * sin_t[:, None] * direction
-        correction = (cos_t - 1.0)[:, None] * direction + sin_t[:, None] * pos / radius
+    radius = 1.0 / np.sqrt(s * kappa)
+    theta = arc / radius
+    cos_t, sin_t = cos(theta), sin(theta)
+    new_pos = cos_t[:, None] * pos + radius * sin_t[:, None] * direction
+    correction = (cos_t - 1.0)[:, None] * direction - s * sin_t[:, None] * pos / radius
     coeffs = np.einsum("pia,pa->pi", frames * g, direction)
     new_frames = frames + coeffs[:, :, None] * correction[:, None, :]
 
     # Renormalize: snap to surface, project rows to the tangent space,
     # modified Gram-Schmidt in the ambient metric.
-    if kind == KIND_SPHERE:
-        norm = np.sqrt(np.einsum("pa,pa->p", new_pos, new_pos))
-        new_pos = new_pos * (radius / norm)[:, None]
-        r2 = radius * radius
-        proj = np.einsum("pia,pa->pi", new_frames, new_pos) / r2
-        new_frames = new_frames - proj[:, :, None] * new_pos[:, None, :]
-    else:
-        norm = np.sqrt(-np.einsum("pa,pa->p", new_pos * g, new_pos))
-        new_pos = new_pos * (radius / norm)[:, None]
-        r2 = radius * radius
-        proj = np.einsum("pia,pa->pi", new_frames * g, new_pos) / r2
-        new_frames = new_frames + proj[:, :, None] * new_pos[:, None, :]
+    norm = np.sqrt(s * np.einsum("pa,pa->p", new_pos * g, new_pos))
+    new_pos = new_pos * (radius / norm)[:, None]
+    r2 = radius * radius
+    proj = s * np.einsum("pia,pa->pi", new_frames * g, new_pos) / r2
+    new_frames = new_frames - proj[:, :, None] * new_pos[:, None, :]
     d = frames.shape[1]
     for i in range(d):
         v = new_frames[:, i, :]
@@ -80,12 +64,13 @@ def _step_curved(kind, kappa, pos, frames, disp, g):
     return new_pos, new_frames
 
 
+# dim is unused but kept in place: perfbench/tracer.py reads the increments as args[5].
 def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record):
     """Geodesic random walk driven by per-path increment arrays.
 
-    increments: (P, n, d); record: sorted int64 indices into 0..n of the
-    time slots whose positions/frames are kept.  Returns
-    (positions (P, m, amb), frames (P, m, d, amb)).
+    kind is a ``ModelManifold.kind``; increments: (P, n, d); record: sorted
+    int64 indices into 0..n of the time slots whose positions/frames are
+    kept.  Returns (positions (P, m, amb), frames (P, m, d, amb)).
     """
     increments = np.ascontiguousarray(increments, dtype=np.float64)
     n_paths, n_steps, d = increments.shape
@@ -99,7 +84,7 @@ def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record)
     out_frames = np.empty((n_paths, m, d, amb))
 
     g = np.ones(amb)
-    if kind == KIND_HYPERBOLOID:
+    if kind == HYPERBOLIC:
         g[0] = -1.0
 
     rec_ptr = 0
@@ -109,10 +94,10 @@ def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record)
         rec_ptr += 1
     for k in range(n_steps):
         disp = np.einsum("pi,pia->pa", increments[:, k, :], frames)
-        if kind == KIND_FLAT:
-            pos, frames = _step_flat(pos, frames, disp)
-        else:
+        if kind in (SPHERE, HYPERBOLIC):
             pos, frames = _step_curved(kind, kappa, pos, frames, disp, g)
+        else:
+            pos = pos + disp
         if rec_ptr < m and record[rec_ptr] == k + 1:
             out_pos[:, rec_ptr] = pos
             out_frames[:, rec_ptr] = frames

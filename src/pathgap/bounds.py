@@ -337,6 +337,9 @@ def bound_report(T: float, cb: CurvatureBounds) -> BoundReport:
         gap_lower_from_sup=1.0 / sup_val,
         gap_lower_from_psi=1.0 / psi_val,
     )
+    # An inf, or the nan of inf - inf, means k1 * T or k2 * T overflowed.
+    if not all(map(math.isfinite, (lam0, lamT, sup_val, psi_val))):
+        raise OverflowError(f"the closed forms overflow at T={T}, k1={cb.k1}, k2={cb.k2}")
     # Ordering sanity (slack covers roundoff between independent code paths).
     slack = 1e-9 * max(1.0, sup_val)
     if not (1.0 - slack <= lam0 <= sup_val + slack and lamT <= sup_val + slack):

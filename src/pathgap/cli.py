@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 
@@ -71,6 +72,13 @@ def _fmt(x) -> str:
 
 
 def _emit(columns, rows, fmt: str, out=None):
+    """Write the rows, after checking that every float in them is finite."""
+    for row in rows:
+        named = dict(zip(columns, row))
+        for col, x in named.items():
+            if isinstance(x, float) and not math.isfinite(x):
+                metric = f"{named['metric']} {col}" if "metric" in named else col
+                raise CliError(f"non-finite result: {metric} = {x!r}")
     out = out or sys.stdout
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
@@ -96,26 +104,23 @@ def _default_seed() -> int:
 
 def _manifold(name: str, dim: int, kappa: float) -> ModelManifold:
     name = name.lower()
-    try:
-        if name == "euclidean":
-            if kappa != 0.0:
-                raise CliError("euclidean manifold requires kappa = 0")
-            return euclidean(dim)
-        if name == "sphere":
-            return sphere(dim, kappa if kappa != 0.0 else 1.0)
-        if name == "hyperbolic":
-            return hyperbolic(dim, kappa if kappa != 0.0 else -1.0)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if name == "euclidean":
+        if kappa != 0.0:
+            raise CliError("euclidean manifold requires kappa = 0")
+        return euclidean(dim)
+    if name == "sphere":
+        return sphere(dim, kappa if kappa != 0.0 else 1.0)
+    if name == "hyperbolic":
+        return hyperbolic(dim, kappa if kappa != 0.0 else -1.0)
     raise CliError(f"unknown manifold {name!r} (euclidean, sphere, hyperbolic)")
 
 
 def _horizons(args) -> list[float]:
-    if args.T is not None and args.T_grid is not None:
+    if args.T and args.T_grid:
         raise CliError("give either --T or --T-grid, not both")
-    if args.T is not None:
+    if args.T:
         return [float(t) for t in args.T]
-    if args.T_grid is not None:
+    if args.T_grid:
         try:
             start, stop, count = args.T_grid.split(":")
             start, stop, count = float(start), float(stop), int(count)
@@ -135,13 +140,8 @@ def _require_positive(args, *names: str) -> None:
 
 
 def cmd_bounds(args) -> int:
-    try:
-        cb = bd.CurvatureBounds(args.k1, args.k2)
-        columns, rows = _bounds_rows(args, cb, _horizons(args))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    except OverflowError as exc:
-        raise CliError(f"the closed forms overflow for this window and horizon ({exc})") from exc
+    cb = bd.CurvatureBounds(args.k1, args.k2)
+    columns, rows = _bounds_rows(args, cb, _horizons(args))
     _emit(columns, rows, args.format)
     return 0
 
@@ -217,10 +217,7 @@ def cmd_simulate(args) -> int:
     _require_positive(args, "paths", "steps", "functionals")
     seed = args.seed if args.seed is not None else _default_seed()
     m = _manifold(args.manifold, args.dim, args.kappa)
-    try:
-        rows, status = _simulate_rows(m, args, seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rows, status = _simulate_rows(m, args, seed)
     _emit(SIMULATE_COLUMNS, rows, args.format)
     return status
 
@@ -229,15 +226,12 @@ def cmd_asymptotics(args) -> int:
     _require_positive(args, "paths")
     seed = args.seed if args.seed is not None else _default_seed()
     m = _manifold(args.manifold, args.dim, args.kappa)
-    ladder = [float(t) for t in args.T_ladder.split(",") if t.strip()]
+    ladder = args.T_ladder
     if len(ladder) < 4:
         raise CliError("the horizon ladder needs at least 4 points")
     a = np.zeros(m.dim)
     a[0] = 1.0
-    try:
-        rep = est.small_time_slope(m, a, ladder, args.paths, seed, threads=args.threads)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rep = est.small_time_slope(m, a, ladder, args.paths, seed, threads=args.threads)
     rows = []
     for point in rep.points:
         rows.append(
@@ -331,8 +325,8 @@ def _resolved_config(args, command: str, keys: list[str]) -> ExperimentConfig:
 
 
 def float_list(text: str) -> list[float]:
-    """Comma-separated floats: how a written config stores a repeated flag."""
-    return [float(x) for x in text.split(",")]
+    """Comma-separated floats, blank items skipped: how a written config stores a list."""
+    return [float(x) for x in text.split(",") if x.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_asym.add_argument("--manifold", required=True)
     p_asym.add_argument("--dim", type=int, default=2)
     p_asym.add_argument("--kappa", type=float, default=0.0)
-    p_asym.add_argument("--T-ladder", dest="T_ladder", default="0.005,0.01,0.02,0.04")
+    p_asym.add_argument(
+        "--T-ladder", dest="T_ladder", type=float_list, default="0.005,0.01,0.02,0.04"
+    )
     p_asym.add_argument("--paths", type=int, default=10000)
     p_asym.add_argument("--seed", type=int, default=None)
     p_asym.add_argument("--tol-rel", dest="tol_rel", type=float, default=0.1)
@@ -402,27 +398,32 @@ _CONFIG_KEYS = {
 }
 
 
+_COMMANDS = {"bounds": cmd_bounds, "simulate": cmd_simulate, "asymptotics": cmd_asymptotics}
+
+
 def main(argv=None) -> int:
+    """Run one command; every usage error, wherever raised, exits 2 here."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    if not argv:
+        parser.print_usage(sys.stderr)
+        return USAGE_ERROR
     try:
-        if not argv:
-            parser.print_usage(sys.stderr)
-            return USAGE_ERROR
         args = _apply_config(parser, argv)
         if getattr(args, "write_config", None):
             cfg = _resolved_config(args, args.command, _CONFIG_KEYS[args.command])
-            cfg.write(args.write_config)
+            try:
+                cfg.write(args.write_config)
+            except OSError as exc:
+                raise CliError(f"cannot write config {args.write_config}: {exc}") from exc
             print(f"wrote {args.write_config}", file=sys.stderr)
             return 0
-        if args.command == "bounds":
-            return cmd_bounds(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return cmd_asymptotics(args)
-    except CliError as exc:
+        return _COMMANDS[args.command](args)
+    except OverflowError as exc:
+        print(f"error: the inputs overflow a float ({exc})", file=sys.stderr)
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

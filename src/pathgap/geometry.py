@@ -52,6 +52,8 @@ class ModelManifold:
             raise ValueError(f"unknown manifold kind {self.kind!r}")
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
+        if not np.isfinite(self.kappa):
+            raise ValueError(f"kappa must be finite, got {self.kappa}")
         if self.kind == SPHERE and not self.kappa > 0:
             raise ValueError("sphere requires kappa > 0")
         if self.kind == HYPERBOLIC and not self.kappa < 0:

@@ -30,7 +30,6 @@ __all__ = [
     "ResolventGrid",
     "CylindricalFunctional",
     "GradientField",
-    "resolvent",
     "resolvent_on_grid",
     "resolvent_propagator",
     "usual_gradient",
@@ -104,15 +103,14 @@ class ResolventGrid:
     """Damping propagators Q_{t_i, t_j} (i >= j) on a time grid.
 
     Constant Ricci c*Id produces the exact scalar form Q = e^{-c (t_i-t_j)/2} Id
-    ("scalar" mode, nothing stored); otherwise the packed lower triangle from
-    the RK4 kernel is held with pair (i, j) at index i*(i+1)/2 + j.  Callers
-    read propagators only through ``entry``, ``row`` and ``column``, which
-    return (d, d) matrices in either mode.
+    (``packed`` is None, nothing stored); otherwise the packed lower triangle
+    from the RK4 kernel is held with pair (i, j) at index i*(i+1)/2 + j.
+    Callers read propagators only through ``entry``, ``row`` and ``column``,
+    which return (d, d) matrices in either form.
     """
 
     grid: TimeGrid
     dim: int
-    mode: str  # "scalar" | "dense"
     scalar_rate: float = 0.0
     packed: Optional[np.ndarray] = None
 
@@ -124,7 +122,7 @@ class ResolventGrid:
 
     def row(self, i: int) -> np.ndarray:
         """Stack Q_{t_i, t_j} for j = 0..i, shape (i+1, d, d)."""
-        if self.mode == "scalar":
+        if self.packed is None:
             dts = self.grid.times[i] - self.grid.times[: i + 1]
             return np.exp(-0.5 * self.scalar_rate * dts)[:, None, None] * np.eye(self.dim)
         base = i * (i + 1) // 2
@@ -133,7 +131,7 @@ class ResolventGrid:
     def column(self, j: int) -> np.ndarray:
         """Stack Q_{t_i, t_j} for i = j..n, shape (n+1-j, d, d)."""
         n = self.grid.n_steps
-        if self.mode == "scalar":
+        if self.packed is None:
             dts = self.grid.times[j:] - self.grid.times[j]
             return np.exp(-0.5 * self.scalar_rate * dts)[:, None, None] * np.eye(self.dim)
         idx = np.arange(j, n + 1)
@@ -152,62 +150,62 @@ def _stage_ricci(m: ModelManifold, grid: TimeGrid) -> np.ndarray:
     return stages
 
 
-def _check_declared(stages: np.ndarray, declared: CurvatureBounds, tol: float = 1e-9):
-    """Verify every sampled Ricci matrix sits inside the declared window."""
-    mats = stages.reshape(-1, stages.shape[-1], stages.shape[-1])
-    sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    min_eig = np.linalg.eigvalsh(sym)[:, 0].min()
-    op_norm = np.linalg.norm(mats, ord=2, axis=(-2, -1)).max()
-    if min_eig < declared.k2 - tol:
-        raise DataError(
-            f"ricci path violates declared lower bound: min sym eigenvalue "
-            f"{min_eig:.6g} < k2 = {declared.k2:.6g}"
-        )
-    if op_norm > declared.k1 + tol:
-        raise DataError(
-            f"ricci path violates declared norm bound: max operator norm "
-            f"{op_norm:.6g} > k1 = {declared.k1:.6g}"
-        )
+def _checked_stages(
+    grid: TimeGrid, m: ModelManifold, declared: CurvatureBounds
+) -> Optional[np.ndarray]:
+    """Check the Ricci data against the declared window; return its RK4 stages.
 
-
-def resolvent(path: PathSample, m: ModelManifold, declared: CurvatureBounds) -> ResolventGrid:
-    """Damping propagators along a path.
-
-    Constant-curvature manifolds have a constant scalar Ricci, so the exact
-    exponential is used; synthetic Ricci paths are integrated by RK4 with
-    stage-time evaluation (one column per start time).  The synthetic path is
-    checked against the declared window and a :class:`DataError` is raised on
-    violation.
+    Constant curvature returns None: its scalar Ricci gives the exact
+    exponential propagator, so there is nothing to integrate.  A synthetic
+    path is checked at every stage time.  A violation raises
+    :class:`DataError`.
     """
-    return resolvent_on_grid(path.grid, m, declared)
-
-
-def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBounds) -> ResolventGrid:
-    """Grid-based resolvent build: the Ricci data here depends on time only."""
     if m.kind != SYNTHETIC:
         c = m.ricci_scalar
-        if not (declared.k2 - 1e-12 <= c <= declared.k1 + 1e-12) or abs(c) > declared.k1 + 1e-12:
+        if c < declared.k2 - 1e-12 or abs(c) > declared.k1 + 1e-12:
             raise DataError(
                 f"constant Ricci {c:.6g} outside declared window "
                 f"(k1={declared.k1:.6g}, k2={declared.k2:.6g})"
             )
-        return ResolventGrid(grid, m.dim, "scalar", scalar_rate=c)
+        return None
     stages = _stage_ricci(m, grid)
-    _check_declared(stages, declared)
-    packed = kernels.resolvent_triangle(stages, grid.dts)
-    return ResolventGrid(grid, m.dim, "dense", packed=packed)
+    mats = stages.reshape(-1, m.dim, m.dim)
+    min_eig = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))[:, 0].min()
+    op_norm = np.linalg.norm(mats, ord=2, axis=(-2, -1)).max()
+    if min_eig < declared.k2 - 1e-9:
+        raise DataError(
+            f"ricci path violates declared lower bound: min sym eigenvalue "
+            f"{min_eig:.6g} < k2 = {declared.k2:.6g}"
+        )
+    if op_norm > declared.k1 + 1e-9:
+        raise DataError(
+            f"ricci path violates declared norm bound: max operator norm "
+            f"{op_norm:.6g} > k1 = {declared.k1:.6g}"
+        )
+    return stages
+
+
+def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBounds) -> ResolventGrid:
+    """Damping propagators on a grid; the Ricci data depends on time only.
+
+    Constant-curvature manifolds use the exact exponential; synthetic Ricci
+    paths are integrated by RK4 with stage-time evaluation (one column per
+    start time).
+    """
+    stages = _checked_stages(grid, m, declared)
+    if stages is None:
+        return ResolventGrid(grid, m.dim, scalar_rate=m.ricci_scalar)
+    return ResolventGrid(grid, m.dim, packed=kernels.resolvent_triangle(stages, grid.dts))
 
 
 def resolvent_propagator(
     path: PathSample, m: ModelManifold, declared: CurvatureBounds, j0: int = 0
 ) -> np.ndarray:
     """Single column Q_{t_i, t_{j0}}, i = j0..n, without the full triangle."""
-    grid = path.grid
-    if m.kind != SYNTHETIC:
-        return ResolventGrid(grid, m.dim, "scalar", scalar_rate=m.ricci_scalar).column(j0)
-    stages = _stage_ricci(m, grid)
-    _check_declared(stages, declared)
-    return kernels.resolvent_column(stages, grid.dts, j0)
+    stages = _checked_stages(path.grid, m, declared)
+    if stages is None:
+        return ResolventGrid(path.grid, m.dim, scalar_rate=m.ricci_scalar).column(j0)
+    return kernels.resolvent_column(stages, path.grid.dts, j0)
 
 
 def _pullback(F: CylindricalFunctional, positions: np.ndarray, frames: np.ndarray, g: np.ndarray):

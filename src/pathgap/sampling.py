@@ -17,12 +17,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from ._backend import kernels
-from .geometry import EUCLIDEAN, HYPERBOLIC, SPHERE, SYNTHETIC, FramePoint, ModelManifold
+from .geometry import FramePoint, ModelManifold
 
 __all__ = ["TimeGrid", "PathSample", "sample_path", "batch_sample", "path_to_csv"]
-
-# Kernel codes: 0 flat, 1 sphere, 2 hyperboloid.
-_KIND_CODE = {EUCLIDEAN: 0, SYNTHETIC: 0, SPHERE: 1, HYPERBOLIC: 2}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -44,8 +41,8 @@ class TimeGrid:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", times)
-        if not (self.T > 0):
-            raise ValueError(f"T must be > 0, got {self.T}")
+        if not (self.T > 0 and np.isfinite(self.T)):
+            raise ValueError(f"T must be finite and > 0, got {self.T}")
         if times.ndim != 1 or times.shape[0] < 2:
             raise ValueError("grid needs at least two time points")
         if times[0] != 0.0 or times[-1] != self.T:
@@ -148,7 +145,7 @@ def simulate_increments(
         record = np.asarray(record, dtype=np.int64)
     base = m.basepoint()
     return kernels.simulate_paths(
-        _KIND_CODE[m.kind], m.kappa, m.dim, base.position, base.frame, increments, record
+        m.kind, m.kappa, m.dim, base.position, base.frame, increments, record
     )
 
 

@@ -3,13 +3,14 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathgap import bound_report, CurvatureBounds
@@ -397,6 +398,114 @@ class TestConfigFiles:
         ExperimentConfig("bounds", {"k1": "1", "k2": "1", "T": "1.0"}).write(str(path))
         code, _ = run_cli(["simulate", "--config", str(path)])
         assert code == 2
+
+
+def run_cli_contract(argv):
+    """(exit code, stdout, stderr) of main; argparse's own exits count as their code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, f"argparse exited {exc.code}"
+            code = 2
+    return code, out.getvalue(), err.getvalue()
+
+
+# the null device is not a directory, so no config can be written below it
+UNWRITABLE = os.path.join(os.devnull, "x.cfg")
+
+SIM = ["simulate", "--steps", "8", "--paths", "9", "--seed", "1"]
+ASYM = ["asymptotics", "--manifold", "sphere", "--paths", "9", "--seed", "1"]
+USAGE_ERRORS = [
+    SIM + ["--manifold", "sphere", "--kappa", "1e300", "--T", "0.5", "--mode", "theorem1"],
+    SIM + ["--manifold", "hyperbolic", "--kappa", "-50", "--T", "5", "--mode", "lsi"],
+    SIM + ["--manifold", "sphere", "--T", "nan", "--mode", "theorem1"],
+    ASYM + ["--T-ladder", "a,0.01,0.02,0.04"],
+    ASYM + ["--T-ladder", "0.01,0.02,0.04,inf"],
+    SIM + ["--manifold", "sphere", "--kappa", "inf", "--T", "0.5", "--mode", "chi"],
+    SIM + ["--manifold", "sphere", "--T", "1e300", "--mode", "lsi"],
+    ["bounds", "--k1", "1", "--k2", "1", "--T", "1", "--write-config", UNWRITABLE],
+]
+
+FLOATS = ["0.1", "1.0", "-1.0", "0", "1e300", "-1e300", "1e-300", "nan", "inf", "-inf"]
+COUNTS = ["-1", "0", "1", "2", "9"]
+LADDERS = [
+    "0.01,0.02,0.03,0.04,", "0.01,0.02", "", "a,0.01,0.02,0.04", "0,0.01,0.02,0.04",
+    "-0.01,0.01,0.02,0.04", "0.01,0.02,0.04,nan", "0.01,0.02,0.04,inf", "0.01,0.02,0.04,1e300",
+]
+GRIDS = ["0.1:1.0:3", "1:0:3", "0:1:0", "0:1:-1", "a:b:c", "1:2", "0:inf:3", "nan:1:3"]
+
+# per command, flag -> values; the first value of each flag keeps a run valid
+# and tiny, None leaves the flag out
+CONTRACT_FLAGS = {
+    "bounds": {
+        "--k1": ["1.0", *FLOATS], "--k2": ["0.5", *FLOATS], "--T": ["0.5", None, *FLOATS],
+        "--T-grid": [None, *GRIDS], "--profile": ["0", "2", "-1"],
+    },
+    "simulate": {
+        "--manifold": ["sphere", "euclidean", "hyperbolic", "torus"],
+        "--dim": ["2", "3", "1", "-1"], "--kappa": [None, *FLOATS], "--T": ["0.1", *FLOATS],
+        "--steps": ["8", "1", "0", "-1"], "--paths": ["9", *COUNTS],
+        "--mode": ["chi", "theorem1", "lsi", "bogus"], "--functionals": ["2", "1", "0", "-1"],
+        "--threads": ["1", "2", "0", "-1"], "--seed": [None, "0", "-1"],
+    },
+    "asymptotics": {
+        "--manifold": ["sphere", "euclidean", "hyperbolic", "torus"],
+        "--dim": ["2", "3", "1"], "--kappa": [None, *FLOATS],
+        "--T-ladder": ["0.01,0.02,0.03,0.04", *LADDERS], "--paths": ["9", *COUNTS],
+        "--tol-rel": ["0.1", *FLOATS], "--threads": ["1", "2", "0"],
+    },
+    "frobnicate": {},
+}
+for flags in CONTRACT_FLAGS.values():
+    flags["--format"] = ["csv", "json", "xml"]
+
+
+@st.composite
+def contract_argv(draw):
+    """A tiny valid argv with up to three flags changed to extreme or bad values."""
+    command = draw(st.sampled_from(sorted(CONTRACT_FLAGS)))
+    choices = CONTRACT_FLAGS[command]
+    flags = {flag: values[0] for flag, values in choices.items()}
+    for flag in draw(st.lists(st.sampled_from(sorted(choices)), max_size=3)):
+        flags[flag] = draw(st.sampled_from(choices[flag]))
+    return [command] + [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+
+
+NON_FINITE = {"nan", "inf", "-inf", "infinity", "-infinity"}
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for argv in cases:
+            test = example(argv=argv)(test)
+        return test
+
+    return decorate
+
+
+class TestExitCodeContract:
+    """0 checks pass, 1 a check failed, 2 usage error; no traceback, no NaN printed."""
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+    def test_usage_error_exit_2(self, argv):
+        code, out, err = run_cli_contract(argv)
+        assert (code, out) == (2, "")
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(argv=contract_argv())
+    @_with_examples(USAGE_ERRORS)
+    def test_any_argv_keeps_the_contract(self, argv):
+        code, out, err = run_cli_contract(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == ""
+            assert sum("error:" in line for line in err.splitlines()) == 1
+        if code == 0:
+            tokens = re.split(r"[\s,:{}\[\]\"]+", out.lower())
+            assert NON_FINITE.isdisjoint(tokens)
 
 
 class TestConsoleEntryPoint:

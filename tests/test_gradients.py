@@ -18,7 +18,7 @@ from pathgap.gradients import (
     field_l2_distance,
     linear_functional_gradient,
     linear_gradient_batch,
-    resolvent,
+    resolvent_on_grid,
     transform_pair,
     usual_gradient,
 )
@@ -113,7 +113,7 @@ class TestDampedGradient:
         m = pg.euclidean(2)
         g = TimeGrid.uniform(1.0, 32)
         path = sample_path(m, g, 3)
-        R = resolvent(path, m, pg.CurvatureBounds(0.0, 0.0))
+        R = resolvent_on_grid(path.grid, m, pg.CurvatureBounds(0.0, 0.0))
         F = linear_flat_functional(np.array([1.0, -1.0]), 0.5)
         du = usual_gradient(F, path, m)
         dd = damped_gradient(F, path, R, m)
@@ -123,7 +123,7 @@ class TestDampedGradient:
         m = pg.sphere(2, 1.0)  # ricci scalar 1
         g = TimeGrid.uniform(1.0, 32)
         path = sample_path(m, g, 7)
-        R = resolvent(path, m, m.curvature_window)
+        R = resolvent_on_grid(path.grid, m, m.curvature_window)
         b = np.array([0.2, -0.4, 0.1])
         F = linear_functional(m, (0.5,), [b])
         du = usual_gradient(F, path, m)
@@ -137,7 +137,7 @@ class TestDampedGradient:
         m, cb = smooth_ricci(2, seed=31, amplitude=0.8)
         g = TimeGrid.with_times(1.0, n, [0.35, 0.8])
         path = sample_path(m, g, 11)
-        R = resolvent(path, m, cb)
+        R = resolvent_on_grid(path.grid, m, cb)
         rng = np.random.default_rng(4)
         b1, b2 = rng.normal(size=2), rng.normal(size=2)
         F = linear_functional(m, (0.35, 0.8), [b1, b2])
@@ -150,7 +150,7 @@ class TestDampedGradient:
         m = pg.sphere(2, 1.0)
         g = TimeGrid.with_times(1.0, 1024, [0.35, 0.8])
         path = sample_path(m, g, 11)
-        R = resolvent(path, m, m.curvature_window)
+        R = resolvent_on_grid(path.grid, m, m.curvature_window)
         rng = np.random.default_rng(6)
         b1, b2 = rng.normal(size=3), rng.normal(size=3)
         F = linear_functional(m, (0.35, 0.8), [b1, b2])
@@ -167,7 +167,7 @@ class TestDampedGradient:
         def defect(n):
             g = TimeGrid.uniform(1.0, n)  # eval times are multiples of 1/8
             path = sample_path(m, g, 11)
-            R = resolvent(path, m, cb)
+            R = resolvent_on_grid(path.grid, m, cb)
             return field_l2_distance(
                 damped_gradient(F, path, R, m),
                 damped_gradient_integral_form(F, path, R, m),
@@ -182,7 +182,7 @@ class TestTransformPair:
         m = pg.euclidean(2)
         g = TimeGrid.uniform(1.0, 16)
         path = sample_path(m, g, 3)
-        R = resolvent(path, m, pg.CurvatureBounds(0.0, 0.0))
+        R = resolvent_on_grid(path.grid, m, pg.CurvatureBounds(0.0, 0.0))
         v = GradientField(g, np.random.default_rng(0).normal(size=(16, 2)))
         tld, hat = transform_pair(v, path, R, m)
         np.testing.assert_array_equal(tld.values, v.values)
@@ -192,7 +192,7 @@ class TestTransformPair:
         m, cb = smooth_ricci(2, seed=37, amplitude=0.5)
         g = TimeGrid.uniform(1.0, 1024)
         path = sample_path(m, g, 13)
-        R = resolvent(path, m, cb)
+        R = resolvent_on_grid(path.grid, m, cb)
         v = GradientField(g, np.random.default_rng(1).normal(size=(1024, 2)))
         tld, hat = transform_pair(v, path, R, m)
         _, hat_of_tilde = transform_pair(tld, path, R, m)
@@ -208,7 +208,7 @@ class TestTransformPair:
         def defect(n, reps):
             g = TimeGrid.uniform(1.0, n)
             path = sample_path(m, g, 13)
-            R = resolvent(path, m, m.curvature_window)
+            R = resolvent_on_grid(path.grid, m, m.curvature_window)
             v = GradientField(g, np.repeat(v_base, reps, axis=0))
             tld, _ = transform_pair(v, path, R, m)
             _, hat_of_tilde = transform_pair(tld, path, R, m)
@@ -222,7 +222,7 @@ class TestTransformPair:
         m, cb = smooth_ricci(2, seed=41, amplitude=0.8)
         g = TimeGrid.with_times(1.0, 1024, [0.3, 0.65])
         path = sample_path(m, g, 17)
-        R = resolvent(path, m, cb)
+        R = resolvent_on_grid(path.grid, m, cb)
         rng = np.random.default_rng(3)
         b1, b2 = rng.normal(size=2), rng.normal(size=2)
         F = linear_functional(m, (0.3, 0.65), [b1, b2])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pathgap as pg
-from pathgap.gradients import DataError, resolvent, resolvent_propagator
+from pathgap.gradients import DataError, resolvent_on_grid, resolvent_propagator
 from pathgap.sampling import TimeGrid, sample_path
 
 from conftest import smooth_ricci, spectral_norms, stiff_ricci
@@ -15,7 +15,7 @@ class TestScalarMode:
     def test_exact_exponential(self, m, c):
         g = TimeGrid.uniform(1.0, 64)
         path = sample_path(m, g, 3)
-        R = resolvent(path, m, m.curvature_window)
+        R = resolvent_on_grid(path.grid, m, m.curvature_window)
         for i, j in [(0, 0), (10, 3), (64, 0), (40, 40)]:
             want = np.exp(-0.5 * c * (g.times[i] - g.times[j])) * np.eye(2)
             np.testing.assert_allclose(R.entry(i, j), want, rtol=1e-12, atol=1e-15)
@@ -25,12 +25,14 @@ class TestScalarMode:
         g = TimeGrid.uniform(1.0, 8)
         path = sample_path(m, g, 3)
         with pytest.raises(DataError):
-            resolvent(path, m, pg.CurvatureBounds(0.5, 0.0))  # k1 < c
+            resolvent_on_grid(path.grid, m, pg.CurvatureBounds(0.5, 0.0))  # k1 < c
+        with pytest.raises(DataError):
+            resolvent_propagator(path, m, pg.CurvatureBounds(0.5, 0.0))
 
     def test_row_and_column_layout(self):
         m = pg.hyperbolic(2, -0.5)
         g = TimeGrid.uniform(1.0, 16)
-        R = resolvent(sample_path(m, g, 1), m, m.curvature_window)
+        R = resolvent_on_grid(g, m, m.curvature_window)
         row = R.row(10)
         col = R.column(4)
         np.testing.assert_allclose(row[4], R.entry(10, 4), atol=1e-15)
@@ -41,7 +43,7 @@ class TestSyntheticMode:
     def test_identity_on_diagonal(self):
         m, cb = smooth_ricci(2, seed=5)
         g = TimeGrid.uniform(1.0, 32)
-        R = resolvent(sample_path(m, g, 1), m, cb)
+        R = resolvent_on_grid(g, m, cb)
         for i in (0, 7, 32):
             np.testing.assert_array_equal(R.entry(i, i), np.eye(2))
 
@@ -50,7 +52,7 @@ class TestSyntheticMode:
         rates = np.array([0.6, -0.2])
         m = pg.synthetic_ricci_path(2, lambda t: np.diag(rates))
         g = TimeGrid.uniform(1.0, 512)
-        R = resolvent(sample_path(m, g, 1), m, pg.CurvatureBounds(0.6, -0.2))
+        R = resolvent_on_grid(g, m, pg.CurvatureBounds(0.6, -0.2))
         want = np.diag(np.exp(-0.5 * rates * 1.0))
         np.testing.assert_allclose(R.entry(512, 0), want, atol=1e-10)
 
@@ -63,7 +65,7 @@ class TestSyntheticMode:
 
         m = pg.synthetic_ricci_path(2, ric)
         g = TimeGrid.uniform(1.0, 512)
-        R = resolvent(sample_path(m, g, 1), m, pg.CurvatureBounds(1.0, -0.5))
+        R = resolvent_on_grid(g, m, pg.CurvatureBounds(1.0, -0.5))
         int_a = 0.6 * 0.5 - 0.2 * 0.5
         int_b = 0.3 * 0.25 + 0.8 * 0.75
         want = np.diag(np.exp(-0.5 * np.array([int_a, int_b])))
@@ -72,7 +74,7 @@ class TestSyntheticMode:
     def test_cocycle(self, rng):
         m, cb = smooth_ricci(2, seed=11)
         g = TimeGrid.uniform(1.0, 512)
-        R = resolvent(sample_path(m, g, 1), m, cb)
+        R = resolvent_on_grid(g, m, cb)
         n = g.n_steps
         for _ in range(500):
             j = int(rng.integers(0, n))
@@ -84,7 +86,7 @@ class TestSyntheticMode:
     def test_norm_bound_all_pairs(self):
         m, cb = smooth_ricci(2, seed=13)
         g = TimeGrid.uniform(1.0, 256)
-        R = resolvent(sample_path(m, g, 1), m, cb)
+        R = resolvent_on_grid(g, m, cb)
         idx_i, idx_j = np.tril_indices(g.n_steps + 1)
         mats = R.packed
         norms = spectral_norms(mats)
@@ -96,13 +98,13 @@ class TestSyntheticMode:
         g = TimeGrid.uniform(1.0, 16)
         path = sample_path(m, g, 1)
         with pytest.raises(DataError):
-            resolvent(path, m, pg.CurvatureBounds(0.01, 0.0))
+            resolvent_on_grid(path.grid, m, pg.CurvatureBounds(0.01, 0.0))
 
     def test_propagator_matches_triangle(self):
         m, cb = smooth_ricci(3, seed=19)
         g = TimeGrid.uniform(1.0, 64)
         path = sample_path(m, g, 1)
-        R = resolvent(path, m, cb)
+        R = resolvent_on_grid(path.grid, m, cb)
         col = resolvent_propagator(path, m, cb, j0=5)
         np.testing.assert_array_equal(col, R.column(5))
 
@@ -127,7 +129,7 @@ class TestConvergence:
 
         def cocycle_err(n):
             g = TimeGrid.uniform(1.0, n)
-            R = resolvent(sample_path(m, g, 1), m, cb)
+            R = resolvent_on_grid(g, m, cb)
             mid, end = n // 2, n
             return np.abs(R.entry(end, 0) - R.entry(end, mid) @ R.entry(mid, 0)).max()
 
