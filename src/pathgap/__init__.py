@@ -31,7 +31,7 @@ from .geometry import (
     sphere,
     synthetic_ricci_path,
 )
-from .sampling import PathSample, TimeGrid, batch_sample, sample_path
+from .sampling import PathSample, TimeGrid, sample_path
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "PathSample",
     "TimeGrid",
     "backend_name",
-    "batch_sample",
     "bound_report",
     "curvature_action",
     "euclidean",

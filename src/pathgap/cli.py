@@ -19,7 +19,6 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -56,6 +55,7 @@ SIMULATE_COLUMNS = (
 )
 
 DEFAULT_SEED = 20240
+THREADS_HELP = "worker threads for chi and asymptotics (the output does not depend on it)"
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -90,16 +90,6 @@ def _emit(columns, rows, fmt: str, out=None):
             "rows": [dict(zip(columns, row)) for row in rows],
         }
         out.write(json.dumps(payload, default=_fmt) + "\n")
-
-
-def _default_seed() -> int:
-    env = os.environ.get("PATHGAP_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise CliError(f"PATHGAP_SEED must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
 
 
 def _manifold(name: str, dim: int, kappa: float) -> ModelManifold:
@@ -215,41 +205,25 @@ def _simulate_rows(m, args, seed):
 
 def cmd_simulate(args) -> int:
     _require_positive(args, "paths", "steps", "functionals")
-    seed = args.seed if args.seed is not None else _default_seed()
     m = _manifold(args.manifold, args.dim, args.kappa)
-    rows, status = _simulate_rows(m, args, seed)
+    rows, status = _simulate_rows(m, args, args.seed)
     _emit(SIMULATE_COLUMNS, rows, args.format)
     return status
 
 
 def cmd_asymptotics(args) -> int:
     _require_positive(args, "paths")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = args.seed
     m = _manifold(args.manifold, args.dim, args.kappa)
-    ladder = args.T_ladder
-    if len(ladder) < 4:
-        raise CliError("the horizon ladder needs at least 4 points")
     a = np.zeros(m.dim)
     a[0] = 1.0
-    rep = est.small_time_slope(m, a, ladder, args.paths, seed, threads=args.threads)
-    rows = []
-    for point in rep.points:
-        rows.append(
-            (
-                point.T,
-                m.kind,
-                m.dim,
-                m.kappa,
-                point.n_paths,
-                est.default_steps(point.T),
-                seed,
-                "chi",
-                point.chi.mean,
-                point.chi.stderr,
-            )
-        )
-    T_tag = ladder[-1]
-    tail = (T_tag, m.kind, m.dim, m.kappa, rep.points[-1].n_paths, est.default_steps(T_tag), seed)
+    rep = est.small_time_slope(m, a, args.T_ladder, args.paths, seed, threads=args.threads)
+    rows = [
+        (p.T, m.kind, m.dim, m.kappa, p.n_paths, p.n_steps, seed, "chi", p.chi.mean, p.chi.stderr)
+        for p in rep.points
+    ]
+    last = rep.points[-1]
+    tail = (last.T, m.kind, m.dim, m.kappa, last.n_paths, last.n_steps, seed)
     rows.append(tail + ("slope_fitted", rep.slope.mean, rep.slope.stderr))
     rows.append(tail + ("slope_predicted", rep.predicted_slope, 0.0))
     _emit(SIMULATE_COLUMNS, rows, args.format)
@@ -359,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--T", type=float, required=True)
     p_sim.add_argument("--steps", type=int, default=128)
     p_sim.add_argument("--paths", type=int, default=1000)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--mode", default="chi", help="chi | theorem1 | lsi")
     p_sim.add_argument("--functionals", type=int, default=10,
                        help="family size for theorem1 mode")
     p_sim.add_argument("--antithetic", action=argparse.BooleanOptionalAction, default=True)
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--write-config", help="write the resolved config and exit")
 
@@ -377,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--T-ladder", dest="T_ladder", type=float_list, default="0.005,0.01,0.02,0.04"
     )
     p_asym.add_argument("--paths", type=int, default=10000)
-    p_asym.add_argument("--seed", type=int, default=None)
+    p_asym.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_asym.add_argument("--tol-rel", dest="tol_rel", type=float, default=0.1)
-    p_asym.add_argument("--threads", type=int, default=1)
+    p_asym.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p_asym.add_argument("--format", choices=("csv", "json"), default="csv")
     p_asym.add_argument("--write-config", help="write the resolved config and exit")
     return parser
@@ -418,9 +392,12 @@ def main(argv=None) -> int:
                 raise CliError(f"cannot write config {args.write_config}: {exc}") from exc
             print(f"wrote {args.write_config}", file=sys.stderr)
             return 0
-        return _COMMANDS[args.command](args)
-    except OverflowError as exc:
-        print(f"error: the inputs overflow a float ({exc})", file=sys.stderr)
+        # a float that overflows or turns nan stops the run here instead of
+        # printing a numpy warning and carrying on
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](args)
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"error: the arithmetic leaves the float range ({exc})", file=sys.stderr)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return USAGE_ERROR

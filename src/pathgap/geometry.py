@@ -136,7 +136,7 @@ def synthetic_ricci_path(dim: int, ricci_path: Callable[[float], np.ndarray]) ->
     return ModelManifold(SYNTHETIC, dim, 0.0, ricci_path)
 
 
-def ricci_matrix(m: ModelManifold, t: float, fp: Optional[FramePoint] = None) -> np.ndarray:
+def ricci_matrix(m: ModelManifold, t: float) -> np.ndarray:
     """Ricci action read in the moving frame: a d x d matrix.
 
     Constant curvature gives (d-1)*kappa*Id regardless of the frame; the

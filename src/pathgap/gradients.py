@@ -199,13 +199,13 @@ def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBound
 
 
 def resolvent_propagator(
-    path: PathSample, m: ModelManifold, declared: CurvatureBounds, j0: int = 0
+    grid: TimeGrid, m: ModelManifold, declared: CurvatureBounds, j0: int = 0
 ) -> np.ndarray:
     """Single column Q_{t_i, t_{j0}}, i = j0..n, without the full triangle."""
-    stages = _checked_stages(path.grid, m, declared)
+    stages = _checked_stages(grid, m, declared)
     if stages is None:
-        return ResolventGrid(path.grid, m.dim, scalar_rate=m.ricci_scalar).column(j0)
-    return kernels.resolvent_column(stages, path.grid.dts, j0)
+        return ResolventGrid(grid, m.dim, scalar_rate=m.ricci_scalar).column(j0)
+    return kernels.resolvent_column(stages, grid.dts, j0)
 
 
 def _pullback(F: CylindricalFunctional, positions: np.ndarray, frames: np.ndarray, g: np.ndarray):

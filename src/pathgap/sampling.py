@@ -9,17 +9,17 @@ parallel consumption of a batch reproduces identical paths.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from ._backend import kernels
+from .bounds import _require_horizon
 from .geometry import FramePoint, ModelManifold
 
-__all__ = ["TimeGrid", "PathSample", "sample_path", "batch_sample", "path_to_csv"]
+__all__ = ["TimeGrid", "PathSample", "sample_path"]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -41,8 +41,7 @@ class TimeGrid:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", times)
-        if not (self.T > 0 and np.isfinite(self.T)):
-            raise ValueError(f"T must be finite and > 0, got {self.T}")
+        _require_horizon(self.T)
         if times.ndim != 1 or times.shape[0] < 2:
             raise ValueError("grid needs at least two time points")
         if times[0] != 0.0 or times[-1] != self.T:
@@ -51,23 +50,20 @@ class TimeGrid:
             raise ValueError("grid times must be strictly increasing")
 
     @classmethod
-    def uniform(cls, T: float, n_steps: int) -> "TimeGrid":
+    def with_times(cls, T: float, n_steps: int, forced: Sequence[float]) -> "TimeGrid":
+        """Uniform grid of ``n_steps`` steps with ``forced`` times inserted exactly."""
+        T = _require_horizon(T)
         if n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-        times = np.linspace(0.0, float(T), n_steps + 1)
-        times[-1] = float(T)
-        return cls(float(T), times)
-
-    @classmethod
-    def with_times(cls, T: float, n_steps: int, forced: Sequence[float]) -> "TimeGrid":
-        """Uniform grid with ``forced`` times inserted exactly."""
-        base = np.linspace(0.0, float(T), n_steps + 1)
-        base[-1] = float(T)
+        times = np.linspace(0.0, T, n_steps + 1)
+        times[-1] = T
         forced = np.asarray(forced, dtype=float)
-        if forced.size and (forced.min() < 0 or forced.max() > T):
-            raise ValueError("forced times must lie in [0, T]")
-        times = np.unique(np.concatenate([base, forced]))
-        return cls(float(T), times)
+        # np.unique loads numpy.ma on first use (about 1 MB): a uniform grid skips it
+        if forced.size:
+            if forced.min() < 0 or forced.max() > T:
+                raise ValueError("forced times must lie in [0, T]")
+            times = np.unique(np.concatenate([times, forced]))
+        return cls(T, times)
 
     @property
     def n_steps(self) -> int:
@@ -155,49 +151,3 @@ def sample_path(m: ModelManifold, grid: TimeGrid, seed: int, path_index: int = 0
     pos, frames = simulate_increments(m, grid, inc[None])
     return PathSample(grid, pos[0], frames[0], inc, seed, path_index)
 
-
-def batch_sample(
-    m: ModelManifold,
-    grid: TimeGrid,
-    n_paths: int,
-    base_seed: int,
-    chunk: int = 1024,
-) -> Iterator[PathSample]:
-    """Yield ``n_paths`` samples; path k is a pure function of (base_seed, k).
-
-    Generation happens in vectorized chunks, but the produced samples do not
-    depend on the chunk size or consumption order.
-    """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
-        inc = batch_increments(grid, m.dim, base_seed, range(start, stop))
-        pos, frames = simulate_increments(m, grid, inc)
-        for j, k in enumerate(range(start, stop)):
-            yield PathSample(grid, pos[j], frames[j], inc[j], base_seed, k)
-
-
-def path_to_csv(sample: PathSample) -> str:
-    """Debug dump: one row per step with time, position, frame, increment."""
-    amb = sample.positions.shape[1]
-    d = sample.increments.shape[1]
-    buf = io.StringIO()
-    header = (
-        ["step", "time"]
-        + [f"pos{a}" for a in range(amb)]
-        + [f"frame{i}{a}" for i in range(d) for a in range(amb)]
-        + [f"dw{i}" for i in range(d)]
-    )
-    buf.write(",".join(header) + "\n")
-    n = sample.grid.n_steps
-    for i in range(n + 1):
-        row = [repr(i), repr(float(sample.grid.times[i]))]
-        row += [repr(float(x)) for x in sample.positions[i]]
-        row += [repr(float(x)) for x in sample.frames[i].ravel()]
-        if i < n:
-            row += [repr(float(x)) for x in sample.increments[i]]
-        else:
-            row += [""] * d
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()

@@ -17,7 +17,7 @@ def _simulate(m, inc, record):
 class TestSimulateKernels:
     def test_deterministic(self):
         m = pg.sphere(2, 1.0)
-        g = TimeGrid.uniform(0.5, 64)
+        g = TimeGrid.with_times(0.5, 64, ())
         inc = batch_increments(g, m.dim, seed=3, indices=range(4))
         record = np.arange(g.n_steps + 1, dtype=np.int64)
         a = _simulate(m, inc, record)
@@ -27,7 +27,7 @@ class TestSimulateKernels:
 
     def test_record_subset(self):
         m = pg.hyperbolic(2, -1.0)
-        g = TimeGrid.uniform(0.5, 32)
+        g = TimeGrid.with_times(0.5, 32, ())
         inc = batch_increments(g, m.dim, seed=5, indices=range(3))
         full = np.arange(g.n_steps + 1, dtype=np.int64)
         sub = np.array([0, 7, 32], dtype=np.int64)
@@ -43,7 +43,7 @@ class TestResolventKernels:
         import pathgap.gradients as gr
 
         m, cb = smooth_ricci(d, seed=seed)
-        g = TimeGrid.uniform(1.0, n)
+        g = TimeGrid.with_times(1.0, n, ())
         return gr._stage_ricci(m, g), g.dts
 
     def test_column_matches_triangle(self):

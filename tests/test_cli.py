@@ -9,12 +9,14 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pathgap import bound_report, CurvatureBounds
-from pathgap.cli import BOUNDS_COLUMNS, SIMULATE_COLUMNS, main
+from pathgap import bound_report, CurvatureBounds, sphere
+from pathgap import estimators as est
+from pathgap.cli import BOUNDS_COLUMNS, DEFAULT_SEED, SIMULATE_COLUMNS, main
 from pathgap.config import ExperimentConfig
 
 
@@ -213,6 +215,21 @@ class TestAsymptoticsCommand:
         assert code == 2
         assert out == ""
 
+    def test_rows_report_rung_steps(self):
+        ladder = [0.005, 0.01, 0.02, 0.04]
+        code, out = run_cli(
+            ["asymptotics", "--manifold", "sphere", "--dim", "2", "--kappa", "1.0",
+             "--T-ladder", ",".join(map(str, ladder)), "--paths", "20", "--seed", "3",
+             "--tol-rel", "100"]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        rep = est.small_time_slope(sphere(2, 1.0), np.array([1.0, 0.0]), ladder, 20, 3)
+        steps = SIMULATE_COLUMNS.index("n_steps")
+        assert [int(row[steps]) for row in rows] == (
+            [p.n_steps for p in rep.points] + [rep.points[-1].n_steps] * 2
+        )
+
     def test_failing_tolerance_exit_1(self):
         code, _ = run_cli(
             [
@@ -243,17 +260,6 @@ class TestDeterminism:
         _, out1 = run_cli(base + ["--threads", "1"])
         _, out2 = run_cli(base + ["--threads", "3"])
         assert out1 == out2
-
-    def test_env_seed_override(self, monkeypatch):
-        argv = [
-            "simulate", "--manifold", "sphere", "--dim", "2", "--kappa", "1.0",
-            "--T", "0.05", "--steps", "32", "--paths", "200", "--mode", "chi",
-        ]
-        monkeypatch.setenv("PATHGAP_SEED", "777")
-        _, out_env = run_cli(argv)
-        monkeypatch.delenv("PATHGAP_SEED")
-        _, out_flag = run_cli(argv + ["--seed", "777"])
-        assert out_env == out_flag
 
 
 @st.composite
@@ -393,6 +399,15 @@ class TestConfigFiles:
         code2, out2 = run_cli(["simulate", "--config", str(path)])
         assert code2 == 0
 
+    def test_config_without_seed_stores_the_seed_run(self, tmp_path):
+        path = str(tmp_path / "exp.cfg")
+        argv = ["simulate", "--manifold", "sphere", "--dim", "2", "--kappa", "1.0",
+                "--T", "0.05", "--steps", "16", "--paths", "50", "--mode", "chi"]
+        assert run_cli(argv + ["--write-config", path]) == (0, "")
+        assert ExperimentConfig.read(path).params["seed"] == str(DEFAULT_SEED) == "20240"
+        replay = run_cli(["simulate", "--config", path])
+        assert replay == run_cli(argv) == run_cli(argv + ["--seed", "20240"])
+
     def test_wrong_section_exit_2(self, tmp_path):
         path = tmp_path / "exp.cfg"
         ExperimentConfig("bounds", {"k1": "1", "k2": "1", "T": "1.0"}).write(str(path))
@@ -494,6 +509,20 @@ class TestExitCodeContract:
         assert (code, out) == (2, "")
         assert sum("error:" in line for line in err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SIM + ["--manifold", "sphere", "--T", "nan", "--mode", "theorem1"],
+            ASYM + ["--T-ladder", "0.01,0.02,0.04,inf"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_horizon_names_T(self, argv):
+        code, out, err = run_cli_contract(argv)
+        assert (code, out) == (2, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "horizon T" in errors[0]
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(argv=contract_argv())
     @_with_examples(USAGE_ERRORS)
@@ -518,3 +547,27 @@ class TestConsoleEntryPoint:
         )
         assert out.returncode == 0
         assert out.stdout.startswith(",".join(BOUNDS_COLUMNS[:3]))
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # the walk leaves the hyperboloid
+            ["--manifold", "hyperbolic", "--dim", "2", "--kappa", "-50", "--T", "5",
+             "--mode", "lsi"],
+            # the chi field overflows inside a worker thread
+            ["--manifold", "sphere", "--dim", "3", "--kappa", "1e308", "--T", "0.5",
+             "--mode", "chi", "--threads", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_float_failure_prints_only_the_error_line(self, flags):
+        """Arithmetic that leaves the float range exits 2 without numpy warnings."""
+        out = subprocess.run(
+            [sys.executable, "-m", "pathgap.cli", "simulate", "--steps", "8", "--paths", "9"]
+            + flags,
+            capture_output=True,
+            text=True,
+        )
+        assert (out.returncode, out.stdout) == (2, "")
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("error: ")

@@ -50,7 +50,7 @@ def constant_functional(dim, t_eval):
 class TestUsualGradient:
     def test_single_slot_indicator(self):
         m = pg.euclidean(2)
-        g = TimeGrid.uniform(1.0, 32)
+        g = TimeGrid.with_times(1.0, 32, ())
         path = sample_path(m, g, 3)
         a = np.array([0.6, 0.8])
         F = linear_flat_functional(a, 0.5)
@@ -63,7 +63,7 @@ class TestUsualGradient:
 
     def test_constant_functional_zero_field(self):
         m = pg.sphere(2, 1.0)
-        g = TimeGrid.uniform(1.0, 16)
+        g = TimeGrid.with_times(1.0, 16, ())
         path = sample_path(m, g, 5)
         field = usual_gradient(constant_functional(3, 0.5), path, m)
         np.testing.assert_array_equal(field.values, 0.0)
@@ -71,7 +71,7 @@ class TestUsualGradient:
     def test_frame_pullback_isometry(self):
         """|u^{-1} grad| matches the ambient-metric length of the gradient."""
         m = pg.sphere(2, 1.0)
-        g = TimeGrid.uniform(1.0, 16)
+        g = TimeGrid.with_times(1.0, 16, ())
         path = sample_path(m, g, 5)
         b = np.array([0.3, -0.2, 0.9])
         F = linear_functional(m, (0.5,), [b])
@@ -86,7 +86,7 @@ class TestUsualGradient:
 class TestCorrelatedNorm:
     def test_single_slot(self):
         m = pg.euclidean(2)
-        g = TimeGrid.uniform(1.0, 16)
+        g = TimeGrid.with_times(1.0, 16, ())
         path = sample_path(m, g, 3)
         a = np.array([1.0, 2.0])
         F = linear_flat_functional(a, 0.75)
@@ -103,7 +103,7 @@ class TestCorrelatedNorm:
 
     def test_constant_zero(self):
         m = pg.euclidean(3)
-        g = TimeGrid.uniform(1.0, 8)
+        g = TimeGrid.with_times(1.0, 8, ())
         path = sample_path(m, g, 3)
         assert correlated_norm(constant_functional(3, 0.5), path, m) == 0.0
 
@@ -111,7 +111,7 @@ class TestCorrelatedNorm:
 class TestDampedGradient:
     def test_flat_equals_usual(self):
         m = pg.euclidean(2)
-        g = TimeGrid.uniform(1.0, 32)
+        g = TimeGrid.with_times(1.0, 32, ())
         path = sample_path(m, g, 3)
         R = resolvent_on_grid(path.grid, m, pg.CurvatureBounds(0.0, 0.0))
         F = linear_flat_functional(np.array([1.0, -1.0]), 0.5)
@@ -121,7 +121,7 @@ class TestDampedGradient:
 
     def test_scalar_damping_factor(self):
         m = pg.sphere(2, 1.0)  # ricci scalar 1
-        g = TimeGrid.uniform(1.0, 32)
+        g = TimeGrid.with_times(1.0, 32, ())
         path = sample_path(m, g, 7)
         R = resolvent_on_grid(path.grid, m, m.curvature_window)
         b = np.array([0.2, -0.4, 0.1])
@@ -165,7 +165,7 @@ class TestDampedGradient:
         F = linear_functional(m, (0.375, 0.75), [b1, b2])
 
         def defect(n):
-            g = TimeGrid.uniform(1.0, n)  # eval times are multiples of 1/8
+            g = TimeGrid.with_times(1.0, n, ())  # eval times are multiples of 1/8
             path = sample_path(m, g, 11)
             R = resolvent_on_grid(path.grid, m, cb)
             return field_l2_distance(
@@ -180,7 +180,7 @@ class TestDampedGradient:
 class TestTransformPair:
     def test_flat_identity(self):
         m = pg.euclidean(2)
-        g = TimeGrid.uniform(1.0, 16)
+        g = TimeGrid.with_times(1.0, 16, ())
         path = sample_path(m, g, 3)
         R = resolvent_on_grid(path.grid, m, pg.CurvatureBounds(0.0, 0.0))
         v = GradientField(g, np.random.default_rng(0).normal(size=(16, 2)))
@@ -190,7 +190,7 @@ class TestTransformPair:
 
     def test_roundtrip(self):
         m, cb = smooth_ricci(2, seed=37, amplitude=0.5)
-        g = TimeGrid.uniform(1.0, 1024)
+        g = TimeGrid.with_times(1.0, 1024, ())
         path = sample_path(m, g, 13)
         R = resolvent_on_grid(path.grid, m, cb)
         v = GradientField(g, np.random.default_rng(1).normal(size=(1024, 2)))
@@ -206,7 +206,7 @@ class TestTransformPair:
         v_base = np.random.default_rng(2).normal(size=(512, 2))
 
         def defect(n, reps):
-            g = TimeGrid.uniform(1.0, n)
+            g = TimeGrid.with_times(1.0, n, ())
             path = sample_path(m, g, 13)
             R = resolvent_on_grid(path.grid, m, m.curvature_window)
             v = GradientField(g, np.repeat(v_base, reps, axis=0))
@@ -233,7 +233,7 @@ class TestTransformPair:
 class TestLinearFunctionalGradient:
     def test_flat_constant_field(self):
         m = pg.euclidean(3)
-        g = TimeGrid.uniform(0.5, 32)
+        g = TimeGrid.with_times(0.5, 32, ())
         path = sample_path(m, g, 3)
         a = np.array([0.0, 0.6, 0.8])
         field = linear_functional_gradient(a, path, m)
@@ -241,7 +241,7 @@ class TestLinearFunctionalGradient:
 
     def test_unit_vector_required(self):
         m = pg.euclidean(2)
-        g = TimeGrid.uniform(0.5, 8)
+        g = TimeGrid.with_times(0.5, 8, ())
         path = sample_path(m, g, 3)
         with pytest.raises(ValueError):
             linear_functional_gradient(np.array([1.0, 1.0]), path, m)
@@ -249,7 +249,7 @@ class TestLinearFunctionalGradient:
     def test_deterministic_part_on_sphere(self):
         """With the driving noise zeroed, the field is a (1 + c(T-t)/2) a."""
         m = pg.sphere(3, 1.0)
-        g = TimeGrid.uniform(0.5, 16)
+        g = TimeGrid.with_times(0.5, 16, ())
         path = sample_path(m, g, 3)
         silent = pg.PathSample(
             g, path.positions, path.frames, np.zeros_like(path.increments), 3
@@ -264,7 +264,7 @@ class TestLinearFunctionalGradient:
         """E |C(w, s, tau) a|^2 grows linearly in s - tau, slope d-dependent."""
         m = pg.sphere(3, 1.0)
         T, n = 0.5, 64
-        g = TimeGrid.uniform(T, n)
+        g = TimeGrid.with_times(T, n, ())
         a = np.array([1.0, 0.0, 0.0])
         inc = batch_increments(g, m.dim, seed=51, indices=range(20_000))
         w = np.cumsum(inc, axis=1)  # w at t_1..t_n, tau = 0
@@ -290,7 +290,7 @@ class TestLinearFunctionalGradient:
     )
     def test_mirror_path_has_the_same_field(self, m):
         """The field is even in the increments: -inc gives it bit for bit."""
-        g = TimeGrid.uniform(0.1, 48)
+        g = TimeGrid.with_times(0.1, 48, ())
         inc = batch_increments(g, m.dim, seed=57, indices=range(64))
         a = np.zeros(m.dim)
         a[0] = 1.0
@@ -302,7 +302,7 @@ class TestLinearFunctionalGradient:
         """Var(F) = T for the driving-increment functional on any manifold."""
         m = pg.hyperbolic(2, -1.0)
         T, n_paths = 0.3, 50_000
-        g = TimeGrid.uniform(T, 32)
+        g = TimeGrid.with_times(T, 32, ())
         inc = batch_increments(g, m.dim, seed=53, indices=range(n_paths))
         a = np.array([0.6, 0.8])
         F = np.einsum("pkd,d->p", inc, a)

@@ -13,7 +13,7 @@ from conftest import smooth_ricci, spectral_norms, stiff_ricci
 class TestScalarMode:
     @pytest.mark.parametrize("m,c", [(pg.sphere(2, 1.0), 1.0), (pg.hyperbolic(2, -1.0), -1.0)])
     def test_exact_exponential(self, m, c):
-        g = TimeGrid.uniform(1.0, 64)
+        g = TimeGrid.with_times(1.0, 64, ())
         path = sample_path(m, g, 3)
         R = resolvent_on_grid(path.grid, m, m.curvature_window)
         for i, j in [(0, 0), (10, 3), (64, 0), (40, 40)]:
@@ -22,16 +22,16 @@ class TestScalarMode:
 
     def test_declared_window_check(self):
         m = pg.sphere(2, 1.0)  # ricci scalar c = 1
-        g = TimeGrid.uniform(1.0, 8)
+        g = TimeGrid.with_times(1.0, 8, ())
         path = sample_path(m, g, 3)
         with pytest.raises(DataError):
             resolvent_on_grid(path.grid, m, pg.CurvatureBounds(0.5, 0.0))  # k1 < c
         with pytest.raises(DataError):
-            resolvent_propagator(path, m, pg.CurvatureBounds(0.5, 0.0))
+            resolvent_propagator(path.grid, m, pg.CurvatureBounds(0.5, 0.0))
 
     def test_row_and_column_layout(self):
         m = pg.hyperbolic(2, -0.5)
-        g = TimeGrid.uniform(1.0, 16)
+        g = TimeGrid.with_times(1.0, 16, ())
         R = resolvent_on_grid(g, m, m.curvature_window)
         row = R.row(10)
         col = R.column(4)
@@ -42,7 +42,7 @@ class TestScalarMode:
 class TestSyntheticMode:
     def test_identity_on_diagonal(self):
         m, cb = smooth_ricci(2, seed=5)
-        g = TimeGrid.uniform(1.0, 32)
+        g = TimeGrid.with_times(1.0, 32, ())
         R = resolvent_on_grid(g, m, cb)
         for i in (0, 7, 32):
             np.testing.assert_array_equal(R.entry(i, i), np.eye(2))
@@ -51,7 +51,7 @@ class TestSyntheticMode:
         """Constant diagonal data: RK4 matches the exact exponential closely."""
         rates = np.array([0.6, -0.2])
         m = pg.synthetic_ricci_path(2, lambda t: np.diag(rates))
-        g = TimeGrid.uniform(1.0, 512)
+        g = TimeGrid.with_times(1.0, 512, ())
         R = resolvent_on_grid(g, m, pg.CurvatureBounds(0.6, -0.2))
         want = np.diag(np.exp(-0.5 * rates * 1.0))
         np.testing.assert_allclose(R.entry(512, 0), want, atol=1e-10)
@@ -64,7 +64,7 @@ class TestSyntheticMode:
             return np.diag([a, b])
 
         m = pg.synthetic_ricci_path(2, ric)
-        g = TimeGrid.uniform(1.0, 512)
+        g = TimeGrid.with_times(1.0, 512, ())
         R = resolvent_on_grid(g, m, pg.CurvatureBounds(1.0, -0.5))
         int_a = 0.6 * 0.5 - 0.2 * 0.5
         int_b = 0.3 * 0.25 + 0.8 * 0.75
@@ -73,7 +73,7 @@ class TestSyntheticMode:
 
     def test_cocycle(self, rng):
         m, cb = smooth_ricci(2, seed=11)
-        g = TimeGrid.uniform(1.0, 512)
+        g = TimeGrid.with_times(1.0, 512, ())
         R = resolvent_on_grid(g, m, cb)
         n = g.n_steps
         for _ in range(500):
@@ -85,7 +85,7 @@ class TestSyntheticMode:
 
     def test_norm_bound_all_pairs(self):
         m, cb = smooth_ricci(2, seed=13)
-        g = TimeGrid.uniform(1.0, 256)
+        g = TimeGrid.with_times(1.0, 256, ())
         R = resolvent_on_grid(g, m, cb)
         idx_i, idx_j = np.tril_indices(g.n_steps + 1)
         mats = R.packed
@@ -95,17 +95,17 @@ class TestSyntheticMode:
 
     def test_declared_violation_raises(self):
         m, _ = smooth_ricci(2, seed=7)
-        g = TimeGrid.uniform(1.0, 16)
+        g = TimeGrid.with_times(1.0, 16, ())
         path = sample_path(m, g, 1)
         with pytest.raises(DataError):
             resolvent_on_grid(path.grid, m, pg.CurvatureBounds(0.01, 0.0))
 
     def test_propagator_matches_triangle(self):
         m, cb = smooth_ricci(3, seed=19)
-        g = TimeGrid.uniform(1.0, 64)
+        g = TimeGrid.with_times(1.0, 64, ())
         path = sample_path(m, g, 1)
         R = resolvent_on_grid(path.grid, m, cb)
-        col = resolvent_propagator(path, m, cb, j0=5)
+        col = resolvent_propagator(path.grid, m, cb, j0=5)
         np.testing.assert_array_equal(col, R.column(5))
 
 
@@ -115,8 +115,8 @@ class TestConvergence:
         m, cb = stiff_ricci()
 
         def q_final(n):
-            g = TimeGrid.uniform(1.0, n)
-            return resolvent_propagator(sample_path(m, g, 1), m, cb, j0=0)[-1]
+            g = TimeGrid.with_times(1.0, n, ())
+            return resolvent_propagator(g, m, cb, j0=0)[-1]
 
         ref = q_final(16384)
         e_256 = np.abs(q_final(256) - ref).max()
@@ -128,7 +128,7 @@ class TestConvergence:
         m, cb = smooth_ricci(2, seed=29)
 
         def cocycle_err(n):
-            g = TimeGrid.uniform(1.0, n)
+            g = TimeGrid.with_times(1.0, n, ())
             R = resolvent_on_grid(g, m, cb)
             mid, end = n // 2, n
             return np.abs(R.entry(end, 0) - R.entry(end, mid) @ R.entry(mid, 0)).max()
