@@ -5,14 +5,20 @@ time horizon T:
 
 * ``lambda_profile(t, T, cb)`` -- the weight Lambda(t, T) that bounds the
   damped-gradient energy density by the usual-gradient energy density.
-* ``lambda_sup`` / ``psi`` -- two closed forms for the log-Sobolev constant
-  C(T, k1, k2) = sup_t Lambda(t, T); the spectral gap is bounded below by
-  their reciprocals.
+* ``lambda_sup`` -- the log-Sobolev constant C(T, k1, k2) = sup_t
+  Lambda(t, T), evaluated as the profile at its maximizer ``lambda_argmax``.
+* ``psi`` -- the published closed form of the same constant, an independent
+  cross-check of ``lambda_sup``; the gap is at least the reciprocal of either.
 * ``gap_bounds_small_time`` -- the first-order small-horizon envelope
   (1 - k1*T/2, 1 + k2(x)*T/2).
 
-The k1/k2 -> 0/0 degeneracy is handled by switching to analytic limits when
-|k2|*T falls below ``K2_SWITCH``; all 1 - exp(-x) factors use expm1.
+Every exponential enters through E(s) = expm1(-k2*s/2).  With b = k1/k2,
+
+    Lambda = 1 - b (E(T-t) + E(t)) + (b E(t)) (b (E(T-t) + E(T))) / 2
+
+is a sum of nonnegative terms for either sign of k2, so it neither cancels
+nor overflows unless Lambda itself does.  The 0/0 in b = k1/k2 is handled by
+switching to analytic k2 -> 0 limits when |k2|*T falls below ``K2_SWITCH``.
 """
 
 from __future__ import annotations
@@ -69,21 +75,30 @@ def _require_horizon(T: float) -> float:
     return T
 
 
+def _require_time(t: float, T: float) -> float:
+    t = float(t)
+    if not 0.0 <= t <= T:  # also rejects nan
+        raise ValueError(f"t must lie in [0, T]=[0, {T}], got {t}")
+    return t
+
+
 def _degenerate_k2(T: float, cb: CurvatureBounds) -> bool:
     return abs(cb.k2) * T < K2_SWITCH
+
+
+def _em(k2: float, s: float) -> float:
+    """E(s) = e^{-k2 s/2} - 1: in (-1, 0] for k2 > 0, in [0, inf) for k2 < 0."""
+    return math.expm1(-k2 * s / 2)
 
 
 def lambda_profile(t: float, T: float, cb: CurvatureBounds) -> float:
     """Weight Lambda(t, T) comparing damped to usual gradient energy.
 
-    Closed form in exponentials of k2/2; for |k2|*T below the switch the
-    analytic k2->0 limit 1 + k1*T/2 + k1^2*(T*t/4 - t^2/8) is used, with the
-    first-order k2 correction retained for continuity.
+    The E(s) form of the module docstring; below the switch the k2->0 limit
+    1 + k1*T/2 + k1^2*(T*t/4 - t^2/8) plus its first-order k2 correction.
     """
     T = _require_horizon(T)
-    t = float(t)
-    if t < 0 or t > T:
-        raise ValueError(f"t must lie in [0, T]=[0, {T}], got {t}")
+    t = _require_time(t, T)
     k1, k2 = cb.k1, cb.k2
     if k1 == 0.0:
         return 1.0
@@ -92,62 +107,37 @@ def lambda_profile(t: float, T: float, cb: CurvatureBounds) -> float:
         corr = -k2 * (k1 * ((T - t) ** 2 + t * t) / 8 + k1 * k1 * T * T * t / 16)
         return lim + corr
     b = k1 / k2
-    a = k2 / 2
-    f_right = -math.expm1(-a * (T - t))   # 1 - e^{-k2 (T-t)/2}
-    f_left = -math.expm1(-a * t)          # 1 - e^{-k2 t/2}
-    # tail = (1 - e^{-k2 t/2}) + (e^{-k2(T+t)/2} - e^{-k2(T-t)/2})/2.  The two
-    # contributions cancel to O(k2^2) while b^2 ~ k2^{-2} blows the roundoff
-    # up, so rewrite via 1 - e^{-u} = 2 e^{-u/2} sinh(u/2) and
-    # e^{-u/2} - cosh(u/2) = -sinh(u/2):
-    #   tail = -2 sinh(a t/2) (sinh(a t/2) + expm1(-a T) cosh(a t/2))
-    # which is cancellation-free.  Fall back to the direct form when the
-    # hyperbolics would overflow (no cancellation there).
-    if abs(a) * T < 100.0:
-        half = 0.5 * a * t
-        tail = -2.0 * math.sinh(half) * (
-            math.sinh(half) + math.expm1(-a * T) * math.cosh(half)
-        )
-    else:
-        tail = f_left - math.exp(-a * T) * math.sinh(a * t)
-    return 1.0 + b * (f_right + f_left) + b * b * tail
+    e_left, e_right = _em(k2, t), _em(k2, T - t)
+    return 1.0 - b * (e_right + e_left) + 0.5 * (b * e_left) * (b * (e_right + _em(k2, T)))
 
 
 def lambda_prime(t: float, T: float, cb: CurvatureBounds) -> float:
-    """Closed-form d/dt of ``lambda_profile`` at fixed horizon."""
+    """Closed-form d/dt of ``lambda_profile`` at fixed horizon:
+
+    (k1/2)(D + (b/2)(D - e^{-k2 t/2} E(T))) with D = E(t) - E(T-t).
+    """
     T = _require_horizon(T)
-    t = float(t)
-    if t < 0 or t > T:
-        raise ValueError(f"t must lie in [0, T]=[0, {T}], got {t}")
+    t = _require_time(t, T)
     k1, k2 = cb.k1, cb.k2
     if k1 == 0.0:
         return 0.0
-    a = k2 / 2
-    # (k1/2)(e^{-a t} - e^{-a(T-t)}) through expm1: both exponentials are
-    # ~1 for small |a| T and their difference is O(a)
-    lin = (k1 / 2) * (math.expm1(-a * t) - math.expm1(-a * (T - t)))
+    # D is O(k2) for small |k2| T; through expm1 it keeps its digits
+    diff = _em(k2, t) - _em(k2, T - t)
     if _degenerate_k2(T, cb):
-        # only the k1^2/(8a) term is 0/0; keep its first-order k2 term
-        return lin + k1 * k1 * ((T - t) / 4 - k2 * T * T / 16)
-    e_left = math.exp(-a * t)
-    # 2 e^{-a t} - e^{-a(T+t)} - e^{-a(T-t)} = 2(e^{-a t} - e^{-a T} cosh(a t));
-    # with e^{-x} - cosh(x) = -sinh(x) this becomes cancellation-free (the
-    # k1^2/(8a) prefactor amplifies roundoff for small k2 otherwise).
-    if abs(a) * T < 100.0:
-        pair = -2.0 * (math.sinh(a * t) + math.expm1(-a * T) * math.cosh(a * t))
-    else:
-        pair = 2.0 * (e_left - math.exp(-a * T) * math.cosh(a * t))
-    return lin + (k1 * k1 / (8 * a)) * pair
+        # only the k1^2/(4 k2) term is 0/0; keep its first-order k2 term
+        return (k1 / 2) * diff + k1 * k1 * ((T - t) / 4 - k2 * T * T / 16)
+    b = k1 / k2
+    return (k1 / 2) * (diff + (b / 2) * (diff - math.exp(-k2 * t / 2) * _em(k2, T)))
 
 
 def lambda_argmax(T: float, cb: CurvatureBounds, return_kind: bool = False):
     """Maximizer of t -> Lambda(t, T) on [0, T].
 
-    For k2 > 0 (and k1 > 0) the maximum sits at the interior root of
-    Lambda' given in log-closed form; for k2 <= 0 the profile is
-    nondecreasing and for k1 = 0 it is constant, so T is returned with kind
-    ``"boundary"`` / ``"degenerate"``.  With ``return_kind`` the pair
-    ``(t_star, kind)`` is returned, kind in {"interior", "boundary",
-    "degenerate"}.
+    For k2 > 0 the root of Lambda', e^{k2 (t - T/2)} = 1 - r E(T) with
+    r = k1/(k1 + 2 k2), taken to first order in k2*T below the switch.  For
+    k2 <= 0 the profile is nondecreasing and for k1 = 0 constant, so t = T.
+    With ``return_kind`` the pair ``(t_star, kind)`` is returned, kind in
+    {"interior", "boundary", "degenerate"}.
     """
     T = _require_horizon(T)
     k1, k2 = cb.k1, cb.k2
@@ -155,83 +145,48 @@ def lambda_argmax(T: float, cb: CurvatureBounds, return_kind: bool = False):
         return (T, "degenerate") if return_kind else T
     if k2 <= 0.0:
         return (T, "boundary") if return_kind else T
-    # exp(k2 t0 / 2) = sqrt(1 + (b/(2+b)) (1 - e^{-k2 T/2})) * exp(k2 T / 4)
-    b = k1 / k2
-    x = (b / (2.0 + b)) * (-math.expm1(-k2 * T / 2))
-    t0 = T / 2 + math.log1p(x) / k2
+    # k2 <= k1, so neither r nor its denominator can overflow
+    r = 1.0 / (1.0 + 2.0 * (k2 / k1))
+    if _degenerate_k2(T, cb):
+        # log1p(-r E(T)) / k2 to first order in k2 T; r -> 1 puts t0 at T
+        t0 = T / 2 + r * (T / 2) * (1.0 - k2 * T / 4) * (1.0 - r * k2 * T / 4)
+    else:
+        t0 = T / 2 + math.log1p(-r * _em(k2, T)) / k2
     t0 = min(max(t0, 0.0), T)
     return (t0, "interior") if return_kind else t0
 
 
 def lambda_sup(T: float, cb: CurvatureBounds) -> float:
-    """sup_t Lambda(t, T): the log-Sobolev constant C(T, k1, k2).
+    """sup_t Lambda(t, T), the log-Sobolev constant C(T, k1, k2).
 
-    k2 > 0 uses the interior-maximum closed form; k2 < 0 the right-endpoint
-    value 1/2 + (1 + (k1/k2)(1 - e^{-k2 T/2}))^2 / 2; 0 <= k2 < K2_SWITCH/T
-    the limit 1 + k1*T/2 + (k1*T)^2/8 plus its first-order k2 term (see
-    ``_degenerate_sup``).
+    The profile at ``lambda_argmax``; for k2 <= 0 that is the endpoint t = T.
     """
-    T = _require_horizon(T)
-    k1, k2 = cb.k1, cb.k2
-    if k1 == 0.0:
-        return 1.0
-    if k2 < 0.0:
-        # no cancellation for any k2 < 0; a k2 -> 0 limit would drop the
-        # first-order k2 term that lambda_profile keeps
-        base = 1.0 + k1 * (-math.expm1(-k2 * T / 2)) / k2
-        return 0.5 + 0.5 * base * base
-    if _degenerate_k2(T, cb):
-        return _degenerate_sup(T, k1, k2)
-    # interior-maximum closed form: (1+b)^2 minus two positive terms.  The
-    # direct subtraction loses ~b^2 * eps absolutely (catastrophic for small
-    # k2 where b ~ 1/k2), so evaluate through the conjugate: with the exact
-    # reduction (1+b)^4 - (a1 + a2)^2 = n_stable - (a1 - a2)^2 where
-    # n_stable = 1 + 4b + 2b^2 + b^2 (2+b) f (2 + b f) is a sum of positive
-    # terms (a1 = a2 analytically; their computed difference is roundoff).
-    b = k1 / k2
-    f = -math.expm1(-k2 * T / 2)
-    s = math.sqrt(1.0 + (b / (2.0 + b)) * f)
-    e = math.exp(-k2 * T / 4)
-    a1 = (b + b * b / 2) * s * e
-    a2 = (b + b * b - (b * b / 2) * (1.0 - f)) * e / s
-    n_stable = 1.0 + 4.0 * b + 2.0 * b * b + b * b * (2.0 + b) * f * (2.0 + b * f)
-    return (n_stable - (a1 - a2) ** 2) / ((1.0 + b) ** 2 + a1 + a2)
-
-
-def _degenerate_sup(T: float, k1: float, k2: float) -> float:
-    """sup_t Lambda(t, T) for 0 <= k2 with k2*T below the switch.
-
-    The k2 -> 0 profile peaks at t = T with zero slope, so to first order in
-    k2 the supremum is Lambda(T, T): the limit plus its first-order k2 term.
-    The maximizer moves inside by O(k2), which changes the value only at
-    second order.  At k2 = 0 the correction is a signed zero and the limit
-    is returned unchanged.
-    """
-    return 1.0 + k1 * T / 2 + (k1 * T) ** 2 / 8 - k2 * (k1 * T * T / 8 + k1 * k1 * T**3 / 16)
+    return lambda_profile(lambda_argmax(T, cb), T, cb)
 
 
 def psi(T: float, cb: CurvatureBounds) -> float:
     """Closed-form upper bound for the inverse spectral gap.
 
     Algebraically equal to ``lambda_sup`` (the arithmetic-geometric step it
-    is derived from is tight at the maximizer) but evaluated through its own
-    published expression; both are reported because both appear as "the"
-    constant in different displays.
+    is derived from is tight at the maximizer), but evaluated through its own
+    published expression: the independent cross-check of ``lambda_sup``.
     """
     T = _require_horizon(T)
     k1, k2 = cb.k1, cb.k2
     if k1 == 0.0:
         return 1.0
-    if k2 < 0.0:
-        base = 1.0 + k1 * (-math.expm1(-k2 * T / 2)) / k2
-        return 0.5 + 0.5 * base * base
     if _degenerate_k2(T, cb):
-        return _degenerate_sup(T, k1, k2)
+        # the k2 -> 0 profile peaks at t = T with zero slope: to first order
+        # in k2 the supremum is the endpoint value
+        return lambda_profile(T, T, cb)
+    if k2 < 0.0:
+        base = 1.0 - k1 * _em(k2, T) / k2
+        return 0.5 + 0.5 * base * base
     # conjugate evaluation of (1+b)^2 - b sqrt(inner) e^{-k2 T/4}: the
     # numerator (1+b)^4 - b^2 inner e^{-k2 T/2} reduces exactly to a sum of
     # positive terms, avoiding the b^2-amplified cancellation near k2 = 0
     b = k1 / k2
-    f = -math.expm1(-k2 * T / 2)
+    f = -_em(k2, T)
     inner = (2.0 + b) * (2.0 + b + b * f)  # 2 + 2b - b e^{-k2 T/2} = 2 + b + b f
     root = b * math.sqrt(inner) * math.exp(-k2 * T / 4)
     n_stable = 1.0 + 4.0 * b + 2.0 * b * b + b * b * (2.0 + b) * f * (2.0 + b * f)
@@ -260,9 +215,7 @@ def lambda_integral(t: float, T: float, cb: CurvatureBounds) -> float:
     side exactly over grid cells.
     """
     T = _require_horizon(T)
-    t = float(t)
-    if t < 0 or t > T:
-        raise ValueError(f"t must lie in [0, T]=[0, {T}], got {t}")
+    t = _require_time(t, T)
     k1, k2 = cb.k1, cb.k2
     if k1 == 0.0:
         return t
@@ -280,10 +233,11 @@ def lambda_integral(t: float, T: float, cb: CurvatureBounds) -> float:
         lin = 2.0 * xs - em_y * math.expm1(x)
         quad = xs - em_y * 2.0 * math.sinh(0.5 * x) ** 2
         return t + (b / a) * lin + (b * b / a) * quad
-    e_T = math.exp(-a * T)
-    term_right = (b / a) * (math.exp(-a * (T - t)) - e_T)
+    # e^{-aT} cosh(a t) folded into exponentials that stay <= 1 for k2 > 0
+    e_T, e_right = math.exp(-a * T), math.exp(-a * (T - t))
+    term_right = (b / a) * (e_right - e_T)
     term_left = ((b + b * b) / a) * (-math.expm1(-a * t))
-    term_cosh = (b * b / a) * e_T * (math.cosh(a * t) - 1.0)
+    term_cosh = (b * b / a) * (0.5 * (e_right + math.exp(-a * (T + t))) - e_T)
     return (1.0 + b) ** 2 * t - term_right - term_left - term_cosh
 
 
@@ -319,8 +273,7 @@ class BoundReport:
 def bound_report(T: float, cb: CurvatureBounds) -> BoundReport:
     """Evaluate every closed-form quantity at once."""
     T = _require_horizon(T)
-    lam0 = lambda_profile(0.0, T, cb)
-    lamT = lambda_profile(T, T, cb)
+    lam0, lamT = lambda_profile(0.0, T, cb), lambda_profile(T, T, cb)
     t_star, kind = lambda_argmax(T, cb, return_kind=True)
     sup_val = lambda_sup(T, cb)
     psi_val = psi(T, cb)

@@ -85,8 +85,15 @@ class ChiReport:
 
 
 def default_steps(T: float) -> int:
-    """Step-count rule keeping order-1 walk bias below the O(T) signal."""
-    return max(64, int(math.ceil(_require_horizon(T) / 1e-4)))
+    """Step-count rule keeping order-1 walk bias below the O(T) signal.
+
+    At most 2**14 steps (T <= 1.6384): a (draws, steps, d) chunk temporary
+    of the chi ladder then stays near 100 MB at d = 3.
+    """
+    n = _require_horizon(T) / 1e-4
+    if n > 2**14:
+        raise ValueError(f"horizon T = {T} needs more than 2**14 steps of 1e-4 (T <= 1.6384)")
+    return max(64, int(math.ceil(n)))
 
 
 def _chunk_ranges(n: int, chunk: int):

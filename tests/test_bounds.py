@@ -33,14 +33,15 @@ def cb(k1, k2):
     return CurvatureBounds(k1, k2)
 
 
-# (k1, k2, T) across the degenerate window |k2| T < K2_SWITCH = 1e-6 and just
-# above it, both signs of k2 and k2 = 0, with k1 / |k2| up to 1e8
+# (k1, k2, T) across the degenerate window |k2| T < K2_SWITCH = 1e-6, just
+# above it and on to large |k2| T, both signs of k2 and k2 = 0, with
+# k1 / |k2| up to 1e8
 DEGENERATE_WINDOW = [(1e-7, 0.0, 0.8), (1.0, 0.0, 0.8)] + [
     (ratio * k2T / 0.8, sign * k2T / 0.8, 0.8)
-    for k2T in (1e-12, 1e-9, 1e-7, 9e-7, 9.99e-7, 1.1e-6)
+    for k2T in (1e-12, 1e-9, 1e-7, 9e-7, 9.99e-7, 1.1e-6, 1e-2, 0.5, 2.01, 10.0, 40.0, 100.0)
     for ratio in (1.0, 1e4, 1e8)
     for sign in (1.0, -1.0)
-]
+] + [(ratio * 1500.0 / 0.8, 1500.0 / 0.8, 0.8) for ratio in (1.0, 1e4, 1e8)]
 
 
 admissible = st.tuples(
@@ -90,6 +91,8 @@ class TestLambdaProfile:
             lambda_profile(-0.1, 1.0, cb(1.0, 1.0))
         with pytest.raises(ValueError):
             lambda_profile(1.1, 1.0, cb(1.0, 1.0))
+        with pytest.raises(ValueError):
+            lambda_profile(math.nan, 1.0, cb(1.0, 1.0))
 
     def test_matches_high_precision(self, rng):
         for k1, k2, T in admissible_params(rng, 100):
@@ -315,7 +318,8 @@ class TestLambdaIntegral:
         # |k2| T from far below K2_SWITCH to far above the 2.0 change of form,
         # with k1 / |k2| up to 1e8, where (k1 / k2)^2 amplifies any cancellation
         T = 0.8
-        for k2T in (1e-9, 1e-7, 9e-7, 1.1e-6, 1e-4, 1e-2, 0.5, 1.99, 2.01, 10.0, 100.0):
+        large = (1500.0,) if sign > 0 else ()
+        for k2T in (1e-9, 1e-7, 9e-7, 1.1e-6, 1e-4, 1e-2, 0.5, 1.99, 2.01, 10.0, 100.0) + large:
             k2 = sign * k2T / T
             for ratio in (1.0, 1e4, 1e8):
                 k1 = ratio * abs(k2)

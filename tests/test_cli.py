@@ -86,6 +86,21 @@ class TestBoundsCommand:
         assert out == ""
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_large_k2_horizon(self):
+        # at k2 T = 80 and 1600 the endpoint identity Lambda(T) = 1/2 + Lambda(0)^2 / 2
+        # gives 2.5, and no point of the profile exceeds the supremum
+        code, out = run_cli(["bounds", "--k1", "2", "--k2", "2", "--T", "40,800"])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 2
+        for row in rows:
+            assert float(row[4]) == pytest.approx(2.5, rel=1e-12)
+            T, sup = float(row[0]), float(row[6])
+            code, out = run_cli(["bounds", "--k1", "2", "--k2", "2", "--T", str(T),
+                                 "--profile", "41"])
+            assert code == 0
+            assert all(float(line.split(",")[4]) <= sup for line in out.strip().split("\n")[1:])
+
     def test_negative_k2_just_below_switch(self):
         code, out = run_cli(["bounds", "--k1", "2", "--k2=-1e-5", "--T", "0.05"])
         assert code == 0
@@ -443,7 +458,10 @@ USAGE_ERRORS = [
     ["bounds", "--k1", "1", "--k2", "1", "--T", "1", "--write-config", UNWRITABLE],
 ]
 
-FLOATS = ["0.1", "1.0", "-1.0", "0", "1e300", "-1e300", "1e-300", "nan", "inf", "-inf"]
+FLOATS = [
+    "0.1", "1.0", "-1.0", "0", "1e300", "-1e300", "1e-300", "1e-310", "5e-324", "-5e-324",
+    "nan", "inf", "-inf",
+]
 COUNTS = ["-1", "0", "1", "2", "9"]
 LADDERS = [
     "0.01,0.02,0.03,0.04,", "0.01,0.02", "", "a,0.01,0.02,0.04", "0,0.01,0.02,0.04",
@@ -514,6 +532,7 @@ class TestExitCodeContract:
         [
             SIM + ["--manifold", "sphere", "--T", "nan", "--mode", "theorem1"],
             ASYM + ["--T-ladder", "0.01,0.02,0.04,inf"],
+            ASYM + ["--T-ladder", "0.01,0.02,0.04,1e300"],
         ],
         ids=" ".join,
     )
@@ -525,7 +544,7 @@ class TestExitCodeContract:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(argv=contract_argv())
-    @_with_examples(USAGE_ERRORS)
+    @_with_examples(USAGE_ERRORS + [["bounds", "--k1=1.0", "--k2=-5e-324", "--T=0.5"]])
     def test_any_argv_keeps_the_contract(self, argv):
         code, out, err = run_cli_contract(argv)
         assert code in (0, 1, 2)
