@@ -22,13 +22,16 @@ from .geometry import HYPERBOLIC, SPHERE
 def _step_curved(kind, kappa, pos, frames, disp, g):
     """One geodesic step with parallel transport for a batch of paths.
 
-    pos (P, amb), frames (P, d, amb), disp (P, amb) ambient displacement.
-    The surface is <x, x> = s r^2 in the ambient metric g, with s = +1 and
-    (cos, sin) on the sphere, s = -1 and (cosh, sinh) on the hyperboloid;
-    the factors s and g are +-1, so both share one exact code path.
+    pos (P, amb), frames (d, P, amb) frame-major, disp (P, amb) ambient
+    displacement.  The surface is <x, x> = s r^2 in the ambient metric g, with
+    s = +1 and (cos, sin) on the sphere, s = -1 and (cosh, sinh) on the
+    hyperboloid; the factors s and g are +-1, so both share one exact code
+    path.  g is None on the sphere, where it is all ones and multiplying by it
+    changes no bit.
     """
     s, cos, sin = (1.0, np.cos, np.sin) if kind == SPHERE else (-1.0, np.cosh, np.sinh)
-    arc = np.sqrt(np.einsum("pa,pa->p", disp * g, disp))
+    gx = (lambda x: x) if g is None else (lambda x: x * g)
+    arc = np.sqrt(np.einsum("pa,pa->p", gx(disp), disp))
     moving = arc > 0.0
     safe = np.where(moving, arc, 1.0)
     direction = disp / safe[:, None]
@@ -37,30 +40,29 @@ def _step_curved(kind, kappa, pos, frames, disp, g):
     cos_t, sin_t = cos(theta), sin(theta)
     new_pos = cos_t[:, None] * pos + radius * sin_t[:, None] * direction
     correction = (cos_t - 1.0)[:, None] * direction - s * sin_t[:, None] * pos / radius
-    coeffs = np.einsum("pia,pa->pi", frames * g, direction)
-    new_frames = frames + coeffs[:, :, None] * correction[:, None, :]
+    coeffs = np.einsum("ipa,pa->ip", gx(frames), direction)
+    new_frames = frames + coeffs[:, :, None] * correction
 
     # Renormalize: snap to surface, project rows to the tangent space,
     # modified Gram-Schmidt in the ambient metric.
-    norm = np.sqrt(s * np.einsum("pa,pa->p", new_pos * g, new_pos))
+    norm = np.sqrt(s * np.einsum("pa,pa->p", gx(new_pos), new_pos))
     new_pos = new_pos * (radius / norm)[:, None]
     r2 = radius * radius
-    proj = s * np.einsum("pia,pa->pi", new_frames * g, new_pos) / r2
-    new_frames = new_frames - proj[:, :, None] * new_pos[:, None, :]
-    d = frames.shape[1]
-    for i in range(d):
-        v = new_frames[:, i, :]
+    proj = s * np.einsum("ipa,pa->ip", gx(new_frames), new_pos) / r2
+    new_frames = new_frames - proj[:, :, None] * new_pos
+    for i in range(frames.shape[0]):
+        v = new_frames[i]
         for j in range(i):
-            w = new_frames[:, j, :]
-            v = v - np.einsum("pa,pa->p", v * g, w)[:, None] * w
-        nrm = np.sqrt(np.einsum("pa,pa->p", v * g, v))
-        new_frames[:, i, :] = v / nrm[:, None]
+            w = new_frames[j]
+            v = v - np.einsum("pa,pa->p", gx(v), w)[:, None] * w
+        nrm = np.sqrt(np.einsum("pa,pa->p", gx(v), v))
+        new_frames[i] = v / nrm[:, None]
 
     # Paths with a zero increment stay put.
     if not np.all(moving):
         keep = ~moving
         new_pos[keep] = pos[keep]
-        new_frames[keep] = frames[keep]
+        new_frames[:, keep] = frames[:, keep]
     return new_pos, new_frames
 
 
@@ -71,36 +73,45 @@ def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record)
     kind is a ``ModelManifold.kind``; increments: (P, n, d); record: sorted
     int64 indices into 0..n of the time slots whose positions/frames are
     kept.  Returns (positions (P, m, amb), frames (P, m, d, amb)).
+
+    The walk keeps the frames frame-major, (d, P, amb), and the increments
+    step-major, (n, d, P), so every per-step operand is a contiguous block;
+    the frames are transposed only into the recorded slots.
     """
-    increments = np.ascontiguousarray(increments, dtype=np.float64)
+    increments = np.asarray(increments, dtype=np.float64)
     n_paths, n_steps, d = increments.shape
     amb = start_pos.shape[0]
     record = np.asarray(record, dtype=np.int64)
     m = record.shape[0]
 
+    steps = np.ascontiguousarray(increments.transpose(1, 2, 0))
     pos = np.broadcast_to(start_pos, (n_paths, amb)).copy()
-    frames = np.broadcast_to(start_frame, (n_paths, d, amb)).copy()
+    frames = np.broadcast_to(start_frame[:, None, :], (d, n_paths, amb)).copy()
     out_pos = np.empty((n_paths, m, amb))
     out_frames = np.empty((n_paths, m, d, amb))
 
-    g = np.ones(amb)
+    g = None
     if kind == HYPERBOLIC:
+        g = np.ones(amb)
         g[0] = -1.0
 
     rec_ptr = 0
     if rec_ptr < m and record[rec_ptr] == 0:
         out_pos[:, 0] = pos
-        out_frames[:, 0] = frames
+        out_frames[:, 0] = frames.transpose(1, 0, 2)
         rec_ptr += 1
     for k in range(n_steps):
-        disp = np.einsum("pi,pia->pa", increments[:, k, :], frames)
+        # summed from zero in frame order: an all-zero sum is +0.0
+        disp = np.zeros((n_paths, amb))
+        for i in range(d):
+            disp += steps[k, i][:, None] * frames[i]
         if kind in (SPHERE, HYPERBOLIC):
             pos, frames = _step_curved(kind, kappa, pos, frames, disp, g)
         else:
             pos = pos + disp
         if rec_ptr < m and record[rec_ptr] == k + 1:
             out_pos[:, rec_ptr] = pos
-            out_frames[:, rec_ptr] = frames
+            out_frames[:, rec_ptr] = frames.transpose(1, 0, 2)
             rec_ptr += 1
     return out_pos, out_frames
 
