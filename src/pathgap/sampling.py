@@ -2,9 +2,15 @@
 
 Each time step draws a Gaussian increment of the driving motion and moves
 along the geodesic it spans in the current frame; the frame is parallel-
-transported alongside.  Seeding is counter-based: path ``k`` of a batch uses
-``SeedSequence(base_seed, spawn_key=(k,))``, so any slicing, chunking or
-parallel consumption of a batch reproduces identical paths.
+transported alongside.
+
+Seeding is counter-based, in blocks of ``BLOCK`` paths (stream version 2):
+path ``k`` is row ``k mod BLOCK`` of block ``k // BLOCK``, whose normals are
+one time-major ``(n_steps, BLOCK, d)`` draw from
+``SeedSequence(base_seed, spawn_key=(k // BLOCK,))``.  Any slicing, chunking
+or parallel consumption of a batch therefore reproduces identical paths, and
+an n-step draw is exactly the first n steps of a longer one.  (Stream
+version 1 built one generator per path, keyed ``spawn_key=(k,)``.)
 """
 
 from __future__ import annotations
@@ -107,20 +113,29 @@ class PathSample:
         return FramePoint(self.positions[i], self.frames[i])
 
 
-def path_increments(grid: TimeGrid, dim: int, seed: int, path_index: int = 0) -> np.ndarray:
-    """Gaussian driving increments, Normal(0, dt_i * Id) per step."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_index,))
-    rng = np.random.default_rng(ss)
-    z = rng.standard_normal((grid.n_steps, dim))
-    return z * grid.sqrt_dts[:, None]
+# Paths per block of the normal stream; it divides every default chunk
+# (256, 1024, 4096), so a default chunk draws whole blocks.
+BLOCK = 64
 
 
 def batch_increments(grid: TimeGrid, dim: int, seed: int, indices: Iterable[int]) -> np.ndarray:
-    """Stack of per-path increments for the given path indices, (P, n_steps, dim)."""
-    indices = list(indices)
-    out = np.empty((len(indices), grid.n_steps, dim))
-    for row, k in zip(out, indices):
-        row[...] = path_increments(grid, dim, seed, k)
+    """Gaussian driving increments, Normal(0, dt_i * Id) per step, (P, n_steps, dim).
+
+    Row r holds path ``indices[r]``.  Each block is drawn once per run of
+    consecutive indices inside it, and the run's rows are copied by slicing.
+    """
+    idx = np.fromiter(indices, dtype=np.int64)
+    out = np.empty((idx.size, grid.n_steps, dim))
+    if idx.size == 0:
+        return out
+    breaks = np.flatnonzero((np.diff(idx) != 1) | (idx[1:] % BLOCK == 0)) + 1
+    edges = [0, *breaks.tolist(), idx.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        block, row = divmod(int(idx[lo]), BLOCK)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+        z = rng.standard_normal((grid.n_steps, BLOCK, dim))
+        np.multiply(z[:, row : row + hi - lo].transpose(1, 0, 2), grid.sqrt_dts[:, None],
+                    out=out[lo:hi])
     return out
 
 
@@ -147,7 +162,7 @@ def simulate_increments(
 
 def sample_path(m: ModelManifold, grid: TimeGrid, seed: int, path_index: int = 0) -> PathSample:
     """Sample one path; deterministic in (m, grid, seed, path_index)."""
-    inc = path_increments(grid, m.dim, seed, path_index)
+    inc = batch_increments(grid, m.dim, seed, range(path_index, path_index + 1))[0]
     pos, frames = simulate_increments(m, grid, inc[None])
     return PathSample(grid, pos[0], frames[0], inc, seed, path_index)
 

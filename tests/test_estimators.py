@@ -240,14 +240,14 @@ class TestBatchedContract:
         for name, F in factory_functionals(m).items():
             grid = TimeGrid.with_times(1.0, 16, list(F.eval_times))
             idx = [grid.index_of(t) for t in F.eval_times]
-            inc = batch_increments(grid, m.dim, 23, range(9))
+            inc = batch_increments(grid, m.dim, 23, range(32))
             pos = simulate_increments(m, grid, inc, record=np.array(idx))[0]
             values = F.value(pos)
             grads = F.slot_gradients(pos)
-            assert values.shape == (9,) and grads.shape == pos.shape, name
+            assert values.shape == (32,) and grads.shape == pos.shape, name
             if name == "truncated":  # both sides of the cap are exercised
                 assert 0 < np.count_nonzero(grads) < grads.size, name
-            for p in range(9):
+            for p in range(32):
                 np.testing.assert_array_equal(F.value(pos[p : p + 1]), values[p : p + 1])
                 np.testing.assert_array_equal(F.slot_gradients(pos[p : p + 1]), grads[p : p + 1])
 

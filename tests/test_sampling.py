@@ -6,9 +6,9 @@ import pytest
 import pathgap as pg
 from pathgap.geometry import frame_orthonormality_defect, surface_defect
 from pathgap.sampling import (
+    BLOCK,
     TimeGrid,
     batch_increments,
-    path_increments,
     sample_path,
     simulate_increments,
 )
@@ -48,10 +48,10 @@ class TestTimeGrid:
 class TestIncrements:
     def test_deterministic(self):
         g = TimeGrid.with_times(1.0, 16, ())
-        a = path_increments(g, 3, seed=9, path_index=2)
-        b = path_increments(g, 3, seed=9, path_index=2)
+        a = batch_increments(g, 3, 9, range(2, 3))[0]
+        b = batch_increments(g, 3, 9, range(2, 3))[0]
         np.testing.assert_array_equal(a, b)
-        c = path_increments(g, 3, seed=9, path_index=3)
+        c = batch_increments(g, 3, 9, range(3, 4))[0]
         assert not np.array_equal(a, c)
 
     def test_scaling(self):
@@ -60,6 +60,29 @@ class TestIncrements:
         inc = batch_increments(g, 2, seed=4, indices=range(4000))
         var = inc.var(axis=(0, 2))
         np.testing.assert_allclose(var, g.dts, rtol=0.1)
+
+
+class TestBlockStream:
+    def test_rows_straddling_a_block_boundary(self):
+        g = TimeGrid.with_times(0.7, 12, ())
+        whole = batch_increments(g, 2, 5, range(2 * BLOCK))
+        part = batch_increments(g, 2, 5, range(BLOCK - 3, BLOCK + 5))
+        np.testing.assert_array_equal(part, whole[BLOCK - 3 : BLOCK + 5])
+
+    def test_unordered_indices(self):
+        g = TimeGrid.with_times(0.7, 12, ())
+        whole = batch_increments(g, 2, 5, range(3 * BLOCK))
+        picks = [2 * BLOCK + 1, 4, 5, BLOCK - 1, BLOCK, 4]
+        np.testing.assert_array_equal(batch_increments(g, 2, 5, picks), whole[picks])
+
+    def test_short_grid_draws_a_prefix(self):
+        n = 20
+        g = TimeGrid.with_times(0.3, n, ())
+        unit = TimeGrid.with_times(2.0 * n, 2 * n, ())
+        k = [BLOCK + 7]
+        short = batch_increments(g, 3, 11, k)
+        long = batch_increments(unit, 3, 11, k)
+        np.testing.assert_array_equal(short, long[:, :n] * g.sqrt_dts[:, None])
 
 
 class TestSamplePath:
@@ -127,6 +150,18 @@ class TestBatchSample:
         for k, pos in enumerate(positions):
             single = sample_path(m, g, 21, path_index=k)
             np.testing.assert_array_equal(pos, single.positions)
+
+    def test_sample_path_replays_a_row_of_a_multi_block_batch(self):
+        m = pg.sphere(2, 1.0)
+        g = TimeGrid.with_times(0.3, 16, ())
+        n = 3 * BLOCK
+        inc = batch_increments(g, m.dim, 21, range(n))
+        pos, frames = simulate_increments(m, g, inc)
+        for k in (0, BLOCK - 1, BLOCK, 2 * BLOCK + 5, n - 1):
+            single = sample_path(m, g, 21, path_index=k)
+            np.testing.assert_array_equal(single.increments, inc[k])
+            np.testing.assert_array_equal(single.positions, pos[k])
+            np.testing.assert_array_equal(single.frames, frames[k])
 
     def test_flat_mean_displacement(self):
         m = pg.euclidean(2)
