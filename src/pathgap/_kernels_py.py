@@ -19,7 +19,7 @@ import numpy as np
 from .geometry import HYPERBOLIC, SPHERE
 
 
-def _step_curved(kind, kappa, pos, frames, disp, g):
+def _step_curved(kind, kappa, pos, frames, disp, g, step):
     """One geodesic step with parallel transport for a batch of paths.
 
     pos (P, amb), frames (d, P, amb) frame-major, disp (P, amb) ambient
@@ -27,7 +27,8 @@ def _step_curved(kind, kappa, pos, frames, disp, g):
     s = +1 and (cos, sin) on the sphere, s = -1 and (cosh, sinh) on the
     hyperboloid; the factors s and g are +-1, so both share one exact code
     path.  g is None on the sphere, where it is all ones and multiplying by it
-    changes no bit.
+    changes no bit.  A point that cannot be snapped back to the surface
+    raises ValueError naming ``step``, kappa and the step length.
     """
     s, cos, sin = (1.0, np.cos, np.sin) if kind == SPHERE else (-1.0, np.cosh, np.sinh)
     gx = (lambda x: x) if g is None else (lambda x: x * g)
@@ -45,8 +46,15 @@ def _step_curved(kind, kappa, pos, frames, disp, g):
 
     # Renormalize: snap to surface, project rows to the tangent space,
     # modified Gram-Schmidt in the ambient metric.
-    norm = np.sqrt(s * np.einsum("pa,pa->p", gx(new_pos), new_pos))
-    new_pos = new_pos * (radius / norm)[:, None]
+    norm2 = s * np.einsum("pa,pa->p", gx(new_pos), new_pos)
+    off = ~((norm2 > 0.0) & (norm2 < np.inf))
+    if np.any(off):
+        surface = "sphere" if kind == SPHERE else "hyperboloid"
+        raise ValueError(
+            f"the walk leaves the {surface} at step {step}: kappa = {kappa!r}, step length "
+            f"{float(np.max(arc[off]))!r}; take more steps or a smaller |kappa| * T"
+        )
+    new_pos = new_pos * (radius / np.sqrt(norm2))[:, None]
     r2 = radius * radius
     proj = s * np.einsum("ipa,pa->ip", gx(new_frames), new_pos) / r2
     new_frames = new_frames - proj[:, :, None] * new_pos
@@ -106,7 +114,7 @@ def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record)
         for i in range(d):
             disp += steps[k, i][:, None] * frames[i]
         if kind in (SPHERE, HYPERBOLIC):
-            pos, frames = _step_curved(kind, kappa, pos, frames, disp, g)
+            pos, frames = _step_curved(kind, kappa, pos, frames, disp, g, k + 1)
         else:
             pos = pos + disp
         if rec_ptr < m and record[rec_ptr] == k + 1:

@@ -55,7 +55,7 @@ SIMULATE_COLUMNS = (
 )
 
 DEFAULT_SEED = 20240
-THREADS_HELP = "worker threads for chi and asymptotics (the output does not depend on it)"
+THREADS_HELP = "worker threads over chunks of paths (the output does not depend on it)"
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -178,7 +178,8 @@ def _simulate_rows(m, args, seed):
     if args.mode == "theorem1":
         family = est.random_two_point_family(m, args.T, args.functionals, seed)
         rep = est.verify_theorem1(
-            m, m.curvature_window, family, args.T, args.steps, args.paths, seed
+            m, m.curvature_window, family, args.T, args.steps, args.paths, seed,
+            threads=args.threads,
         )
         rows = [
             base + ("max_violation", rep.max_violation, 0.0),
@@ -193,7 +194,7 @@ def _simulate_rows(m, args, seed):
             F = est.truncated_exponential_functional(b, args.T, cap=1.5)
         else:
             F = est.exponential_functional(m, b, args.T)
-        rep = est.verify_lsi(m, F, args.T, args.steps, args.paths, seed)
+        rep = est.verify_lsi(m, F, args.T, args.steps, args.paths, seed, threads=args.threads)
         rows = [
             base + ("entropy", rep.entropy, 0.0),
             base + ("dirichlet_twice", rep.dirichlet_twice, 0.0),

@@ -100,6 +100,28 @@ def _chunk_ranges(n: int, chunk: int):
     return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
 
+def _map_chunks(run_chunk, ranges, threads: int) -> None:
+    """Call ``run_chunk(lo_hi)`` for each range, on ``threads`` worker threads.
+
+    Each chunk writes its results into preallocated slots, so the order in
+    which chunks finish changes nothing.  A worker's error is raised here.
+    """
+    if threads <= 1:
+        for r in ranges:
+            run_chunk(r)
+        return
+    # numpy keeps its error state per context, so a worker starts from the
+    # default state; each chunk runs under the caller's instead
+    err = np.geterr()
+
+    def run_chunk_in_caller_state(lo_hi):
+        with np.errstate(**err):
+            run_chunk(lo_hi)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run_chunk_in_caller_state, ranges))
+
+
 # Draws per chunk of the chi estimators: keeps the (draws, steps, d)
 # temporaries cache-sized; the result does not depend on it.
 _CHI_CHUNK = 256
@@ -202,21 +224,7 @@ def _chi_ladder(
             if include_i_terms:
                 it_r[r, :, lo:hi] = _i_terms(fields, a, c, grid)
 
-    ranges = _chunk_ranges(n_draws, chunk)
-    if threads > 1:
-        # numpy keeps its error state per context, so a worker starts from the
-        # default state; each chunk runs under the caller's instead
-        err = np.geterr()
-
-        def run_chunk_in_caller_state(lo_hi):
-            with np.errstate(**err):
-                run_chunk(lo_hi)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk_in_caller_state, ranges))
-    else:
-        for r in ranges:
-            run_chunk(r)
+    _map_chunks(run_chunk, _chunk_ranges(n_draws, chunk), threads)
 
     reports = []
     for r, grid in enumerate(grids):
@@ -331,6 +339,7 @@ def verify_theorem1(
     n_paths: int,
     seed: int,
     chunk: int = 1024,
+    threads: int = 1,
 ) -> TheoremOneReport:
     """Per-path check that the damped-gradient energy never exceeds the
     Lambda-weighted usual-gradient energy.
@@ -339,7 +348,7 @@ def verify_theorem1(
     sides (the inequality has equality cases, so quadrature skew would
     produce spurious violations); synthetic Ricci paths use a per-cell
     trapezoid for the damped side.  Each functional is evaluated once per
-    chunk of paths.
+    chunk of paths.  The report does not depend on ``chunk`` or ``threads``.
     """
     eval_times = sorted({t for F in F_family for t in F.eval_times})
     grid = TimeGrid.with_times(T, n_steps, eval_times)
@@ -357,9 +366,13 @@ def verify_theorem1(
     R = None if m.kind != SYNTHETIC else resolvent_on_grid(grid, m, declared)
     g = m.metric_diag()
 
-    n_ok = 0
-    max_violation = -math.inf
-    for lo, hi in _chunk_ranges(n_paths, chunk):
+    ranges = _chunk_ranges(n_paths, chunk)
+    worst = [-math.inf] * len(ranges)  # per chunk: largest violation
+    n_ok = [0] * len(ranges)  # per chunk: samples within the slack
+
+    def run_chunk(lo_hi):
+        lo, hi = lo_hi
+        c = lo // chunk
         inc = batch_increments(grid, m.dim, seed, range(lo, hi))
         pos, frames = simulate_increments(m, grid, inc, record=rec_idx)
         for F, sel, idx, ts, wmat in per_F:
@@ -371,13 +384,15 @@ def verify_theorem1(
             else:
                 lhs = np.array([_damped_energy_trapezoid(idx, s, R, grid) for s in slots])
             violation = (lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
-            max_violation = max(max_violation, float(np.max(violation)))
-            n_ok += int(np.count_nonzero(violation <= THEOREM1_SLACK))
+            worst[c] = max(worst[c], float(np.max(violation)))
+            n_ok[c] += int(np.count_nonzero(violation <= THEOREM1_SLACK))
+
+    _map_chunks(run_chunk, ranges, threads)
     return TheoremOneReport(
         n_paths=n_paths,
         n_functionals=len(F_family),
-        max_violation=max_violation,
-        satisfied_fraction=n_ok / (n_paths * len(F_family)),
+        max_violation=max(worst, default=-math.inf),
+        satisfied_fraction=sum(n_ok) / (n_paths * len(F_family)),
         slack=THEOREM1_SLACK,
         seed=seed,
     )
@@ -412,12 +427,13 @@ def verify_lsi(
     n_paths: int,
     seed: int,
     chunk: int = 4096,
+    threads: int = 1,
 ) -> LsiReport:
     """Estimate E(F^2 log(F^2/||F||^2)) and 2 E integral |D~F|^2 and compare.
 
     Monte Carlo cannot certify an inequality between expectations; the check
     only flags a failure when the gap is negative beyond four combined
-    standard errors.
+    standard errors.  The report does not depend on ``chunk`` or ``threads``.
     """
     if m.kind == SYNTHETIC:
         raise ValueError("the entropy check needs a curvature tensor")
@@ -432,7 +448,9 @@ def verify_lsi(
     a_p = np.empty(n_paths)  # F^2 log F^2
     b_p = np.empty(n_paths)  # F^2
     r_p = np.empty(n_paths)  # 2 * integral |D~F|^2
-    for lo, hi in _chunk_ranges(n_paths, chunk):
+
+    def run_chunk(lo_hi):
+        lo, hi = lo_hi
         inc = batch_increments(grid, m.dim, seed, range(lo, hi))
         pos, frames = simulate_increments(m, grid, inc, record=eval_idx)
         val = np.asarray(F.value(pos), dtype=float)
@@ -447,6 +465,7 @@ def verify_lsi(
         b_p[lo:hi] = f2
         r_p[lo:hi] = 2.0 * damped_energy_pairwise(ts, slots @ slots.transpose(0, 2, 1), c)
 
+    _map_chunks(run_chunk, _chunk_ranges(n_paths, chunk), threads)
     a_bar, b_bar, r_bar = float(np.mean(a_p)), float(np.mean(b_p)), float(np.mean(r_p))
     entropy = a_bar - b_bar * math.log(b_bar)
     gap = r_bar - entropy

@@ -568,18 +568,20 @@ class TestConsoleEntryPoint:
         assert out.stdout.startswith(",".join(BOUNDS_COLUMNS[:3]))
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, named",
         [
-            # the walk leaves the hyperboloid
-            ["--manifold", "hyperbolic", "--dim", "2", "--kappa", "-50", "--T", "5",
-             "--mode", "lsi"],
-            # the chi field overflows inside a worker thread
-            ["--manifold", "sphere", "--dim", "3", "--kappa", "1e308", "--T", "0.5",
-             "--mode", "chi", "--threads", "2"],
+            pytest.param(flags, named, id=" ".join(flags))
+            for flags, named in [
+                # the walk leaves the hyperboloid
+                (["--manifold", "hyperbolic", "--dim", "2", "--kappa", "-50", "--T", "5",
+                  "--mode", "lsi"], ["hyperboloid", "step 2", "kappa = -50.0", "step length"]),
+                # the chi field overflows inside a worker thread
+                (["--manifold", "sphere", "--dim", "3", "--kappa", "1e308", "--T", "0.5",
+                  "--mode", "chi", "--threads", "2"], ["float range"]),
+            ]
         ],
-        ids=" ".join,
     )
-    def test_float_failure_prints_only_the_error_line(self, flags):
+    def test_float_failure_prints_only_the_error_line(self, flags, named):
         """Arithmetic that leaves the float range exits 2 without numpy warnings."""
         out = subprocess.run(
             [sys.executable, "-m", "pathgap.cli", "simulate", "--steps", "8", "--paths", "9"]
@@ -590,3 +592,5 @@ class TestConsoleEntryPoint:
         assert (out.returncode, out.stdout) == (2, "")
         assert len(out.stderr.splitlines()) == 1
         assert out.stderr.startswith("error: ")
+        for word in named:
+            assert word in out.stderr

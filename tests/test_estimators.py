@@ -260,13 +260,15 @@ class TestBatchedContract:
             cb = m.curvature_window
         family = est.random_two_point_family(m, 1.0, 3, seed=3)
         reps = [est.verify_theorem1(m, cb, family, 1.0, 32, 30, 5, chunk=c) for c in (7, 1024)]
-        assert reps[0] == reps[1]
+        reps.append(est.verify_theorem1(m, cb, family, 1.0, 32, 30, 5, chunk=7, threads=2))
+        assert reps[0] == reps[1] == reps[2]
 
     def test_lsi_report_does_not_depend_on_chunk(self):
         m = GEOMETRIES["sphere"]
         F = est.exponential_functional(m, np.array([0.4, -0.3, 0.5]), 0.5)
         reps = [est.verify_lsi(m, F, 0.5, 32, 40, 37, chunk=c) for c in (7, 4096)]
-        assert reps[0] == reps[1]
+        reps.append(est.verify_lsi(m, F, 0.5, 32, 40, 37, chunk=7, threads=2))
+        assert reps[0] == reps[1] == reps[2]
 
     def test_wrong_gradient_shape_rejected(self):
         m = GEOMETRIES["sphere"]

@@ -85,6 +85,16 @@ CASES = {
         "--T", "1.0", "--steps", "128", "--paths", "1000", "--seed", "1", "--mode", "theorem1",
         "--functionals", "10",
     ],
+    "lsi_hyperbolic2_threads2": [
+        "simulate", "--manifold", "hyperbolic", "--dim", "2", "--kappa", "-1.0",
+        "--T", "0.5", "--steps", "32", "--paths", "9000", "--seed", "85", "--mode", "lsi",
+        "--threads", "2",
+    ],
+    "theorem1_sphere3_threads2": [
+        "simulate", "--manifold", "sphere", "--dim", "3", "--kappa", "1.0",
+        "--T", "0.5", "--steps", "32", "--paths", "2500", "--seed", "86", "--mode", "theorem1",
+        "--functionals", "3", "--threads", "2",
+    ],
     "lsi_euclidean3": [
         "simulate", "--manifold", "euclidean", "--dim", "3",
         "--T", "0.5", "--steps", "16", "--paths", "500", "--seed", "84", "--mode", "lsi",
@@ -125,6 +135,15 @@ def run_cli(argv):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name):
     code, out = run_cli(CASES[name])
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"{name}.csv").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith("_threads2")))
+def test_one_thread_matches_the_two_thread_golden(name):
+    """Each threaded case spans several chunks; one thread prints the same bytes."""
+    argv = CASES[name]
+    code, out = run_cli(argv[: argv.index("--threads")] + ["--threads", "1"])
     assert code == 0
     assert out == (GOLDEN_DIR / f"{name}.csv").read_text()
 
