@@ -82,9 +82,9 @@ def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record)
     int64 indices into 0..n of the time slots whose positions/frames are
     kept.  Returns (positions (P, m, amb), frames (P, m, d, amb)).
 
-    The walk keeps the frames frame-major, (d, P, amb), and the increments
-    step-major, (n, d, P), so every per-step operand is a contiguous block;
-    the frames are transposed only into the recorded slots.
+    The walk keeps the frames frame-major, (d, P, amb), and gathers each
+    step's increments into a (d, P) block, so every per-step operand is
+    contiguous; the frames are transposed only into the recorded slots.
     """
     increments = np.asarray(increments, dtype=np.float64)
     n_paths, n_steps, d = increments.shape
@@ -92,7 +92,6 @@ def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record)
     record = np.asarray(record, dtype=np.int64)
     m = record.shape[0]
 
-    steps = np.ascontiguousarray(increments.transpose(1, 2, 0))
     pos = np.broadcast_to(start_pos, (n_paths, amb)).copy()
     frames = np.broadcast_to(start_frame[:, None, :], (d, n_paths, amb)).copy()
     out_pos = np.empty((n_paths, m, amb))
@@ -109,10 +108,11 @@ def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record)
         out_frames[:, 0] = frames.transpose(1, 0, 2)
         rec_ptr += 1
     for k in range(n_steps):
+        step = increments[:, k].T.copy()
         # summed from zero in frame order: an all-zero sum is +0.0
         disp = np.zeros((n_paths, amb))
         for i in range(d):
-            disp += steps[k, i][:, None] * frames[i]
+            disp += step[i][:, None] * frames[i]
         if kind in (SPHERE, HYPERBOLIC):
             pos, frames = _step_curved(kind, kappa, pos, frames, disp, g, k + 1)
         else:
