@@ -130,10 +130,11 @@ def batch_increments(grid: TimeGrid, dim: int, seed: int, indices: Iterable[int]
         return out
     breaks = np.flatnonzero((np.diff(idx) != 1) | (idx[1:] % BLOCK == 0)) + 1
     edges = [0, *breaks.tolist(), idx.size]
+    z = np.empty((grid.n_steps, BLOCK, dim))  # one block's normals, refilled per run
     for lo, hi in zip(edges[:-1], edges[1:]):
         block, row = divmod(int(idx[lo]), BLOCK)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-        z = rng.standard_normal((grid.n_steps, BLOCK, dim))
+        rng.standard_normal(out=z)
         np.multiply(z[:, row : row + hi - lo].transpose(1, 0, 2), grid.sqrt_dts[:, None],
                     out=out[lo:hi])
     return out

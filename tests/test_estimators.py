@@ -1,6 +1,8 @@
 """Monte-Carlo estimators: chi, inequality verifiers, entropy check, slope fit."""
 
 import math
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -233,6 +235,17 @@ def factory_functionals(m):
     }
 
 
+@contextmanager
+def frequent_thread_switches():
+    """Switch threads every microsecond, so chunks interleave as much as they can."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
 class TestBatchedContract:
     @pytest.mark.parametrize("kind", sorted(GEOMETRIES))
     def test_batched_rows_equal_single_path_calls(self, kind):
@@ -260,14 +273,16 @@ class TestBatchedContract:
             cb = m.curvature_window
         family = est.random_two_point_family(m, 1.0, 3, seed=3)
         reps = [est.verify_theorem1(m, cb, family, 1.0, 32, 30, 5, chunk=c) for c in (7, 1024)]
-        reps.append(est.verify_theorem1(m, cb, family, 1.0, 32, 30, 5, chunk=7, threads=2))
+        with frequent_thread_switches():
+            reps.append(est.verify_theorem1(m, cb, family, 1.0, 32, 30, 5, chunk=7, threads=4))
         assert reps[0] == reps[1] == reps[2]
 
     def test_lsi_report_does_not_depend_on_chunk(self):
         m = GEOMETRIES["sphere"]
         F = est.exponential_functional(m, np.array([0.4, -0.3, 0.5]), 0.5)
         reps = [est.verify_lsi(m, F, 0.5, 32, 40, 37, chunk=c) for c in (7, 4096)]
-        reps.append(est.verify_lsi(m, F, 0.5, 32, 40, 37, chunk=7, threads=2))
+        with frequent_thread_switches():
+            reps.append(est.verify_lsi(m, F, 0.5, 32, 40, 37, chunk=7, threads=4))
         assert reps[0] == reps[1] == reps[2]
 
     def test_wrong_gradient_shape_rejected(self):
