@@ -7,7 +7,10 @@ alters the random stream regenerates the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says so in CHANGES.md.
+and says so in CHANGES.md.  A change that alters only some cases names
+them, and only their files are rewritten:
+
+    PYTHONPATH=src python tests/test_golden.py theorem1_synthetic
 """
 
 import io
@@ -158,14 +161,26 @@ def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.txt")) == sorted(IN_PROCESS)
 
 
-if __name__ == "__main__":
+def regenerate(names):
+    """Rewrite the golden files of the named cases, or of every case if none is named."""
+    unknown = sorted(set(names) - set(CASES) - set(IN_PROCESS))
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in CASES.items():
+        if names and name not in names:
+            continue
         code, out = run_cli(argv)
         if code != 0:
             sys.exit(f"{name}: exit code {code}")
         (GOLDEN_DIR / f"{name}.csv").write_text(out)
         print(f"wrote {name}.csv")
     for name, case in IN_PROCESS.items():
+        if names and name not in names:
+            continue
         (GOLDEN_DIR / f"{name}.txt").write_text(case())
         print(f"wrote {name}.txt")
+
+
+if __name__ == "__main__":
+    regenerate(sys.argv[1:])
