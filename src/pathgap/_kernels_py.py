@@ -6,7 +6,9 @@ Two entry points:
   of driving-increment arrays, recording positions and frames at selected
   time indices.
 * ``resolvent_triangle`` / ``resolvent_column`` -- RK4 integration of the
-  damping matrix ODE dQ/dt = -1/2 A(t) Q, per start column.
+  damping matrix ODE dQ/dt = -1/2 A(t) Q: the linear ODE makes each RK4
+  step one matrix per cell, and the triangle sweeps it across every start
+  column at once.
 
 Vectorization is across paths (simulate) and across start columns
 (resolvent).
@@ -124,13 +126,20 @@ def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record)
     return out_pos, out_frames
 
 
-def _rk4_step(a0, a1, a2, q, h):
-    """One RK4 step of dQ/dt = -1/2 A(t) Q on a stack of matrices q."""
-    k1 = -0.5 * (a0 @ q)
-    k2 = -0.5 * (a1 @ (q + (0.5 * h) * k1))
-    k3 = -0.5 * (a1 @ (q + (0.5 * h) * k2))
-    k4 = -0.5 * (a2 @ (q + h * k3))
-    return q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_transfer(ric_stages, dts):
+    """The RK4 step of dQ/dt = -1/2 A(t) Q on every cell as one matrix, (n, d, d).
+
+    The ODE is linear, so one RK4 step is exactly q -> M_k q with
+    M_k = I + h/6 (B0 + 2 K2 + 2 K3 + K4), B_i = -1/2 A_i at the stage times,
+    K2 = B1 (I + h/2 B0), K3 = B1 (I + h/2 K2) and K4 = B2 (I + h K3).
+    """
+    b0, b1, b2 = (-0.5 * ric_stages[:, i] for i in range(3))
+    h = dts[:, None, None]
+    eye = np.eye(ric_stages.shape[-1])
+    k2 = b1 @ (eye + (0.5 * h) * b0)
+    k3 = b1 @ (eye + (0.5 * h) * k2)
+    k4 = b2 @ (eye + h * k3)
+    return eye + (h / 6.0) * (b0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def resolvent_triangle(ric_stages, dts):
@@ -138,23 +147,26 @@ def resolvent_triangle(ric_stages, dts):
 
     ric_stages: (n, 3, d, d) Ricci matrices at (t_k, t_k + dt/2, t_{k+1});
     dts: (n,).  Returns (n_pairs, d, d) with pair (i, j) at i*(i+1)/2 + j.
+
+    Row k holds Q_{t_k, t_j} for j <= k, laid out (d, n+1, d), so stepping
+    every start column at once is one (d, d) @ (d, (k+1) d) product.
     """
     ric_stages = np.asarray(ric_stages, dtype=np.float64)
     dts = np.asarray(dts, dtype=np.float64)
     n = dts.shape[0]
     d = ric_stages.shape[2]
-    n_pairs = (n + 1) * (n + 2) // 2
-    out = np.empty((n_pairs, d, d))
+    steps = _rk4_transfer(ric_stages, dts)
+    out = np.empty(((n + 1) * (n + 2) // 2, d, d))
     eye = np.eye(d)
     out[0] = eye
-    cur = np.empty((n + 1, d, d))
-    cur[0] = eye
+    cur = np.empty((d, n + 1, d))
+    flat = cur.reshape(d, (n + 1) * d)
+    cur[:, 0] = eye
     for k in range(n):
-        a0, a1, a2 = ric_stages[k]
-        cur[: k + 1] = _rk4_step(a0, a1, a2, cur[: k + 1], dts[k])
-        cur[k + 1] = eye
+        flat[:, : (k + 1) * d] = steps[k] @ flat[:, : (k + 1) * d]
+        cur[:, k + 1] = eye
         base = (k + 1) * (k + 2) // 2
-        out[base : base + k + 2] = cur[: k + 2]
+        out[base : base + k + 2] = cur[:, : k + 2].transpose(1, 0, 2)
     return out
 
 
@@ -164,11 +176,9 @@ def resolvent_column(ric_stages, dts, j0):
     dts = np.asarray(dts, dtype=np.float64)
     n = dts.shape[0]
     d = ric_stages.shape[2]
+    steps = _rk4_transfer(ric_stages[j0:], dts[j0:])
     out = np.empty((n + 1 - j0, d, d))
-    q = np.eye(d)
-    out[0] = q
-    for k in range(j0, n):
-        a0, a1, a2 = ric_stages[k]
-        q = _rk4_step(a0, a1, a2, q, dts[k])
-        out[k + 1 - j0] = q
+    out[0] = np.eye(d)
+    for k in range(n - j0):
+        out[k + 1] = steps[k] @ out[k]
     return out

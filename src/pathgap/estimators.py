@@ -25,7 +25,6 @@ from .geometry import SYNTHETIC, ModelManifold, _project_tangent
 from .gradients import (
     CylindricalFunctional,
     ResolventGrid,
-    _damped_limits,
     _pullback,
     linear_gradient_batch,
     resolvent_on_grid,
@@ -347,13 +346,17 @@ def verify_theorem1(
     Constant-curvature manifolds use exact closed-form time integrals on both
     sides (the inequality has equality cases, so quadrature skew would
     produce spurious violations); synthetic Ricci paths use a per-cell
-    trapezoid for the damped side.  Each functional is evaluated once per
-    chunk of paths.  The report does not depend on ``chunk`` or ``threads``.
+    trapezoid for the damped side.  Either way each side is a quadratic form
+    in the slot gradients whose weights do not depend on the path, so the
+    weights are computed once per functional and each chunk only contracts
+    them with its slots.  Each functional is evaluated once per chunk of
+    paths.  The report does not depend on ``chunk`` or ``threads``.
     """
     eval_times = sorted({t for F in F_family for t in F.eval_times})
     grid = TimeGrid.with_times(T, n_steps, eval_times)
     rec_idx = np.array([grid.index_of(t) for t in eval_times], dtype=np.int64)
     rec_pos = {t: i for i, t in enumerate(eval_times)}
+    R = None if m.kind != SYNTHETIC else resolvent_on_grid(grid, m, declared)
     per_F = []
     for F in F_family:
         sel = np.array([rec_pos[t] for t in F.eval_times], dtype=np.int64)
@@ -362,8 +365,8 @@ def verify_theorem1(
         wmat = np.vectorize(lambda t: lambda_integral(t, T, declared))(
             np.minimum.outer(ts, ts)
         )
-        per_F.append((F, sel, idx, ts, wmat))
-    R = None if m.kind != SYNTHETIC else resolvent_on_grid(grid, m, declared)
+        damped_w = None if R is None else _damped_weights(idx, R)
+        per_F.append((F, sel, ts, wmat, damped_w))
     g = m.metric_diag()
 
     ranges = _chunk_ranges(n_paths, chunk)
@@ -375,14 +378,14 @@ def verify_theorem1(
         c = lo // chunk
         inc = batch_increments(grid, m.dim, seed, range(lo, hi))
         pos, frames = simulate_increments(m, grid, inc, record=rec_idx)
-        for F, sel, idx, ts, wmat in per_F:
+        for F, sel, ts, wmat, damped_w in per_F:
             slots = _pullback(F, pos[:, sel], frames[:, sel], g)
             gram = slots @ slots.transpose(0, 2, 1)
             rhs = np.sum(gram * wmat, axis=(1, 2))
-            if m.kind != SYNTHETIC:
+            if damped_w is None:
                 lhs = damped_energy_pairwise(ts, gram, m.ricci_scalar)
             else:
-                lhs = np.array([_damped_energy_trapezoid(idx, s, R, grid) for s in slots])
+                lhs = _damped_energy_trapezoid(damped_w, slots)
             violation = (lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
             worst[c] = max(worst[c], float(np.max(violation)))
             n_ok[c] += int(np.count_nonzero(violation <= THEOREM1_SLACK))
@@ -398,12 +401,32 @@ def verify_theorem1(
     )
 
 
-def _damped_energy_trapezoid(idx, slots, R: ResolventGrid, grid: TimeGrid) -> float:
-    """Trapezoid-in-tau integral of |D~_tau F|^2 from the propagator triangle."""
-    left, right = _damped_limits(idx, slots, R)
-    dts = grid.dts
-    return float(0.5 * np.einsum("k,k->", dts, np.einsum("kd,kd->k", left, left)
-                                 + np.einsum("kd,kd->k", right, right)))
+def _damped_weights(idx, R: ResolventGrid) -> np.ndarray:
+    """Path-independent weights of the trapezoid damped energy, (N, N, d, d).
+
+    On cell k the damped gradient is the sum of Q*_{t_j, tau} s_j over the
+    slots with t_j > t_k, so the per-cell trapezoid of its squared norm is
+    the quadratic form sum_{j,l} s_j^T W_jl s_l in the slot gradients s_j,
+    with W_jl = 1/2 sum_{k < min(i_j, i_l)} dt_k (Q_{i_j,k} Q_{i_l,k}^T +
+    Q_{i_j,k+1} Q_{i_l,k+1}^T) read from the propagator rows at the slot
+    indices i_j.
+    """
+    # per slot j and cell k: Q_{i_j,k} (limit 0) and Q_{i_j,k+1} (limit 1), zero for k >= i_j
+    limits = np.zeros((2, len(idx), R.grid.n_steps, R.dim, R.dim))
+    for j, i in enumerate(idx):
+        row = R.row(int(i))
+        limits[0, j, :i] = row[:i]
+        limits[1, j, :i] = row[1:]
+    return 0.5 * np.einsum("k,sjkab,slkcb->jlac", R.grid.dts, limits, limits)
+
+
+def _damped_energy_trapezoid(weights: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Trapezoid-in-tau integral of |D~_tau F|^2 per path, (P,).
+
+    ``weights`` are the path-independent weights of :func:`_damped_weights`
+    and ``slots`` the (P, N, d) frame-coordinate slot gradients.
+    """
+    return np.einsum("pja,jlab,plb->p", slots, weights, slots)
 
 
 @dataclass(frozen=True)

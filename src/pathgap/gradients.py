@@ -139,15 +139,15 @@ class ResolventGrid:
 
 
 def _stage_ricci(m: ModelManifold, grid: TimeGrid) -> np.ndarray:
-    """Ricci path sampled at RK4 stage times (t_k, midpoint, t_{k+1})."""
-    n, d = grid.n_steps, m.dim
-    stages = np.empty((n, 3, d, d))
-    for k in range(n):
-        t0, t1 = grid.times[k], grid.times[k + 1]
-        stages[k, 0] = ricci_matrix(m, t0)
-        stages[k, 1] = ricci_matrix(m, 0.5 * (t0 + t1))
-        stages[k, 2] = ricci_matrix(m, t1)
-    return stages
+    """Ricci path sampled at RK4 stage times (t_k, midpoint, t_{k+1}).
+
+    Each grid node is evaluated once: stage 2 of cell k and stage 0 of cell
+    k+1 are the same time.
+    """
+    times = grid.times
+    nodes = np.array([ricci_matrix(m, t) for t in times])
+    mids = np.array([ricci_matrix(m, 0.5 * (t0 + t1)) for t0, t1 in zip(times[:-1], times[1:])])
+    return np.stack([nodes[:-1], mids, nodes[1:]], axis=1)
 
 
 def _checked_stages(
@@ -157,7 +157,7 @@ def _checked_stages(
 
     Constant curvature returns None: its scalar Ricci gives the exact
     exponential propagator, so there is nothing to integrate.  A synthetic
-    path is checked at every stage time.  A violation raises
+    path is checked at every distinct stage time.  A violation raises
     :class:`DataError`.
     """
     if m.kind != SYNTHETIC:
@@ -169,7 +169,7 @@ def _checked_stages(
             )
         return None
     stages = _stage_ricci(m, grid)
-    mats = stages.reshape(-1, m.dim, m.dim)
+    mats = np.concatenate([stages[:, 0], stages[-1:, 2], stages[:, 1]])
     min_eig = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))[:, 0].min()
     op_norm = np.linalg.norm(mats, ord=2, axis=(-2, -1)).max()
     if min_eig < declared.k2 - 1e-9:
@@ -189,8 +189,8 @@ def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBound
     """Damping propagators on a grid; the Ricci data depends on time only.
 
     Constant-curvature manifolds use the exact exponential; synthetic Ricci
-    paths are integrated by RK4 with stage-time evaluation (one column per
-    start time).
+    paths are integrated by RK4 with stage-time evaluation: one step matrix
+    per cell, applied to every start column at once.
     """
     stages = _checked_stages(grid, m, declared)
     if stages is None:

@@ -1,6 +1,7 @@
 """The numpy kernels are deterministic and record consistently."""
 
 import numpy as np
+import pytest
 
 import pathgap as pg
 from pathgap import _kernels_py as kern
@@ -37,6 +38,29 @@ class TestSimulateKernels:
         np.testing.assert_array_equal(fr_s, fr_f[:, sub])
 
 
+def _rk4_stage_form_triangle(ric_stages, dts):
+    """Reference triangle: the four RK4 stages applied to the stacked columns."""
+
+    def rk4_step(a0, a1, a2, q, h):
+        k1 = -0.5 * (a0 @ q)
+        k2 = -0.5 * (a1 @ (q + (0.5 * h) * k1))
+        k3 = -0.5 * (a1 @ (q + (0.5 * h) * k2))
+        k4 = -0.5 * (a2 @ (q + h * k3))
+        return q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    n, d = dts.shape[0], ric_stages.shape[2]
+    out = np.empty(((n + 1) * (n + 2) // 2, d, d))
+    out[0] = np.eye(d)
+    cur = np.empty((n + 1, d, d))
+    cur[0] = np.eye(d)
+    for k in range(n):
+        cur[: k + 1] = rk4_step(*ric_stages[k], cur[: k + 1], dts[k])
+        cur[k + 1] = np.eye(d)
+        base = (k + 1) * (k + 2) // 2
+        out[base : base + k + 2] = cur[: k + 2]
+    return out
+
+
 class TestResolventKernels:
     @staticmethod
     def _stages(n, d, seed):
@@ -51,4 +75,11 @@ class TestResolventKernels:
         tri = kern.resolvent_triangle(stages, dts)
         col = kern.resolvent_column(stages, dts, 0)
         idx = np.arange(49)
-        np.testing.assert_allclose(tri[idx * (idx + 1) // 2], col, atol=1e-12)
+        np.testing.assert_array_equal(tri[idx * (idx + 1) // 2], col)
+
+    @pytest.mark.parametrize("n,d,seed", [(48, 2, 59), (40, 3, 19)])
+    def test_triangle_matches_stage_form(self, n, d, seed):
+        """One step matrix per cell is the RK4 step, up to roundoff."""
+        stages, dts = self._stages(n, d, seed)
+        tri = kern.resolvent_triangle(stages, dts)
+        np.testing.assert_allclose(tri, _rk4_stage_form_triangle(stages, dts), rtol=0, atol=1e-13)

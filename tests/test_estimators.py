@@ -9,7 +9,13 @@ import pytest
 
 import pathgap as pg
 from pathgap import estimators as est
-from pathgap.gradients import CylindricalFunctional, frame_pullback_slots
+from pathgap.gradients import (
+    CylindricalFunctional,
+    _damped_limits,
+    _pullback,
+    frame_pullback_slots,
+    resolvent_on_grid,
+)
 from pathgap.sampling import TimeGrid, batch_increments, sample_path, simulate_increments
 
 from conftest import smooth_ricci
@@ -162,6 +168,40 @@ class TestVerifyTheorem1:
         rep = est.verify_theorem1(m, cb, family, 1.0, 128, 100, 17)
         assert rep.satisfied_fraction == 1.0
         assert rep.max_violation <= 1e-8
+
+
+    @pytest.mark.parametrize("d,seed", [(2, 43), (3, 19)])
+    def test_damped_energy_weights_match_per_path_trapezoid(self, d, seed):
+        """The weight form of the trapezoid damped energy equals the per-path sum.
+
+        The functionals share the slot at t = 0.25 and three reach t = T.
+        """
+        m, cb = smooth_ricci(d, seed=seed)
+        b = np.random.default_rng(seed).normal(size=(3, d))
+
+        def functional(ts):
+            def slot_gradients(pos):
+                return np.stack(
+                    [np.sin(pos[:, j] @ b[j % 3])[:, None] * b[(j + 1) % 3] + pos[:, j]
+                     for j in range(len(ts))],
+                    axis=1,
+                )
+
+            return CylindricalFunctional(ts, lambda pos: pos[:, 0, 0], slot_gradients)
+
+        family = [functional(ts) for ts in [(0.25, 0.75), (0.25, 1.0), (1.0,), (0.125, 0.5, 1.0)]]
+        grid = TimeGrid.with_times(1.0, 64, ())
+        R = resolvent_on_grid(grid, m, cb)
+        pos, frames = simulate_increments(m, grid, batch_increments(grid, d, seed, range(20)))
+        for F in family:
+            idx = np.array([grid.index_of(t) for t in F.eval_times])
+            slots = _pullback(F, pos[:, idx], frames[:, idx], m.metric_diag())
+            got = est._damped_energy_trapezoid(est._damped_weights(idx, R), slots)
+            want = []
+            for s in slots:
+                left, right = _damped_limits(idx, s, R)
+                want.append(0.5 * np.sum(grid.dts * (np.sum(left**2, 1) + np.sum(right**2, 1))))
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 class TestVerifyLsi:

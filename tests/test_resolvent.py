@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import pathgap as pg
+from pathgap import gradients as gr
+from pathgap.geometry import ricci_matrix
 from pathgap.gradients import DataError, resolvent_on_grid, resolvent_propagator
 from pathgap.sampling import TimeGrid, sample_path
 
@@ -99,6 +101,26 @@ class TestSyntheticMode:
         path = sample_path(m, g, 1)
         with pytest.raises(DataError):
             resolvent_on_grid(path.grid, m, pg.CurvatureBounds(0.01, 0.0))
+
+    def test_each_ricci_node_evaluated_once(self):
+        """2n + 1 callback calls give the stages of 3n per-stage calls, bit for bit."""
+        m, _ = smooth_ricci(2, seed=5)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return m.ricci_path(t)
+
+        g = TimeGrid.with_times(1.0, 32, ())
+        stages = gr._stage_ricci(pg.synthetic_ricci_path(2, counted), g)
+        assert len(calls) == 2 * 32 + 1 == len(set(calls))
+        want = np.array(
+            [
+                [ricci_matrix(m, t0), ricci_matrix(m, 0.5 * (t0 + t1)), ricci_matrix(m, t1)]
+                for t0, t1 in zip(g.times[:-1], g.times[1:])
+            ]
+        )
+        np.testing.assert_array_equal(stages, want)
 
     def test_propagator_matches_triangle(self):
         m, cb = smooth_ricci(3, seed=19)
