@@ -163,23 +163,21 @@ def test_every_golden_file_has_a_case():
 
 def regenerate(names):
     """Rewrite the golden files of the named cases, or of every case if none is named."""
+    names = names or [*CASES, *IN_PROCESS]
     unknown = sorted(set(names) - set(CASES) - set(IN_PROCESS))
     if unknown:
         sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        if names and name not in names:
-            continue
-        code, out = run_cli(argv)
-        if code != 0:
-            sys.exit(f"{name}: exit code {code}")
-        (GOLDEN_DIR / f"{name}.csv").write_text(out)
-        print(f"wrote {name}.csv")
-    for name, case in IN_PROCESS.items():
-        if names and name not in names:
-            continue
-        (GOLDEN_DIR / f"{name}.txt").write_text(case())
-        print(f"wrote {name}.txt")
+    for name in names:
+        if name in CASES:
+            code, out = run_cli(CASES[name])
+            if code != 0:
+                sys.exit(f"{name}: exit code {code}")
+            path = GOLDEN_DIR / f"{name}.csv"
+        else:
+            path, out = GOLDEN_DIR / f"{name}.txt", IN_PROCESS[name]()
+        path.write_text(out)
+        print(f"wrote {path.name}")
 
 
 if __name__ == "__main__":
