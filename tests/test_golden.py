@@ -7,10 +7,7 @@ alters the random stream regenerates the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says so in CHANGES.md.  A change that alters only some cases names
-them, and only their files are rewritten:
-
-    PYTHONPATH=src python tests/test_golden.py theorem1_synthetic
+and says so in CHANGES.md.
 """
 
 import io
@@ -161,24 +158,14 @@ def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.txt")) == sorted(IN_PROCESS)
 
 
-def regenerate(names):
-    """Rewrite the golden files of the named cases, or of every case if none is named."""
-    names = names or [*CASES, *IN_PROCESS]
-    unknown = sorted(set(names) - set(CASES) - set(IN_PROCESS))
-    if unknown:
-        sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for name in names:
-        if name in CASES:
-            code, out = run_cli(CASES[name])
-            if code != 0:
-                sys.exit(f"{name}: exit code {code}")
-            path = GOLDEN_DIR / f"{name}.csv"
-        else:
-            path, out = GOLDEN_DIR / f"{name}.txt", IN_PROCESS[name]()
-        path.write_text(out)
-        print(f"wrote {path.name}")
-
-
 if __name__ == "__main__":
-    regenerate(sys.argv[1:])
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        code, out = run_cli(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN_DIR / f"{name}.csv").write_text(out)
+        print(f"wrote {name}.csv")
+    for name, case in IN_PROCESS.items():
+        (GOLDEN_DIR / f"{name}.txt").write_text(case())
+        print(f"wrote {name}.txt")
