@@ -5,10 +5,8 @@ Two entry points:
 * ``simulate_paths`` -- geodesic random walk on a model manifold for a batch
   of driving-increment arrays, recording positions and frames at selected
   time indices.
-* ``resolvent_triangle`` / ``resolvent_column`` -- RK4 integration of the
-  damping matrix ODE dQ/dt = -1/2 A(t) Q: the linear ODE makes each RK4
-  step one matrix per cell, and the triangle sweeps it across every start
-  column at once.
+* ``resolvent_triangle`` / ``resolvent_column`` -- RK4 for the damping ODE
+  dQ/dt = -1/2 A(t) Q, one step matrix per cell swept across the start columns.
 
 Vectorization is across paths (simulate) and across start columns
 (resolvent).
@@ -127,12 +125,7 @@ def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record)
 
 
 def _rk4_transfer(ric_stages, dts):
-    """The RK4 step of dQ/dt = -1/2 A(t) Q on every cell as one matrix, (n, d, d).
-
-    The ODE is linear, so one RK4 step is exactly q -> M_k q with
-    M_k = I + h/6 (B0 + 2 K2 + 2 K3 + K4), B_i = -1/2 A_i at the stage times,
-    K2 = B1 (I + h/2 B0), K3 = B1 (I + h/2 K2) and K4 = B2 (I + h K3).
-    """
+    """Each cell's RK4 step as one matrix, (n, d, d): the ODE is linear in Q."""
     b0, b1, b2 = (-0.5 * ric_stages[:, i] for i in range(3))
     h = dts[:, None, None]
     eye = np.eye(ric_stages.shape[-1])
@@ -147,9 +140,6 @@ def resolvent_triangle(ric_stages, dts):
 
     ric_stages: (n, 3, d, d) Ricci matrices at (t_k, t_k + dt/2, t_{k+1});
     dts: (n,).  Returns (n_pairs, d, d) with pair (i, j) at i*(i+1)/2 + j.
-
-    Row k holds Q_{t_k, t_j} for j <= k, laid out (d, n+1, d), so stepping
-    every start column at once is one (d, d) @ (d, (k+1) d) product.
     """
     ric_stages = np.asarray(ric_stages, dtype=np.float64)
     dts = np.asarray(dts, dtype=np.float64)
@@ -159,7 +149,7 @@ def resolvent_triangle(ric_stages, dts):
     out = np.empty(((n + 1) * (n + 2) // 2, d, d))
     eye = np.eye(d)
     out[0] = eye
-    cur = np.empty((d, n + 1, d))
+    cur = np.empty((d, n + 1, d))  # cur[:, j] = Q_{t_k, t_j}: one GEMM steps every j
     flat = cur.reshape(d, (n + 1) * d)
     cur[:, 0] = eye
     for k in range(n):
@@ -174,11 +164,9 @@ def resolvent_column(ric_stages, dts, j0):
     """Propagators Q_{t_i, t_{j0}} for i = j0..n: shape (n+1-j0, d, d)."""
     ric_stages = np.asarray(ric_stages, dtype=np.float64)
     dts = np.asarray(dts, dtype=np.float64)
-    n = dts.shape[0]
-    d = ric_stages.shape[2]
     steps = _rk4_transfer(ric_stages[j0:], dts[j0:])
-    out = np.empty((n + 1 - j0, d, d))
-    out[0] = np.eye(d)
-    for k in range(n - j0):
+    out = np.empty((len(steps) + 1, *steps.shape[1:]))
+    out[0] = np.eye(steps.shape[-1])
+    for k in range(len(steps)):
         out[k + 1] = steps[k] @ out[k]
     return out

@@ -346,11 +346,9 @@ def verify_theorem1(
     Constant-curvature manifolds use exact closed-form time integrals on both
     sides (the inequality has equality cases, so quadrature skew would
     produce spurious violations); synthetic Ricci paths use a per-cell
-    trapezoid for the damped side.  Either way each side is a quadratic form
-    in the slot gradients whose weights do not depend on the path, so the
-    weights are computed once per functional and each chunk only contracts
-    them with its slots.  Each functional is evaluated once per chunk of
-    paths.  The report does not depend on ``chunk`` or ``threads``.
+    trapezoid for the damped side, whose weights do not depend on the path.
+    Each functional is evaluated once per chunk of paths.  The report does
+    not depend on ``chunk`` or ``threads``.
     """
     eval_times = sorted({t for F in F_family for t in F.eval_times})
     grid = TimeGrid.with_times(T, n_steps, eval_times)
@@ -402,16 +400,12 @@ def verify_theorem1(
 
 
 def _damped_weights(idx, R: ResolventGrid) -> np.ndarray:
-    """Path-independent weights of the trapezoid damped energy, (N, N, d, d).
+    """Path-independent weights W of the trapezoid damped energy, (N, N, d, d).
 
-    On cell k the damped gradient is the sum of Q*_{t_j, tau} s_j over the
-    slots with t_j > t_k, so the per-cell trapezoid of its squared norm is
-    the quadratic form sum_{j,l} s_j^T W_jl s_l in the slot gradients s_j,
-    with W_jl = 1/2 sum_{k < min(i_j, i_l)} dt_k (Q_{i_j,k} Q_{i_l,k}^T +
-    Q_{i_j,k+1} Q_{i_l,k+1}^T) read from the propagator rows at the slot
-    indices i_j.
+    The energy is sum_{j,l} s_j^T W_jl s_l in the slot gradients s_j, with
+    W_jl = 1/2 sum_{k < min(i_j, i_l)} dt_k (Q_{i_j,k} Q_{i_l,k}^T
+    + Q_{i_j,k+1} Q_{i_l,k+1}^T) and i_j the slot's grid index.
     """
-    # per slot j and cell k: Q_{i_j,k} (limit 0) and Q_{i_j,k+1} (limit 1), zero for k >= i_j
     limits = np.zeros((2, len(idx), R.grid.n_steps, R.dim, R.dim))
     for j, i in enumerate(idx):
         row = R.row(int(i))
@@ -421,11 +415,7 @@ def _damped_weights(idx, R: ResolventGrid) -> np.ndarray:
 
 
 def _damped_energy_trapezoid(weights: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Trapezoid-in-tau integral of |D~_tau F|^2 per path, (P,).
-
-    ``weights`` are the path-independent weights of :func:`_damped_weights`
-    and ``slots`` the (P, N, d) frame-coordinate slot gradients.
-    """
+    """Trapezoid-in-tau integral of |D~_tau F|^2 per path from the (P, N, d) slots."""
     return np.einsum("pja,jlab,plb->p", slots, weights, slots)
 
 

@@ -139,11 +139,7 @@ class ResolventGrid:
 
 
 def _stage_ricci(m: ModelManifold, grid: TimeGrid) -> np.ndarray:
-    """Ricci path sampled at RK4 stage times (t_k, midpoint, t_{k+1}).
-
-    Each grid node is evaluated once: stage 2 of cell k and stage 0 of cell
-    k+1 are the same time.
-    """
+    """Ricci path at the RK4 stage times (t_k, midpoint, t_{k+1}), each node once."""
     times = grid.times
     nodes = np.array([ricci_matrix(m, t) for t in times])
     mids = np.array([ricci_matrix(m, 0.5 * (t0 + t1)) for t0, t1 in zip(times[:-1], times[1:])])
