@@ -27,8 +27,9 @@ def _step_curved(kind, kappa, pos, frames, disp, g, step):
     s = +1 and (cos, sin) on the sphere, s = -1 and (cosh, sinh) on the
     hyperboloid; the factors s and g are +-1, so both share one exact code
     path.  g is None on the sphere, where it is all ones and multiplying by it
-    changes no bit.  A point that cannot be snapped back to the surface
-    raises ValueError naming ``step``, kappa and the step length.
+    changes no bit.  A point that cannot be snapped back to the surface, or a
+    sphere step past 2**26 radians (its angle rounds by theta * 2**-52), raises
+    ValueError naming ``step``, kappa and the step length.
     """
     s, cos, sin = (1.0, np.cos, np.sin) if kind == SPHERE else (-1.0, np.cosh, np.sinh)
     gx = (lambda x: x) if g is None else (lambda x: x * g)
@@ -38,6 +39,12 @@ def _step_curved(kind, kappa, pos, frames, disp, g, step):
     direction = disp / safe[:, None]
     radius = 1.0 / np.sqrt(s * kappa)
     theta = arc / radius
+    if kind == SPHERE and not np.all(theta <= 2.0**26):
+        raise ValueError(
+            f"the walk's step {step} turns the sphere past 2**26 radians, where sine and cosine "
+            f"are roundoff: kappa = {kappa!r}, step length {float(np.max(arc))!r}; take more "
+            "steps or a smaller kappa * T"
+        )
     cos_t, sin_t = cos(theta), sin(theta)
     new_pos = cos_t[:, None] * pos + radius * sin_t[:, None] * direction
     correction = (cos_t - 1.0)[:, None] * direction - s * sin_t[:, None] * pos / radius

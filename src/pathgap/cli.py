@@ -16,7 +16,6 @@ requested checks pass, 1 a check failed, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import math
 import sys
@@ -157,16 +156,7 @@ def _simulate_rows(m, args, seed):
     a = np.zeros(m.dim)
     a[0] = 1.0
     if args.mode == "chi":
-        rep = est.estimate_chi(
-            m,
-            a,
-            args.T,
-            args.steps,
-            args.paths,
-            seed,
-            antithetic=args.antithetic,
-            threads=args.threads,
-        )
+        rep = est.estimate_chi(m, a, args.T, args.steps, args.paths, seed, threads=args.threads)
         base = base[:4] + (rep.n_paths,) + base[5:]
         rows = [
             base + ("chi", rep.chi.mean, rep.chi.stderr),
@@ -241,7 +231,7 @@ _EXCLUSIVE = {"T": "T_grid", "T_grid": "T"}
 
 
 def _dests_given(parser: argparse.ArgumentParser, argv: list[str]) -> set[str]:
-    """Destinations that argv sets itself, abbreviated and --no- forms included."""
+    """Destinations that argv sets itself, abbreviated flags included."""
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     probe = commands.choices[argv[0]]
     for action in probe._actions:
@@ -275,14 +265,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
             dest = key.replace("-", "_")
             if dest in given or _EXCLUSIVE.get(dest) in given:
                 continue
-            flag = f"--{key.replace('_', '-')}"
-            if key == "antithetic":  # an on/off flag: written True/False, replayed --key/--no-key
-                state = configparser.ConfigParser.BOOLEAN_STATES.get(val.lower())
-                if state is None:
-                    raise CliError(f"config key {key} must be true or false, got {val!r}")
-                flat.append(flag if state else f"--no-{key}")
-            else:
-                flat += [flag, val]
+            flat += [f"--{key.replace('_', '-')}", val]
         argv = [argv[0]] + flat + argv[1:]
     return parser.parse_args(argv)
 
@@ -338,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mode", default="chi", help="chi | theorem1 | lsi")
     p_sim.add_argument("--functionals", type=int, default=10,
                        help="family size for theorem1 mode")
-    p_sim.add_argument("--antithetic", action=argparse.BooleanOptionalAction, default=True)
     p_sim.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--write-config", help="write the resolved config and exit")
@@ -364,7 +346,7 @@ _CONFIG_KEYS = {
     "bounds": ["k1", "k2", "T", "T-grid", "profile", "format"],
     "simulate": [
         "manifold", "dim", "kappa", "T", "steps", "paths", "seed", "mode",
-        "functionals", "antithetic", "threads", "format",
+        "functionals", "threads", "format",
     ],
     "asymptotics": [
         "manifold", "dim", "kappa", "T-ladder", "paths", "seed", "tol-rel",

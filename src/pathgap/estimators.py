@@ -5,10 +5,10 @@ counter-style, per-path statistics are written into preallocated arrays at
 fixed offsets, and reductions happen once over the full arrays, so the
 results do not depend on chunking or on the number of worker threads.
 
-The chi estimators compute nothing twice.  An antithetic mirror path
-``-increments`` has the same gradient field as its draw, so each pair is
-computed once.  Along a horizon ladder every path draws its normals once, for
-the longest rung, and the shorter rungs use a prefix of them.
+The chi estimators compute nothing twice.  A mirrored path ``-increments``
+has the same gradient field as its draw, so each pair is computed once.
+Along a horizon ladder every path draws its normals once, for the longest
+rung, and the shorter rungs use a prefix of them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .geometry import SYNTHETIC, ModelManifold, _project_tangent
 from .gradients import (
     CylindricalFunctional,
     ResolventGrid,
+    _linear_deterministic_part,
     _pullback,
     linear_gradient_batch,
     resolvent_on_grid,
@@ -77,10 +78,8 @@ class ChiReport:
     predicted_first_order: float
     var_F: EstimateWithCI
     dirichlet: EstimateWithCI
-    variance_mode: str  # "sample" (ratio of sample means) | "analytic"
-    n_paths: int  # paths run: antithetic sampling rounds an odd count up to whole pairs
+    n_paths: int  # paths run: an odd count is rounded up to whole mirrored pairs
     n_steps: int
-    i_terms: Optional[tuple[EstimateWithCI, ...]] = None
 
 
 def default_steps(T: float) -> int:
@@ -133,38 +132,27 @@ def estimate_chi(
     n_steps: int,
     n_paths: int,
     seed: int,
-    antithetic: bool = True,
-    include_i_terms: bool = False,
     chunk: int = _CHI_CHUNK,
     threads: int = 1,
-    variance: str = "auto",
 ) -> ChiReport:
     """Monte-Carlo Rayleigh quotient chi_T for F = <a, w_T>, |a| = 1.
 
-    The numerator estimates E integral |D_tau F|^2 dtau from the explicit
-    gradient field of the linear functional.  The denominator mode:
+    chi_T = E integral |D_tau F|^2 dtau / Var F, and Var F = |a|^2 T is an
+    identity for this functional on every manifold.  The gradient field is
+    det + mart: det = a h with h = 1 + c (T - tau)/2 is deterministic, and
+    the martingale part mart multiplies each increment by a left point
+    independent of it, so the cross term 2 integral <det, mart> has mean
+    exactly zero.  The numerator drops it, a control variate with a known
+    mean: the grid sum of |det|^2, computed once, plus integral |mart|^2 per
+    draw.  On flat space mart vanishes and chi is exactly 1 with zero spread.
 
-    * ``"sample"`` -- sample variance of F, ratio CI by the delta method
-      (numerator and denominator share paths).
-    * ``"analytic"`` -- the exact identity Var(F) = |a|^2 T for this
-      functional; the only noise left is the numerator's, which scales with
-      the horizon and makes small-T ladders usable.
-    * ``"auto"`` (default) -- "analytic" when the Ricci action vanishes
-      (the estimator is then exactly 1 with zero spread), else "sample".
-
-    The sample variance of F is estimated and reported in either mode.
-
-    With ``antithetic`` sampling, each draw is paired with its mirror path
-    ``-increments``.  The field is even in the increments, so the mirror
-    shares its draw's field and Dirichlet value while F changes sign; the
-    pair is computed once and the pair means are exact.  An odd ``n_paths``
-    is rounded up to the next pair.  The result does not depend on ``chunk``
-    or ``threads``.
+    Each draw is paired with its mirror path ``-increments``, which has the
+    same field while F changes sign; a pair is computed once, and an odd
+    ``n_paths`` is rounded up to the next pair.  ``var_F``, the pair mean of
+    F^2, checks the normals against Var F = T.  The result does not depend
+    on ``chunk`` or ``threads``.
     """
-    return _chi_ladder(
-        m, a, [(T, n_steps)], n_paths, seed, antithetic, include_i_terms, chunk, threads,
-        variance,
-    )[0]
+    return _chi_ladder(m, a, [(T, n_steps)], n_paths, seed, chunk, threads)[0][0]
 
 
 def _chi_ladder(
@@ -173,115 +161,67 @@ def _chi_ladder(
     rungs: Sequence[tuple[float, int]],
     n_paths: int,
     seed: int,
-    antithetic: bool,
-    include_i_terms: bool,
     chunk: int,
     threads: int,
-    variance: str,
-) -> list[ChiReport]:
+) -> tuple[list[ChiReport], np.ndarray]:
     """``estimate_chi`` for each (T, n_steps) rung, sharing every path's draw.
 
     Path k draws its normals once, for the longest rung; a rung of n steps
     uses the first n rows, which are exactly the normals its own grid would
-    draw for path k, scaled by the same sqrt(dt).
+    draw for path k, scaled by the same sqrt(dt).  Also returns the
+    numerator of each rung per draw, (rungs, draws).
     """
     if m.kind == SYNTHETIC:
         raise ValueError("chi estimation needs a curvature tensor")
     a = np.asarray(a, dtype=float)
     if abs(np.linalg.norm(a) - 1.0) > 1e-9:
         raise ValueError("direction a must be a unit vector")
-    if variance not in ("auto", "sample", "analytic"):
-        raise ValueError(f"unknown variance mode {variance!r}")
-    if antithetic and n_paths % 2:
-        n_paths += 1
-    n_draws = n_paths // 2 if antithetic else n_paths
+    n_paths += n_paths % 2
+    n_draws = n_paths // 2
     if n_draws < 2:
         raise ValueError(
             f"the chi estimate needs at least 2 independent draws, got {max(n_draws, 0)}"
-            + (" (a mirrored pair is one draw)" if antithetic else "")
+            " (a mirrored pair is one draw)"
         )
     c = m.ricci_scalar
-    if variance == "auto":
-        variance = "analytic" if c == 0.0 else "sample"
 
     grids = [TimeGrid.with_times(T, n_steps, ()) for T, n_steps in rungs]
+    dets = [_linear_deterministic_part(g.times, a, c) for g in grids]
+    det_energy = [float(np.einsum("kd,kd,k->", det, det, g.dts)) for det, g in zip(dets, grids)]
     n_max = max(grid.n_steps for grid in grids)
     # unit steps: batch_increments returns the raw normals
     normals_grid = TimeGrid.with_times(n_max, n_max, ())
-    x_r = np.empty((len(grids), n_draws))  # integral |field|^2 per draw
+    x_r = np.empty((len(grids), n_draws))  # integral |det|^2 + integral |mart|^2 per draw
     f_r = np.empty((len(grids), n_draws))  # F per draw
-    it_r = np.empty((len(grids), 6, n_draws)) if include_i_terms else None
 
     def run_chunk(lo_hi):
         lo, hi = lo_hi
         z = batch_increments(normals_grid, m.dim, seed, range(lo, hi))
         for r, grid in enumerate(grids):
             inc = z[:, : grid.n_steps] * grid.sqrt_dts[:, None]
-            fields = linear_gradient_batch(inc, grid.times, a, m.kappa, c)
-            x_r[r, lo:hi] = np.einsum("pkd,pkd,k->p", fields, fields, grid.dts)
+            mart = linear_gradient_batch(inc, grid.times, a, m.kappa, c)
+            mart -= dets[r]  # the field less its deterministic part
+            x_r[r, lo:hi] = det_energy[r] + np.einsum("pkd,pkd,k->p", mart, mart, grid.dts)
             f_r[r, lo:hi] = np.einsum("pkd,d->p", inc, a)
-            if include_i_terms:
-                it_r[r, :, lo:hi] = _i_terms(fields, a, c, grid)
 
     _map_chunks(run_chunk, _chunk_ranges(n_draws, chunk), threads)
 
     reports = []
     for r, grid in enumerate(grids):
         T = grid.T
-        x, f = x_r[r], f_r[r]
-        if antithetic:
-            # the pair means of x and F^2 over a draw and its mirror
-            v = f * f
-        else:
-            f_bar = float(np.mean(f))
-            v = (f - f_bar) ** 2 * (n_paths / (n_paths - 1.0))
-        dirichlet = _mean_ci(x, seed)
-        var_F = _mean_ci(v, seed)
-        if var_F.mean <= 0:
-            raise ValueError("degenerate sample: variance estimate is not positive")
-        if variance == "analytic":
-            # Var(F) = |a|^2 T is an identity for F = <a, w_T> on any manifold
-            chi = EstimateWithCI(dirichlet.mean / T, dirichlet.stderr / T, dirichlet.n, seed)
-        else:
-            ratio = dirichlet.mean / var_F.mean
-            cov = np.cov(np.stack([x, v]), ddof=1)
-            var_r = (
-                cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio * ratio * cov[1, 1]
-            ) / (var_F.mean ** 2 * n_draws)
-            chi = EstimateWithCI(ratio, math.sqrt(max(var_r, 0.0)), n_draws, seed)
-        i_terms = None
-        if include_i_terms:
-            i_terms = tuple(_mean_ci(it_r[r, i], seed) for i in range(6))
+        dirichlet = _mean_ci(x_r[r], seed)
         reports.append(
             ChiReport(
                 T=T,
-                chi=chi,
+                chi=EstimateWithCI(dirichlet.mean / T, dirichlet.stderr / T, n_draws, seed),
                 predicted_first_order=1.0 + 0.5 * T * c,
-                var_F=var_F,
+                var_F=_mean_ci(f_r[r] * f_r[r], seed),
                 dirichlet=dirichlet,
-                variance_mode=variance,
                 n_paths=n_paths,
                 n_steps=grid.n_steps,
-                i_terms=i_terms,
             )
         )
-    return reports
-
-
-def _i_terms(fields: np.ndarray, a: np.ndarray, c: float, grid: TimeGrid) -> np.ndarray:
-    """The six terms of integral |field|^2 split at the deterministic part, (6, P)."""
-    T, dts, taus = grid.T, grid.dts, grid.times[:-1]
-    P = fields.shape[0]
-    det = a[None, None, :] * (1.0 + 0.5 * c * (T - taus))[None, :, None]
-    mart = fields - det
-    t1 = np.einsum("pkd,pkd,k->p", mart, mart, dts)
-    t2 = np.full(P, T)
-    t3 = 0.25 * c * c * float(np.sum((T - taus) ** 2 * dts)) * np.ones(P)
-    t4 = c * float(np.sum((T - taus) * dts)) * np.ones(P)
-    mart_a = np.einsum("pkd,d->pk", mart, a)
-    t5 = 2.0 * np.einsum("pk,k->p", mart_a, dts)
-    t6 = c * np.einsum("pk,k->p", mart_a, (T - taus) * dts)
-    return np.stack([t1, t2, t3, t4, t5, t6])
+    return reports, x_r
 
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
@@ -304,11 +244,11 @@ def damped_energy_pairwise(ts: np.ndarray, gram: np.ndarray, c: float) -> np.nda
     over tau in [0, min(t_j, t_k)].  Returns (P,).
     """
     tmin = np.minimum.outer(ts, ts)
-    tsum = ts[:, None] + ts[None, :]
     if c == 0.0:
         weights = tmin
     else:
-        weights = np.exp(-0.5 * c * tsum) * np.expm1(c * tmin) / c
+        # e^{-c (t_j + t_k)/2} (e^{c tmin} - 1) / c, bounded for c > 0
+        weights = -np.exp(-0.5 * c * np.abs(np.subtract.outer(ts, ts))) * np.expm1(-c * tmin) / c
     return np.sum(gram * weights, axis=(1, 2))
 
 
@@ -498,7 +438,12 @@ def verify_lsi(
 
 @dataclass(frozen=True)
 class SlopeReport:
-    """Weighted origin-through fit of (chi_T - 1) against T."""
+    """Origin-through fit of (chi_T - 1) against T, with fixed weights T^-4.
+
+    The stderr is the spread of the per-draw fit.  It excludes the fit's
+    O(T) bias and the time-step bias (together about +0.021 on the unit
+    3-sphere at the README ladder).
+    """
 
     slope: EstimateWithCI
     predicted_slope: float
@@ -511,40 +456,29 @@ def small_time_slope(
     T_list: Sequence[float],
     n_paths: int,
     seed: int,
-    antithetic: bool = True,
     threads: int = 1,
 ) -> SlopeReport:
     """Fit the first-order coefficient of chi_T - 1 over a horizon ladder.
 
     The fitted slope is compared against <ric(u0) a, a> / 2 by the caller;
     chi_T upper-bounds the inverse-gap test quantity, so this exercises the
-    upper branch of the small-time envelope.  Each ladder point uses the
-    analytic variance identity Var(F) = T: the leftover noise then scales
-    with T and the origin-through fit stays well conditioned at small T.
-    Each horizon runs ``default_steps(T)`` steps.
+    upper branch of the small-time envelope.  The chi stderr scales as T^2,
+    so rung r gets the fixed weight w_r = T_r^-4, and each draw i gives the
+    slope sum_r w_r T_r (x_ri / T_r - 1) / sum_r w_r T_r^2 from its
+    numerators x_ri.  Every rung shares the draws, so the mean and stderr of
+    these per-draw slopes carry the rungs' correlation.  Each horizon runs
+    ``default_steps(T)`` steps.
     """
     T_list = list(T_list)
     if len(T_list) < 4:
         raise ValueError("need at least 4 horizons for the slope fit")
-    points = _chi_ladder(
-        m, a, [(T, default_steps(T)) for T in T_list], n_paths, seed, antithetic, False,
-        _CHI_CHUNK, threads, "analytic",
+    points, x = _chi_ladder(
+        m, a, [(T, default_steps(T)) for T in T_list], n_paths, seed, _CHI_CHUNK, threads
     )
     ts = np.array([p.T for p in points])
-    ys = np.array([p.chi.mean - 1.0 for p in points])
-    sig = np.array([p.chi.stderr for p in points])
-    if np.max(sig) == 0.0:
-        denom = float(np.sum(ts * ts))
-        slope = EstimateWithCI(float(np.sum(ts * ys) / denom), 0.0, len(ts), seed)
-    else:
-        if np.min(sig) <= 0.0:
-            raise ValueError("ill-conditioned fit: mixed zero and nonzero point errors")
-        w = 1.0 / sig**2
-        denom = float(np.sum(w * ts * ts))
-        slope_mean = float(np.sum(w * ts * ys) / denom)
-        slope = EstimateWithCI(slope_mean, math.sqrt(1.0 / denom), len(ts), seed)
-    c = m.ricci_scalar
-    predicted = 0.5 * c * float(np.dot(a, a))
+    coef = ts**-3 / np.sum(ts**-2)
+    slope = _mean_ci(coef @ (x / ts[:, None] - 1.0), seed)
+    predicted = 0.5 * m.ricci_scalar * float(np.dot(a, a))
     return SlopeReport(slope=slope, predicted_slope=predicted, points=tuple(points))
 
 

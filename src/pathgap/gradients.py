@@ -422,6 +422,11 @@ def correlated_norm(F: CylindricalFunctional, path: PathSample, m: ModelManifold
     return float(np.sum(gram * tmin))
 
 
+def _linear_deterministic_part(times: np.ndarray, a: np.ndarray, ric_scalar: float) -> np.ndarray:
+    """The deterministic part a (1 + c (T - tau)/2) of the linear field, (n, d), left points."""
+    return a * (1.0 + 0.5 * ric_scalar * (times[-1] - times[:-1]))[:, None]
+
+
 def linear_gradient_batch(
     increments: np.ndarray, times: np.ndarray, a: np.ndarray, kappa: float, ric_scalar: float
 ) -> np.ndarray:
@@ -436,9 +441,7 @@ def linear_gradient_batch(
     increments = np.asarray(increments, dtype=float)
     P, n, d = increments.shape
     a = np.asarray(a, dtype=float)
-    T = times[-1]
-    taus = times[:n]
-    det_part = a[None, None, :] * (1.0 + 0.5 * ric_scalar * (T - taus))[None, :, None]
+    det_part = _linear_deterministic_part(times, a, ric_scalar)
     if kappa == 0.0:
         return np.broadcast_to(det_part, (P, n, d)).copy()
 

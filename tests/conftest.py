@@ -88,18 +88,24 @@ def smooth_ricci(dim, seed, amplitude=1.0):
     skew = skew - skew.T
     rot_freq = rng.uniform(0.2, 1.5)
 
+    def ric_batch(ts):
+        """The Ricci matrices at the times ``ts``, (n, dim, dim)."""
+        ts = np.asarray(ts, dtype=float)
+        diag = base + wob * np.sin(freq * ts[:, None] + phase)
+        c, s = np.cos(rot_freq * ts), np.sin(rot_freq * ts)
+        rot = np.tile(np.eye(dim), (ts.size, 1, 1))
+        rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, -s, s, c
+        # rot diag(d) rot^T, with diag(d) applied as a column scaling
+        sym = (rot * diag[:, None, :]) @ np.swapaxes(rot, 1, 2)
+        return sym + np.sin(1.3 * ts)[:, None, None] * skew
+
     def ric(t):
-        diag = np.diag(base + wob * np.sin(freq * t + phase))
-        c, s = np.cos(rot_freq * t), np.sin(rot_freq * t)
-        rot = np.eye(dim)
-        rot[0, 0], rot[0, 1], rot[1, 0], rot[1, 1] = c, -s, s, c
-        return rot @ diag @ rot.T + np.sin(1.3 * t) * skew
+        return ric_batch([t])[0]
 
     # window measured on a dense grid; the pad covers excursions between
     # grid samples (curvature of the trig profiles is O(amplitude))
     pad = 1e-4 * max(amplitude, 0.1)
-    ts = np.linspace(0.0, 4.0, 4001)
-    mats = np.array([ric(t) for t in ts])
+    mats = ric_batch(np.linspace(0.0, 4.0, 4001))
     sym = 0.5 * (mats + np.swapaxes(mats, 1, 2))
     k2 = float(np.linalg.eigvalsh(sym)[:, 0].min()) - pad
     k1 = float(np.linalg.norm(mats, ord=2, axis=(1, 2)).max()) + pad

@@ -283,8 +283,8 @@ def test_criterion_6_chi_reproduction():
         "chi small-time slopes",
         flat_ok and s3_ok and h2_ok,
         f"flat chi-1 {flat.chi.mean - 1.0:.1e} (<=1e-12), S3 slope "
-        f"{s3.slope.mean:.4f}+-{s3.slope.stderr:.4f} (target 1 +-10%), H2 slope "
-        f"{h2.slope.mean:.4f}+-{h2.slope.stderr:.4f} (target -0.5 +-10%), "
+        f"{s3.slope.mean:.4f}+-{s3.slope.stderr:.1e} (target 1 +-10%), H2 slope "
+        f"{h2.slope.mean:.4f}+-{h2.slope.stderr:.1e} (target -0.5 +-10%), "
         f"{time.time() - t0:.1f}s",
     )
 

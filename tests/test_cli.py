@@ -166,7 +166,7 @@ class TestSimulateCommand:
         "extra",
         [
             ["--paths", "0"],
-            ["--paths", "1", "--no-antithetic"],
+            ["--paths", "1"],  # rounded up to one mirrored pair
             ["--paths", "2"],  # one mirrored pair is one independent draw
             ["--steps", "0"],
             ["--mode", "theorem1", "--functionals", "0"],
@@ -188,12 +188,13 @@ class TestSimulateCommand:
         "argv, n_paths",
         [
             (["simulate", "--T", "0.1", "--steps", "8", "--paths", "9"], "10"),
-            (["simulate", "--T", "0.1", "--steps", "8", "--paths", "9", "--no-antithetic"], "9"),
+            (["simulate", "--T", "0.1", "--steps", "8", "--paths", "9", "--mode", "theorem1"],
+             "9"),
             (["asymptotics", "--paths", "9", "--tol-rel", "100"], "10"),
         ],
     )
     def test_rows_report_paths_run(self, argv, n_paths):
-        # antithetic sampling runs whole mirrored pairs: an odd count is rounded up
+        # chi runs whole mirrored pairs: an odd count is rounded up; theorem1 runs it as given
         code, out = run_cli(
             argv[:1] + ["--manifold", "sphere", "--dim", "2", "--kappa", "1.0", "--seed", "1"]
             + argv[1:]
@@ -201,6 +202,15 @@ class TestSimulateCommand:
         assert code == 0
         rows = out.strip().split("\n")[1:]
         assert {row.split(",")[SIMULATE_COLUMNS.index("n_paths")] for row in rows} == {n_paths}
+
+    @pytest.mark.parametrize("flag", ["--antithetic", "--no-antithetic"])
+    def test_removed_flag_exit_2(self, flag):
+        # chi always runs mirrored pairs; the old on/off switch is an unknown option
+        code, out, err = run_cli_contract(
+            ["simulate", "--manifold", "sphere", "--T", "0.1", "--paths", "10", flag]
+        )
+        assert (code, out) == (2, "")
+        assert flag in err
 
 
 class TestAsymptoticsCommand:
@@ -306,7 +316,6 @@ def simulate_argv(draw):
     argv += ["--steps", draw(st.sampled_from(["8", "16"])), "--paths", draw(st.sampled_from(["9", "20"]))]
     argv += ["--mode", draw(st.sampled_from(["chi", "theorem1", "lsi"]))]
     argv += ["--functionals", draw(st.sampled_from(["1", "2"]))]
-    argv.append(draw(st.sampled_from(["--antithetic", "--no-antithetic"])))
     argv += ["--threads", draw(st.sampled_from(["1", "2"]))]
     if draw(st.booleans()):
         argv += ["--seed", str(draw(st.integers(0, 2**31)))]
@@ -393,13 +402,6 @@ class TestConfigFiles:
             ["bounds", "--k1", "1", "--k2", "1", "--T", "0.5"]
         )
 
-    def test_on_off_flag_replaces_config(self, tmp_path):
-        path = str(tmp_path / "exp.cfg")
-        base = ["simulate", "--manifold", "sphere", "--T", "0.05", "--steps", "16",
-                "--paths", "21", "--seed", "3"]
-        assert run_cli(base + ["--no-antithetic", "--write-config", path]) == (0, "")
-        assert run_cli(["simulate", "--config", path, "--antithetic"]) == run_cli(base)
-
     def test_write_config_round_trip(self, tmp_path):
         path = tmp_path / "written.cfg"
         code, _ = run_cli(
@@ -428,6 +430,15 @@ class TestConfigFiles:
         ExperimentConfig("bounds", {"k1": "1", "k2": "1", "T": "1.0"}).write(str(path))
         code, _ = run_cli(["simulate", "--config", str(path)])
         assert code == 2
+
+    def test_removed_key_exit_2(self, tmp_path):
+        # chi always runs mirrored pairs; a stored antithetic switch is refused
+        path = tmp_path / "exp.cfg"
+        params = {"manifold": "sphere", "T": "0.05", "antithetic": "True"}
+        ExperimentConfig("simulate", params).write(str(path))
+        code, out, err = run_cli_contract(["simulate", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert "--antithetic" in err
 
 
 def run_cli_contract(argv):
@@ -527,6 +538,17 @@ class TestExitCodeContract:
         assert (code, out) == (2, "")
         assert sum("error:" in line for line in err.splitlines()) == 1
 
+    @pytest.mark.parametrize("mode", ["theorem1", "lsi"])
+    def test_large_sphere_curvature_times_horizon_runs(self, mode):
+        # c T = 1000: e^{c t} overflows, the pairwise damped-energy weights do not;
+        # 4096 steps keep each step of the walk under a radian
+        code, out, err = run_cli_contract(
+            SIM + ["--manifold", "sphere", "--kappa", "2000", "--T", "0.5", "--steps", "4096",
+                   "--mode", mode]
+        )
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) > 1
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -575,6 +597,9 @@ class TestConsoleEntryPoint:
                 # the walk leaves the hyperboloid
                 (["--manifold", "hyperbolic", "--dim", "2", "--kappa", "-50", "--T", "5",
                   "--mode", "lsi"], ["hyperboloid", "step 2", "kappa = -50.0", "step length"]),
+                # a sphere step angle whose sine and cosine are roundoff
+                (["--manifold", "sphere", "--dim", "2", "--kappa", "1e300", "--T", "0.5",
+                  "--mode", "theorem1"], ["sphere", "step 1", "kappa = 1e+300", "step length"]),
                 # the chi field overflows inside a worker thread
                 (["--manifold", "sphere", "--dim", "3", "--kappa", "1e308", "--T", "0.5",
                   "--mode", "chi", "--threads", "2"], ["float range"]),

@@ -42,11 +42,6 @@ CASES = {
         "simulate", "--manifold", "sphere", "--dim", "3", "--kappa", "1.0",
         "--T", "0.05", "--steps", "64", "--paths", "999", "--seed", "77", "--mode", "chi",
     ],
-    "chi_sphere2_no_antithetic": [
-        "simulate", "--manifold", "sphere", "--dim", "2", "--kappa", "1.0",
-        "--T", "0.1", "--steps", "64", "--paths", "2001", "--seed", "78", "--mode", "chi",
-        "--no-antithetic",
-    ],
     "chi_euclidean3": [
         "simulate", "--manifold", "euclidean", "--dim", "3",
         "--T", "0.5", "--steps", "32", "--paths", "1000", "--seed", "79", "--mode", "chi",
