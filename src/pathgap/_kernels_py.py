@@ -5,8 +5,10 @@ Two entry points:
 * ``simulate_paths`` -- geodesic random walk on a model manifold for a batch
   of driving-increment arrays, recording positions and frames at selected
   time indices.
-* ``resolvent_triangle`` / ``resolvent_column`` -- RK4 for the damping ODE
-  dQ/dt = -1/2 A(t) Q, one step matrix per cell swept across the start columns.
+* ``resolvent_triangle`` / ``resolvent_rows`` / ``resolvent_column`` -- RK4
+  for the damping ODE dQ/dt = -1/2 A(t) Q, one step matrix per cell.  The
+  triangle and the rows share one forward sweep across the start columns;
+  the rows variant keeps only the requested rows of the triangle.
 
 Vectorization is across paths (simulate) and across start columns
 (resolvent).
@@ -142,28 +144,59 @@ def _rk4_transfer(ric_stages, dts):
     return eye + (h / 6.0) * (b0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _sweep(ric_stages, dts, last):
+    """Forward RK4 sweep of the triangle's rows i = 0..last.
+
+    Yields (i, cur) with cur[:, j] = Q_{t_i, t_j} for j <= i, shape (d, n+1, d);
+    cur is overwritten by the next step.  One GEMM per step moves every column.
+    """
+    ric_stages = np.asarray(ric_stages, dtype=np.float64)
+    dts = np.asarray(dts, dtype=np.float64)
+    steps = _rk4_transfer(ric_stages[:last], dts[:last])
+    d = ric_stages.shape[2]
+    eye = np.eye(d)
+    cur = np.empty((d, dts.shape[0] + 1, d))
+    flat = cur.reshape(d, -1)
+    cur[:, 0] = eye
+    yield 0, cur
+    for k in range(last):
+        flat[:, : (k + 1) * d] = steps[k] @ flat[:, : (k + 1) * d]
+        cur[:, k + 1] = eye
+        yield k + 1, cur
+
+
 def resolvent_triangle(ric_stages, dts):
     """All propagators Q_{t_i, t_j}, i >= j, packed row-major.
 
     ric_stages: (n, 3, d, d) Ricci matrices at (t_k, t_k + dt/2, t_{k+1});
     dts: (n,).  Returns (n_pairs, d, d) with pair (i, j) at i*(i+1)/2 + j.
     """
-    ric_stages = np.asarray(ric_stages, dtype=np.float64)
-    dts = np.asarray(dts, dtype=np.float64)
-    n = dts.shape[0]
-    d = ric_stages.shape[2]
-    steps = _rk4_transfer(ric_stages, dts)
+    n = len(dts)
+    d = np.shape(ric_stages)[2]
     out = np.empty(((n + 1) * (n + 2) // 2, d, d))
-    eye = np.eye(d)
-    out[0] = eye
-    cur = np.empty((d, n + 1, d))  # cur[:, j] = Q_{t_k, t_j}: one GEMM steps every j
-    flat = cur.reshape(d, (n + 1) * d)
-    cur[:, 0] = eye
-    for k in range(n):
-        flat[:, : (k + 1) * d] = steps[k] @ flat[:, : (k + 1) * d]
-        cur[:, k + 1] = eye
-        base = (k + 1) * (k + 2) // 2
-        out[base : base + k + 2] = cur[:, : k + 2].transpose(1, 0, 2)
+    for i, cur in _sweep(ric_stages, dts, n):
+        base = i * (i + 1) // 2
+        out[base : base + i + 1] = cur[:, : i + 1].transpose(1, 0, 2)
+    return out
+
+
+def resolvent_rows(ric_stages, dts, rows):
+    """The triangle's rows Q_{t_i, t_j}, j = 0..i, for each i in ``rows``.
+
+    Returns (len(rows), n+1, d, d), zero for j > i.  The sweep stops at the
+    last requested row and runs the triangle's GEMMs, so each row is
+    bit-identical to the triangle's.
+    """
+    rows = [int(i) for i in rows]
+    n = len(dts)
+    d = np.shape(ric_stages)[2]
+    out = np.zeros((len(rows), n + 1, d, d))
+    wanted = {}
+    for r, i in enumerate(rows):
+        wanted.setdefault(i, []).append(r)
+    for i, cur in _sweep(ric_stages, dts, max(rows, default=0)):
+        for r in wanted.get(i, ()):
+            out[r, : i + 1] = cur[:, : i + 1].transpose(1, 0, 2)
     return out
 
 

@@ -20,15 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
+from ._backend import kernels
 from .bounds import CurvatureBounds, _require_horizon, lambda_integral
 from .geometry import SYNTHETIC, ModelManifold, _project_tangent
 from .gradients import (
     CylindricalFunctional,
-    ResolventGrid,
+    _checked_stages,
     _linear_deterministic_part,
     _pullback,
     linear_gradient_batch,
-    resolvent_on_grid,
 )
 from .sampling import TimeGrid, batch_increments, simulate_increments
 
@@ -294,16 +294,17 @@ def verify_theorem1(
     grid = TimeGrid.with_times(T, n_steps, eval_times)
     rec_idx = np.array([grid.index_of(t) for t in eval_times], dtype=np.int64)
     rec_pos = {t: i for i, t in enumerate(eval_times)}
-    R = None if m.kind != SYNTHETIC else resolvent_on_grid(grid, m, declared)
+    slot_w = None
+    if m.kind == SYNTHETIC:
+        slot_w = _damped_weights(grid, rec_idx, _checked_stages(grid, m, declared))
     per_F = []
     for F in F_family:
         sel = np.array([rec_pos[t] for t in F.eval_times], dtype=np.int64)
-        idx = np.array([grid.index_of(t) for t in F.eval_times], dtype=np.int64)
         ts = np.array(F.eval_times)
         wmat = np.vectorize(lambda t: lambda_integral(t, T, declared))(
             np.minimum.outer(ts, ts)
         )
-        damped_w = None if R is None else _damped_weights(idx, R)
+        damped_w = None if slot_w is None else slot_w[np.ix_(sel, sel)]
         per_F.append((F, sel, ts, wmat, damped_w))
     g = m.metric_diag()
 
@@ -339,19 +340,26 @@ def verify_theorem1(
     )
 
 
-def _damped_weights(idx, R: ResolventGrid) -> np.ndarray:
+def _damped_weights(grid: TimeGrid, idx: np.ndarray, stages: np.ndarray) -> np.ndarray:
     """Path-independent weights W of the trapezoid damped energy, (N, N, d, d).
 
     The energy is sum_{j,l} s_j^T W_jl s_l in the slot gradients s_j, with
     W_jl = 1/2 sum_{k < min(i_j, i_l)} dt_k (Q_{i_j,k} Q_{i_l,k}^T
-    + Q_{i_j,k+1} Q_{i_l,k+1}^T) and i_j the slot's grid index.
+    + Q_{i_j,k+1} Q_{i_l,k+1}^T) and i_j = idx[j] the slot's grid index.  The
+    left and right cell limits of every slot, scaled by sqrt(dt_k / 2), are
+    stacked into one (N d, 2 n d) operand X, and W is the one product X X^T.
     """
-    limits = np.zeros((2, len(idx), R.grid.n_steps, R.dim, R.dim))
-    for j, i in enumerate(idx):
-        row = R.row(int(i))
-        limits[0, j, :i] = row[:i]
-        limits[1, j, :i] = row[1:]
-    return 0.5 * np.einsum("k,sjkab,slkcb->jlac", R.grid.dts, limits, limits)
+    n = grid.n_steps
+    rows = kernels.resolvent_rows(stages, grid.dts, idx)  # (N, n+1, d, d), zero past i_j
+    N, d = rows.shape[0], rows.shape[-1]
+    limits = np.empty((N, d, 2, n, d))
+    # The row's own entry Q_{i_j, i_j} = I is the left limit of no cell.
+    before = (np.arange(n) < idx[:, None])[:, :, None, None]
+    limits[:, :, 0] = np.where(before, rows[:, :-1], 0.0).transpose(0, 2, 1, 3)
+    limits[:, :, 1] = rows[:, 1:].transpose(0, 2, 1, 3)
+    limits *= np.sqrt(0.5 * grid.dts)[:, None]
+    flat = limits.reshape(N * d, 2 * n * d)
+    return (flat @ flat.T).reshape(N, d, N, d).transpose(0, 2, 1, 3)
 
 
 def _damped_energy_trapezoid(weights: np.ndarray, slots: np.ndarray) -> np.ndarray:

@@ -106,7 +106,9 @@ class ResolventGrid:
     (``packed`` is None, nothing stored); otherwise the packed lower triangle
     from the RK4 kernel is held with pair (i, j) at index i*(i+1)/2 + j.
     Callers read propagators only through ``entry``, ``row`` and ``column``,
-    which return (d, d) matrices in either form.
+    which return (d, d) matrices in either form.  The single-path gradient
+    algebra uses this grid; ``verify_theorem1`` never builds the triangle and
+    takes only the slot rows from ``kernels.resolvent_rows``.
     """
 
     grid: TimeGrid

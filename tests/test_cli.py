@@ -589,6 +589,20 @@ class TestConsoleEntryPoint:
         assert out.returncode == 0
         assert out.stdout.startswith(",".join(BOUNDS_COLUMNS[:3]))
 
+    @pytest.mark.parametrize("mode", ["theorem1", "lsi"])
+    def test_simulate_leaves_numpy_ma_unimported(self, mode):
+        """numpy.ma costs about 1.3 MB and 15 ms to import; a run needs none of it."""
+        code = (
+            "import contextlib, io, sys\n"
+            "from pathgap.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['simulate', '--manifold', 'sphere', '--dim', '2', '--T', '0.5',\n"
+            f"                 '--steps', '16', '--paths', '50', '--mode', '{mode}'])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.stdout == "0 False\n", out.stderr
+
     @pytest.mark.parametrize(
         "flags, named",
         [

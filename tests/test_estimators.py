@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 
 import pathgap as pg
 from pathgap import estimators as est
+from pathgap._backend import kernels
 from pathgap.gradients import (
     CylindricalFunctional,
+    _checked_stages,
     _damped_limits,
     _pullback,
     frame_pullback_slots,
@@ -160,12 +163,36 @@ class TestVerifyTheorem1:
         assert rep.satisfied_fraction == 1.0
         assert rep.max_violation <= 1e-8
 
+    def test_synthetic_never_builds_the_triangle(self, monkeypatch):
+        def no_triangle(*args):
+            raise AssertionError("verify_theorem1 built the propagator triangle")
+
+        monkeypatch.setattr(kernels, "resolvent_triangle", no_triangle)
+        m, cb = smooth_ricci(2, seed=43)
+        family = est.random_two_point_family(m, 1.0, 5, seed=3)
+        rep = est.verify_theorem1(m, cb, family, 1.0, 128, 20, 17)
+        assert rep.n_paths == 20 and rep.satisfied_fraction == 1.0
+
+    def test_synthetic_traced_peak_at_benchmark_size(self):
+        """d = 2, 1,024 steps, 200 paths, 10 functionals: the triangle alone would be 17.5 MB."""
+        m, cb = smooth_ricci(2, seed=43)
+        family = est.random_two_point_family(m, 1.0, 10, seed=3)
+        tracemalloc.start()
+        try:
+            rep = est.verify_theorem1(m, cb, family, 1.0, 1024, 200, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.satisfied_fraction == 1.0
+        assert peak <= 12e6
 
     @pytest.mark.parametrize("d,seed", [(2, 43), (3, 19)])
     def test_damped_energy_weights_match_per_path_trapezoid(self, d, seed):
         """The weight form of the trapezoid damped energy equals the per-path sum.
 
-        The functionals share the slot at t = 0.25 and three reach t = T.
+        The weights of all distinct slots come from one product, and each
+        functional takes its block.  The functionals share the slot at
+        t = 0.25, three reach t = T and one starts at t = 0.
         """
         m, cb = smooth_ricci(d, seed=seed)
         b = np.random.default_rng(seed).normal(size=(3, d))
@@ -180,14 +207,22 @@ class TestVerifyTheorem1:
 
             return CylindricalFunctional(ts, lambda pos: pos[:, 0, 0], slot_gradients)
 
-        family = [functional(ts) for ts in [(0.25, 0.75), (0.25, 1.0), (1.0,), (0.125, 0.5, 1.0)]]
+        family = [
+            functional(ts)
+            for ts in [(0.25, 0.75), (0.25, 1.0), (1.0,), (0.125, 0.5, 1.0), (0.0, 0.5)]
+        ]
         grid = TimeGrid.with_times(1.0, 64, ())
         R = resolvent_on_grid(grid, m, cb)
+        slot_times = sorted({t for F in family for t in F.eval_times})
+        weights = est._damped_weights(
+            grid, np.array([grid.index_of(t) for t in slot_times]), _checked_stages(grid, m, cb)
+        )
         pos, frames = simulate_increments(m, grid, batch_increments(grid, d, seed, range(20)))
         for F in family:
             idx = np.array([grid.index_of(t) for t in F.eval_times])
+            sel = np.array([slot_times.index(t) for t in F.eval_times])
             slots = _pullback(F, pos[:, idx], frames[:, idx], m.metric_diag())
-            got = est._damped_energy_trapezoid(est._damped_weights(idx, R), slots)
+            got = est._damped_energy_trapezoid(weights[np.ix_(sel, sel)], slots)
             want = []
             for s in slots:
                 left, right = _damped_limits(idx, s, R)

@@ -100,8 +100,8 @@ CASES = {
 def theorem1_synthetic() -> str:
     """verify_theorem1 on a non-symmetric 2x2 Ricci path.
 
-    This is the only case that runs the RK4 propagator triangle and the
-    trapezoid damped energy; no CLI command reaches either.
+    This is the only case that runs the RK4 propagator sweep to the slot
+    rows and the trapezoid damped energy; no CLI command reaches either.
     """
 
     def ric(t):

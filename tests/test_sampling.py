@@ -27,6 +27,14 @@ class TestTimeGrid:
         assert np.all(np.diff(g.times) > 0)
         assert g.index_of(0.3) == int(np.searchsorted(g.times, 0.3))
 
+    def test_forced_times_deduplicated_exactly(self):
+        """A forced time on a grid node, a repeated one and both ends each appear once."""
+        forced = [0.25, 0.3, 0.3, 0.0, 1.0, 0.25]
+        g = TimeGrid.with_times(1.0, 4, forced)
+        np.testing.assert_array_equal(g.times, [0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
+        base = np.linspace(0.0, 1.0, 5)
+        np.testing.assert_array_equal(g.times, np.unique(np.concatenate([base, forced])))
+
     def test_index_of_missing(self):
         g = TimeGrid.with_times(1.0, 4, ())
         with pytest.raises(ValueError):
