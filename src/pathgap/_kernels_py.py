@@ -5,10 +5,11 @@ Two entry points:
 * ``simulate_paths`` -- geodesic random walk on a model manifold for a batch
   of driving-increment arrays, recording positions and frames at selected
   time indices.
-* ``resolvent_triangle`` / ``resolvent_rows`` / ``resolvent_column`` -- RK4
-  for the damping ODE dQ/dt = -1/2 A(t) Q, one step matrix per cell.  The
-  triangle and the rows share one forward sweep across the start columns;
-  the rows variant keeps only the requested rows of the triangle.
+* ``resolvent_steps`` / ``resolvent_triangle`` / ``resolvent_column`` -- RK4
+  for the damping ODE dQ/dt = -1/2 A(t) Q.  The ODE is linear in Q, so each
+  cell's RK4 step is one matrix M_k = Q_{t_{k+1}, t_k}, and every propagator
+  is a product of them: the triangle sweeps them across the start columns,
+  the column applies them to one.
 
 Vectorization is across paths (simulate) and across start columns
 (resolvent).
@@ -133,10 +134,15 @@ def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record)
     return out_pos, out_frames
 
 
-def _rk4_transfer(ric_stages, dts):
-    """Each cell's RK4 step as one matrix, (n, d, d): the ODE is linear in Q."""
+def resolvent_steps(ric_stages, dts):
+    """Each cell's RK4 step as one matrix M_k, (n, d, d).
+
+    ric_stages: (n, 3, d, d) Ricci matrices at (t_k, t_k + dt/2, t_{k+1});
+    dts: (n,).
+    """
+    ric_stages = np.asarray(ric_stages, dtype=np.float64)
+    h = np.asarray(dts, dtype=np.float64)[:, None, None]
     b0, b1, b2 = (-0.5 * ric_stages[:, i] for i in range(3))
-    h = dts[:, None, None]
     eye = np.eye(ric_stages.shape[-1])
     k2 = b1 @ (eye + (0.5 * h) * b0)
     k3 = b1 @ (eye + (0.5 * h) * k2)
@@ -144,67 +150,30 @@ def _rk4_transfer(ric_stages, dts):
     return eye + (h / 6.0) * (b0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _sweep(ric_stages, dts, last):
-    """Forward RK4 sweep of the triangle's rows i = 0..last.
-
-    Yields (i, cur) with cur[:, j] = Q_{t_i, t_j} for j <= i, shape (d, n+1, d);
-    cur is overwritten by the next step.  One GEMM per step moves every column.
-    """
-    ric_stages = np.asarray(ric_stages, dtype=np.float64)
-    dts = np.asarray(dts, dtype=np.float64)
-    steps = _rk4_transfer(ric_stages[:last], dts[:last])
-    d = ric_stages.shape[2]
-    eye = np.eye(d)
-    cur = np.empty((d, dts.shape[0] + 1, d))
-    flat = cur.reshape(d, -1)
-    cur[:, 0] = eye
-    yield 0, cur
-    for k in range(last):
-        flat[:, : (k + 1) * d] = steps[k] @ flat[:, : (k + 1) * d]
-        cur[:, k + 1] = eye
-        yield k + 1, cur
-
-
 def resolvent_triangle(ric_stages, dts):
     """All propagators Q_{t_i, t_j}, i >= j, packed row-major.
 
-    ric_stages: (n, 3, d, d) Ricci matrices at (t_k, t_k + dt/2, t_{k+1});
-    dts: (n,).  Returns (n_pairs, d, d) with pair (i, j) at i*(i+1)/2 + j.
+    Returns (n_pairs, d, d) with pair (i, j) at i*(i+1)/2 + j.  Row i + 1 is
+    M_i times row i, one GEMM across the start columns, then Q_{i+1, i+1} = I.
     """
-    n = len(dts)
-    d = np.shape(ric_stages)[2]
+    steps = resolvent_steps(ric_stages, dts)
+    n, d = steps.shape[0], steps.shape[-1]
+    eye = np.eye(d)
     out = np.empty(((n + 1) * (n + 2) // 2, d, d))
-    for i, cur in _sweep(ric_stages, dts, n):
-        base = i * (i + 1) // 2
-        out[base : base + i + 1] = cur[:, : i + 1].transpose(1, 0, 2)
-    return out
-
-
-def resolvent_rows(ric_stages, dts, rows):
-    """The triangle's rows Q_{t_i, t_j}, j = 0..i, for each i in ``rows``.
-
-    Returns (len(rows), n+1, d, d), zero for j > i.  The sweep stops at the
-    last requested row and runs the triangle's GEMMs, so each row is
-    bit-identical to the triangle's.
-    """
-    rows = [int(i) for i in rows]
-    n = len(dts)
-    d = np.shape(ric_stages)[2]
-    out = np.zeros((len(rows), n + 1, d, d))
-    wanted = {}
-    for r, i in enumerate(rows):
-        wanted.setdefault(i, []).append(r)
-    for i, cur in _sweep(ric_stages, dts, max(rows, default=0)):
-        for r in wanted.get(i, ()):
-            out[r, : i + 1] = cur[:, : i + 1].transpose(1, 0, 2)
+    cur = np.empty((d, n + 1, d))  # cur[:, j] = Q_{t_i, t_j}
+    flat = cur.reshape(d, -1)
+    cur[:, 0] = out[0] = eye
+    for k in range(n):
+        flat[:, : (k + 1) * d] = steps[k] @ flat[:, : (k + 1) * d]
+        cur[:, k + 1] = eye
+        base = (k + 1) * (k + 2) // 2
+        out[base : base + k + 2] = cur[:, : k + 2].transpose(1, 0, 2)
     return out
 
 
 def resolvent_column(ric_stages, dts, j0):
     """Propagators Q_{t_i, t_{j0}} for i = j0..n: shape (n+1-j0, d, d)."""
-    ric_stages = np.asarray(ric_stages, dtype=np.float64)
-    dts = np.asarray(dts, dtype=np.float64)
-    steps = _rk4_transfer(ric_stages[j0:], dts[j0:])
+    steps = resolvent_steps(np.asarray(ric_stages)[j0:], np.asarray(dts)[j0:])
     out = np.empty((len(steps) + 1, *steps.shape[1:]))
     out[0] = np.eye(steps.shape[-1])
     for k in range(len(steps)):

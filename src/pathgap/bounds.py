@@ -130,21 +130,17 @@ def lambda_prime(t: float, T: float, cb: CurvatureBounds) -> float:
     return (k1 / 2) * (diff + (b / 2) * (diff - math.exp(-k2 * t / 2) * _em(k2, T)))
 
 
-def lambda_argmax(T: float, cb: CurvatureBounds, return_kind: bool = False):
+def lambda_argmax(T: float, cb: CurvatureBounds) -> float:
     """Maximizer of t -> Lambda(t, T) on [0, T].
 
     For k2 > 0 the root of Lambda', e^{k2 (t - T/2)} = 1 - r E(T) with
     r = k1/(k1 + 2 k2), taken to first order in k2*T below the switch.  For
     k2 <= 0 the profile is nondecreasing and for k1 = 0 constant, so t = T.
-    With ``return_kind`` the pair ``(t_star, kind)`` is returned, kind in
-    {"interior", "boundary", "degenerate"}.
     """
     T = _require_horizon(T)
     k1, k2 = cb.k1, cb.k2
-    if k1 == 0.0:
-        return (T, "degenerate") if return_kind else T
-    if k2 <= 0.0:
-        return (T, "boundary") if return_kind else T
+    if k1 == 0.0 or k2 <= 0.0:
+        return T
     # k2 <= k1, so neither r nor its denominator can overflow
     r = 1.0 / (1.0 + 2.0 * (k2 / k1))
     if _degenerate_k2(T, cb):
@@ -152,8 +148,7 @@ def lambda_argmax(T: float, cb: CurvatureBounds, return_kind: bool = False):
         t0 = T / 2 + r * (T / 2) * (1.0 - k2 * T / 4) * (1.0 - r * k2 * T / 4)
     else:
         t0 = T / 2 + math.log1p(-r * _em(k2, T)) / k2
-    t0 = min(max(t0, 0.0), T)
-    return (t0, "interior") if return_kind else t0
+    return min(max(t0, 0.0), T)
 
 
 def lambda_sup(T: float, cb: CurvatureBounds) -> float:
@@ -263,7 +258,6 @@ class BoundReport:
     lambda_at_0: float
     lambda_at_T: float
     t_star: float
-    t_star_kind: str
     lambda_sup: float
     psi: float
     gap_lower_from_sup: float
@@ -274,7 +268,7 @@ def bound_report(T: float, cb: CurvatureBounds) -> BoundReport:
     """Evaluate every closed-form quantity at once."""
     T = _require_horizon(T)
     lam0, lamT = lambda_profile(0.0, T, cb), lambda_profile(T, T, cb)
-    t_star, kind = lambda_argmax(T, cb, return_kind=True)
+    t_star = lambda_argmax(T, cb)
     sup_val = lambda_sup(T, cb)
     psi_val = psi(T, cb)
     report = BoundReport(
@@ -284,7 +278,6 @@ def bound_report(T: float, cb: CurvatureBounds) -> BoundReport:
         lambda_at_0=lam0,
         lambda_at_T=lamT,
         t_star=t_star,
-        t_star_kind=kind,
         lambda_sup=sup_val,
         psi=psi_val,
         gap_lower_from_sup=1.0 / sup_val,

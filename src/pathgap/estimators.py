@@ -289,6 +289,11 @@ def verify_theorem1(
     trapezoid for the damped side, whose weights do not depend on the path.
     Each functional is evaluated once per chunk of paths.  The report does
     not depend on ``chunk`` or ``threads``.
+
+    Only a synthetic path is checked against ``declared`` (``DataError``
+    before any path is drawn): its window is a contract on supplied data.
+    On constant curvature the window is the hypothesis under test, so a
+    window that excludes the true Ricci runs and can fail the check.
     """
     eval_times = sorted({t for F in F_family for t in F.eval_times})
     grid = TimeGrid.with_times(T, n_steps, eval_times)
@@ -345,21 +350,32 @@ def _damped_weights(grid: TimeGrid, idx: np.ndarray, stages: np.ndarray) -> np.n
 
     The energy is sum_{j,l} s_j^T W_jl s_l in the slot gradients s_j, with
     W_jl = 1/2 sum_{k < min(i_j, i_l)} dt_k (Q_{i_j,k} Q_{i_l,k}^T
-    + Q_{i_j,k+1} Q_{i_l,k+1}^T) and i_j = idx[j] the slot's grid index.  The
-    left and right cell limits of every slot, scaled by sqrt(dt_k / 2), are
-    stacked into one (N d, 2 n d) operand X, and W is the one product X X^T.
+    + Q_{i_j,k+1} Q_{i_l,k+1}^T) and i_j = idx[j] the slot's grid index.  For
+    i_j <= i_l the cocycle gives W_jl = G_{i_j} Q_{i_l,i_j}^T with the
+    trapezoid Gramian G_{k+1} = M_k (G_k + dt_k/2 I) M_k^T + dt_k/2 I.  One
+    forward sweep carries H_j = Q_{k,i_j} G_{i_j} for the slots passed, and
+    at k = i_l block column l is H^T and block row l is H.
     """
-    n = grid.n_steps
-    rows = kernels.resolvent_rows(stages, grid.dts, idx)  # (N, n+1, d, d), zero past i_j
-    N, d = rows.shape[0], rows.shape[-1]
-    limits = np.empty((N, d, 2, n, d))
-    # The row's own entry Q_{i_j, i_j} = I is the left limit of no cell.
-    before = (np.arange(n) < idx[:, None])[:, :, None, None]
-    limits[:, :, 0] = np.where(before, rows[:, :-1], 0.0).transpose(0, 2, 1, 3)
-    limits[:, :, 1] = rows[:, 1:].transpose(0, 2, 1, 3)
-    limits *= np.sqrt(0.5 * grid.dts)[:, None]
-    flat = limits.reshape(N * d, 2 * n * d)
-    return (flat @ flat.T).reshape(N, d, N, d).transpose(0, 2, 1, 3)
+    last = int(max(idx, default=0))
+    steps = kernels.resolvent_steps(stages[:last], grid.dts[:last])
+    N, d = len(idx), stages.shape[-1]
+    slot_at = {int(i): l for l, i in enumerate(idx)}  # slot grid indices are distinct
+    eye = np.eye(d)
+    gram = np.zeros((d, d))
+    held = np.zeros((d, N * d))  # block j: H_j, zero until slot j is passed
+    weights = np.zeros((N, N, d, d))
+    for k in range(last + 1):
+        l = slot_at.get(k)
+        if l is not None:
+            held[:, l * d : (l + 1) * d] = gram
+            blocks = held.reshape(d, N, d).transpose(1, 0, 2)
+            weights[:, l] = blocks.transpose(0, 2, 1)
+            weights[l] = blocks
+        if k < last:
+            half = 0.5 * grid.dts[k]
+            gram = steps[k] @ (gram + half * eye) @ steps[k].T + half * eye
+            held = steps[k] @ held
+    return weights
 
 
 def _damped_energy_trapezoid(weights: np.ndarray, slots: np.ndarray) -> np.ndarray:

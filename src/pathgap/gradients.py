@@ -10,7 +10,9 @@ Gradient fields are piecewise constant on grid cells (value index k covers
 [t_k, t_{k+1})), so plain time integrals of fields are exact left-point
 sums.  Integrals weighted by the propagator use a trapezoid rule per cell,
 which keeps the transform round-trips and the two damped-gradient formulas
-consistent to second order in the step.
+consistent to second order in the step.  Every discrete propagator is a
+product of the per-cell steps M_k = Q_{t_{k+1}, t_k}, so each damped
+quantity is one forward or backward sweep over them, O(n) in the grid.
 """
 
 from __future__ import annotations
@@ -105,10 +107,10 @@ class ResolventGrid:
     Constant Ricci c*Id produces the exact scalar form Q = e^{-c (t_i-t_j)/2} Id
     (``packed`` is None, nothing stored); otherwise the packed lower triangle
     from the RK4 kernel is held with pair (i, j) at index i*(i+1)/2 + j.
-    Callers read propagators only through ``entry``, ``row`` and ``column``,
-    which return (d, d) matrices in either form.  The single-path gradient
-    algebra uses this grid; ``verify_theorem1`` never builds the triangle and
-    takes only the slot rows from ``kernels.resolvent_rows``.
+    ``entry``, ``row`` and ``column`` return (d, d) matrices in either form.
+    The single-path gradient algebra reads only ``steps``, the per-cell
+    propagators it sweeps over; ``verify_theorem1`` never builds the triangle
+    and sweeps the RK4 steps itself.
     """
 
     grid: TimeGrid
@@ -139,11 +141,24 @@ class ResolventGrid:
         idx = np.arange(j, n + 1)
         return self.packed[idx * (idx + 1) // 2 + j]
 
+    @property
+    def steps(self) -> np.ndarray:
+        """Per-cell propagators M_k = Q_{t_{k+1}, t_k}, shape (n, d, d)."""
+        if self.packed is None:
+            return np.exp(-0.5 * self.scalar_rate * self.grid.dts)[:, None, None] * np.eye(self.dim)
+        k = np.arange(self.grid.n_steps)
+        return self.packed[(k + 1) * (k + 2) // 2 + k]
+
+
+def _ricci_nodes(m: ModelManifold, grid: TimeGrid) -> np.ndarray:
+    """Ricci matrices at the grid nodes, (n+1, d, d): one callback call per node."""
+    return np.array([ricci_matrix(m, t) for t in grid.times])
+
 
 def _stage_ricci(m: ModelManifold, grid: TimeGrid) -> np.ndarray:
     """Ricci path at the RK4 stage times (t_k, midpoint, t_{k+1}), each node once."""
     times = grid.times
-    nodes = np.array([ricci_matrix(m, t) for t in times])
+    nodes = _ricci_nodes(m, grid)
     mids = np.array([ricci_matrix(m, 0.5 * (t0 + t1)) for t0, t1 in zip(times[:-1], times[1:])])
     return np.stack([nodes[:-1], mids, nodes[1:]], axis=1)
 
@@ -261,15 +276,21 @@ def _damped_limits(idx, slots, R: ResolventGrid):
 
     On cell k the damped gradient is the sum of Q*_{t_j, tau} slots[j] over
     the slots with t_j > t_k; ``left`` evaluates it at tau = t_k and
-    ``right`` at tau = t_{k+1}.  The left limit is the cell value.
+    ``right`` at tau = t_{k+1}.  The left limit is the cell value.  One
+    backward sweep: right[k] is the sum A over the slots past t_k, taken at
+    t_{k+1}, and left[k] = M_k* A.
     """
     n, d = R.grid.n_steps, slots.shape[1]
-    left = np.zeros((n, d))
-    right = np.zeros((n, d))
-    for j, slot in zip(idx, slots):
-        contrib = np.einsum("kab,a->kb", R.row(int(j)), slot)  # Q*_{t_j, t_k} g_j, k = 0..j
-        left[:j] += contrib[:j]
-        right[:j] += contrib[1 : j + 1]
+    at = np.zeros((n + 1, d))
+    np.add.at(at, np.asarray(idx), slots)
+    steps = R.steps
+    left = np.empty((n, d))
+    right = np.empty((n, d))
+    acc = at[n]
+    for k in range(n - 1, -1, -1):
+        right[k] = acc
+        left[k] = acc @ steps[k]
+        acc = left[k] + at[k]
     return left, right
 
 
@@ -281,71 +302,19 @@ def damped_gradient_integral_form(
     D~_t = D_t - 1/2 integral_t^T Q*_{s,t} ric*(s) D_s ds, with the s-integral
     taken by a trapezoid rule per grid cell.  Agrees with
     :func:`damped_gradient` up to quadrature error, which the test suite
-    tracks under grid refinement.
+    tracks under grid refinement.  The integral J_k at t_k is one backward
+    sweep, J_k = M_k* (J_{k+1} + dt_k/2 ric*(t_{k+1}) D_k) + dt_k/2 ric*(t_k) D_k.
     """
-    usual = usual_gradient(F, path, m)
-    dts = path.grid.dts
-    values = usual.values.copy()
-    ric_nodes = np.array([ricci_matrix(m, t) for t in path.grid.times])
-    for k in range(path.grid.n_steps):
-        w = np.einsum("iab,ibc->iac", ric_nodes[k:], R.column(k))  # ric(t_i) Q_{t_i,t_k}
-        cell = 0.5 * dts[k:, None, None] * (w[:-1] + w[1:])
-        values[k] -= 0.5 * np.einsum("lba,lb->a", cell, usual.values[k:])
+    usual = usual_gradient(F, path, m).values
+    half = 0.5 * path.grid.dts
+    ric = _ricci_nodes(m, path.grid)
+    steps = R.steps
+    values = np.empty_like(usual)
+    acc = np.zeros(usual.shape[1])
+    for k in range(usual.shape[0] - 1, -1, -1):
+        acc = (acc + half[k] * (usual[k] @ ric[k + 1])) @ steps[k] + half[k] * (usual[k] @ ric[k])
+        values[k] = usual[k] - 0.5 * acc
     return GradientField(path.grid, values)
-
-
-def _quadratic_cell_weights(times: np.ndarray):
-    """Per-cell 3-node quadrature weights for propagator-weighted integrals.
-
-    Cell l >= 1 integrates the quadratic through nodes (l-1, l, l+1) over
-    [t_l, t_{l+1}]; cell 0 uses the forward nodes (0, 1, 2).  Exact for
-    quadratics, so the composite rule is third order on smooth integrands.
-    Returns (first (3,), inner (n-1, 3)) node weights; grids with a single
-    cell fall back to the trapezoid outside this helper.
-    """
-
-    def weights(x0, x1, x2, a, b):
-        out = np.empty(3)
-        for i, (p, q, denom) in enumerate(
-            [
-                (x1, x2, (x0 - x1) * (x0 - x2)),
-                (x0, x2, (x1 - x0) * (x1 - x2)),
-                (x0, x1, (x2 - x0) * (x2 - x1)),
-            ]
-        ):
-            integ = (
-                (b**3 - a**3) / 3.0
-                - (p + q) * (b**2 - a**2) / 2.0
-                + p * q * (b - a)
-            )
-            out[i] = integ / denom
-        return out
-
-    n = times.shape[0] - 1
-    first = weights(times[0], times[1], times[2], times[0], times[1])
-    inner = np.empty((n - 1, 3))
-    for l in range(1, n):
-        inner[l - 1] = weights(times[l - 1], times[l], times[l + 1], times[l], times[l + 1])
-    return first, inner
-
-
-def _damped_integral(row: np.ndarray, values: np.ndarray, k: int, grid: TimeGrid, wcache):
-    """integral_0^{t_k} Q_{t_k, s} v_s ds from row k of the propagator stack.
-
-    ``row`` holds the matrices Q_{t_k, t_j} for j = 0..k; v is piecewise
-    constant.  Uses the per-cell quadratic rule, trapezoid when only one cell
-    is available.
-    """
-    if k == 1:
-        w = 0.5 * (grid.times[1] - grid.times[0])
-        return (w * (row[0] + row[1])) @ values[0]
-    first, inner = wcache
-    acc = np.einsum("lab,l,lb->a", row[:3], first, np.broadcast_to(values[0], (3, values.shape[1])))
-    w = inner[: k - 1]
-    acc = acc + np.einsum("lab,l,lb->a", row[: k - 1], w[:, 0], values[1:k])
-    acc = acc + np.einsum("lab,l,lb->a", row[1:k], w[:, 1], values[1:k])
-    acc = acc + np.einsum("lab,l,lb->a", row[2 : k + 1], w[:, 2], values[1:k])
-    return acc
 
 
 def transform_pair(
@@ -357,29 +326,32 @@ def transform_pair(
     hat(v)_t   = v_t + 1/2 ric(t) integral_0^t v_s ds
 
     The hat integral of a piecewise-constant field is an exact sum; the
-    propagator-weighted tilde integral uses the per-cell quadratic rule.
+    propagator-weighted tilde integral uses the composite trapezoid rule.
     """
-    n, d = v.values.shape
-    dts = path.grid.dts
-    tilde = v.values - _tilde_corrections(v, R, m)[:n]
+    n = v.values.shape[0]
+    ric = _ricci_nodes(m, path.grid)
+    tilde = v.values - _tilde_corrections(v, R, ric)[:n]
+    running = np.cumsum(path.grid.dts[:-1, None] * v.values[:-1], axis=0)
     hat = v.values.copy()
-    running = np.zeros(d)
-    for k in range(n):
-        hat[k] += 0.5 * ricci_matrix(m, path.grid.times[k]) @ running
-        running = running + dts[k] * v.values[k]
+    hat[1:] += 0.5 * np.einsum("kab,kb->ka", ric[1:n], running)
     return GradientField(path.grid, tilde), GradientField(path.grid, hat)
 
 
-def _tilde_corrections(v: GradientField, R: ResolventGrid, m: ModelManifold) -> np.ndarray:
-    """1/2 ric(t_k) integral_0^{t_k} Q_{t_k, s} v_s ds at the nodes k = 0..n, (n+1, d)."""
-    grid = v.grid
+def _tilde_corrections(v: GradientField, R: ResolventGrid, ric: np.ndarray) -> np.ndarray:
+    """1/2 ric(t_k) integral_0^{t_k} Q_{t_k, s} v_s ds at the nodes k = 0..n, (n+1, d).
+
+    One forward sweep of the composite trapezoid: the integral I_k at t_k
+    is I_{k+1} = M_k (I_k + dt_k/2 v_k) + dt_k/2 v_k.  ``ric`` holds the
+    Ricci matrices at the nodes.
+    """
     n, d = v.values.shape
-    wcache = _quadratic_cell_weights(grid.times) if n >= 2 else None
-    corr = np.zeros((n + 1, d))
-    for k in range(1, n + 1):
-        integ = _damped_integral(R.row(k), v.values, k, grid, wcache)
-        corr[k] = 0.5 * ricci_matrix(m, grid.times[k]) @ integ
-    return corr
+    half = 0.5 * v.grid.dts
+    steps = R.steps
+    integ = np.zeros((n + 1, d))
+    for k in range(n):
+        cell = half[k] * v.values[k]
+        integ[k + 1] = steps[k] @ (integ[k] + cell) + cell
+    return 0.5 * np.einsum("kab,kb->ka", ric, integ)
 
 
 def duality_defect(
@@ -404,7 +376,7 @@ def duality_defect(
     usual = usual_gradient(F, path, m)
     # left/right limits of tilde(v) on each cell: v is constant there, the
     # damping correction is evaluated at both cell ends
-    corr = _tilde_corrections(v, R, m)
+    corr = _tilde_corrections(v, R, _ricci_nodes(m, path.grid))
     tilde_left = v.values - corr[:-1]
     tilde_right = v.values - corr[1:]
     rhs = float(0.5 * np.einsum("k,kd,kd->", dts, usual.values, tilde_left + tilde_right))

@@ -77,19 +77,6 @@ class TestResolventKernels:
         idx = np.arange(49)
         np.testing.assert_array_equal(tri[idx * (idx + 1) // 2], col)
 
-    def test_rows_match_triangle(self):
-        """The rows sweep runs the triangle's GEMMs, so each row, 0 and n included, has its bits."""
-        n, d = 48, 2
-        stages, dts = self._stages(n, d, seed=59)
-        tri = kern.resolvent_triangle(stages, dts)
-        want = [17, 0, n, 17, 30]
-        rows = kern.resolvent_rows(stages, dts, want)
-        assert rows.shape == (len(want), n + 1, d, d)
-        for r, i in enumerate(want):
-            base = i * (i + 1) // 2
-            np.testing.assert_array_equal(rows[r, : i + 1], tri[base : base + i + 1])
-            np.testing.assert_array_equal(rows[r, i + 1 :], 0.0)
-
     @pytest.mark.parametrize("n,d,seed", [(48, 2, 59), (40, 3, 19)])
     def test_triangle_matches_stage_form(self, n, d, seed):
         """One step matrix per cell is the RK4 step, up to roundoff."""

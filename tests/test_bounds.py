@@ -195,12 +195,10 @@ class TestLambdaPrime:
 
 class TestLambdaArgmax:
     def test_negative_k2_boundary(self):
-        t, kind = lambda_argmax(1.0, cb(1.0, -0.5), return_kind=True)
-        assert t == 1.0 and kind == "boundary"
+        assert lambda_argmax(1.0, cb(1.0, -0.5)) == 1.0
 
     def test_k1_zero_degenerate(self):
-        t, kind = lambda_argmax(1.0, cb(0.0, 0.0), return_kind=True)
-        assert t == 1.0 and kind == "degenerate"
+        assert lambda_argmax(1.0, cb(0.0, 0.0)) == 1.0
 
     def test_reference_value(self):
         assert lambda_argmax(1.0, cb(1.0, 1.0)) == pytest.approx(T_STAR_K1, abs=1e-14)

@@ -156,6 +156,21 @@ class TestVerifyTheorem1:
         assert rep.satisfied_fraction == 1.0
         assert abs(rep.max_violation) <= 1e-12
 
+    @pytest.mark.parametrize("k2,fails", [(-1.0, False), (-0.99, True)])
+    def test_hyperbolic_negative_control(self, k2, fails):
+        """A window that excludes the true Ricci -1 makes the check fail.
+
+        Constant curvature never checks the declared window, so a k2 raised
+        by 1% runs, and its bound is too tight for some path.
+        """
+        m = pg.hyperbolic(2, -1.0)
+        family = est.random_two_point_family(m, 1.0, 10, seed=7)
+        rep = est.verify_theorem1(m, pg.CurvatureBounds(1.0, k2), family, 1.0, 128, 1000, 7)
+        if fails:
+            assert rep.max_violation > 1e-4 and rep.satisfied_fraction < 1.0
+        else:
+            assert rep.max_violation < 0.0 and rep.satisfied_fraction == 1.0
+
     def test_synthetic_nonsymmetric(self):
         m, cb = smooth_ricci(2, seed=43)
         family = est.random_two_point_family(m, 1.0, 5, seed=3)

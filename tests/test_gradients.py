@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pathgap as pg
+from pathgap import gradients as gr
 from pathgap.geometry import _project_tangent
 from pathgap.gradients import (
     CylindricalFunctional,
@@ -228,6 +229,113 @@ class TestTransformPair:
         F = linear_functional(m, (0.3, 0.65), [b1, b2])
         v = GradientField(g, rng.normal(size=(g.n_steps, 2)))
         assert duality_defect(F, v, path, R, m) <= 1e-6
+
+
+def _damped_limits_by_rows(idx, slots, R):
+    """Reference: each slot twisted by its whole propagator row Q_{t_j, t_k}, k = 0..j."""
+    n, d = R.grid.n_steps, slots.shape[1]
+    left, right = np.zeros((n, d)), np.zeros((n, d))
+    for j, slot in zip(idx, slots):
+        contrib = np.einsum("kab,a->kb", R.row(int(j)), slot)
+        left[:j] += contrib[:j]
+        right[:j] += contrib[1 : j + 1]
+    return left, right
+
+
+def _integral_form_by_columns(F, path, R, m):
+    """Reference: the correction integral over column k, a trapezoid per cell."""
+    usual = usual_gradient(F, path, m).values
+    dts = path.grid.dts
+    ric = gr._ricci_nodes(m, path.grid)
+    values = usual.copy()
+    for k in range(path.grid.n_steps):
+        w = np.einsum("iab,ibc->iac", ric[k:], R.column(k))  # ric(t_i) Q_{t_i, t_k}
+        cell = 0.5 * dts[k:, None, None] * (w[:-1] + w[1:])
+        values[k] -= 0.5 * np.einsum("lba,lb->a", cell, usual[k:])
+    return values
+
+
+def _tilde_corrections_by_rows(v, R, ric):
+    """Reference: the composite trapezoid over row k, (Q_{t_k, t_l} + Q_{t_k, t_l+1}) dt_l / 2."""
+    n, d = v.values.shape
+    corr = np.zeros((n + 1, d))
+    for k in range(1, n + 1):
+        row = R.row(k)
+        integ = np.einsum("l,lab,lb->a", 0.5 * v.grid.dts[:k], row[:k] + row[1:], v.values[:k])
+        corr[k] = 0.5 * ric[k] @ integ
+    return corr
+
+
+class TestSweeps:
+    """The O(n) sweeps over the per-cell steps against the row and column formulas."""
+
+    @staticmethod
+    def _case(kind):
+        if kind == "synthetic":
+            m, cb = smooth_ricci(2, seed=41, amplitude=0.8)
+        else:
+            m = pg.hyperbolic(2, -1.0)
+            cb = m.curvature_window
+        g = TimeGrid.with_times(1.0, 96, [0.0, 0.3, 0.65, 1.0])
+        path = sample_path(m, g, 17)
+        R = resolvent_on_grid(path.grid, m, cb)
+        rng = np.random.default_rng(5)
+        ts = (0.0, 0.3, 0.65, 1.0)
+        F = linear_functional(m, ts, rng.normal(size=(4, m.ambient_dim)))
+        v = GradientField(g, rng.normal(size=(g.n_steps, 2)))
+        return m, path, R, F, v
+
+    @pytest.mark.parametrize("kind", ["synthetic", "hyperbolic"])
+    def test_damped_limits_match_rows(self, kind):
+        m, path, R, F, _ = self._case(kind)
+        idx, slots = gr.frame_pullback_slots(F, path, m)
+        for got, want in zip(gr._damped_limits(idx, slots, R), _damped_limits_by_rows(idx, slots, R)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["synthetic", "hyperbolic"])
+    def test_integral_form_matches_columns(self, kind):
+        m, path, R, F, _ = self._case(kind)
+        got = damped_gradient_integral_form(F, path, R, m).values
+        np.testing.assert_allclose(got, _integral_form_by_columns(F, path, R, m), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["synthetic", "hyperbolic"])
+    def test_tilde_trapezoid_matches_rows(self, kind):
+        m, path, R, _, v = self._case(kind)
+        ric = gr._ricci_nodes(m, path.grid)
+        np.testing.assert_allclose(
+            gr._tilde_corrections(v, R, ric), _tilde_corrections_by_rows(v, R, ric), rtol=0, atol=1e-13
+        )
+
+    def test_algebra_reads_no_rows_or_columns(self, monkeypatch):
+        m, path, R, F, v = self._case("synthetic")
+
+        def refuse(self, i):
+            raise AssertionError("the gradient algebra read a propagator row or column")
+
+        monkeypatch.setattr(gr.ResolventGrid, "row", refuse)
+        monkeypatch.setattr(gr.ResolventGrid, "column", refuse)
+        damped_gradient(F, path, R, m)
+        damped_gradient_integral_form(F, path, R, m)
+        transform_pair(v, path, R, m)
+        duality_defect(F, v, path, R, m)
+
+    def test_ricci_nodes_read_once_per_call(self):
+        m, path, R, F, v = self._case("synthetic")
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return m.ricci_path(t)
+
+        mc = pg.synthetic_ricci_path(2, counted)
+        for run in (
+            lambda: damped_gradient_integral_form(F, path, R, mc),
+            lambda: transform_pair(v, path, R, mc),
+            lambda: duality_defect(F, v, path, R, mc),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == path.grid.n_steps + 1
 
 
 class TestLinearFunctionalGradient:

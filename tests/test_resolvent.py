@@ -5,6 +5,7 @@ import pytest
 
 import pathgap as pg
 from pathgap import gradients as gr
+from pathgap._backend import kernels
 from pathgap.geometry import ricci_matrix
 from pathgap.gradients import DataError, resolvent_on_grid, resolvent_propagator
 from pathgap.sampling import TimeGrid, sample_path
@@ -30,6 +31,15 @@ class TestScalarMode:
             resolvent_on_grid(path.grid, m, pg.CurvatureBounds(0.5, 0.0))  # k1 < c
         with pytest.raises(DataError):
             resolvent_propagator(path.grid, m, pg.CurvatureBounds(0.5, 0.0))
+
+    def test_steps_compose_to_the_exponential(self):
+        m = pg.sphere(2, 1.0)
+        g = TimeGrid.with_times(1.0, 64, ())
+        R = resolvent_on_grid(g, m, m.curvature_window)
+        assert R.steps.shape == (64, 2, 2)
+        np.testing.assert_allclose(
+            np.linalg.multi_dot(R.steps[::-1]), R.entry(64, 0), rtol=1e-13, atol=0
+        )
 
     def test_row_and_column_layout(self):
         m = pg.hyperbolic(2, -0.5)
@@ -121,6 +131,12 @@ class TestSyntheticMode:
             ]
         )
         np.testing.assert_array_equal(stages, want)
+
+    def test_steps_are_the_rk4_steps(self):
+        m, cb = smooth_ricci(2, seed=5)
+        g = TimeGrid.with_times(1.0, 32, ())
+        R = resolvent_on_grid(g, m, cb)
+        np.testing.assert_array_equal(R.steps, kernels.resolvent_steps(gr._stage_ricci(m, g), g.dts))
 
     def test_propagator_matches_triangle(self):
         m, cb = smooth_ricci(3, seed=19)
