@@ -27,8 +27,9 @@ from .gradients import (
     CylindricalFunctional,
     _checked_stages,
     _linear_deterministic_part,
+    _martingale,
+    _prefix_sums,
     _pullback,
-    linear_gradient_batch,
 )
 from .sampling import TimeGrid, batch_increments, simulate_increments
 
@@ -85,8 +86,8 @@ class ChiReport:
 def default_steps(T: float) -> int:
     """Step-count rule keeping order-1 walk bias below the O(T) signal.
 
-    At most 2**14 steps (T <= 1.6384): a (draws, steps, d) chunk temporary
-    of the chi ladder then stays near 100 MB at d = 3.
+    At most 2**14 steps (T <= 1.6384): a chunk of the chi ladder then holds
+    about 110 MB of normals, prefix sums and per-cell buffers at d = 3.
     """
     n = _require_horizon(T) / 1e-4
     if n > 2**14:
@@ -120,9 +121,9 @@ def _map_chunks(run_chunk, ranges, threads: int) -> None:
         list(pool.map(run_chunk_in_caller_state, ranges))
 
 
-# Draws per chunk of the chi estimators: keeps the (draws, steps, d)
-# temporaries cache-sized; the result does not depend on it.
-_CHI_CHUNK = 256
+# Draws per chunk of the chi estimators: keeps the (d, steps, draws) prefix
+# sums cache-sized; the result does not depend on it.
+_CHI_CHUNK = 64
 
 
 def estimate_chi(
@@ -166,10 +167,11 @@ def _chi_ladder(
 ) -> tuple[list[ChiReport], np.ndarray]:
     """``estimate_chi`` for each (T, n_steps) rung, sharing every path's draw.
 
-    Path k draws its normals once, for the longest rung; a rung of n steps
-    uses the first n rows, which are exactly the normals its own grid would
-    draw for path k, scaled by the same sqrt(dt).  Also returns the
-    numerator of each rung per draw, (rungs, draws).
+    Path k draws its normals z once, for the longest rung; a rung of n steps
+    uses the first n rows, exactly the normals its own grid would draw for
+    path k.  One set of prefix sums of z per chunk serves every rung: with
+    increments sqrt(dt) z, dt = T/n, the martingale part is -kappa dt M and
+    F = sqrt(dt) <a, w_n>.  Also returns the numerators, (rungs, draws).
     """
     if m.kind == SYNTHETIC:
         raise ValueError("chi estimation needs a curvature tensor")
@@ -196,13 +198,16 @@ def _chi_ladder(
 
     def run_chunk(lo_hi):
         lo, hi = lo_hi
-        z = batch_increments(normals_grid, m.dim, seed, range(lo, hi))
+        sums = _prefix_sums(batch_increments(normals_grid, m.dim, seed, range(lo, hi)), a)
         for r, grid in enumerate(grids):
-            inc = z[:, : grid.n_steps] * grid.sqrt_dts[:, None]
-            mart = linear_gradient_batch(inc, grid.times, a, m.kappa, c)
-            mart -= dets[r]  # the field less its deterministic part
-            x_r[r, lo:hi] = det_energy[r] + np.einsum("pkd,pkd,k->p", mart, mart, grid.dts)
-            f_r[r, lo:hi] = np.einsum("pkd,d->p", inc, a)
+            n, dt = grid.n_steps, grid.T / grid.n_steps
+            f_r[r, lo:hi] = math.sqrt(dt) * sums[1][n]  # alpha_n = <a, w_n>
+            energy = np.zeros((n, hi - lo))
+            if m.kappa != 0.0:  # flat space has no martingale part
+                for part in _martingale(sums, a, n):
+                    energy += np.square(part, out=part)
+            # a running sum adds each draw's cells in order, however wide the chunk
+            x_r[r, lo:hi] = det_energy[r] + m.kappa**2 * dt**3 * np.cumsum(energy, axis=0)[-1]
 
     _map_chunks(run_chunk, _chunk_ranges(n_draws, chunk), threads)
 

@@ -105,18 +105,19 @@ class ResolventGrid:
     """Damping propagators Q_{t_i, t_j} (i >= j) on a time grid.
 
     Constant Ricci c*Id produces the exact scalar form Q = e^{-c (t_i-t_j)/2} Id
-    (``packed`` is None, nothing stored); otherwise the packed lower triangle
-    from the RK4 kernel is held with pair (i, j) at index i*(i+1)/2 + j.
-    ``entry``, ``row`` and ``column`` return (d, d) matrices in either form.
-    The single-path gradient algebra reads only ``steps``, the per-cell
-    propagators it sweeps over; ``verify_theorem1`` never builds the triangle
-    and sweeps the RK4 steps itself.
+    (``packed`` is None); otherwise the packed lower triangle from the RK4
+    kernel is held with pair (i, j) at index i*(i+1)/2 + j.  ``entry``,
+    ``row`` and ``column`` return (d, d) matrices in either form.  The
+    single-path gradient algebra reads only ``steps``, the per-cell
+    propagators it sweeps over, and ``ricci``, the nodes' Ricci matrices;
+    ``verify_theorem1`` never builds the triangle and sweeps the RK4 steps.
     """
 
     grid: TimeGrid
     dim: int
     scalar_rate: float = 0.0
     packed: Optional[np.ndarray] = None
+    ricci: Optional[np.ndarray] = None  # (n+1, d, d)
 
     def entry(self, i: int, j: int) -> np.ndarray:
         """Q_{t_i, t_j} as a (d, d) matrix."""
@@ -150,15 +151,10 @@ class ResolventGrid:
         return self.packed[(k + 1) * (k + 2) // 2 + k]
 
 
-def _ricci_nodes(m: ModelManifold, grid: TimeGrid) -> np.ndarray:
-    """Ricci matrices at the grid nodes, (n+1, d, d): one callback call per node."""
-    return np.array([ricci_matrix(m, t) for t in grid.times])
-
-
 def _stage_ricci(m: ModelManifold, grid: TimeGrid) -> np.ndarray:
     """Ricci path at the RK4 stage times (t_k, midpoint, t_{k+1}), each node once."""
     times = grid.times
-    nodes = _ricci_nodes(m, grid)
+    nodes = np.array([ricci_matrix(m, t) for t in times])
     mids = np.array([ricci_matrix(m, 0.5 * (t0 + t1)) for t0, t1 in zip(times[:-1], times[1:])])
     return np.stack([nodes[:-1], mids, nodes[1:]], axis=1)
 
@@ -207,8 +203,10 @@ def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBound
     """
     stages = _checked_stages(grid, m, declared)
     if stages is None:
-        return ResolventGrid(grid, m.dim, scalar_rate=m.ricci_scalar)
-    return ResolventGrid(grid, m.dim, packed=kernels.resolvent_triangle(stages, grid.dts))
+        ricci = m.ricci_scalar * np.broadcast_to(np.eye(m.dim), (grid.n_steps + 1, m.dim, m.dim))
+        return ResolventGrid(grid, m.dim, scalar_rate=m.ricci_scalar, ricci=ricci)
+    ricci = np.concatenate([stages[:, 0], stages[-1:, 2]])
+    return ResolventGrid(grid, m.dim, packed=kernels.resolvent_triangle(stages, grid.dts), ricci=ricci)
 
 
 def resolvent_propagator(
@@ -307,7 +305,7 @@ def damped_gradient_integral_form(
     """
     usual = usual_gradient(F, path, m).values
     half = 0.5 * path.grid.dts
-    ric = _ricci_nodes(m, path.grid)
+    ric = R.ricci
     steps = R.steps
     values = np.empty_like(usual)
     acc = np.zeros(usual.shape[1])
@@ -329,7 +327,7 @@ def transform_pair(
     propagator-weighted tilde integral uses the composite trapezoid rule.
     """
     n = v.values.shape[0]
-    ric = _ricci_nodes(m, path.grid)
+    ric = R.ricci
     tilde = v.values - _tilde_corrections(v, R, ric)[:n]
     running = np.cumsum(path.grid.dts[:-1, None] * v.values[:-1], axis=0)
     hat = v.values.copy()
@@ -376,7 +374,7 @@ def duality_defect(
     usual = usual_gradient(F, path, m)
     # left/right limits of tilde(v) on each cell: v is constant there, the
     # damping correction is evaluated at both cell ends
-    corr = _tilde_corrections(v, R, _ricci_nodes(m, path.grid))
+    corr = _tilde_corrections(v, R, R.ricci)
     tilde_left = v.values - corr[:-1]
     tilde_right = v.values - corr[1:]
     rhs = float(0.5 * np.einsum("k,kd,kd->", dts, usual.values, tilde_left + tilde_right))
@@ -401,6 +399,43 @@ def _linear_deterministic_part(times: np.ndarray, a: np.ndarray, ric_scalar: flo
     return a * (1.0 + 0.5 * ric_scalar * (times[-1] - times[:-1]))[:, None]
 
 
+def _prefix_sums(increments: np.ndarray, a: np.ndarray):
+    """Prefix sums at the nodes of a (P, n, d) batch of increments x_j, draws last.
+
+    w_k = sum_{j<k} x_j and u_k = sum_{j<k} alpha_j x_j are (d, n+1, P),
+    alpha_k = <w_k, a> and v_k = sum_{j<k} <w_j, x_j> are (n+1, P).
+    """
+    x = increments.transpose(2, 1, 0)  # (d, n, P) view
+    w = np.zeros((x.shape[0], x.shape[1] + 1, x.shape[2]))
+    np.cumsum(x, axis=1, out=w[:, 1:])
+    alpha = sum(ac * wc for ac, wc in zip(a, w))
+    u = np.zeros_like(w)
+    np.multiply(alpha[:-1], x, out=u[:, 1:])
+    np.cumsum(u[:, 1:], axis=1, out=u[:, 1:])
+    v = np.zeros_like(alpha)
+    np.cumsum(sum(wc[:-1] * xc for wc, xc in zip(w, x)), axis=0, out=v[1:])
+    return w, alpha, u, v
+
+
+def _martingale(sums, a: np.ndarray, n: int):
+    """Yield M_k, k < n, over the first n increments, one (n, P) component at a time.
+
+    M_k = (u_n - u_k) - alpha_k (w_n - w_k) - [(v_n - v_k) - <w_k, w_n - w_k>] a
+    from the :func:`_prefix_sums`.
+    """
+    w, alpha, u, v = sums
+    ahead = np.empty_like(alpha[:n])  # w_n - w_k of one component, then scratch
+    scalar = v[n] - v[:n]
+    for wc in w:
+        scalar -= np.multiply(wc[:n], np.subtract(wc[n], wc[:n], out=ahead), out=ahead)
+    for wc, uc, ac in zip(w, u, a):
+        np.multiply(np.subtract(wc[n], wc[:n], out=ahead), alpha[:n], out=ahead)
+        part = uc[n] - uc[:n]
+        part -= ahead
+        part -= np.multiply(scalar, ac, out=ahead)
+        yield part
+
+
 def linear_gradient_batch(
     increments: np.ndarray, times: np.ndarray, a: np.ndarray, kappa: float, ric_scalar: float
 ) -> np.ndarray:
@@ -409,35 +444,14 @@ def linear_gradient_batch(
     On a constant-curvature manifold the curvature action in the moving
     frame does not depend on the frame, so the field is an explicit
     functional of the driving increments: a deterministic part
-    a (1 + c (T - tau)/2) plus a stochastic part built from suffix sums of
-    the increments (inner curvature integral exact, outer integral left-point).
+    a (1 + c (T - tau)/2) plus -kappa M of :func:`_martingale`, from prefix
+    sums of the increments (inner curvature integral exact, outer integral
+    left-point).  The chi estimators read M without building the field.
     """
     increments = np.asarray(increments, dtype=float)
-    P, n, d = increments.shape
     a = np.asarray(a, dtype=float)
-    det_part = _linear_deterministic_part(times, a, ric_scalar)
-    if kappa == 0.0:
-        return np.broadcast_to(det_part, (P, n, d)).copy()
-
-    w = np.empty((P, n + 1, d))
-    w[:, 0] = 0.0
-    np.cumsum(increments, axis=1, out=w[:, 1:])
-    w_nodes = w[:, :n, :]  # w at left points t_k
-    wa = w_nodes @ a  # (P, n)
-    # suffix sums over cells k >= K, accumulated in place on reversed views
-    field = wa[:, :, None] * increments
-    np.cumsum(field[:, ::-1], axis=1, out=field[:, ::-1])  # sA
-    sC = np.einsum("pkd,pkd->pk", w_nodes, increments)
-    np.cumsum(sC[:, ::-1], axis=1, out=sC[:, ::-1])
-    B = w[:, -1:, :] - w_nodes  # w_T - w_{t_k}, (P, n, d)
-    term_sca = sC - np.einsum("pkd,pkd->pk", w_nodes, B)
-    B *= wa[:, :, None]
-    field -= B  # sA - <w_{t_k}, a> B
-    np.multiply(term_sca[:, :, None], a, out=B)
-    field -= B
-    field *= -kappa  # the martingale part
-    field += det_part
-    return field
+    mart = np.stack(list(_martingale(_prefix_sums(increments, a), a, increments.shape[1])), -1)
+    return _linear_deterministic_part(times, a, ric_scalar) + (-kappa) * mart.transpose(1, 0, 2)
 
 
 def linear_functional_gradient(

@@ -116,7 +116,7 @@ class PathSample:
 
 
 # Paths per block of the normal stream; it divides every default chunk
-# (256, 1024, 4096), so a default chunk draws whole blocks.
+# (64, 1024, 4096), so a default chunk draws whole blocks.
 BLOCK = 64
 
 

@@ -108,6 +108,106 @@ class TestEstimateChi:
             est.estimate_chi(pg.euclidean(2), np.array([1.0, 1.0]), 0.1, 32, 100, 3)
 
 
+def _linear_field_by_suffix_sums(increments, times, a, kappa, ric_scalar):
+    """Reference: the linear field, its martingale part built from suffix
+    sums over the cells k >= K on (P, n, d) arrays."""
+    P, n, d = increments.shape
+    det = a * (1.0 + 0.5 * ric_scalar * (times[-1] - times[:-1]))[:, None]
+    w = np.zeros((P, n + 1, d))
+    np.cumsum(increments, axis=1, out=w[:, 1:])
+    w_nodes = w[:, :n]
+    wa = w_nodes @ a
+    s_a = np.cumsum((wa[:, :, None] * increments)[:, ::-1], axis=1)[:, ::-1]
+    s_c = np.cumsum(np.einsum("pkd,pkd->pk", w_nodes, increments)[:, ::-1], axis=1)[:, ::-1]
+    ahead = w[:, -1:] - w_nodes
+    scalar = s_c - np.einsum("pkd,pkd->pk", w_nodes, ahead)
+    return det - kappa * (s_a - wa[:, :, None] * ahead - scalar[:, :, None] * a)
+
+
+class TestChiLadder:
+    """The ladder reads every rung's martingale energy from one set of prefix sums."""
+
+    @pytest.mark.parametrize(
+        "m", [pg.sphere(3, 1.0), pg.hyperbolic(2, -1.0)], ids=["sphere3", "hyperbolic2"]
+    )
+    def test_numerators_match_the_suffix_sum_field(self, m):
+        """Per draw, the numerator is integral |det|^2 + integral |field - det|^2
+        of the reference field, on rungs of different dt; F is <a, w_T>."""
+        a = np.zeros(m.dim)
+        a[0], a[-1] = 0.8, 0.6
+        rungs = [(0.005, 64), (0.01, 100)]
+        seed, n_draws = 23, 150
+        reports, x = est._chi_ladder(m, a, rungs, 2 * n_draws, seed, 64, 1)
+        z = batch_increments(TimeGrid.with_times(100, 100, ()), m.dim, seed, range(n_draws))
+        for report, x_rung, (T, n) in zip(reports, x, rungs):
+            grid = TimeGrid.with_times(T, n, ())
+            inc = z[:, :n] * grid.sqrt_dts[:, None]
+            field = _linear_field_by_suffix_sums(inc, grid.times, a, m.kappa, m.ricci_scalar)
+            np.testing.assert_allclose(
+                linear_gradient_batch(inc, grid.times, a, m.kappa, m.ricci_scalar),
+                field, rtol=0, atol=1e-14,
+            )
+            det = a * (1.0 + 0.5 * m.ricci_scalar * (T - grid.times[:-1]))[:, None]
+            mart = field - det
+            want = np.einsum("kd,kd,k->", det, det, grid.dts)
+            want = want + np.einsum("pkd,pkd,k->p", mart, mart, grid.dts)
+            np.testing.assert_allclose(x_rung, want, rtol=1e-12)
+            f = np.einsum("pkd,d->p", inc, a)
+            assert report.var_F.mean == pytest.approx(np.mean(f * f), rel=1e-12)
+
+    def test_flat_numerator_is_the_deterministic_energy(self, monkeypatch):
+        """kappa = 0: no martingale sweep, and every draw's numerator is the
+        deterministic energy |a|^2 T."""
+
+        def refuse(*args):
+            raise AssertionError("the flat ladder swept the martingale sums")
+
+        monkeypatch.setattr(est, "_martingale", refuse)
+        rungs = [(0.005, 64), (0.01, 100)]
+        a = np.array([0.0, 0.6, 0.8])
+        reports, x = est._chi_ladder(pg.euclidean(3), a, rungs, 300, 5, 64, 1)
+        for report, x_rung, (T, _) in zip(reports, x, rungs):
+            assert np.all(x_rung == x_rung[0]) and x_rung[0] == pytest.approx(T, rel=1e-14)
+            assert report.dirichlet.stderr == 0.0 and report.chi.stderr == 0.0
+
+    def test_one_draw_chunks_change_nothing(self):
+        """A chunk of one draw sums its cells in the same order as a wide one.
+        At T ~ 1 the martingale energy is a visible share of each numerator."""
+        args = (pg.sphere(3, 2.0), np.array([0.0, 1.0, 0.0]), [(0.5, 64), (1.0, 100)], 42, 29)
+        one, wide = est._chi_ladder(*args, 1, 1), est._chi_ladder(*args, 64, 1)
+        assert np.array_equal(one[1], wide[1]) and one[0] == wide[0]
+
+    def test_normals_are_drawn_once_per_chunk(self, monkeypatch):
+        """``perfbench/child.py`` times the first unit of work by patching
+        ``estimators.batch_increments``: every chunk draws through that name,
+        once for all rungs."""
+        calls = []
+        draw = est.batch_increments
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(est, "batch_increments", counted)
+        n_draws = 5 * est._CHI_CHUNK + 3
+        est.small_time_slope(pg.sphere(2, 1.0), np.array([1.0, 0.0]), [0.01, 0.02, 0.03, 0.04],
+                             2 * n_draws, 3)
+        assert len(calls) == 6
+
+    def test_traced_peak_at_benchmark_size(self):
+        """S^3, ladder 0.005-0.04 (400 steps at most), 8192 paths, one thread."""
+        m = pg.sphere(3, 1.0)
+        tracemalloc.start()
+        try:
+            rep = est.small_time_slope(m, np.array([1.0, 0.0, 0.0]), [0.005, 0.01, 0.02, 0.04],
+                                       8192, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(rep.slope.mean - rep.predicted_slope) <= 0.1
+        assert peak <= 9e6
+
+
 class TestVerifyTheorem1:
     def test_flat_equality(self):
         """Zero Ricci: both sides coincide and the violation is exactly zero."""

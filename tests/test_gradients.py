@@ -7,7 +7,7 @@ import pytest
 
 import pathgap as pg
 from pathgap import gradients as gr
-from pathgap.geometry import _project_tangent
+from pathgap.geometry import _project_tangent, ricci_matrix
 from pathgap.gradients import (
     CylindricalFunctional,
     GradientField,
@@ -36,6 +36,11 @@ def linear_functional(m, ts, bs):
         lambda pos: np.einsum("pja,ja->p", pos, bs),
         lambda pos: np.broadcast_to(_project_tangent(m, pos, bs), pos.shape),
     )
+
+
+def ricci_at_nodes(m, grid):
+    """The Ricci matrices at the grid nodes, one callback call each."""
+    return np.array([ricci_matrix(m, t) for t in grid.times])
 
 
 def linear_flat_functional(a, t_eval):
@@ -246,7 +251,7 @@ def _integral_form_by_columns(F, path, R, m):
     """Reference: the correction integral over column k, a trapezoid per cell."""
     usual = usual_gradient(F, path, m).values
     dts = path.grid.dts
-    ric = gr._ricci_nodes(m, path.grid)
+    ric = ricci_at_nodes(m, path.grid)
     values = usual.copy()
     for k in range(path.grid.n_steps):
         w = np.einsum("iab,ibc->iac", ric[k:], R.column(k))  # ric(t_i) Q_{t_i, t_k}
@@ -301,7 +306,7 @@ class TestSweeps:
     @pytest.mark.parametrize("kind", ["synthetic", "hyperbolic"])
     def test_tilde_trapezoid_matches_rows(self, kind):
         m, path, R, _, v = self._case(kind)
-        ric = gr._ricci_nodes(m, path.grid)
+        ric = ricci_at_nodes(m, path.grid)
         np.testing.assert_allclose(
             gr._tilde_corrections(v, R, ric), _tilde_corrections_by_rows(v, R, ric), rtol=0, atol=1e-13
         )
@@ -319,8 +324,10 @@ class TestSweeps:
         transform_pair(v, path, R, m)
         duality_defect(F, v, path, R, m)
 
-    def test_ricci_nodes_read_once_per_call(self):
-        m, path, R, F, v = self._case("synthetic")
+    def test_ricci_is_read_once_per_grid(self):
+        """Building the grid calls the Ricci callback once per node and
+        midpoint; the gradient algebra reads the nodes back from the grid."""
+        m, path, _, F, v = self._case("synthetic")
         calls = []
 
         def counted(t):
@@ -328,14 +335,21 @@ class TestSweeps:
             return m.ricci_path(t)
 
         mc = pg.synthetic_ricci_path(2, counted)
-        for run in (
-            lambda: damped_gradient_integral_form(F, path, R, mc),
-            lambda: transform_pair(v, path, R, mc),
-            lambda: duality_defect(F, v, path, R, mc),
-        ):
-            calls.clear()
-            run()
-            assert len(calls) == path.grid.n_steps + 1
+        R = resolvent_on_grid(path.grid, mc, pg.CurvatureBounds(10.0, -10.0))
+        assert len(calls) == 2 * path.grid.n_steps + 1
+        np.testing.assert_array_equal(R.ricci, ricci_at_nodes(m, path.grid))
+        calls.clear()
+        tilde, hat = transform_pair(v, path, R, mc)
+        transform_pair(tilde, path, R, mc)
+        transform_pair(hat, path, R, mc)
+        duality_defect(F, v, path, R, mc)
+        damped_gradient(F, path, R, mc)
+        damped_gradient_integral_form(F, path, R, mc)
+        assert calls == []
+
+    def test_constant_curvature_ricci_is_the_scalar_matrix(self):
+        m, path, R, _, _ = self._case("hyperbolic")
+        np.testing.assert_array_equal(R.ricci, ricci_at_nodes(m, path.grid))
 
 
 class TestLinearFunctionalGradient:
