@@ -1,18 +1,18 @@
 """Numpy implementations of the hot kernels.
 
-Two entry points:
+Two kernels:
 
 * ``simulate_paths`` -- geodesic random walk on a model manifold for a batch
   of driving-increment arrays, recording positions and frames at selected
   time indices.
-* ``resolvent_steps`` / ``resolvent_triangle`` / ``resolvent_column`` -- RK4
-  for the damping ODE dQ/dt = -1/2 A(t) Q.  The ODE is linear in Q, so each
-  cell's RK4 step is one matrix M_k = Q_{t_{k+1}, t_k}, and every propagator
-  is a product of them: the triangle sweeps them across the start columns,
-  the column applies them to one.
+* ``resolvent_steps`` -- RK4 for the damping ODE dQ/dt = -1/2 A(t) Q.  The
+  ODE is linear in Q, so each cell's RK4 step is one matrix
+  M_k = Q_{t_{k+1}, t_k}, and every propagator is a product of them.
+  ``resolvent_triangle`` (all pairs) and ``resolvent_column`` (one start
+  column) form those products from the steps; they are the test
+  references, and no package code calls them.
 
-Vectorization is across paths (simulate) and across start columns
-(resolvent).
+Vectorization is across paths (simulate) and across cells (resolvent steps).
 """
 
 from __future__ import annotations
@@ -150,32 +150,27 @@ def resolvent_steps(ric_stages, dts):
     return eye + (h / 6.0) * (b0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def resolvent_triangle(ric_stages, dts):
-    """All propagators Q_{t_i, t_j}, i >= j, packed row-major.
+def resolvent_triangle(steps):
+    """All propagators Q_{t_i, t_j}, i >= j, from the per-cell steps, packed row-major.
 
-    Returns (n_pairs, d, d) with pair (i, j) at i*(i+1)/2 + j.  Row i + 1 is
-    M_i times row i, one GEMM across the start columns, then Q_{i+1, i+1} = I.
+    The test reference for all pairs: returns (n_pairs, d, d) with pair
+    (i, j) at i*(i+1)/2 + j.  Row i + 1 is M_i times row i, then
+    Q_{i+1, i+1} = I.  The package itself sweeps the steps and never builds
+    this O(n^2) stack.
     """
-    steps = resolvent_steps(ric_stages, dts)
-    n, d = steps.shape[0], steps.shape[-1]
-    eye = np.eye(d)
-    out = np.empty(((n + 1) * (n + 2) // 2, d, d))
-    cur = np.empty((d, n + 1, d))  # cur[:, j] = Q_{t_i, t_j}
-    flat = cur.reshape(d, -1)
-    cur[:, 0] = out[0] = eye
-    for k in range(n):
-        flat[:, : (k + 1) * d] = steps[k] @ flat[:, : (k + 1) * d]
-        cur[:, k + 1] = eye
-        base = (k + 1) * (k + 2) // 2
-        out[base : base + k + 2] = cur[:, : k + 2].transpose(1, 0, 2)
-    return out
+    eye = np.eye(steps.shape[-1])[None]
+    rows = [eye]
+    for step in steps:
+        rows.append(np.concatenate([step @ rows[-1], eye]))
+    return np.concatenate(rows)
 
 
-def resolvent_column(ric_stages, dts, j0):
-    """Propagators Q_{t_i, t_{j0}} for i = j0..n: shape (n+1-j0, d, d)."""
-    steps = resolvent_steps(np.asarray(ric_stages)[j0:], np.asarray(dts)[j0:])
-    out = np.empty((len(steps) + 1, *steps.shape[1:]))
-    out[0] = np.eye(steps.shape[-1])
-    for k in range(len(steps)):
-        out[k + 1] = steps[k] @ out[k]
-    return out
+def resolvent_column(steps, j0):
+    """Propagators Q_{t_i, t_{j0}} for i = j0..n from the per-cell steps, (n+1-j0, d, d).
+
+    The test reference for one start column.
+    """
+    out = [np.eye(steps.shape[-1])]
+    for step in steps[j0:]:
+        out.append(step @ out[-1])
+    return np.array(out)

@@ -20,16 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
-from ._backend import kernels
 from .bounds import CurvatureBounds, _require_horizon, lambda_integral
 from .geometry import SYNTHETIC, ModelManifold, _project_tangent
 from .gradients import (
     CylindricalFunctional,
-    _checked_stages,
     _linear_deterministic_part,
     _martingale,
     _prefix_sums,
     _pullback,
+    resolvent_on_grid,
 )
 from .sampling import TimeGrid, batch_increments, simulate_increments
 
@@ -133,7 +132,6 @@ def estimate_chi(
     n_steps: int,
     n_paths: int,
     seed: int,
-    chunk: int = _CHI_CHUNK,
     threads: int = 1,
 ) -> ChiReport:
     """Monte-Carlo Rayleigh quotient chi_T for F = <a, w_T>, |a| = 1.
@@ -151,9 +149,9 @@ def estimate_chi(
     same field while F changes sign; a pair is computed once, and an odd
     ``n_paths`` is rounded up to the next pair.  ``var_F``, the pair mean of
     F^2, checks the normals against Var F = T.  The result does not depend
-    on ``chunk`` or ``threads``.
+    on the chunking or on ``threads``.
     """
-    return _chi_ladder(m, a, [(T, n_steps)], n_paths, seed, chunk, threads)[0][0]
+    return _chi_ladder(m, a, [(T, n_steps)], n_paths, seed, threads)[0][0]
 
 
 def _chi_ladder(
@@ -162,7 +160,6 @@ def _chi_ladder(
     rungs: Sequence[tuple[float, int]],
     n_paths: int,
     seed: int,
-    chunk: int,
     threads: int,
 ) -> tuple[list[ChiReport], np.ndarray]:
     """``estimate_chi`` for each (T, n_steps) rung, sharing every path's draw.
@@ -209,7 +206,7 @@ def _chi_ladder(
             # a running sum adds each draw's cells in order, however wide the chunk
             x_r[r, lo:hi] = det_energy[r] + m.kappa**2 * dt**3 * np.cumsum(energy, axis=0)[-1]
 
-    _map_chunks(run_chunk, _chunk_ranges(n_draws, chunk), threads)
+    _map_chunks(run_chunk, _chunk_ranges(n_draws, _CHI_CHUNK), threads)
 
     reports = []
     for r, grid in enumerate(grids):
@@ -261,6 +258,11 @@ def damped_energy_pairwise(ts: np.ndarray, gram: np.ndarray, c: float) -> np.nda
 # counts as satisfied: roundoff between the two closed-form sides.
 THEOREM1_SLACK = 1e-8
 
+# Paths per chunk of the verifiers: each functional is called once per chunk,
+# and the reports do not depend on these.
+_THEOREM1_CHUNK = 1024
+_LSI_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class TheoremOneReport:
@@ -282,7 +284,6 @@ def verify_theorem1(
     n_steps: int,
     n_paths: int,
     seed: int,
-    chunk: int = 1024,
     threads: int = 1,
 ) -> TheoremOneReport:
     """Per-path check that the damped-gradient energy never exceeds the
@@ -293,20 +294,24 @@ def verify_theorem1(
     produce spurious violations); synthetic Ricci paths use a per-cell
     trapezoid for the damped side, whose weights do not depend on the path.
     Each functional is evaluated once per chunk of paths.  The report does
-    not depend on ``chunk`` or ``threads``.
+    not depend on the chunking or on ``threads``.
 
     Only a synthetic path is checked against ``declared`` (``DataError``
     before any path is drawn): its window is a contract on supplied data.
     On constant curvature the window is the hypothesis under test, so a
     window that excludes the true Ricci runs and can fail the check.
     """
+    if n_paths < 1:
+        raise ValueError(f"the pathwise check needs at least 1 path, got {n_paths}")
+    if len(F_family) == 0:
+        raise ValueError("the pathwise check needs at least 1 functional")
     eval_times = sorted({t for F in F_family for t in F.eval_times})
     grid = TimeGrid.with_times(T, n_steps, eval_times)
     rec_idx = np.array([grid.index_of(t) for t in eval_times], dtype=np.int64)
     rec_pos = {t: i for i, t in enumerate(eval_times)}
     slot_w = None
     if m.kind == SYNTHETIC:
-        slot_w = _damped_weights(grid, rec_idx, _checked_stages(grid, m, declared))
+        slot_w = _damped_weights(grid, rec_idx, resolvent_on_grid(grid, m, declared).steps)
     per_F = []
     for F in F_family:
         sel = np.array([rec_pos[t] for t in F.eval_times], dtype=np.int64)
@@ -318,6 +323,7 @@ def verify_theorem1(
         per_F.append((F, sel, ts, wmat, damped_w))
     g = m.metric_diag()
 
+    chunk = _THEOREM1_CHUNK
     ranges = _chunk_ranges(n_paths, chunk)
     worst = [-math.inf] * len(ranges)  # per chunk: largest violation
     n_ok = [0] * len(ranges)  # per chunk: samples within the slack
@@ -343,14 +349,14 @@ def verify_theorem1(
     return TheoremOneReport(
         n_paths=n_paths,
         n_functionals=len(F_family),
-        max_violation=max(worst, default=-math.inf),
+        max_violation=max(worst),
         satisfied_fraction=sum(n_ok) / (n_paths * len(F_family)),
         slack=THEOREM1_SLACK,
         seed=seed,
     )
 
 
-def _damped_weights(grid: TimeGrid, idx: np.ndarray, stages: np.ndarray) -> np.ndarray:
+def _damped_weights(grid: TimeGrid, idx: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Path-independent weights W of the trapezoid damped energy, (N, N, d, d).
 
     The energy is sum_{j,l} s_j^T W_jl s_l in the slot gradients s_j, with
@@ -359,11 +365,12 @@ def _damped_weights(grid: TimeGrid, idx: np.ndarray, stages: np.ndarray) -> np.n
     i_j <= i_l the cocycle gives W_jl = G_{i_j} Q_{i_l,i_j}^T with the
     trapezoid Gramian G_{k+1} = M_k (G_k + dt_k/2 I) M_k^T + dt_k/2 I.  One
     forward sweep carries H_j = Q_{k,i_j} G_{i_j} for the slots passed, and
-    at k = i_l block column l is H^T and block row l is H.
+    at k = i_l block column l is H^T and block row l is H.  ``steps`` holds
+    the per-cell propagators M_k of the grid; the sweep reads them up to the
+    last slot.
     """
-    last = int(max(idx, default=0))
-    steps = kernels.resolvent_steps(stages[:last], grid.dts[:last])
-    N, d = len(idx), stages.shape[-1]
+    last = int(max(idx))
+    N, d = len(idx), steps.shape[-1]
     slot_at = {int(i): l for l, i in enumerate(idx)}  # slot grid indices are distinct
     eye = np.eye(d)
     gram = np.zeros((d, d))
@@ -408,14 +415,14 @@ def verify_lsi(
     n_steps: int,
     n_paths: int,
     seed: int,
-    chunk: int = 4096,
     threads: int = 1,
 ) -> LsiReport:
     """Estimate E(F^2 log(F^2/||F||^2)) and 2 E integral |D~F|^2 and compare.
 
     Monte Carlo cannot certify an inequality between expectations; the check
     only flags a failure when the gap is negative beyond four combined
-    standard errors.  The report does not depend on ``chunk`` or ``threads``.
+    standard errors.  The report does not depend on the chunking or on
+    ``threads``.
     """
     if m.kind == SYNTHETIC:
         raise ValueError("the entropy check needs a curvature tensor")
@@ -447,7 +454,7 @@ def verify_lsi(
         b_p[lo:hi] = f2
         r_p[lo:hi] = 2.0 * damped_energy_pairwise(ts, slots @ slots.transpose(0, 2, 1), c)
 
-    _map_chunks(run_chunk, _chunk_ranges(n_paths, chunk), threads)
+    _map_chunks(run_chunk, _chunk_ranges(n_paths, _LSI_CHUNK), threads)
     a_bar, b_bar, r_bar = float(np.mean(a_p)), float(np.mean(b_p)), float(np.mean(r_p))
     entropy = a_bar - b_bar * math.log(b_bar)
     gap = r_bar - entropy
@@ -502,7 +509,7 @@ def small_time_slope(
     if len(T_list) < 4:
         raise ValueError("need at least 4 horizons for the slope fit")
     points, x = _chi_ladder(
-        m, a, [(T, default_steps(T)) for T in T_list], n_paths, seed, _CHI_CHUNK, threads
+        m, a, [(T, default_steps(T)) for T in T_list], n_paths, seed, threads
     )
     ts = np.array([p.T for p in points])
     coef = ts**-3 / np.sum(ts**-2)

@@ -18,7 +18,7 @@ quantity is one forward or backward sweep over them, O(n) in the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "CylindricalFunctional",
     "GradientField",
     "resolvent_on_grid",
-    "resolvent_propagator",
     "usual_gradient",
     "damped_gradient",
     "damped_gradient_integral_form",
@@ -102,53 +101,19 @@ def field_l2_distance(f1: GradientField, f2: GradientField) -> float:
 
 @dataclass(frozen=True)
 class ResolventGrid:
-    """Damping propagators Q_{t_i, t_j} (i >= j) on a time grid.
+    """Damping propagators on a time grid, held as their per-cell steps.
 
-    Constant Ricci c*Id produces the exact scalar form Q = e^{-c (t_i-t_j)/2} Id
-    (``packed`` is None); otherwise the packed lower triangle from the RK4
-    kernel is held with pair (i, j) at index i*(i+1)/2 + j.  ``entry``,
-    ``row`` and ``column`` return (d, d) matrices in either form.  The
-    single-path gradient algebra reads only ``steps``, the per-cell
-    propagators it sweeps over, and ``ricci``, the nodes' Ricci matrices;
-    ``verify_theorem1`` never builds the triangle and sweeps the RK4 steps.
+    ``steps[k]`` is M_k = Q_{t_{k+1}, t_k}, (n, d, d): the exact
+    e^{-c dt_k/2} Id on constant Ricci c, the RK4 step otherwise.  Every
+    propagator is a product Q_{t_i, t_j} = M_{i-1} ... M_j, so the gradient
+    algebra sweeps the steps in O(n); ``kernels.resolvent_triangle`` and
+    ``kernels.resolvent_column`` form the products as test references.
+    ``ricci`` holds the Ricci matrices at the n + 1 nodes, (n+1, d, d).
     """
 
     grid: TimeGrid
-    dim: int
-    scalar_rate: float = 0.0
-    packed: Optional[np.ndarray] = None
-    ricci: Optional[np.ndarray] = None  # (n+1, d, d)
-
-    def entry(self, i: int, j: int) -> np.ndarray:
-        """Q_{t_i, t_j} as a (d, d) matrix."""
-        if j > i:
-            raise IndexError("propagator defined for i >= j only")
-        return self.row(i)[j]
-
-    def row(self, i: int) -> np.ndarray:
-        """Stack Q_{t_i, t_j} for j = 0..i, shape (i+1, d, d)."""
-        if self.packed is None:
-            dts = self.grid.times[i] - self.grid.times[: i + 1]
-            return np.exp(-0.5 * self.scalar_rate * dts)[:, None, None] * np.eye(self.dim)
-        base = i * (i + 1) // 2
-        return self.packed[base : base + i + 1]
-
-    def column(self, j: int) -> np.ndarray:
-        """Stack Q_{t_i, t_j} for i = j..n, shape (n+1-j, d, d)."""
-        n = self.grid.n_steps
-        if self.packed is None:
-            dts = self.grid.times[j:] - self.grid.times[j]
-            return np.exp(-0.5 * self.scalar_rate * dts)[:, None, None] * np.eye(self.dim)
-        idx = np.arange(j, n + 1)
-        return self.packed[idx * (idx + 1) // 2 + j]
-
-    @property
-    def steps(self) -> np.ndarray:
-        """Per-cell propagators M_k = Q_{t_{k+1}, t_k}, shape (n, d, d)."""
-        if self.packed is None:
-            return np.exp(-0.5 * self.scalar_rate * self.grid.dts)[:, None, None] * np.eye(self.dim)
-        k = np.arange(self.grid.n_steps)
-        return self.packed[(k + 1) * (k + 2) // 2 + k]
+    steps: np.ndarray
+    ricci: np.ndarray
 
 
 def _stage_ricci(m: ModelManifold, grid: TimeGrid) -> np.ndarray:
@@ -159,15 +124,14 @@ def _stage_ricci(m: ModelManifold, grid: TimeGrid) -> np.ndarray:
     return np.stack([nodes[:-1], mids, nodes[1:]], axis=1)
 
 
-def _checked_stages(
-    grid: TimeGrid, m: ModelManifold, declared: CurvatureBounds
-) -> Optional[np.ndarray]:
-    """Check the Ricci data against the declared window; return its RK4 stages.
+def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBounds) -> ResolventGrid:
+    """Damping propagators on a grid; the Ricci data depends on time only.
 
-    Constant curvature returns None: its scalar Ricci gives the exact
-    exponential propagator, so there is nothing to integrate.  A synthetic
-    path is checked at every distinct stage time.  A violation raises
-    :class:`DataError`.
+    The Ricci data is checked against the declared window first; a violation
+    raises :class:`DataError`.  Constant Ricci c gives the exact steps
+    e^{-c dt_k/2} Id.  A synthetic path is checked at every distinct RK4
+    stage time and integrated by RK4 with stage-time evaluation: one step
+    matrix per cell.  Either way the grid holds O(n) matrices.
     """
     if m.kind != SYNTHETIC:
         c = m.ricci_scalar
@@ -176,9 +140,12 @@ def _checked_stages(
                 f"constant Ricci {c:.6g} outside declared window "
                 f"(k1={declared.k1:.6g}, k2={declared.k2:.6g})"
             )
-        return None
+        eye = np.eye(m.dim)
+        ricci = c * np.broadcast_to(eye, (grid.n_steps + 1, m.dim, m.dim))
+        return ResolventGrid(grid, np.exp(-0.5 * c * grid.dts)[:, None, None] * eye, ricci)
     stages = _stage_ricci(m, grid)
-    mats = np.concatenate([stages[:, 0], stages[-1:, 2], stages[:, 1]])
+    ricci = np.concatenate([stages[:, 0], stages[-1:, 2]])
+    mats = np.concatenate([ricci, stages[:, 1]])
     min_eig = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))[:, 0].min()
     op_norm = np.linalg.norm(mats, ord=2, axis=(-2, -1)).max()
     if min_eig < declared.k2 - 1e-9:
@@ -191,32 +158,7 @@ def _checked_stages(
             f"ricci path violates declared norm bound: max operator norm "
             f"{op_norm:.6g} > k1 = {declared.k1:.6g}"
         )
-    return stages
-
-
-def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBounds) -> ResolventGrid:
-    """Damping propagators on a grid; the Ricci data depends on time only.
-
-    Constant-curvature manifolds use the exact exponential; synthetic Ricci
-    paths are integrated by RK4 with stage-time evaluation: one step matrix
-    per cell, applied to every start column at once.
-    """
-    stages = _checked_stages(grid, m, declared)
-    if stages is None:
-        ricci = m.ricci_scalar * np.broadcast_to(np.eye(m.dim), (grid.n_steps + 1, m.dim, m.dim))
-        return ResolventGrid(grid, m.dim, scalar_rate=m.ricci_scalar, ricci=ricci)
-    ricci = np.concatenate([stages[:, 0], stages[-1:, 2]])
-    return ResolventGrid(grid, m.dim, packed=kernels.resolvent_triangle(stages, grid.dts), ricci=ricci)
-
-
-def resolvent_propagator(
-    grid: TimeGrid, m: ModelManifold, declared: CurvatureBounds, j0: int = 0
-) -> np.ndarray:
-    """Single column Q_{t_i, t_{j0}}, i = j0..n, without the full triangle."""
-    stages = _checked_stages(grid, m, declared)
-    if stages is None:
-        return ResolventGrid(grid, m.dim, scalar_rate=m.ricci_scalar).column(j0)
-    return kernels.resolvent_column(stages, grid.dts, j0)
+    return ResolventGrid(grid, kernels.resolvent_steps(stages, grid.dts), ricci)
 
 
 def _pullback(F: CylindricalFunctional, positions: np.ndarray, frames: np.ndarray, g: np.ndarray):

@@ -15,6 +15,7 @@ import numpy as np
 
 import pathgap as pg
 from pathgap import estimators as est
+from pathgap._backend import kernels
 from pathgap.bounds import (
     CurvatureBounds,
     lambda_argmax,
@@ -31,7 +32,6 @@ from pathgap.gradients import (
     duality_defect,
     field_l2_distance,
     resolvent_on_grid,
-    resolvent_propagator,
     transform_pair,
 )
 from pathgap.sampling import TimeGrid, sample_path
@@ -142,11 +142,11 @@ def test_criterion_3_resolvent():
     # constant Ricci: exact exponential entries
     m = pg.sphere(2, 1.0)
     grid = TimeGrid.with_times(1.0, 512, ())
-    R = resolvent_on_grid(grid, m, m.curvature_window)
+    tri = kernels.resolvent_triangle(resolvent_on_grid(grid, m, m.curvature_window).steps)
     worst_const = 0.0
     for i, j in [(512, 0), (300, 120), (64, 63)]:
         want = math.exp(-0.5 * (grid.times[i] - grid.times[j]))
-        worst_const = max(worst_const, np.abs(R.entry(i, j) - want * np.eye(2)).max())
+        worst_const = max(worst_const, np.abs(tri[i * (i + 1) // 2 + j] - want * np.eye(2)).max())
 
     # 100 synthetic non-symmetric paths at n=512
     rng = np.random.default_rng(RNG_SEED + 2)
@@ -155,16 +155,16 @@ def test_criterion_3_resolvent():
     idx_i, idx_j = np.tril_indices(513)
     for path_id in range(100):
         ms, cb = smooth_ricci(2, seed=2000 + path_id)
-        Rs = resolvent_on_grid(grid, ms, cb)
-        norms = spectral_norms(Rs.packed)
+        tri = kernels.resolvent_triangle(resolvent_on_grid(grid, ms, cb).steps)
+        norms = spectral_norms(tri)
         bound = np.exp(-0.5 * cb.k2 * (grid.times[idx_i] - grid.times[idx_j]))
         worst_excess = max(worst_excess, float((norms - bound).max()))
         j = rng.integers(0, 512, size=500)
         k = rng.integers(j, 513)
         i = rng.integers(k, 513)
-        q_ij = Rs.packed[i * (i + 1) // 2 + j]
-        q_ik = Rs.packed[i * (i + 1) // 2 + k]
-        q_kj = Rs.packed[k * (k + 1) // 2 + j]
+        q_ij = tri[i * (i + 1) // 2 + j]
+        q_ik = tri[i * (i + 1) // 2 + k]
+        q_kj = tri[k * (k + 1) // 2 + j]
         err = np.abs(q_ij - np.einsum("pab,pbc->pac", q_ik, q_kj)).max()
         worst_cocycle = max(worst_cocycle, float(err))
 
@@ -173,7 +173,7 @@ def test_criterion_3_resolvent():
 
     def q_final(n):
         g = TimeGrid.with_times(1.0, n, ())
-        return resolvent_propagator(g, msf, cbf, j0=0)[-1]
+        return kernels.resolvent_column(resolvent_on_grid(g, msf, cbf).steps, 0)[-1]
 
     ref = q_final(16384)
     e_256 = np.abs(q_final(256) - ref).max()

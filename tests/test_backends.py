@@ -1,10 +1,15 @@
 """The numpy kernels are deterministic and record consistently."""
 
+import importlib.util
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import pathgap as pg
 from pathgap import _kernels_py as kern
+from pathgap._backend import kernels
 from pathgap.sampling import TimeGrid, batch_increments
 
 from conftest import smooth_ricci
@@ -71,15 +76,30 @@ class TestResolventKernels:
         return gr._stage_ricci(m, g), g.dts
 
     def test_column_matches_triangle(self):
-        stages, dts = self._stages(48, 2, seed=59)
-        tri = kern.resolvent_triangle(stages, dts)
-        col = kern.resolvent_column(stages, dts, 0)
-        idx = np.arange(49)
-        np.testing.assert_array_equal(tri[idx * (idx + 1) // 2], col)
+        """Both references form the same products, bit for bit, from any start column."""
+        for n, d, seed, j0 in [(48, 2, 59, 0), (64, 3, 19, 5)]:
+            steps = kern.resolvent_steps(*self._stages(n, d, seed))
+            tri = kern.resolvent_triangle(steps)
+            idx = np.arange(j0, n + 1)
+            col = kern.resolvent_column(steps, j0)
+            np.testing.assert_array_equal(tri[idx * (idx + 1) // 2 + j0], col)
 
     @pytest.mark.parametrize("n,d,seed", [(48, 2, 59), (40, 3, 19)])
     def test_triangle_matches_stage_form(self, n, d, seed):
         """One step matrix per cell is the RK4 step, up to roundoff."""
         stages, dts = self._stages(n, d, seed)
-        tri = kern.resolvent_triangle(stages, dts)
+        tri = kern.resolvent_triangle(kern.resolvent_steps(stages, dts))
         np.testing.assert_allclose(tri, _rk4_stage_form_triangle(stages, dts), rtol=0, atol=1e-13)
+
+
+def test_perfbench_tracer_lookups_resolve():
+    """The benchmark's tracer looks kernels up by name and reads the walk's
+    increments by position; a rename here fails this test, not only a traced run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name in tracer.KERNELS:
+        assert callable(getattr(kernels, name, None)), name
+    assert callable(pg.backend_name)
+    assert list(inspect.signature(kernels.simulate_paths).parameters)[5] == "increments"

@@ -13,7 +13,6 @@ from pathgap import estimators as est
 from pathgap._backend import kernels
 from pathgap.gradients import (
     CylindricalFunctional,
-    _checked_stages,
     _damped_limits,
     _pullback,
     frame_pullback_slots,
@@ -23,6 +22,10 @@ from pathgap.gradients import (
 from pathgap.sampling import TimeGrid, batch_increments, sample_path, simulate_increments
 
 from conftest import smooth_ricci
+
+
+def refuse_draws(*args, **kwargs):
+    raise AssertionError("a path was drawn")
 
 
 class TestEstimateChi:
@@ -81,18 +84,21 @@ class TestEstimateChi:
         r2 = est.estimate_chi(m, np.array([1.0, 0.0]), 0.05, 64, 2000, 19)
         assert r1 == r2
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, monkeypatch):
         m = pg.sphere(2, 1.0)
-        r1 = est.estimate_chi(m, np.array([1.0, 0.0]), 0.05, 64, 4000, 19, chunk=512, threads=1)
-        r2 = est.estimate_chi(m, np.array([1.0, 0.0]), 0.05, 64, 4000, 19, chunk=512, threads=4)
+        monkeypatch.setattr(est, "_CHI_CHUNK", 512)
+        r1 = est.estimate_chi(m, np.array([1.0, 0.0]), 0.05, 64, 4000, 19, threads=1)
+        r2 = est.estimate_chi(m, np.array([1.0, 0.0]), 0.05, 64, 4000, 19, threads=4)
         assert r1 == r2
 
-    def test_chunking_does_not_change_results(self):
+    def test_chunking_does_not_change_results(self, monkeypatch):
         m = pg.sphere(3, 1.0)
         a = np.array([0.0, 1.0, 0.0])
         args = (m, a, 0.02, 64, 5000, 29)
-        many = est.estimate_chi(*args, chunk=512)
-        one = est.estimate_chi(*args, chunk=1 << 20)
+        monkeypatch.setattr(est, "_CHI_CHUNK", 512)
+        many = est.estimate_chi(*args)
+        monkeypatch.setattr(est, "_CHI_CHUNK", 1 << 20)
+        one = est.estimate_chi(*args)
         assert many == one
 
     def test_too_few_draws_rejected(self):
@@ -137,7 +143,7 @@ class TestChiLadder:
         a[0], a[-1] = 0.8, 0.6
         rungs = [(0.005, 64), (0.01, 100)]
         seed, n_draws = 23, 150
-        reports, x = est._chi_ladder(m, a, rungs, 2 * n_draws, seed, 64, 1)
+        reports, x = est._chi_ladder(m, a, rungs, 2 * n_draws, seed, 1)
         z = batch_increments(TimeGrid.with_times(100, 100, ()), m.dim, seed, range(n_draws))
         for report, x_rung, (T, n) in zip(reports, x, rungs):
             grid = TimeGrid.with_times(T, n, ())
@@ -165,16 +171,19 @@ class TestChiLadder:
         monkeypatch.setattr(est, "_martingale", refuse)
         rungs = [(0.005, 64), (0.01, 100)]
         a = np.array([0.0, 0.6, 0.8])
-        reports, x = est._chi_ladder(pg.euclidean(3), a, rungs, 300, 5, 64, 1)
+        reports, x = est._chi_ladder(pg.euclidean(3), a, rungs, 300, 5, 1)
         for report, x_rung, (T, _) in zip(reports, x, rungs):
             assert np.all(x_rung == x_rung[0]) and x_rung[0] == pytest.approx(T, rel=1e-14)
             assert report.dirichlet.stderr == 0.0 and report.chi.stderr == 0.0
 
-    def test_one_draw_chunks_change_nothing(self):
+    def test_one_draw_chunks_change_nothing(self, monkeypatch):
         """A chunk of one draw sums its cells in the same order as a wide one.
         At T ~ 1 the martingale energy is a visible share of each numerator."""
-        args = (pg.sphere(3, 2.0), np.array([0.0, 1.0, 0.0]), [(0.5, 64), (1.0, 100)], 42, 29)
-        one, wide = est._chi_ladder(*args, 1, 1), est._chi_ladder(*args, 64, 1)
+        args = (pg.sphere(3, 2.0), np.array([0.0, 1.0, 0.0]), [(0.5, 64), (1.0, 100)], 42, 29, 1)
+        monkeypatch.setattr(est, "_CHI_CHUNK", 1)
+        one = est._chi_ladder(*args)
+        monkeypatch.setattr(est, "_CHI_CHUNK", 64)
+        wide = est._chi_ladder(*args)
         assert np.array_equal(one[1], wide[1]) and one[0] == wide[0]
 
     def test_normals_are_drawn_once_per_chunk(self, monkeypatch):
@@ -278,6 +287,19 @@ class TestVerifyTheorem1:
         assert rep.satisfied_fraction == 1.0
         assert rep.max_violation <= 1e-8
 
+    def test_no_paths_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(est, "batch_increments", refuse_draws)
+        m = pg.sphere(2, 1.0)
+        family = est.random_two_point_family(m, 1.0, 2, seed=3)
+        with pytest.raises(ValueError, match="at least 1 path"):
+            est.verify_theorem1(m, m.curvature_window, family, 1.0, 16, 0, 1)
+
+    def test_no_functionals_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(est, "batch_increments", refuse_draws)
+        m, cb = smooth_ricci(2, seed=43)
+        with pytest.raises(ValueError, match="at least 1 functional"):
+            est.verify_theorem1(m, cb, [], 1.0, 16, 10, 1)
+
     def test_synthetic_never_builds_the_triangle(self, monkeypatch):
         def no_triangle(*args):
             raise AssertionError("verify_theorem1 built the propagator triangle")
@@ -329,9 +351,8 @@ class TestVerifyTheorem1:
         grid = TimeGrid.with_times(1.0, 64, ())
         R = resolvent_on_grid(grid, m, cb)
         slot_times = sorted({t for F in family for t in F.eval_times})
-        weights = est._damped_weights(
-            grid, np.array([grid.index_of(t) for t in slot_times]), _checked_stages(grid, m, cb)
-        )
+        slot_idx = np.array([grid.index_of(t) for t in slot_times])
+        weights = est._damped_weights(grid, slot_idx, R.steps)
         pos, frames = simulate_increments(m, grid, batch_increments(grid, d, seed, range(20)))
         for F in family:
             idx = np.array([grid.index_of(t) for t in F.eval_times])
@@ -462,25 +483,31 @@ class TestBatchedContract:
                 np.testing.assert_array_equal(F.slot_gradients(pos[p : p + 1]), grads[p : p + 1])
 
     @pytest.mark.parametrize("kind", ["sphere", "synthetic"])
-    def test_theorem1_report_does_not_depend_on_chunk(self, kind):
+    def test_theorem1_report_does_not_depend_on_chunk(self, kind, monkeypatch):
         if kind == "synthetic":
             m, cb = smooth_ricci(2, seed=43)
         else:
             m = GEOMETRIES[kind]
             cb = m.curvature_window
         family = est.random_two_point_family(m, 1.0, 3, seed=3)
-        reps = [est.verify_theorem1(m, cb, family, 1.0, 32, 30, 5, chunk=c) for c in (7, 1024)]
+        monkeypatch.setattr(est, "_THEOREM1_CHUNK", 1024)
+        wide = est.verify_theorem1(m, cb, family, 1.0, 32, 30, 5)
+        monkeypatch.setattr(est, "_THEOREM1_CHUNK", 7)
+        narrow = est.verify_theorem1(m, cb, family, 1.0, 32, 30, 5)
         with frequent_thread_switches():
-            reps.append(est.verify_theorem1(m, cb, family, 1.0, 32, 30, 5, chunk=7, threads=4))
-        assert reps[0] == reps[1] == reps[2]
+            threaded = est.verify_theorem1(m, cb, family, 1.0, 32, 30, 5, threads=4)
+        assert narrow == wide == threaded
 
-    def test_lsi_report_does_not_depend_on_chunk(self):
+    def test_lsi_report_does_not_depend_on_chunk(self, monkeypatch):
         m = GEOMETRIES["sphere"]
         F = est.exponential_functional(m, np.array([0.4, -0.3, 0.5]), 0.5)
-        reps = [est.verify_lsi(m, F, 0.5, 32, 40, 37, chunk=c) for c in (7, 4096)]
+        monkeypatch.setattr(est, "_LSI_CHUNK", 4096)
+        wide = est.verify_lsi(m, F, 0.5, 32, 40, 37)
+        monkeypatch.setattr(est, "_LSI_CHUNK", 7)
+        narrow = est.verify_lsi(m, F, 0.5, 32, 40, 37)
         with frequent_thread_switches():
-            reps.append(est.verify_lsi(m, F, 0.5, 32, 40, 37, chunk=7, threads=4))
-        assert reps[0] == reps[1] == reps[2]
+            threaded = est.verify_lsi(m, F, 0.5, 32, 40, 37, threads=4)
+        assert narrow == wide == threaded
 
     def test_wrong_gradient_shape_rejected(self):
         m = GEOMETRIES["sphere"]

@@ -7,6 +7,7 @@ import pytest
 
 import pathgap as pg
 from pathgap import gradients as gr
+from pathgap._backend import kernels
 from pathgap.geometry import _project_tangent, ricci_matrix
 from pathgap.gradients import (
     CylindricalFunctional,
@@ -236,12 +237,19 @@ class TestTransformPair:
         assert duality_defect(F, v, path, R, m) <= 1e-6
 
 
+def propagator_rows(R):
+    """Rows Q_{t_i, t_j}, j = 0..i, of the reference triangle, one (i+1, d, d) stack per i."""
+    tri = kernels.resolvent_triangle(R.steps)
+    return [tri[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] for i in range(R.grid.n_steps + 1)]
+
+
 def _damped_limits_by_rows(idx, slots, R):
     """Reference: each slot twisted by its whole propagator row Q_{t_j, t_k}, k = 0..j."""
     n, d = R.grid.n_steps, slots.shape[1]
+    rows = propagator_rows(R)
     left, right = np.zeros((n, d)), np.zeros((n, d))
     for j, slot in zip(idx, slots):
-        contrib = np.einsum("kab,a->kb", R.row(int(j)), slot)
+        contrib = np.einsum("kab,a->kb", rows[j], slot)
         left[:j] += contrib[:j]
         right[:j] += contrib[1 : j + 1]
     return left, right
@@ -254,7 +262,8 @@ def _integral_form_by_columns(F, path, R, m):
     ric = ricci_at_nodes(m, path.grid)
     values = usual.copy()
     for k in range(path.grid.n_steps):
-        w = np.einsum("iab,ibc->iac", ric[k:], R.column(k))  # ric(t_i) Q_{t_i, t_k}
+        # ric(t_i) Q_{t_i, t_k}
+        w = np.einsum("iab,ibc->iac", ric[k:], kernels.resolvent_column(R.steps, k))
         cell = 0.5 * dts[k:, None, None] * (w[:-1] + w[1:])
         values[k] -= 0.5 * np.einsum("lba,lb->a", cell, usual[k:])
     return values
@@ -263,9 +272,10 @@ def _integral_form_by_columns(F, path, R, m):
 def _tilde_corrections_by_rows(v, R, ric):
     """Reference: the composite trapezoid over row k, (Q_{t_k, t_l} + Q_{t_k, t_l+1}) dt_l / 2."""
     n, d = v.values.shape
+    rows = propagator_rows(R)
     corr = np.zeros((n + 1, d))
     for k in range(1, n + 1):
-        row = R.row(k)
+        row = rows[k]
         integ = np.einsum("l,lab,lb->a", 0.5 * v.grid.dts[:k], row[:k] + row[1:], v.values[:k])
         corr[k] = 0.5 * ric[k] @ integ
     return corr
@@ -310,19 +320,6 @@ class TestSweeps:
         np.testing.assert_allclose(
             gr._tilde_corrections(v, R, ric), _tilde_corrections_by_rows(v, R, ric), rtol=0, atol=1e-13
         )
-
-    def test_algebra_reads_no_rows_or_columns(self, monkeypatch):
-        m, path, R, F, v = self._case("synthetic")
-
-        def refuse(self, i):
-            raise AssertionError("the gradient algebra read a propagator row or column")
-
-        monkeypatch.setattr(gr.ResolventGrid, "row", refuse)
-        monkeypatch.setattr(gr.ResolventGrid, "column", refuse)
-        damped_gradient(F, path, R, m)
-        damped_gradient_integral_form(F, path, R, m)
-        transform_pair(v, path, R, m)
-        duality_defect(F, v, path, R, m)
 
     def test_ricci_is_read_once_per_grid(self):
         """Building the grid calls the Ricci callback once per node and

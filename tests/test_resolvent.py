@@ -1,4 +1,11 @@
-"""Damping propagator: exactness, cocycle, norm bound, convergence order."""
+"""Damping propagator: exactness, cocycle, norm bound, convergence order.
+
+The grid holds only the per-cell steps; the tests form the propagators from
+them with the reference products ``kernels.resolvent_triangle`` (all pairs,
+pair (i, j) at ``pair(i, j)``) and ``kernels.resolvent_column``.
+"""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +14,15 @@ import pathgap as pg
 from pathgap import gradients as gr
 from pathgap._backend import kernels
 from pathgap.geometry import ricci_matrix
-from pathgap.gradients import DataError, resolvent_on_grid, resolvent_propagator
+from pathgap.gradients import DataError, resolvent_on_grid
 from pathgap.sampling import TimeGrid, sample_path
 
 from conftest import smooth_ricci, spectral_norms, stiff_ricci
+
+
+def pair(i, j):
+    """Index of Q_{t_i, t_j} in the packed triangle."""
+    return i * (i + 1) // 2 + j
 
 
 class TestScalarMode:
@@ -19,9 +31,10 @@ class TestScalarMode:
         g = TimeGrid.with_times(1.0, 64, ())
         path = sample_path(m, g, 3)
         R = resolvent_on_grid(path.grid, m, m.curvature_window)
+        tri = kernels.resolvent_triangle(R.steps)
         for i, j in [(0, 0), (10, 3), (64, 0), (40, 40)]:
             want = np.exp(-0.5 * c * (g.times[i] - g.times[j])) * np.eye(2)
-            np.testing.assert_allclose(R.entry(i, j), want, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(tri[pair(i, j)], want, rtol=1e-12, atol=1e-15)
 
     def test_declared_window_check(self):
         m = pg.sphere(2, 1.0)  # ricci scalar c = 1
@@ -29,8 +42,6 @@ class TestScalarMode:
         path = sample_path(m, g, 3)
         with pytest.raises(DataError):
             resolvent_on_grid(path.grid, m, pg.CurvatureBounds(0.5, 0.0))  # k1 < c
-        with pytest.raises(DataError):
-            resolvent_propagator(path.grid, m, pg.CurvatureBounds(0.5, 0.0))
 
     def test_steps_compose_to_the_exponential(self):
         m = pg.sphere(2, 1.0)
@@ -38,26 +49,27 @@ class TestScalarMode:
         R = resolvent_on_grid(g, m, m.curvature_window)
         assert R.steps.shape == (64, 2, 2)
         np.testing.assert_allclose(
-            np.linalg.multi_dot(R.steps[::-1]), R.entry(64, 0), rtol=1e-13, atol=0
+            np.linalg.multi_dot(R.steps[::-1]), np.exp(-0.5) * np.eye(2), rtol=1e-13, atol=0
         )
 
     def test_row_and_column_layout(self):
         m = pg.hyperbolic(2, -0.5)
         g = TimeGrid.with_times(1.0, 16, ())
         R = resolvent_on_grid(g, m, m.curvature_window)
-        row = R.row(10)
-        col = R.column(4)
-        np.testing.assert_allclose(row[4], R.entry(10, 4), atol=1e-15)
-        np.testing.assert_allclose(col[6], R.entry(10, 4), atol=1e-15)
+        row = kernels.resolvent_triangle(R.steps)[pair(10, 0) : pair(11, 0)]
+        col = kernels.resolvent_column(R.steps, 4)
+        want = np.exp(-0.5 * m.ricci_scalar * (g.times[10] - g.times[4])) * np.eye(2)
+        np.testing.assert_allclose(row[4], want, atol=1e-15)
+        np.testing.assert_allclose(col[6], want, atol=1e-15)
 
 
 class TestSyntheticMode:
     def test_identity_on_diagonal(self):
         m, cb = smooth_ricci(2, seed=5)
         g = TimeGrid.with_times(1.0, 32, ())
-        R = resolvent_on_grid(g, m, cb)
+        tri = kernels.resolvent_triangle(resolvent_on_grid(g, m, cb).steps)
         for i in (0, 7, 32):
-            np.testing.assert_array_equal(R.entry(i, i), np.eye(2))
+            np.testing.assert_array_equal(tri[pair(i, i)], np.eye(2))
 
     def test_constant_diagonal_product(self):
         """Constant diagonal data: RK4 matches the exact exponential closely."""
@@ -66,7 +78,7 @@ class TestSyntheticMode:
         g = TimeGrid.with_times(1.0, 512, ())
         R = resolvent_on_grid(g, m, pg.CurvatureBounds(0.6, -0.2))
         want = np.diag(np.exp(-0.5 * rates * 1.0))
-        np.testing.assert_allclose(R.entry(512, 0), want, atol=1e-10)
+        np.testing.assert_allclose(kernels.resolvent_column(R.steps, 0)[512], want, atol=1e-10)
 
     def test_piecewise_diagonal_product(self):
         """Breaks at grid nodes: first-order stage error stays below 1e-3."""
@@ -81,18 +93,18 @@ class TestSyntheticMode:
         int_a = 0.6 * 0.5 - 0.2 * 0.5
         int_b = 0.3 * 0.25 + 0.8 * 0.75
         want = np.diag(np.exp(-0.5 * np.array([int_a, int_b])))
-        np.testing.assert_allclose(R.entry(512, 0), want, atol=1e-3)
+        np.testing.assert_allclose(kernels.resolvent_column(R.steps, 0)[512], want, atol=1e-3)
 
     def test_cocycle(self, rng):
         m, cb = smooth_ricci(2, seed=11)
         g = TimeGrid.with_times(1.0, 512, ())
-        R = resolvent_on_grid(g, m, cb)
+        tri = kernels.resolvent_triangle(resolvent_on_grid(g, m, cb).steps)
         n = g.n_steps
         for _ in range(500):
             j = int(rng.integers(0, n))
             k = int(rng.integers(j, n + 1))
             i = int(rng.integers(k, n + 1))
-            err = np.abs(R.entry(i, j) - R.entry(i, k) @ R.entry(k, j)).max()
+            err = np.abs(tri[pair(i, j)] - tri[pair(i, k)] @ tri[pair(k, j)]).max()
             assert err <= 1e-9
 
     def test_norm_bound_all_pairs(self):
@@ -100,8 +112,7 @@ class TestSyntheticMode:
         g = TimeGrid.with_times(1.0, 256, ())
         R = resolvent_on_grid(g, m, cb)
         idx_i, idx_j = np.tril_indices(g.n_steps + 1)
-        mats = R.packed
-        norms = spectral_norms(mats)
+        norms = spectral_norms(kernels.resolvent_triangle(R.steps))
         bound = np.exp(-0.5 * cb.k2 * (g.times[idx_i] - g.times[idx_j]))
         assert np.all(norms <= bound + 1e-8)
 
@@ -111,6 +122,19 @@ class TestSyntheticMode:
         path = sample_path(m, g, 1)
         with pytest.raises(DataError):
             resolvent_on_grid(path.grid, m, pg.CurvatureBounds(0.01, 0.0))
+
+    def test_traced_peak_is_linear_in_steps(self):
+        """2,048 steps at d = 2: the grid holds the steps, not the 67 MB of all pairs."""
+        m, cb = smooth_ricci(2, seed=5)
+        g = TimeGrid.with_times(1.0, 2048, ())
+        tracemalloc.start()
+        try:
+            R = resolvent_on_grid(g, m, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert R.steps.shape == (2048, 2, 2) and R.ricci.shape == (2049, 2, 2)
+        assert peak <= 2e6
 
     def test_each_ricci_node_evaluated_once(self):
         """2n + 1 callback calls give the stages of 3n per-stage calls, bit for bit."""
@@ -138,14 +162,6 @@ class TestSyntheticMode:
         R = resolvent_on_grid(g, m, cb)
         np.testing.assert_array_equal(R.steps, kernels.resolvent_steps(gr._stage_ricci(m, g), g.dts))
 
-    def test_propagator_matches_triangle(self):
-        m, cb = smooth_ricci(3, seed=19)
-        g = TimeGrid.with_times(1.0, 64, ())
-        path = sample_path(m, g, 1)
-        R = resolvent_on_grid(path.grid, m, cb)
-        col = resolvent_propagator(path.grid, m, cb, j0=5)
-        np.testing.assert_array_equal(col, R.column(5))
-
 
 class TestConvergence:
     def test_rk4_order(self):
@@ -154,7 +170,7 @@ class TestConvergence:
 
         def q_final(n):
             g = TimeGrid.with_times(1.0, n, ())
-            return resolvent_propagator(g, m, cb, j0=0)[-1]
+            return kernels.resolvent_column(resolvent_on_grid(g, m, cb).steps, 0)[-1]
 
         ref = q_final(16384)
         e_256 = np.abs(q_final(256) - ref).max()
@@ -167,8 +183,10 @@ class TestConvergence:
 
         def cocycle_err(n):
             g = TimeGrid.with_times(1.0, n, ())
-            R = resolvent_on_grid(g, m, cb)
+            steps = resolvent_on_grid(g, m, cb).steps
             mid, end = n // 2, n
-            return np.abs(R.entry(end, 0) - R.entry(end, mid) @ R.entry(mid, 0)).max()
+            from_0 = kernels.resolvent_column(steps, 0)
+            from_mid = kernels.resolvent_column(steps, mid)
+            return np.abs(from_0[end] - from_mid[end - mid] @ from_0[mid]).max()
 
         assert cocycle_err(512) <= max(cocycle_err(128) / 2.0, 5e-15)
