@@ -19,12 +19,18 @@ Every exponential enters through E(s) = expm1(-k2*s/2).  With b = k1/k2,
 is a sum of nonnegative terms for either sign of k2, so it neither cancels
 nor overflows unless Lambda itself does.  The 0/0 in b = k1/k2 is handled by
 switching to analytic k2 -> 0 limits when |k2|*T falls below ``K2_SWITCH``.
+
+Each public function checks its arguments once and raises ``ValueError`` on a
+bad one; the private cores ``_profile``, ``_argmax``, ``_psi`` and
+``_integral`` take checked floats and only do the arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "CurvatureBounds",
@@ -58,37 +64,40 @@ class CurvatureBounds:
     k2: float
 
     def __post_init__(self):
+        if -self.k1 <= self.k2 <= self.k1 < math.inf:  # admissible; rejects nan
+            return
         if not (math.isfinite(self.k1) and math.isfinite(self.k2)):
             raise ValueError("curvature bounds must be finite")
         if self.k1 < 0:
             raise ValueError(f"k1 must be >= 0, got {self.k1}")
         if self.k1 + self.k2 < 0:
             raise ValueError(f"k1 + k2 must be >= 0, got {self.k1 + self.k2}")
-        if self.k2 > self.k1:
-            raise ValueError(f"k2 must be <= k1, got k2={self.k2} > k1={self.k1}")
+        raise ValueError(f"k2 must be <= k1, got k2={self.k2} > k1={self.k1}")
 
 
 def _require_horizon(T: float) -> float:
     T = float(T)
-    if not (T > 0 and math.isfinite(T)):
+    if not 0.0 < T < math.inf:  # also rejects nan
         raise ValueError(f"horizon T must be positive and finite, got {T}")
     return T
 
 
-def _require_time(t: float, T: float) -> float:
-    t = float(t)
+def _require_time(t: float, T: float) -> None:
     if not 0.0 <= t <= T:  # also rejects nan
         raise ValueError(f"t must lie in [0, T]=[0, {T}], got {t}")
-    return t
 
 
-def _degenerate_k2(T: float, cb: CurvatureBounds) -> bool:
-    return abs(cb.k2) * T < K2_SWITCH
-
-
-def _em(k2: float, s: float) -> float:
-    """E(s) = e^{-k2 s/2} - 1: in (-1, 0] for k2 > 0, in [0, inf) for k2 < 0."""
-    return math.expm1(-k2 * s / 2)
+def _profile(t: float, T: float, k1: float, k2: float) -> float:
+    if k1 == 0.0:
+        return 1.0
+    if abs(k2) * T < K2_SWITCH:
+        lim = 1.0 + k1 * T / 2 + k1 * k1 * (T * t / 4 - t * t / 8)
+        corr = -k2 * (k1 * ((T - t) ** 2 + t * t) / 8 + k1 * k1 * T * T * t / 16)
+        return lim + corr
+    b = k1 / k2
+    e_left, e_right = math.expm1(-k2 * t / 2), math.expm1(-k2 * (T - t) / 2)
+    e_T = math.expm1(-k2 * T / 2)
+    return 1.0 - b * (e_right + e_left) + 0.5 * (b * e_left) * (b * (e_right + e_T))
 
 
 def lambda_profile(t: float, T: float, cb: CurvatureBounds) -> float:
@@ -97,18 +106,10 @@ def lambda_profile(t: float, T: float, cb: CurvatureBounds) -> float:
     The E(s) form of the module docstring; below the switch the k2->0 limit
     1 + k1*T/2 + k1^2*(T*t/4 - t^2/8) plus its first-order k2 correction.
     """
-    T = _require_horizon(T)
-    t = _require_time(t, T)
-    k1, k2 = cb.k1, cb.k2
-    if k1 == 0.0:
-        return 1.0
-    if _degenerate_k2(T, cb):
-        lim = 1.0 + k1 * T / 2 + k1 * k1 * (T * t / 4 - t * t / 8)
-        corr = -k2 * (k1 * ((T - t) ** 2 + t * t) / 8 + k1 * k1 * T * T * t / 16)
-        return lim + corr
-    b = k1 / k2
-    e_left, e_right = _em(k2, t), _em(k2, T - t)
-    return 1.0 - b * (e_right + e_left) + 0.5 * (b * e_left) * (b * (e_right + _em(k2, T)))
+    T, t = float(T), float(t)
+    if not (0.0 < T < math.inf and 0.0 <= t <= T):
+        _require_time(t, _require_horizon(T))
+    return _profile(t, T, cb.k1, cb.k2)
 
 
 def lambda_prime(t: float, T: float, cb: CurvatureBounds) -> float:
@@ -116,18 +117,32 @@ def lambda_prime(t: float, T: float, cb: CurvatureBounds) -> float:
 
     (k1/2)(D + (b/2)(D - e^{-k2 t/2} E(T))) with D = E(t) - E(T-t).
     """
-    T = _require_horizon(T)
-    t = _require_time(t, T)
+    T, t = float(T), float(t)
+    if not (0.0 < T < math.inf and 0.0 <= t <= T):
+        _require_time(t, _require_horizon(T))
     k1, k2 = cb.k1, cb.k2
     if k1 == 0.0:
         return 0.0
     # D is O(k2) for small |k2| T; through expm1 it keeps its digits
-    diff = _em(k2, t) - _em(k2, T - t)
-    if _degenerate_k2(T, cb):
+    diff = math.expm1(-k2 * t / 2) - math.expm1(-k2 * (T - t) / 2)
+    if abs(k2) * T < K2_SWITCH:
         # only the k1^2/(4 k2) term is 0/0; keep its first-order k2 term
         return (k1 / 2) * diff + k1 * k1 * ((T - t) / 4 - k2 * T * T / 16)
     b = k1 / k2
-    return (k1 / 2) * (diff + (b / 2) * (diff - math.exp(-k2 * t / 2) * _em(k2, T)))
+    return (k1 / 2) * (diff + (b / 2) * (diff - math.exp(-k2 * t / 2) * math.expm1(-k2 * T / 2)))
+
+
+def _argmax(T: float, k1: float, k2: float) -> float:
+    if k1 == 0.0 or k2 <= 0.0:
+        return T
+    # k2 <= k1, so neither r nor its denominator can overflow
+    r = 1.0 / (1.0 + 2.0 * (k2 / k1))
+    if abs(k2) * T < K2_SWITCH:
+        # log1p(-r E(T)) / k2 to first order in k2 T; r -> 1 puts t0 at T
+        t0 = T / 2 + r * (T / 2) * (1.0 - k2 * T / 4) * (1.0 - r * k2 * T / 4)
+    else:
+        t0 = T / 2 + math.log1p(-r * math.expm1(-k2 * T / 2)) / k2
+    return min(max(t0, 0.0), T)
 
 
 def lambda_argmax(T: float, cb: CurvatureBounds) -> float:
@@ -137,18 +152,9 @@ def lambda_argmax(T: float, cb: CurvatureBounds) -> float:
     r = k1/(k1 + 2 k2), taken to first order in k2*T below the switch.  For
     k2 <= 0 the profile is nondecreasing and for k1 = 0 constant, so t = T.
     """
-    T = _require_horizon(T)
-    k1, k2 = cb.k1, cb.k2
-    if k1 == 0.0 or k2 <= 0.0:
-        return T
-    # k2 <= k1, so neither r nor its denominator can overflow
-    r = 1.0 / (1.0 + 2.0 * (k2 / k1))
-    if _degenerate_k2(T, cb):
-        # log1p(-r E(T)) / k2 to first order in k2 T; r -> 1 puts t0 at T
-        t0 = T / 2 + r * (T / 2) * (1.0 - k2 * T / 4) * (1.0 - r * k2 * T / 4)
-    else:
-        t0 = T / 2 + math.log1p(-r * _em(k2, T)) / k2
-    return min(max(t0, 0.0), T)
+    if not 0.0 < (T := float(T)) < math.inf:
+        _require_horizon(T)
+    return _argmax(T, cb.k1, cb.k2)
 
 
 def lambda_sup(T: float, cb: CurvatureBounds) -> float:
@@ -156,7 +162,28 @@ def lambda_sup(T: float, cb: CurvatureBounds) -> float:
 
     The profile at ``lambda_argmax``; for k2 <= 0 that is the endpoint t = T.
     """
-    return lambda_profile(lambda_argmax(T, cb), T, cb)
+    if not 0.0 < (T := float(T)) < math.inf:
+        _require_horizon(T)
+    return _profile(_argmax(T, cb.k1, cb.k2), T, cb.k1, cb.k2)
+
+
+def _psi(T: float, k1: float, k2: float) -> float:
+    if abs(k2) * T < K2_SWITCH:
+        # the k2 -> 0 profile peaks at t = T with zero slope: to first order
+        # in k2 the supremum is the endpoint value (k1 = 0 forces k2 = 0)
+        return _profile(T, T, k1, k2)
+    if k2 < 0.0:
+        base = 1.0 - k1 * math.expm1(-k2 * T / 2) / k2
+        return 0.5 + 0.5 * base * base
+    # conjugate evaluation of (1+b)^2 - b sqrt(inner) e^{-k2 T/4}: the
+    # numerator (1+b)^4 - b^2 inner e^{-k2 T/2} reduces exactly to a sum of
+    # positive terms, avoiding the b^2-amplified cancellation near k2 = 0
+    b = k1 / k2
+    f = -math.expm1(-k2 * T / 2)
+    inner = (2.0 + b) * (2.0 + b + b * f)  # 2 + 2b - b e^{-k2 T/2} = 2 + b + b f
+    root = b * math.sqrt(inner) * math.exp(-k2 * T / 4)
+    n_stable = 1.0 + 4.0 * b + 2.0 * b * b + b * b * (2.0 + b) * f * (2.0 + b * f)
+    return n_stable / ((1.0 + b) ** 2 + root)
 
 
 def psi(T: float, cb: CurvatureBounds) -> float:
@@ -165,27 +192,15 @@ def psi(T: float, cb: CurvatureBounds) -> float:
     Algebraically equal to ``lambda_sup`` (the arithmetic-geometric step it
     is derived from is tight at the maximizer), but evaluated through its own
     published expression: the independent cross-check of ``lambda_sup``.
+
+    For k2 > 0 the published form overflows before ``lambda_sup`` does: with
+    b = k1/k2 and f = 1 - e^{-k2 T/2}, its b^4 f^2 term leaves the float
+    range once b^2 f passes about 1.3e154 (at T = k2 = 1, k1 = 1e77 gives
+    psi = 8.07e152 and k1 = 1e78 gives inf, while lambda_sup = 8.07e154).
     """
-    T = _require_horizon(T)
-    k1, k2 = cb.k1, cb.k2
-    if k1 == 0.0:
-        return 1.0
-    if _degenerate_k2(T, cb):
-        # the k2 -> 0 profile peaks at t = T with zero slope: to first order
-        # in k2 the supremum is the endpoint value
-        return lambda_profile(T, T, cb)
-    if k2 < 0.0:
-        base = 1.0 - k1 * _em(k2, T) / k2
-        return 0.5 + 0.5 * base * base
-    # conjugate evaluation of (1+b)^2 - b sqrt(inner) e^{-k2 T/4}: the
-    # numerator (1+b)^4 - b^2 inner e^{-k2 T/2} reduces exactly to a sum of
-    # positive terms, avoiding the b^2-amplified cancellation near k2 = 0
-    b = k1 / k2
-    f = -_em(k2, T)
-    inner = (2.0 + b) * (2.0 + b + b * f)  # 2 + 2b - b e^{-k2 T/2} = 2 + b + b f
-    root = b * math.sqrt(inner) * math.exp(-k2 * T / 4)
-    n_stable = 1.0 + 4.0 * b + 2.0 * b * b + b * b * (2.0 + b) * f * (2.0 + b * f)
-    return n_stable / ((1.0 + b) ** 2 + root)
+    if not 0.0 < (T := float(T)) < math.inf:
+        _require_horizon(T)
+    return _psi(T, cb.k1, cb.k2)
 
 
 # 1/15!, 1/13!, ..., 1/3!: Taylor coefficients of sinh(x) - x, Horner order
@@ -203,18 +218,10 @@ def _x_minus_sinh(x: float) -> float:
     return -x * x2 * acc
 
 
-def lambda_integral(t: float, T: float, cb: CurvatureBounds) -> float:
-    """Antiderivative L(t) = integral_0^t Lambda(tau, T) dtau, closed form.
-
-    Used by the pathwise inequality verifier to integrate the right-hand
-    side exactly over grid cells.
-    """
-    T = _require_horizon(T)
-    t = _require_time(t, T)
-    k1, k2 = cb.k1, cb.k2
+def _integral(t: float, T: float, k1: float, k2: float) -> float:
     if k1 == 0.0:
         return t
-    if _degenerate_k2(T, cb):
+    if abs(k2) * T < K2_SWITCH:
         lim = t + k1 * T * t / 2 + k1 * k1 * (T * t * t / 8 - t ** 3 / 24)
         return lim - k2 * (k1 * (T**3 - (T - t) ** 3 + t**3) / 24 + k1 * k1 * T * T * t * t / 32)
     b = k1 / k2
@@ -234,6 +241,22 @@ def lambda_integral(t: float, T: float, cb: CurvatureBounds) -> float:
     term_left = ((b + b * b) / a) * (-math.expm1(-a * t))
     term_cosh = (b * b / a) * (0.5 * (e_right + math.exp(-a * (T + t))) - e_T)
     return (1.0 + b) ** 2 * t - term_right - term_left - term_cosh
+
+
+def lambda_integral(t, T: float, cb: CurvatureBounds):
+    """Antiderivative L(t) = integral_0^t Lambda(tau, T) dtau, closed form.
+
+    ``t`` is a float or a numpy array of times in [0, T]; an array gives an
+    array of its shape, each entry rounded exactly as its scalar call.  The
+    pathwise inequality verifier integrates the right-hand side with it.
+    """
+    if isinstance(t, np.ndarray):
+        T = _require_horizon(T)  # also when t is empty
+        return np.array([lambda_integral(x, T, cb) for x in t.ravel().tolist()]).reshape(t.shape)
+    T, t = float(T), float(t)
+    if not (0.0 < T < math.inf and 0.0 <= t <= T):
+        _require_time(t, _require_horizon(T))
+    return _integral(t, T, cb.k1, cb.k2)
 
 
 def gap_bounds_small_time(T: float, cb: CurvatureBounds, k2_at_x: float) -> tuple[float, float]:
@@ -265,27 +288,23 @@ class BoundReport:
 
 
 def bound_report(T: float, cb: CurvatureBounds) -> BoundReport:
-    """Evaluate every closed-form quantity at once."""
-    T = _require_horizon(T)
-    lam0, lamT = lambda_profile(0.0, T, cb), lambda_profile(T, T, cb)
-    t_star = lambda_argmax(T, cb)
-    sup_val = lambda_sup(T, cb)
-    psi_val = psi(T, cb)
-    report = BoundReport(
-        T=T,
-        k1=cb.k1,
-        k2=cb.k2,
-        lambda_at_0=lam0,
-        lambda_at_T=lamT,
-        t_star=t_star,
-        lambda_sup=sup_val,
-        psi=psi_val,
-        gap_lower_from_sup=1.0 / sup_val,
-        gap_lower_from_psi=1.0 / psi_val,
-    )
+    """Evaluate every closed-form quantity at once, each of them once."""
+    if not 0.0 < (T := float(T)) < math.inf:
+        _require_horizon(T)
+    k1, k2 = cb.k1, cb.k2
+    lam0, lamT = _profile(0.0, T, k1, k2), _profile(T, T, k1, k2)
+    t_star = _argmax(T, k1, k2)
+    # t* = T whenever k2 <= 0 or k1 = 0; below the switch psi is the endpoint
+    sup_val = lamT if t_star == T else _profile(t_star, T, k1, k2)
+    psi_val = lamT if abs(k2) * T < K2_SWITCH else _psi(T, k1, k2)
+    report = BoundReport(T, k1, k2, lam0, lamT, t_star, sup_val, psi_val, 1 / sup_val, 1 / psi_val)
     # An inf, or the nan of inf - inf, means k1 * T or k2 * T overflowed.
-    if not all(map(math.isfinite, (lam0, lamT, sup_val, psi_val))):
-        raise OverflowError(f"the closed forms overflow at T={T}, k1={cb.k1}, k2={cb.k2}")
+    if not all(map(math.isfinite, (lam0, lamT, sup_val))):
+        raise OverflowError(f"the closed forms overflow at T={T}, k1={k1}, k2={k2}")
+    if not math.isfinite(psi_val):
+        raise OverflowError(f"psi's published form overflows at T={T}, k1={k1}, k2={k2} "
+                            f"(lambda_sup = {sup_val:.6g}): for k2 > 0 it does once "
+                            "(k1/k2)^2 (1 - e^(-k2 T/2)) passes about 1.3e154")
     # Ordering sanity (slack covers roundoff between independent code paths).
     slack = 1e-9 * max(1.0, sup_val)
     if not (1.0 - slack <= lam0 <= sup_val + slack and lamT <= sup_val + slack):

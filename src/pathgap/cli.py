@@ -16,6 +16,7 @@ requested checks pass, 1 a check failed, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -130,25 +131,17 @@ def _require_positive(args, *names: str) -> None:
 
 def cmd_bounds(args) -> int:
     cb = bd.CurvatureBounds(args.k1, args.k2)
-    columns, rows = _bounds_rows(args, cb, _horizons(args))
-    _emit(columns, rows, args.format)
-    return 0
-
-
-def _bounds_rows(args, cb, horizons):
     if args.profile:
-        rows = [
+        columns, rows = PROFILE_COLUMNS, [
             (T, args.k1, args.k2, float(t), bd.lambda_profile(float(t), T, cb))
-            for T in horizons
+            for T in _horizons(args)
             for t in np.linspace(0.0, T, args.profile)
         ]
-        return PROFILE_COLUMNS, rows
-    rows = []
-    for T in horizons:
-        rep = bd.bound_report(T, cb)
-        rows.append((rep.T, rep.k1, rep.k2, rep.lambda_at_0, rep.lambda_at_T, rep.t_star,
-                     rep.lambda_sup, rep.psi, rep.gap_lower_from_sup, rep.gap_lower_from_psi))
-    return BOUNDS_COLUMNS, rows
+    else:
+        columns = BOUNDS_COLUMNS
+        rows = [dataclasses.astuple(bd.bound_report(T, cb)) for T in _horizons(args)]
+    _emit(columns, rows, args.format)
+    return 0
 
 
 def _simulate_rows(m, args, seed):

@@ -316,9 +316,7 @@ def verify_theorem1(
     for F in F_family:
         sel = np.array([rec_pos[t] for t in F.eval_times], dtype=np.int64)
         ts = np.array(F.eval_times)
-        wmat = np.vectorize(lambda t: lambda_integral(t, T, declared))(
-            np.minimum.outer(ts, ts)
-        )
+        wmat = lambda_integral(np.minimum.outer(ts, ts), T, declared)
         damped_w = None if slot_w is None else slot_w[np.ix_(sel, sel)]
         per_F.append((F, sel, ts, wmat, damped_w))
     g = m.metric_diag()

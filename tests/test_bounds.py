@@ -1,6 +1,10 @@
 """Closed-form bound formulas against high-precision and brute-force oracles."""
 
+import hashlib
 import math
+import random
+import re
+import struct
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathgap.bounds import (
+    K2_SWITCH,
+    BoundReport,
     CurvatureBounds,
     bound_report,
     gap_bounds_small_time,
@@ -58,9 +64,20 @@ class TestCurvatureBounds:
         cb(0.0, 0.0)
         cb(2.0, -1.5)
 
-    @pytest.mark.parametrize("k1,k2", [(-0.1, 0.0), (1.0, -1.1), (1.0, 1.5)])
-    def test_inadmissible(self, k1, k2):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "k1,k2,message",
+        [
+            (math.nan, 0.0, "curvature bounds must be finite"),
+            (1.0, math.nan, "curvature bounds must be finite"),
+            (math.inf, 0.0, "curvature bounds must be finite"),
+            (1.0, -math.inf, "curvature bounds must be finite"),
+            (-0.1, 0.0, "k1 must be >= 0, got -0.1"),
+            (1.0, -1.1, "k1 + k2 must be >= 0, got -0.10000000000000009"),
+            (1.0, 1.5, "k2 must be <= k1, got k2=1.5 > k1=1.0"),
+        ],
+    )
+    def test_inadmissible(self, k1, k2, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             cb(k1, k2)
 
 
@@ -330,6 +347,66 @@ class TestLambdaIntegral:
     def test_flat(self):
         assert lambda_integral(0.7, 1.0, cb(0.0, 0.0)) == pytest.approx(0.7, rel=1e-15)
 
+    # expm1/sinh form (|k2| T < 2), direct form, below the switch, k1 = 0
+    @pytest.mark.parametrize(
+        "k1,k2,T",
+        [(1.0, 0.5, 1.3), (2.0, -1.5, 0.7), (5.0, 4.0, 2.0), (4.0, -4.0, 1.0),
+         (3.0, 1e-7, 0.8), (0.0, 0.0, 1.0)],
+    )
+    def test_array_matches_scalar_calls_bit_for_bit(self, k1, k2, T):
+        window = cb(k1, k2)
+        ts = np.concatenate(([0.0], np.sort(np.random.default_rng(3).uniform(0.0, T, 10)), [T]))
+        tmin = np.minimum.outer(ts, ts)
+        got = lambda_integral(tmin, T, window)
+        want = np.array([[lambda_integral(float(x), T, window) for x in row] for row in tmin])
+        assert got.shape == tmin.shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        zero_d = lambda_integral(np.array(0.5 * T), T, window)
+        assert zero_d.shape == () and zero_d == lambda_integral(0.5 * T, T, window)
+        assert lambda_integral(np.empty((0, 3)), T, window).shape == (0, 3)
+
+
+WINDOWS = [cb(1.0, 0.5), cb(1.0, -0.5), cb(0.0, 0.0)]
+
+
+def horizon_message(T):
+    return re.escape(f"horizon T must be positive and finite, got {T}")
+
+
+class TestArgumentChecks:
+    """Every public closed form rejects a bad T or t with the same message."""
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("fn", [lambda_argmax, lambda_sup, psi, bound_report])
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_bad_horizon(self, fn, T, window):
+        with pytest.raises(ValueError, match=horizon_message(T)):
+            fn(T, window)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("fn", [lambda_profile, lambda_prime, lambda_integral])
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_bad_horizon_with_time(self, fn, T, window):
+        # the horizon is reported even when t is bad too
+        for t in (0.5, -1.0, math.nan):
+            with pytest.raises(ValueError, match=horizon_message(T)):
+                fn(t, T, window)
+        if fn is lambda_integral:
+            for ts in (np.array([0.0, 0.5]), np.empty(0)):
+                with pytest.raises(ValueError, match=horizon_message(T)):
+                    fn(ts, T, window)
+
+    @pytest.mark.parametrize("t", [-1e-300, math.nan, math.nextafter(1.0, math.inf)])
+    @pytest.mark.parametrize("fn", [lambda_profile, lambda_prime, lambda_integral])
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_bad_time(self, fn, t, window):
+        message = re.escape(f"t must lie in [0, T]=[0, 1.0], got {t}")
+        with pytest.raises(ValueError, match=message):
+            fn(t, 1.0, window)
+        if fn is lambda_integral:
+            with pytest.raises(ValueError, match=message):
+                fn(np.array([[0.0, 0.5], [t, 1.0]]), 1.0, window)
+
 
 class TestSmallTimeGapBounds:
     def test_flat(self):
@@ -378,3 +455,74 @@ class TestBoundReport:
             assert 1.0 - slack <= rep.lambda_at_0 <= rep.lambda_sup + slack
             assert rep.lambda_at_T <= rep.lambda_sup + slack
             assert rep.gap_lower_from_sup >= rep.gap_lower_from_psi - 1e-10
+
+
+def pin_windows(n=500, seed=20240):
+    """(T, k1, k2) windows for the bit pin, drawn in five kinds in turn.
+
+    k1 = 0, random windows of both signs of k2, |k2| T on both sides of
+    ``K2_SWITCH`` (from a tenth of it to ten times it), k1 = |k2| and
+    |k2| T from 2 to 60 with k1 up to 20 |k2|.
+    """
+    rng = random.Random(seed)
+    windows = []
+    for i in range(n):
+        T = rng.uniform(0.01, 5.0)
+        sign = rng.choice((1.0, -1.0))
+        kind = i % 5
+        if kind == 0:
+            k1 = k2 = 0.0
+        elif kind == 1:
+            k1 = rng.uniform(0.01, 4.0)
+            k2 = sign * rng.uniform(0.0, k1)
+        elif kind == 2:
+            k1 = rng.uniform(0.5, 4.0)
+            k2 = sign * 10.0 ** rng.uniform(-1.0, 1.0) * K2_SWITCH / T
+        elif kind == 3:
+            k1 = rng.uniform(0.01, 5.0)
+            k2 = sign * k1
+        else:
+            k2 = sign * rng.uniform(2.0, 60.0) / T
+            k1 = abs(k2) * rng.uniform(1.0, 20.0)
+        windows.append((T, k1, k2))
+    return windows
+
+
+def closed_form_values(T, window):
+    """Every public closed form on one window, in a fixed order."""
+    nodes = [0.0] + [T * (j + 1) / 17 for j in range(16)] + [T]
+    rep = bound_report(T, window)
+    return (
+        [lambda_profile(t, T, window) for t in nodes]
+        + [lambda_prime(t, T, window) for t in nodes]
+        + [lambda_integral(0.5 * T, T, window), lambda_integral(T, T, window)]
+        + [lambda_argmax(T, window), lambda_sup(T, window), psi(T, window)]
+        + [getattr(rep, name) for name in BoundReport.__dataclass_fields__]
+    )
+
+
+# sha256 of the packed closed_form_values over pin_windows(), recorded before
+# the closed forms were restructured around private float cores
+PINNED_DIGEST = "2c75258a84cd4e35484273675b850628122fb6d7b9b47a3a2229bc2a7efea005"
+
+
+class TestPinnedBits:
+    def test_digest(self):
+        h = hashlib.sha256()
+        for T, k1, k2 in pin_windows():
+            values = closed_form_values(T, cb(k1, k2))
+            h.update(struct.pack(f"<{len(values)}d", *values))
+        assert h.hexdigest() == PINNED_DIGEST
+
+    def test_report_fields_equal_the_public_functions(self):
+        for T, k1, k2 in pin_windows():
+            window = cb(k1, k2)
+            rep = bound_report(T, window)
+            assert (rep.T, rep.k1, rep.k2) == (T, k1, k2)
+            assert rep.lambda_at_0 == lambda_profile(0.0, T, window)
+            assert rep.lambda_at_T == lambda_profile(T, T, window)
+            assert rep.t_star == lambda_argmax(T, window)
+            assert rep.lambda_sup == lambda_sup(T, window)
+            assert rep.psi == psi(T, window)
+            assert rep.gap_lower_from_sup == 1.0 / lambda_sup(T, window)
+            assert rep.gap_lower_from_psi == 1.0 / psi(T, window)

@@ -101,6 +101,14 @@ class TestBoundsCommand:
             assert code == 0
             assert all(float(line.split(",")[4]) <= sup for line in out.strip().split("\n")[1:])
 
+    def test_psi_overflow_names_psi(self, capsys):
+        # lambda_sup is 1.25e199, but psi's b^4 f^2 term leaves the float range
+        code, out = run_cli(["bounds", "--k1", "1e110", "--k2", "1e5", "--T", "1e-10"])
+        assert (code, out) == (2, "")
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert "psi's published form overflows" in errors[0] and "1.3e154" in errors[0]
+
     def test_negative_k2_just_below_switch(self):
         code, out = run_cli(["bounds", "--k1", "2", "--k2=-1e-5", "--T", "0.05"])
         assert code == 0
