@@ -223,10 +223,15 @@ def cmd_asymptotics(args) -> int:
 _EXCLUSIVE = {"T": "T_grid", "T_grid": "T"}
 
 
+def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[command]
+
+
 def _dests_given(parser: argparse.ArgumentParser, argv: list[str]) -> set[str]:
     """Destinations that argv sets itself, abbreviated flags included."""
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    probe = commands.choices[argv[0]]
+    probe = _subparser(parser, argv[0])
     for action in probe._actions:
         action.default, action.required = argparse.SUPPRESS, False
     given, _ = probe.parse_known_args(argv[1:])
@@ -263,16 +268,24 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     return parser.parse_args(argv)
 
 
-def _resolved_config(args, command: str, keys: list[str]) -> ExperimentConfig:
+# Flags of a command that a config file does not store.
+_NOT_CONFIG = {"help", "config", "write-config"}
+
+
+def _resolved_config(parser: argparse.ArgumentParser, args) -> ExperimentConfig:
+    """The run's parameters, keyed by each flag of the command in declaration order."""
     params = {}
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"))
+    for action in _subparser(parser, args.command)._actions:
+        key = action.option_strings[-1].removeprefix("--")
+        if key in _NOT_CONFIG:
+            continue
+        val = getattr(args, action.dest)
         if val is None:
             continue
         if isinstance(val, list):
             val = ",".join(str(x) for x in val)
         params[key] = str(val)
-    return ExperimentConfig(command=command, params=params)
+    return ExperimentConfig(command=args.command, params=params)
 
 
 def float_list(text: str) -> list[float]:
@@ -335,19 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "bounds": ["k1", "k2", "T", "T-grid", "profile", "format"],
-    "simulate": [
-        "manifold", "dim", "kappa", "T", "steps", "paths", "seed", "mode",
-        "functionals", "threads", "format",
-    ],
-    "asymptotics": [
-        "manifold", "dim", "kappa", "T-ladder", "paths", "seed", "tol-rel",
-        "threads", "format",
-    ],
-}
-
-
 _COMMANDS = {"bounds": cmd_bounds, "simulate": cmd_simulate, "asymptotics": cmd_asymptotics}
 
 
@@ -361,7 +361,7 @@ def main(argv=None) -> int:
     try:
         args = _apply_config(parser, argv)
         if getattr(args, "write_config", None):
-            cfg = _resolved_config(args, args.command, _CONFIG_KEYS[args.command])
+            cfg = _resolved_config(parser, args)
             try:
                 cfg.write(args.write_config)
             except OSError as exc:

@@ -11,7 +11,8 @@ A config file looks like::
     ...
 
 Values are kept as strings so a config round-trips losslessly through
-read/write; the CLI layer owns the typed interpretation.
+read/write; the CLI layer owns the typed interpretation.  Any other
+schema_version is refused; a file without [meta] reads as version 1.
 """
 
 from __future__ import annotations
@@ -25,16 +26,15 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters for one command, mirroring its flags, plus schema version."""
+    """Parameters for one command, mirroring its flags."""
 
     command: str
     params: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
     def to_text(self) -> str:
         cp = configparser.ConfigParser()
         cp.optionxform = str  # preserve key case (configparser lowercases)
-        cp["meta"] = {"schema_version": str(self.schema_version)}
+        cp["meta"] = {"schema_version": str(SCHEMA_VERSION)}
         cp[self.command] = {k: str(v) for k, v in self.params.items()}
         buf = io.StringIO()
         cp.write(buf)
@@ -46,11 +46,13 @@ class ExperimentConfig:
         cp.optionxform = str
         cp.read_string(text)
         version = int(cp.get("meta", "schema_version", fallback=str(SCHEMA_VERSION)))
+        if version != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {version}, expected {SCHEMA_VERSION}")
         commands = [s for s in cp.sections() if s != "meta"]
         if len(commands) != 1:
             raise ValueError(f"config must contain exactly one command section, got {commands}")
         command = commands[0]
-        return cls(command=command, params=dict(cp[command]), schema_version=version)
+        return cls(command=command, params=dict(cp[command]))
 
     def write(self, path: str):
         with open(path, "w") as fh:

@@ -22,14 +22,7 @@ import numpy as np
 
 from .bounds import CurvatureBounds, _require_horizon, lambda_integral
 from .geometry import SYNTHETIC, ModelManifold, _project_tangent
-from .gradients import (
-    CylindricalFunctional,
-    _linear_deterministic_part,
-    _martingale,
-    _prefix_sums,
-    _pullback,
-    resolvent_on_grid,
-)
+from .gradients import CylindricalFunctional, _pullback, resolvent_on_grid
 from .sampling import TimeGrid, batch_increments, simulate_increments
 
 __all__ = [
@@ -104,7 +97,9 @@ def _map_chunks(run_chunk, ranges, threads: int) -> None:
     Each chunk writes its results into preallocated slots, so the order in
     which chunks finish changes nothing.  A worker's error is raised here.
     """
-    if threads <= 1:
+    if threads < 1:
+        raise ValueError(f"need at least 1 worker thread, got {threads}")
+    if threads == 1:
         for r in ranges:
             run_chunk(r)
         return
@@ -154,6 +149,46 @@ def estimate_chi(
     return _chi_ladder(m, a, [(T, n_steps)], n_paths, seed, threads)[0][0]
 
 
+def _prefix_sums(increments: np.ndarray, a: np.ndarray):
+    """Prefix sums at the nodes of a (P, n, d) batch of increments x_j, draws last.
+
+    w_k = sum_{j<k} x_j and u_k = sum_{j<k} alpha_j x_j are (d, n+1, P),
+    alpha_k = <w_k, a> and v_k = sum_{j<k} <w_j, x_j> are (n+1, P).
+    """
+    x = increments.transpose(2, 1, 0)  # (d, n, P) view
+    w = np.zeros((x.shape[0], x.shape[1] + 1, x.shape[2]))
+    np.cumsum(x, axis=1, out=w[:, 1:])
+    alpha = sum(ac * wc for ac, wc in zip(a, w))
+    u = np.zeros_like(w)
+    np.multiply(alpha[:-1], x, out=u[:, 1:])
+    np.cumsum(u[:, 1:], axis=1, out=u[:, 1:])
+    v = np.zeros_like(alpha)
+    np.cumsum(sum(wc[:-1] * xc for wc, xc in zip(w, x)), axis=0, out=v[1:])
+    return w, alpha, u, v
+
+
+def _martingale(sums, a: np.ndarray, n: int):
+    """Yield M_k, k < n, over the first n increments, one (n, P) component at a time.
+
+    M_k = (u_n - u_k) - alpha_k (w_n - w_k) - [(v_n - v_k) - <w_k, w_n - w_k>] a
+    from the :func:`_prefix_sums`.  On constant curvature the gradient field
+    of F = <a, w_T> is a (1 + c (T - tau)/2) - kappa M: the curvature action
+    in the moving frame does not depend on the frame, the inner curvature
+    integral is exact and the outer one left-point.
+    """
+    w, alpha, u, v = sums
+    ahead = np.empty_like(alpha[:n])  # w_n - w_k of one component, then scratch
+    scalar = v[n] - v[:n]
+    for wc in w:
+        scalar -= np.multiply(wc[:n], np.subtract(wc[n], wc[:n], out=ahead), out=ahead)
+    for wc, uc, ac in zip(w, u, a):
+        np.multiply(np.subtract(wc[n], wc[:n], out=ahead), alpha[:n], out=ahead)
+        part = uc[n] - uc[:n]
+        part -= ahead
+        part -= np.multiply(scalar, ac, out=ahead)
+        yield part
+
+
 def _chi_ladder(
     m: ModelManifold,
     a: np.ndarray,
@@ -185,7 +220,7 @@ def _chi_ladder(
     c = m.ricci_scalar
 
     grids = [TimeGrid.with_times(T, n_steps, ()) for T, n_steps in rungs]
-    dets = [_linear_deterministic_part(g.times, a, c) for g in grids]
+    dets = [a * (1.0 + 0.5 * c * (g.times[-1] - g.times[:-1]))[:, None] for g in grids]
     det_energy = [float(np.einsum("kd,kd,k->", det, det, g.dts)) for det, g in zip(dets, grids)]
     n_max = max(grid.n_steps for grid in grids)
     # unit steps: batch_increments returns the raw normals

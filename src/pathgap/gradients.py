@@ -1,4 +1,4 @@
-"""Pathwise gradient machinery along sampled paths.
+"""Damping propagators on a grid and the gradient algebra of one sampled path.
 
 For a cylindrical functional F(path) = f(x_{t_1}, ..., x_{t_N}) the usual
 gradient at time tau is the frame pullback of the slot gradients of f summed
@@ -13,6 +13,8 @@ which keeps the transform round-trips and the two damped-gradient formulas
 consistent to second order in the step.  Every discrete propagator is a
 product of the per-cell steps M_k = Q_{t_{k+1}, t_k}, so each damped
 quantity is one forward or backward sweep over them, O(n) in the grid.
+The batched energies and the algebra of the linear functional <a, w_T> are
+in :mod:`pathgap.estimators`, their only caller.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ __all__ = [
     "damped_gradient_integral_form",
     "transform_pair",
     "duality_defect",
-    "correlated_norm",
-    "linear_functional_gradient",
     "field_energy",
     "field_l2_distance",
 ]
@@ -321,91 +321,3 @@ def duality_defect(
     tilde_right = v.values - corr[1:]
     rhs = float(0.5 * np.einsum("k,kd,kd->", dts, usual.values, tilde_left + tilde_right))
     return abs(lhs - rhs)
-
-
-def correlated_norm(F: CylindricalFunctional, path: PathSample, m: ModelManifold) -> float:
-    """Coupled quadratic form sum_{j,k} <u^{-1} grad_j f, u^{-1} grad_k f> (t_j ^ t_k).
-
-    Equals the time integral of |usual gradient|^2 by the indicator algebra;
-    both are finite sums, so they agree to roundoff.
-    """
-    idx, slots = frame_pullback_slots(F, path, m)
-    ts = path.grid.times[idx]
-    gram = slots @ slots.T
-    tmin = np.minimum.outer(ts, ts)
-    return float(np.sum(gram * tmin))
-
-
-def _linear_deterministic_part(times: np.ndarray, a: np.ndarray, ric_scalar: float) -> np.ndarray:
-    """The deterministic part a (1 + c (T - tau)/2) of the linear field, (n, d), left points."""
-    return a * (1.0 + 0.5 * ric_scalar * (times[-1] - times[:-1]))[:, None]
-
-
-def _prefix_sums(increments: np.ndarray, a: np.ndarray):
-    """Prefix sums at the nodes of a (P, n, d) batch of increments x_j, draws last.
-
-    w_k = sum_{j<k} x_j and u_k = sum_{j<k} alpha_j x_j are (d, n+1, P),
-    alpha_k = <w_k, a> and v_k = sum_{j<k} <w_j, x_j> are (n+1, P).
-    """
-    x = increments.transpose(2, 1, 0)  # (d, n, P) view
-    w = np.zeros((x.shape[0], x.shape[1] + 1, x.shape[2]))
-    np.cumsum(x, axis=1, out=w[:, 1:])
-    alpha = sum(ac * wc for ac, wc in zip(a, w))
-    u = np.zeros_like(w)
-    np.multiply(alpha[:-1], x, out=u[:, 1:])
-    np.cumsum(u[:, 1:], axis=1, out=u[:, 1:])
-    v = np.zeros_like(alpha)
-    np.cumsum(sum(wc[:-1] * xc for wc, xc in zip(w, x)), axis=0, out=v[1:])
-    return w, alpha, u, v
-
-
-def _martingale(sums, a: np.ndarray, n: int):
-    """Yield M_k, k < n, over the first n increments, one (n, P) component at a time.
-
-    M_k = (u_n - u_k) - alpha_k (w_n - w_k) - [(v_n - v_k) - <w_k, w_n - w_k>] a
-    from the :func:`_prefix_sums`.
-    """
-    w, alpha, u, v = sums
-    ahead = np.empty_like(alpha[:n])  # w_n - w_k of one component, then scratch
-    scalar = v[n] - v[:n]
-    for wc in w:
-        scalar -= np.multiply(wc[:n], np.subtract(wc[n], wc[:n], out=ahead), out=ahead)
-    for wc, uc, ac in zip(w, u, a):
-        np.multiply(np.subtract(wc[n], wc[:n], out=ahead), alpha[:n], out=ahead)
-        part = uc[n] - uc[:n]
-        part -= ahead
-        part -= np.multiply(scalar, ac, out=ahead)
-        yield part
-
-
-def linear_gradient_batch(
-    increments: np.ndarray, times: np.ndarray, a: np.ndarray, kappa: float, ric_scalar: float
-) -> np.ndarray:
-    """Gradient field of F = <a, w_T> for a batch of paths, (P, n, d).
-
-    On a constant-curvature manifold the curvature action in the moving
-    frame does not depend on the frame, so the field is an explicit
-    functional of the driving increments: a deterministic part
-    a (1 + c (T - tau)/2) plus -kappa M of :func:`_martingale`, from prefix
-    sums of the increments (inner curvature integral exact, outer integral
-    left-point).  The chi estimators read M without building the field.
-    """
-    increments = np.asarray(increments, dtype=float)
-    a = np.asarray(a, dtype=float)
-    mart = np.stack(list(_martingale(_prefix_sums(increments, a), a, increments.shape[1])), -1)
-    return _linear_deterministic_part(times, a, ric_scalar) + (-kappa) * mart.transpose(1, 0, 2)
-
-
-def linear_functional_gradient(
-    a: np.ndarray, path: PathSample, m: ModelManifold
-) -> GradientField:
-    """Gradient field of the linear functional F = <a, w_T>, |a| = 1."""
-    if m.kind == SYNTHETIC:
-        raise ValueError("linear functional gradient needs a curvature tensor")
-    a = np.asarray(a, dtype=float)
-    if abs(np.linalg.norm(a) - 1.0) > 1e-9:
-        raise ValueError("direction a must be a unit vector")
-    values = linear_gradient_batch(
-        path.increments[None], path.grid.times, a, m.kappa, m.ricci_scalar
-    )[0]
-    return GradientField(path.grid, values)

@@ -9,6 +9,7 @@ import pytest
 
 import pathgap as pg
 from pathgap import _kernels_py as kern
+from pathgap import estimators as est
 from pathgap._backend import kernels
 from pathgap.sampling import TimeGrid, batch_increments
 
@@ -93,13 +94,18 @@ class TestResolventKernels:
 
 
 def test_perfbench_tracer_lookups_resolve():
-    """The benchmark's tracer looks kernels up by name and reads the walk's
-    increments by position; a rename here fails this test, not only a traced run."""
+    """The benchmark's tracer imports its layers, looks kernels up by name and
+    reads the walk's increments by position, and its untraced runs time the
+    first draw by patching ``estimators.batch_increments``; a rename here
+    fails this test, not only a benchmark run."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    for layer in tracer.LAYERS:
+        importlib.import_module("pathgap." + layer)
     for name in tracer.KERNELS:
         assert callable(getattr(kernels, name, None)), name
+    assert callable(getattr(est, "batch_increments", None))
     assert callable(pg.backend_name)
     assert list(inspect.signature(kernels.simulate_paths).parameters)[5] == "increments"

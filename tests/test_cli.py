@@ -180,6 +180,7 @@ class TestSimulateCommand:
             ["--mode", "theorem1", "--functionals", "0"],
             ["--mode", "lsi", "--paths", "1"],
             ["--T", "0"],
+            ["--threads", "0"],
         ],
         ids=lambda extra: " ".join(extra),
     )
@@ -356,6 +357,42 @@ class TestConfigFiles:
         )
         again = ExperimentConfig.from_text(cfg.to_text())
         assert again == cfg
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["bounds", "--k1", "1", "--k2", "1", "--T", "1", "--T-grid", "1:2:2"],
+             ["k1", "k2", "T", "T-grid", "profile", "format"]),
+            (["simulate", "--manifold", "sphere", "--T", "0.1"],
+             ["manifold", "dim", "kappa", "T", "steps", "paths", "seed", "mode",
+              "functionals", "threads", "format"]),
+            (["asymptotics", "--manifold", "sphere"],
+             ["manifold", "dim", "kappa", "T-ladder", "paths", "seed", "tol-rel",
+              "threads", "format"]),
+        ],
+        ids=["bounds", "simulate", "asymptotics"],
+    )
+    def test_written_keys_follow_the_flags(self, tmp_path, argv, keys):
+        """A written config stores every flag but help, --config and
+        --write-config, in the order the command declares them."""
+        path = str(tmp_path / "exp.cfg")
+        assert run_cli(argv + ["--write-config", path]) == (0, "")
+        assert list(ExperimentConfig.read(path).params) == keys
+
+    @pytest.mark.parametrize("version, ok", [("1", True), ("7", False), (None, True)])
+    def test_schema_version_is_checked(self, tmp_path, version, ok):
+        """Only schema_version 1 is read; a file without [meta] is version 1."""
+        text = "[bounds]\nk1 = 1\nk2 = 1\nT = 0.5\n"
+        if version is not None:
+            text = f"[meta]\nschema_version = {version}\n\n" + text
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        code, out, err = run_cli_contract(["bounds", "--config", str(path)])
+        if ok:
+            assert (code, err) == (0, "") and out.startswith(",".join(BOUNDS_COLUMNS))
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and "schema_version 7" in err
 
     def test_config_drives_command(self, tmp_path):
         path = tmp_path / "exp.cfg"

@@ -16,7 +16,6 @@ from pathgap.gradients import (
     _damped_limits,
     _pullback,
     frame_pullback_slots,
-    linear_gradient_batch,
     resolvent_on_grid,
 )
 from pathgap.sampling import TimeGrid, batch_increments, sample_path, simulate_increments
@@ -61,7 +60,7 @@ class TestEstimateChi:
         rep = est.estimate_chi(m, a, T, n_steps, 8000, seed)
         grid = TimeGrid.with_times(T, n_steps, ())
         inc = batch_increments(grid, m.dim, seed, range(4000))
-        field = linear_gradient_batch(inc, grid.times, a, m.kappa, m.ricci_scalar)
+        field = _linear_field_by_suffix_sums(inc, grid.times, a, m.kappa, m.ricci_scalar)
         det = a * (1.0 + 0.5 * m.ricci_scalar * (T - grid.times[:-1]))[:, None]
         mart = field - det
 
@@ -137,23 +136,25 @@ class TestChiLadder:
         "m", [pg.sphere(3, 1.0), pg.hyperbolic(2, -1.0)], ids=["sphere3", "hyperbolic2"]
     )
     def test_numerators_match_the_suffix_sum_field(self, m):
-        """Per draw, the numerator is integral |det|^2 + integral |field - det|^2
-        of the reference field, on rungs of different dt; F is <a, w_T>."""
+        """Per cell, det - kappa dt M from the prefix sums of the longest rung's
+        normals is the reference field; per draw, the numerator is integral
+        |det|^2 + integral |field - det|^2, on rungs of different dt; F is <a, w_T>."""
         a = np.zeros(m.dim)
         a[0], a[-1] = 0.8, 0.6
         rungs = [(0.005, 64), (0.01, 100)]
         seed, n_draws = 23, 150
         reports, x = est._chi_ladder(m, a, rungs, 2 * n_draws, seed, 1)
         z = batch_increments(TimeGrid.with_times(100, 100, ()), m.dim, seed, range(n_draws))
+        sums = est._prefix_sums(z, a)
         for report, x_rung, (T, n) in zip(reports, x, rungs):
             grid = TimeGrid.with_times(T, n, ())
             inc = z[:, :n] * grid.sqrt_dts[:, None]
             field = _linear_field_by_suffix_sums(inc, grid.times, a, m.kappa, m.ricci_scalar)
-            np.testing.assert_allclose(
-                linear_gradient_batch(inc, grid.times, a, m.kappa, m.ricci_scalar),
-                field, rtol=0, atol=1e-14,
-            )
             det = a * (1.0 + 0.5 * m.ricci_scalar * (T - grid.times[:-1]))[:, None]
+            parts = np.stack(list(est._martingale(sums, a, n)), axis=-1).transpose(1, 0, 2)
+            np.testing.assert_allclose(
+                det - m.kappa * (T / n) * parts, field, rtol=0, atol=1e-14
+            )
             mart = field - det
             want = np.einsum("kd,kd,k->", det, det, grid.dts)
             want = want + np.einsum("pkd,pkd,k->p", mart, mart, grid.dts)
@@ -293,6 +294,23 @@ class TestVerifyTheorem1:
         family = est.random_two_point_family(m, 1.0, 2, seed=3)
         with pytest.raises(ValueError, match="at least 1 path"):
             est.verify_theorem1(m, m.curvature_window, family, 1.0, 16, 0, 1)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_no_threads_rejected_before_any_draw(self, monkeypatch, threads):
+        monkeypatch.setattr(est, "batch_increments", refuse_draws)
+        m = pg.sphere(2, 1.0)
+        a = np.array([1.0, 0.0])
+        family = est.random_two_point_family(m, 1.0, 2, seed=3)
+        F = est.exponential_functional(m, np.array([0.0, 0.6, 0.8]), 0.5)
+        runs = [
+            lambda: est.estimate_chi(m, a, 0.1, 8, 10, 1, threads=threads),
+            lambda: est.small_time_slope(m, a, [0.01, 0.02, 0.03, 0.04], 10, 1, threads),
+            lambda: est.verify_theorem1(m, m.curvature_window, family, 1.0, 16, 5, 1, threads),
+            lambda: est.verify_lsi(m, F, 0.5, 16, 5, 1, threads=threads),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError, match="at least 1 worker thread"):
+                run()
 
     def test_no_functionals_rejected_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(est, "batch_increments", refuse_draws)

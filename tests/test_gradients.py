@@ -1,4 +1,5 @@
-"""Gradient machinery: pullbacks, damping, transforms, the linear functional."""
+"""Gradient machinery: pullbacks, damping, transforms; the linear functional's
+prefix-sum algebra and the c = 0 pairwise energy, which live in estimators."""
 
 import math
 
@@ -6,20 +7,19 @@ import numpy as np
 import pytest
 
 import pathgap as pg
+from pathgap import estimators as est
 from pathgap import gradients as gr
 from pathgap._backend import kernels
 from pathgap.geometry import _project_tangent, ricci_matrix
 from pathgap.gradients import (
     CylindricalFunctional,
     GradientField,
-    correlated_norm,
     damped_gradient,
     damped_gradient_integral_form,
     duality_defect,
     field_energy,
     field_l2_distance,
-    linear_functional_gradient,
-    linear_gradient_batch,
+    frame_pullback_slots,
     resolvent_on_grid,
     transform_pair,
     usual_gradient,
@@ -90,6 +90,13 @@ class TestUsualGradient:
         )
 
 
+def pairwise_energy(F, path, m):
+    """integral |DF|^2 by the c = 0 pairwise closed form that the verifiers run."""
+    idx, slots = frame_pullback_slots(F, path, m)
+    gram = (slots @ slots.T)[None]
+    return float(est.damped_energy_pairwise(path.grid.times[idx], gram, 0.0)[0])
+
+
 class TestCorrelatedNorm:
     def test_single_slot(self):
         m = pg.euclidean(2)
@@ -97,7 +104,7 @@ class TestCorrelatedNorm:
         path = sample_path(m, g, 3)
         a = np.array([1.0, 2.0])
         F = linear_flat_functional(a, 0.75)
-        assert correlated_norm(F, path, m) == pytest.approx(0.75 * 5.0, rel=1e-14)
+        assert pairwise_energy(F, path, m) == pytest.approx(0.75 * 5.0, rel=1e-14)
 
     def test_matches_field_energy(self, rng):
         m = pg.sphere(2, 1.0)
@@ -106,13 +113,13 @@ class TestCorrelatedNorm:
         b1, b2 = rng.normal(size=3), rng.normal(size=3)
         F = linear_functional(m, (0.3, 0.7), [b1, b2])
         field = usual_gradient(F, path, m)
-        assert correlated_norm(F, path, m) == pytest.approx(field_energy(field), rel=1e-10)
+        assert pairwise_energy(F, path, m) == pytest.approx(field_energy(field), rel=1e-10)
 
     def test_constant_zero(self):
         m = pg.euclidean(3)
         g = TimeGrid.with_times(1.0, 8, ())
         path = sample_path(m, g, 3)
-        assert correlated_norm(constant_functional(3, 0.5), path, m) == 0.0
+        assert pairwise_energy(constant_functional(3, 0.5), path, m) == 0.0
 
 
 class TestDampedGradient:
@@ -350,35 +357,6 @@ class TestSweeps:
 
 
 class TestLinearFunctionalGradient:
-    def test_flat_constant_field(self):
-        m = pg.euclidean(3)
-        g = TimeGrid.with_times(0.5, 32, ())
-        path = sample_path(m, g, 3)
-        a = np.array([0.0, 0.6, 0.8])
-        field = linear_functional_gradient(a, path, m)
-        np.testing.assert_allclose(field.values, np.broadcast_to(a, (32, 3)), atol=1e-14)
-
-    def test_unit_vector_required(self):
-        m = pg.euclidean(2)
-        g = TimeGrid.with_times(0.5, 8, ())
-        path = sample_path(m, g, 3)
-        with pytest.raises(ValueError):
-            linear_functional_gradient(np.array([1.0, 1.0]), path, m)
-
-    def test_deterministic_part_on_sphere(self):
-        """With the driving noise zeroed, the field is a (1 + c(T-t)/2) a."""
-        m = pg.sphere(3, 1.0)
-        g = TimeGrid.with_times(0.5, 16, ())
-        path = sample_path(m, g, 3)
-        silent = pg.PathSample(
-            g, path.positions, path.frames, np.zeros_like(path.increments), 3
-        )
-        a = np.array([1.0, 0.0, 0.0])
-        field = linear_functional_gradient(a, silent, m)
-        c = m.ricci_scalar
-        want = a[None, :] * (1.0 + 0.5 * c * (0.5 - g.times[:16]))[:, None]
-        np.testing.assert_allclose(field.values, want, atol=1e-14)
-
     def test_curvature_integral_linear_scaling(self):
         """E |C(w, s, tau) a|^2 grows linearly in s - tau, slope d-dependent."""
         m = pg.sphere(3, 1.0)
@@ -408,13 +386,13 @@ class TestLinearFunctionalGradient:
         "m", [pg.sphere(3, 1.0), pg.hyperbolic(2, -1.0), pg.euclidean(2)], ids=lambda m: m.kind
     )
     def test_mirror_path_has_the_same_field(self, m):
-        """The field is even in the increments: -inc gives it bit for bit."""
+        """The martingale part is even in the increments: -inc gives it bit for bit."""
         g = TimeGrid.with_times(0.1, 48, ())
         inc = batch_increments(g, m.dim, seed=57, indices=range(64))
         a = np.zeros(m.dim)
         a[0] = 1.0
-        plus = linear_gradient_batch(inc, g.times, a, m.kappa, m.ricci_scalar)
-        minus = linear_gradient_batch(-inc, g.times, a, m.kappa, m.ricci_scalar)
+        plus = list(est._martingale(est._prefix_sums(inc, a), a, g.n_steps))
+        minus = list(est._martingale(est._prefix_sums(-inc, a), a, g.n_steps))
         assert np.array_equal(plus, minus)
 
     def test_variance_of_linear_functional(self):
