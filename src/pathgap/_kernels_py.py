@@ -12,7 +12,8 @@ Two kernels:
   column) form those products from the steps; they are the test
   references, and no package code calls them.
 
-Vectorization is across paths (simulate) and across cells (resolvent steps).
+Vectorization is across paths (simulate, component-major: every array holds
+the paths on its last axis) and across cells (resolvent steps).
 """
 
 from __future__ import annotations
@@ -22,24 +23,42 @@ import numpy as np
 from .geometry import HYPERBOLIC, SPHERE
 
 
-def _step_curved(kind, kappa, pos, frames, disp, g, step):
+def _inner(u, v, lorentz):
+    """Ambient inner product of u (..., amb, P) and v (amb, P), summed over amb.
+
+    The coordinate rows are summed in a fixed order, the one numpy 2.4's
+    einsum used for this short contiguous axis on x86-64 (two lanes): the even
+    coordinates in order, then the odd ones, then the two partial sums added.
+    The walk's bits, pinned by a digest in the tests, therefore do not depend
+    on numpy's SIMD dispatch.  lorentz negates coordinate 0's product, which
+    is exact.
+    """
+    lanes = [u[..., 0, :] * v[0], u[..., 1, :] * v[1]]
+    if lorentz:
+        np.negative(lanes[0], out=lanes[0])
+    for a in range(2, v.shape[0]):
+        lanes[a % 2] += u[..., a, :] * v[a]
+    lanes[0] += lanes[1]
+    return lanes[0]
+
+
+def _step_curved(kind, kappa, pos, frames, disp, step):
     """One geodesic step with parallel transport for a batch of paths.
 
-    pos (P, amb), frames (d, P, amb) frame-major, disp (P, amb) ambient
-    displacement.  The surface is <x, x> = s r^2 in the ambient metric g, with
-    s = +1 and (cos, sin) on the sphere, s = -1 and (cosh, sinh) on the
-    hyperboloid; the factors s and g are +-1, so both share one exact code
-    path.  g is None on the sphere, where it is all ones and multiplying by it
-    changes no bit.  A point that cannot be snapped back to the surface, or a
+    Component-major: pos (amb, P), frames (d, amb, P), disp (amb, P) ambient
+    displacement, so every coordinate row is a contiguous run over the paths.
+    The surface is <x, x> = s r^2 in the ambient metric, with s = +1 and
+    (cos, sin) on the sphere, s = -1 and (cosh, sinh) on the hyperboloid,
+    whose metric is Lorentzian (coordinate 0 negative); both share one exact
+    code path.  A point that cannot be snapped back to the surface, or a
     sphere step past 2**26 radians (its angle rounds by theta * 2**-52), raises
     ValueError naming ``step``, kappa and the step length.
     """
     s, cos, sin = (1.0, np.cos, np.sin) if kind == SPHERE else (-1.0, np.cosh, np.sinh)
-    gx = (lambda x: x) if g is None else (lambda x: x * g)
-    arc = np.sqrt(np.einsum("pa,pa->p", gx(disp), disp))
+    lorentz = kind == HYPERBOLIC
+    arc = np.sqrt(_inner(disp, disp, lorentz))
     moving = arc > 0.0
-    safe = np.where(moving, arc, 1.0)
-    direction = disp / safe[:, None]
+    direction = disp / np.where(moving, arc, 1.0)
     radius = 1.0 / np.sqrt(s * kappa)
     theta = arc / radius
     if kind == SPHERE and not np.all(theta <= 2.0**26):
@@ -49,14 +68,13 @@ def _step_curved(kind, kappa, pos, frames, disp, g, step):
             "steps or a smaller kappa * T"
         )
     cos_t, sin_t = cos(theta), sin(theta)
-    new_pos = cos_t[:, None] * pos + radius * sin_t[:, None] * direction
-    correction = (cos_t - 1.0)[:, None] * direction - s * sin_t[:, None] * pos / radius
-    coeffs = np.einsum("ipa,pa->ip", gx(frames), direction)
-    new_frames = frames + coeffs[:, :, None] * correction
+    new_pos = cos_t * pos + radius * sin_t * direction
+    correction = (cos_t - 1.0) * direction - s * sin_t * pos / radius
+    new_frames = frames + _inner(frames, direction, lorentz)[:, None] * correction
 
     # Renormalize: snap to surface, project rows to the tangent space,
     # modified Gram-Schmidt in the ambient metric.
-    norm2 = s * np.einsum("pa,pa->p", gx(new_pos), new_pos)
+    norm2 = s * _inner(new_pos, new_pos, lorentz)
     off = ~((norm2 > 0.0) & (norm2 < np.inf))
     if np.any(off):
         surface = "sphere" if kind == SPHERE else "hyperboloid"
@@ -64,23 +82,21 @@ def _step_curved(kind, kappa, pos, frames, disp, g, step):
             f"the walk leaves the {surface} at step {step}: kappa = {kappa!r}, step length "
             f"{float(np.max(arc[off]))!r}; take more steps or a smaller |kappa| * T"
         )
-    new_pos = new_pos * (radius / np.sqrt(norm2))[:, None]
-    r2 = radius * radius
-    proj = s * np.einsum("ipa,pa->ip", gx(new_frames), new_pos) / r2
-    new_frames = new_frames - proj[:, :, None] * new_pos
+    new_pos *= radius / np.sqrt(norm2)
+    proj = s * _inner(new_frames, new_pos, lorentz) / (radius * radius)
+    new_frames -= proj[:, None] * new_pos
     for i in range(frames.shape[0]):
         v = new_frames[i]
         for j in range(i):
             w = new_frames[j]
-            v = v - np.einsum("pa,pa->p", gx(v), w)[:, None] * w
-        nrm = np.sqrt(np.einsum("pa,pa->p", gx(v), v))
-        new_frames[i] = v / nrm[:, None]
+            v = v - _inner(v, w, lorentz) * w
+        new_frames[i] = v / np.sqrt(_inner(v, v, lorentz))
 
     # Paths with a zero increment stay put.
     if not np.all(moving):
         keep = ~moving
-        new_pos[keep] = pos[keep]
-        new_frames[:, keep] = frames[:, keep]
+        new_pos[:, keep] = pos[:, keep]
+        new_frames[:, :, keep] = frames[:, :, keep]
     return new_pos, new_frames
 
 
@@ -92,44 +108,37 @@ def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record)
     int64 indices into 0..n of the time slots whose positions/frames are
     kept.  Returns (positions (P, m, amb), frames (P, m, d, amb)).
 
-    The walk keeps the frames frame-major, (d, P, amb), and gathers each
-    step's increments into a (d, P) block, so every per-step operand is
-    contiguous; the frames are transposed only into the recorded slots.
+    The walk runs component-major, draws last: positions (amb, P), frames
+    (d, amb, P), and step k reads the (d, P) slice of the increments' (n, d, P)
+    view.  ``batch_increments`` stores its draws in that order, so the view
+    costs no copy; any other layout is copied once.  Only the recorded slots
+    are transposed back to path-major.  Every operation is elementwise over
+    the paths, so a path's bits do not depend on the batch it runs in.
     """
-    increments = np.asarray(increments, dtype=np.float64)
-    n_paths, n_steps, d = increments.shape
-    amb = start_pos.shape[0]
+    inc = np.ascontiguousarray(np.transpose(increments, (1, 2, 0)), dtype=np.float64)
+    n_steps, d, n_paths = inc.shape
     record = np.asarray(record, dtype=np.int64)
     m = record.shape[0]
 
-    pos = np.broadcast_to(start_pos, (n_paths, amb)).copy()
-    frames = np.broadcast_to(start_frame[:, None, :], (d, n_paths, amb)).copy()
-    out_pos = np.empty((n_paths, m, amb))
-    out_frames = np.empty((n_paths, m, d, amb))
-
-    g = None
-    if kind == HYPERBOLIC:
-        g = np.ones(amb)
-        g[0] = -1.0
+    pos = np.repeat(start_pos[:, None], n_paths, axis=1)
+    frames = np.repeat(start_frame[:, :, None], n_paths, axis=2)
+    out_pos = np.empty((n_paths, m, pos.shape[0]))
+    out_frames = np.empty((n_paths, m, d, pos.shape[0]))
 
     rec_ptr = 0
-    if rec_ptr < m and record[rec_ptr] == 0:
-        out_pos[:, 0] = pos
-        out_frames[:, 0] = frames.transpose(1, 0, 2)
-        rec_ptr += 1
-    for k in range(n_steps):
-        step = increments[:, k].T.copy()
-        # summed from zero in frame order: an all-zero sum is +0.0
-        disp = np.zeros((n_paths, amb))
-        for i in range(d):
-            disp += step[i][:, None] * frames[i]
-        if kind in (SPHERE, HYPERBOLIC):
-            pos, frames = _step_curved(kind, kappa, pos, frames, disp, g, k + 1)
-        else:
-            pos = pos + disp
-        if rec_ptr < m and record[rec_ptr] == k + 1:
-            out_pos[:, rec_ptr] = pos
-            out_frames[:, rec_ptr] = frames.transpose(1, 0, 2)
+    for k in range(n_steps + 1):
+        if k:
+            # summed from zero in frame order: an all-zero sum is +0.0
+            disp = np.zeros_like(pos)
+            for i in range(d):
+                disp += inc[k - 1, i] * frames[i]
+            if kind in (SPHERE, HYPERBOLIC):
+                pos, frames = _step_curved(kind, kappa, pos, frames, disp, k)
+            else:
+                pos = pos + disp
+        if rec_ptr < m and record[rec_ptr] == k:
+            out_pos[:, rec_ptr] = pos.T
+            out_frames[:, rec_ptr] = frames.transpose(2, 0, 1)
             rec_ptr += 1
     return out_pos, out_frames
 

@@ -243,7 +243,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
 
     A config key is dropped when argv sets that key, or a flag that excludes
     it (--T and --T-grid), so an explicit flag replaces a file value rather
-    than adding to it.
+    than adding to it.  A key a written config never stores (``_NOT_CONFIG``)
+    is refused: a file must not redirect the run to --write-config or --help.
     """
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
@@ -257,6 +258,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
             raise CliError(
                 f"config section [{cfg.command}] does not match command {argv[0]!r}"
             )
+        for key in cfg.params:
+            if key.replace("_", "-") in _NOT_CONFIG:
+                raise CliError(
+                    f"config {known.config} sets {key!r}, which is a command-line flag only"
+                )
         given = _dests_given(build_parser(), argv)
         flat = []
         for key, val in cfg.params.items():

@@ -124,22 +124,24 @@ def batch_increments(grid: TimeGrid, dim: int, seed: int, indices: Iterable[int]
     """Gaussian driving increments, Normal(0, dt_i * Id) per step, (P, n_steps, dim).
 
     Row r holds path ``indices[r]``.  Each block is drawn once per run of
-    consecutive indices inside it, and the run's rows are copied by slicing.
+    consecutive indices inside it, and the run's rows are scaled into place.
+    The memory is draws last: the result is the transpose of an
+    (n_steps, dim, P) buffer, so the walk's (n, d, P) view and the prefix
+    sums' (d, n, P) view read contiguous rows without a copy.
     """
     idx = np.fromiter(indices, dtype=np.int64)
-    out = np.empty((idx.size, grid.n_steps, dim))
-    if idx.size == 0:
-        return out
-    breaks = np.flatnonzero((np.diff(idx) != 1) | (idx[1:] % BLOCK == 0)) + 1
-    edges = [0, *breaks.tolist(), idx.size]
-    z = np.empty((grid.n_steps, BLOCK, dim))  # one block's normals, refilled per run
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        block, row = divmod(int(idx[lo]), BLOCK)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-        rng.standard_normal(out=z)
-        np.multiply(z[:, row : row + hi - lo].transpose(1, 0, 2), grid.sqrt_dts[:, None],
-                    out=out[lo:hi])
-    return out
+    out = np.empty((grid.n_steps, dim, idx.size))
+    if idx.size:
+        breaks = np.flatnonzero((np.diff(idx) != 1) | (idx[1:] % BLOCK == 0)) + 1
+        edges = [0, *breaks.tolist(), idx.size]
+        z = np.empty((grid.n_steps, BLOCK, dim))  # one block's normals, refilled per run
+        scale = grid.sqrt_dts[:, None, None]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            block, row = divmod(int(idx[lo]), BLOCK)
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+            rng.standard_normal(out=z)
+            np.multiply(z[:, row : row + hi - lo].transpose(0, 2, 1), scale, out=out[:, :, lo:hi])
+    return out.transpose(2, 0, 1)
 
 
 def simulate_increments(

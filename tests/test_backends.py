@@ -1,5 +1,6 @@
 """The numpy kernels are deterministic and record consistently."""
 
+import hashlib
 import importlib.util
 import inspect
 from pathlib import Path
@@ -11,7 +12,7 @@ import pathgap as pg
 from pathgap import _kernels_py as kern
 from pathgap import estimators as est
 from pathgap._backend import kernels
-from pathgap.sampling import TimeGrid, batch_increments
+from pathgap.sampling import TimeGrid, batch_increments, simulate_increments
 
 from conftest import smooth_ricci
 
@@ -21,7 +22,67 @@ def _simulate(m, inc, record):
     return kern.simulate_paths(m.kind, m.kappa, m.dim, base.position, base.frame, inc, record)
 
 
+# sha256 of the walk outputs of walk_cases(), recorded from the einsum form of
+# the walk before it became component-major
+WALK_DIGEST = "4a4d3fb0d5331792976dc345049cef26e130d5c34e5a4642d4e911135bf2efed"
+
+
+def walk_cases():
+    """(manifold, increments, record) for the bit pin: S^2, S^3, H^2, H^3 and R^3,
+    each with every slot recorded and with a subset."""
+    g = TimeGrid.with_times(0.5, 48, ())
+    full = np.arange(g.n_steps + 1, dtype=np.int64)
+    sub = np.array([0, 5, 17, 48], dtype=np.int64)
+    manifolds = [pg.sphere(2, 1.0), pg.sphere(3, 2.5), pg.hyperbolic(2, -1.0),
+                 pg.hyperbolic(3, -0.7), pg.euclidean(3)]
+    for seed, m in enumerate(manifolds, start=61):
+        inc = batch_increments(g, m.dim, seed, range(37))
+        for record in (full, sub):
+            yield m, inc, record
+
+
 class TestSimulateKernels:
+    def test_digest(self):
+        h = hashlib.sha256()
+        for m, inc, record in walk_cases():
+            base = m.basepoint()
+            for out in kernels.simulate_paths(
+                m.kind, m.kappa, m.dim, base.position, base.frame, inc, record
+            ):
+                h.update(np.ascontiguousarray(out, dtype="<f8").tobytes())
+        assert h.hexdigest() == WALK_DIGEST
+
+    @pytest.mark.parametrize("m", [pg.sphere(2, 1.0), pg.hyperbolic(3, -1.0)])
+    def test_zero_steps_rest(self, m):
+        """A path whose increment is zero at a step keeps its position and frame
+        bit for bit there; the other paths of the batch are those paths run alone."""
+        g = TimeGrid.with_times(0.5, 16, ())
+        inc = batch_increments(g, m.dim, seed=13, indices=range(6)).copy()
+        resting, zero_steps = [1, 4], [0, 3, 4, 9]
+        moving = [0, 2, 3, 5]
+        inc[np.ix_(resting, zero_steps)] = 0.0
+        record = np.arange(g.n_steps + 1, dtype=np.int64)
+        pos, frames = _simulate(m, inc, record)
+        for k in zero_steps:
+            np.testing.assert_array_equal(pos[resting, k + 1], pos[resting, k])
+            np.testing.assert_array_equal(frames[resting, k + 1], frames[resting, k])
+        moved = np.any(pos[resting, 1:] != pos[resting, :-1], axis=2)
+        assert moved.sum() == len(resting) * (g.n_steps - len(zero_steps))
+        alone_pos, alone_frames = _simulate(m, inc[moving], record)
+        np.testing.assert_array_equal(pos[moving], alone_pos)
+        np.testing.assert_array_equal(frames[moving], alone_frames)
+
+    def test_increments_are_draws_last(self):
+        """The walk's (n, d, P) view of the draws is the buffer itself, and each
+        path's draws are the ones it gets drawn alone."""
+        g = TimeGrid.with_times(0.5, 20, ())
+        picks = [3, 4, 5, 70, 64, 200, 2]
+        inc = batch_increments(g, 3, 5, picks)
+        assert inc.shape == (len(picks), g.n_steps, 3)
+        assert inc.transpose(1, 2, 0).flags.c_contiguous
+        for r, i in enumerate(picks):
+            np.testing.assert_array_equal(inc[r], batch_increments(g, 3, 5, [i])[0])
+
     def test_deterministic(self):
         m = pg.sphere(2, 1.0)
         g = TimeGrid.with_times(0.5, 64, ())
@@ -109,3 +170,20 @@ def test_perfbench_tracer_lookups_resolve():
     assert callable(getattr(est, "batch_increments", None))
     assert callable(pg.backend_name)
     assert list(inspect.signature(kernels.simulate_paths).parameters)[5] == "increments"
+
+
+def test_walk_receives_paths_steps_dims(monkeypatch):
+    """The tracer counts walk path-steps as ``args[5].shape[0] * shape[1]``: the
+    increments reach the kernel as (P, n, d)."""
+    calls = []
+    walk = kernels.simulate_paths
+
+    def recorded(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(kernels, "simulate_paths", recorded)
+    m = pg.sphere(3, 1.0)
+    g = TimeGrid.with_times(0.5, 12, ())
+    simulate_increments(m, g, batch_increments(g, m.dim, 3, range(5)))
+    assert len(calls) == 1 and calls[0][5].shape == (5, 12, 3)

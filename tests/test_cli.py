@@ -485,6 +485,18 @@ class TestConfigFiles:
         assert (code, out) == (2, "")
         assert "--antithetic" in err
 
+    @pytest.mark.parametrize("key", ["write-config", "write_config", "config", "help"])
+    def test_flag_only_key_exit_2(self, tmp_path, key):
+        """A key a written config never stores is refused: no file is written
+        and the table is not replaced."""
+        path, target = tmp_path / "exp.cfg", tmp_path / "out.cfg"
+        params = {"k1": "1", "k2": "1", "T": "1.0", key: str(target)}
+        ExperimentConfig("bounds", params).write(str(path))
+        code, out, err = run_cli_contract(["bounds", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+        assert not target.exists()
+
 
 def run_cli_contract(argv):
     """(exit code, stdout, stderr) of main; argparse's own exits count as their code."""

@@ -446,6 +446,28 @@ class TestVerifyLsi:
         assert not rep.violated
         assert rep.gap > 0.0  # strict gap expected away from the equality family
 
+    @pytest.mark.parametrize("damped", [True, False])
+    def test_hyperbolic_negative_control(self, monkeypatch, damped):
+        """Undamped weights (c = 0) make the check fail on H^2.
+
+        For F = e^{eps G}, Ent(F^2) ~ 2 eps^2 Var G and the undamped side is
+        2 eps^2 E integral |DG|^2, so the undamped check fails when G's
+        Rayleigh quotient is below 1, as it is for <b, x_T> on H^2.
+        """
+        if not damped:
+            pairwise = est.damped_energy_pairwise
+            monkeypatch.setattr(
+                est, "damped_energy_pairwise", lambda ts, gram, c: pairwise(ts, gram, 0.0)
+            )
+        m = pg.hyperbolic(2, -1.0)
+        F = est.truncated_exponential_functional(np.array([0.0, 0.05, 0.0]), 0.5, cap=50)
+        rep = est.verify_lsi(m, F, 0.5, 128, 20_000, 7)
+        if damped:
+            assert not rep.violated and rep.gap > 30.0 * rep.gap_stderr  # +1.32e-3 +- 3.9e-5
+        else:
+            assert rep.violated  # -3.32e-4 +- 5.9e-5
+        assert rep.gap == pytest.approx(1.32e-3 if damped else -3.32e-4, rel=0.01)
+
     def test_seed_determinism(self):
         m = pg.euclidean(2)
         F = est.truncated_exponential_functional(np.array([1.0, 0.0]), 0.3, 1.0)
