@@ -264,11 +264,14 @@ def gap_bounds_small_time(T: float, cb: CurvatureBounds, k2_at_x: float) -> tupl
 
     Returns ``(1 - k1*T/2, 1 + k2_at_x*T/2)`` where ``k2_at_x`` is the
     lower Ricci bound at the starting point.  Valid as an asymptotic
-    statement for T -> 0; no smallness of T is enforced here.
+    statement for T -> 0; no smallness of T is enforced here, and T = 0
+    gives (1, 1).
     """
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
-    return 1.0 - cb.k1 * T / 2, 1.0 + float(k2_at_x) * T / 2
+    if not 0.0 <= (T := float(T)) < math.inf:
+        raise ValueError(f"T must be finite and >= 0, got {T}")
+    if not math.isfinite(k2_at_x := float(k2_at_x)):
+        raise ValueError(f"k2_at_x must be finite, got {k2_at_x}")
+    return 1.0 - cb.k1 * T / 2, 1.0 + k2_at_x * T / 2
 
 
 @dataclass(frozen=True)

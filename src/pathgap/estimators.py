@@ -335,6 +335,15 @@ def verify_theorem1(
     before any path is drawn): its window is a contract on supplied data.
     On constant curvature the window is the hypothesis under test, so a
     window that excludes the true Ricci runs and can fail the check.
+
+    It can fail only where c < 0.  Let h = DF and
+    u(tau) = integral_tau^T e^{-c (s - tau)/2} h(s) ds.  Then D~F = h - (c/2) u
+    and h = (c/2) u - u' with u(T) = 0, and integrating by parts gives
+    integral |D~F|^2 = integral |DF|^2 - (c^2/4) integral |u|^2 - (c/2) |u(0)|^2,
+    at most integral |DF|^2 when c >= 0.  In slot vectors: min(t_j, t_k)
+    minus the ``damped_energy_pairwise`` weights is positive semidefinite.
+    Since also Lambda >= 1 on every admissible window, no window passed with
+    a sphere or flat space fails; on H^d a raised k2 does.
     """
     if n_paths < 1:
         raise ValueError(f"the pathwise check needs at least 1 path, got {n_paths}")

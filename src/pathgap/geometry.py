@@ -6,6 +6,9 @@ models have closed-form geodesics and parallel transport, so no charts and no
 cut-locus handling are needed.  A fourth, synthetic mode carries a prescribed
 time-dependent Ricci matrix path (flat geometry) for exercising the resolvent
 machinery with non-symmetric curvature data.
+
+The sign of kappa, not ``kind``, picks the surface <x, x> = 1/kappa: s = +1
+(cos, sin) and s = -1 (cosh, sinh) share one code path of radius 1/sqrt(s kappa).
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ class ModelManifold:
 
     @property
     def ambient_dim(self) -> int:
-        return self.dim + 1 if self.kind in (SPHERE, HYPERBOLIC) else self.dim
+        return self.dim + 1 if self.kappa else self.dim
 
     @property
     def ricci_scalar(self) -> float:
@@ -83,29 +86,21 @@ class ModelManifold:
         return CurvatureBounds(k1=abs(c), k2=c)
 
     def metric_diag(self) -> np.ndarray:
-        """Diagonal of the ambient metric (Minkowski sign for hyperbolic)."""
+        """Diagonal of the ambient metric (Minkowski sign for kappa < 0)."""
         g = np.ones(self.ambient_dim)
-        if self.kind == HYPERBOLIC:
+        if self.kappa < 0:
             g[0] = -1.0
         return g
 
     def basepoint(self) -> "FramePoint":
-        """Canonical starting frame: a fixed point with an axis-aligned frame."""
-        d, amb = self.dim, self.ambient_dim
-        if self.kind in (EUCLIDEAN, SYNTHETIC):
-            return FramePoint(np.zeros(d), np.eye(d))
-        if self.kind == SPHERE:
-            r = 1.0 / np.sqrt(self.kappa)
-            pos = np.zeros(amb)
-            pos[-1] = r
-            frame = np.eye(d, amb)
-            return FramePoint(pos, frame)
-        radius = 1.0 / np.sqrt(-self.kappa)
-        pos = np.zeros(amb)
-        pos[0] = radius
-        frame = np.zeros((d, amb))
-        frame[:, 1:] = np.eye(d)
-        return FramePoint(pos, frame)
+        """Canonical starting frame: a pole (the sphere's last coordinate, the
+        hyperboloid's first) with the other coordinate axes as its frame."""
+        if not self.kappa:
+            return FramePoint(np.zeros(self.dim), np.eye(self.dim))
+        pole = -1 if self.kappa > 0 else 0
+        pos = np.zeros(self.ambient_dim)
+        pos[pole] = 1.0 / np.sqrt(abs(self.kappa))
+        return FramePoint(pos, np.delete(np.eye(self.ambient_dim), pole, axis=0))
 
 
 @dataclass(frozen=True)
@@ -170,28 +165,19 @@ def _project_tangent(m: ModelManifold, pos: np.ndarray, vec: np.ndarray) -> np.n
 
     ``pos`` and ``vec`` are (..., ambient_dim) stacks that broadcast against
     each other.  Each pairing is an ``np.vecdot`` row, which rounds exactly
-    like the 1-D ``vec @ pos`` of a single vector.
+    like the 1-D ``vec @ pos`` of a single vector.  The normal is pos itself,
+    with <pos, pos> = 1/kappa; dividing by 1/kappa, not multiplying by kappa,
+    keeps the rounding of the per-surface forms that the tests pin.
     """
-    if m.kind == SPHERE:
-        r2 = 1.0 / m.kappa
-        return vec - (np.vecdot(vec, pos) / r2)[..., None] * pos
-    if m.kind == HYPERBOLIC:
-        g = m.metric_diag()
-        r2 = -1.0 / m.kappa
-        return vec + (np.vecdot(vec * g, pos) / r2)[..., None] * pos
-    return vec
+    if not m.kappa:
+        return vec
+    return vec - (np.vecdot(vec * m.metric_diag(), pos) / (1.0 / m.kappa))[..., None] * pos
 
 
 def _renormalize(m: ModelManifold, pos: np.ndarray, frame: np.ndarray):
-    """Snap position back to the surface and Gram-Schmidt the frame."""
-    g = m.metric_diag()
-    if m.kind == SPHERE:
-        radius = 1.0 / np.sqrt(m.kappa)
-        pos = pos * (radius / np.linalg.norm(pos))
-    elif m.kind == HYPERBOLIC:
-        radius = 1.0 / np.sqrt(-m.kappa)
-        norm = np.sqrt(-((pos * g) @ pos))
-        pos = pos * (radius / norm)
+    """Snap position back to a curved surface and Gram-Schmidt the frame."""
+    g, s = m.metric_diag(), np.sign(m.kappa)
+    pos = pos * ((1.0 / np.sqrt(s * m.kappa)) / np.sqrt(s * ((pos * g) @ pos)))
     frame = frame.copy()
     for i in range(frame.shape[0]):
         v = _project_tangent(m, pos, frame[i])
@@ -214,7 +200,7 @@ def geodesic_step(m: ModelManifold, fp: FramePoint, v: np.ndarray, h: float = 1.
         raise ValueError(f"v must be a vector of length {m.dim}")
     pos, frame = fp.position, fp.frame
     disp = h * (frame.T @ v)  # ambient displacement vector
-    if m.kind in (EUCLIDEAN, SYNTHETIC):
+    if not m.kappa:
         return FramePoint(pos + disp, frame)
 
     g = m.metric_diag()
@@ -222,16 +208,11 @@ def geodesic_step(m: ModelManifold, fp: FramePoint, v: np.ndarray, h: float = 1.
     if arc == 0.0:
         return fp
     direction = disp / arc
-    if m.kind == SPHERE:
-        radius = 1.0 / np.sqrt(m.kappa)
-        theta = arc / radius
-        new_pos = np.cos(theta) * pos + radius * np.sin(theta) * direction
-        correction = (np.cos(theta) - 1.0) * direction - np.sin(theta) * pos / radius
-    else:
-        radius = 1.0 / np.sqrt(-m.kappa)
-        theta = arc / radius
-        new_pos = np.cosh(theta) * pos + radius * np.sinh(theta) * direction
-        correction = (np.cosh(theta) - 1.0) * direction + np.sinh(theta) * pos / radius
+    s, cos, sin = (1.0, np.cos, np.sin) if m.kappa > 0 else (-1.0, np.cosh, np.sinh)
+    radius = 1.0 / np.sqrt(s * m.kappa)
+    theta = arc / radius
+    new_pos = cos(theta) * pos + radius * sin(theta) * direction
+    correction = (cos(theta) - 1.0) * direction - s * sin(theta) * pos / radius
     coeffs = (frame * g) @ direction  # metric pairing of each row with direction
     new_frame = frame + np.outer(coeffs, correction)
     new_pos, new_frame = _renormalize(m, new_pos, new_frame)
@@ -246,11 +227,8 @@ def frame_orthonormality_defect(m: ModelManifold, fp: FramePoint) -> float:
 
 
 def surface_defect(m: ModelManifold, fp: FramePoint) -> float:
-    """Distance of the position from the model surface constraint."""
-    if m.kind in (EUCLIDEAN, SYNTHETIC):
+    """Distance of the position from the model surface <x, x> = 1/kappa."""
+    if not m.kappa:
         return 0.0
-    g = m.metric_diag()
-    q = (fp.position * g) @ fp.position
-    if m.kind == SPHERE:
-        return float(abs(q - 1.0 / m.kappa))
-    return float(abs(q + 1.0 / (-m.kappa)))
+    q = (fp.position * m.metric_diag()) @ fp.position
+    return float(abs(q - 1.0 / m.kappa))

@@ -153,12 +153,21 @@ def simulate_increments(
     """Run the geodesic walk kernel on a batch of increment arrays.
 
     Returns (positions (P, m, amb), frames (P, m, d, amb)) at the recorded
-    time indices (all of them by default).
+    time indices (all of them by default).  Raises ValueError unless the
+    increments are (P, grid.n_steps, m.dim) and ``record`` is 1-D, strictly
+    increasing and within 0..n_steps: the kernel leaves any other slot unwritten.
     """
+    n = grid.n_steps
+    if np.ndim(increments) != 3 or np.shape(increments)[1:] != (n, m.dim):
+        raise ValueError(f"increments must be (P, {n}, {m.dim}), got {np.shape(increments)}")
     if record is None:
-        record = np.arange(grid.n_steps + 1, dtype=np.int64)
+        record = np.arange(n + 1, dtype=np.int64)
     else:
         record = np.asarray(record, dtype=np.int64)
+        if record.ndim != 1 or not (
+            np.all(np.diff(record) > 0) and np.all((record >= 0) & (record <= n))
+        ):
+            raise ValueError(f"record must be strictly increasing indices in 0..{n}, got {record}")
     base = m.basepoint()
     return kernels.simulate_paths(
         m.kind, m.kappa, m.dim, base.position, base.frame, increments, record

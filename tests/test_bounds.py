@@ -407,6 +407,64 @@ class TestArgumentChecks:
             with pytest.raises(ValueError, match=message):
                 fn(np.array([[0.0, 0.5], [t, 1.0]]), 1.0, window)
 
+    @pytest.mark.parametrize("T", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_small_time_bad_horizon(self, T):
+        with pytest.raises(ValueError, match=re.escape(f"T must be finite and >= 0, got {T}")):
+            gap_bounds_small_time(T, cb(1.0, 1.0), 1.0)
+
+    @pytest.mark.parametrize("k2_at_x", [math.nan, math.inf, -math.inf])
+    def test_small_time_bad_k2_at_x(self, k2_at_x):
+        with pytest.raises(ValueError, match=re.escape(f"k2_at_x must be finite, got {k2_at_x}")):
+            gap_bounds_small_time(0.5, cb(1.0, 1.0), k2_at_x)
+
+    def test_small_time_zero_horizon(self):
+        assert gap_bounds_small_time(0.0, cb(2.0, -1.0), -1.0) == (1.0, 1.0)
+
+
+class TestLambdaAtLeastOne:
+    def test_random_admissible_windows(self):
+        """Lambda >= 1 on every admissible window: each term added to 1 is
+        nonnegative for either sign of k2, so not even roundoff goes below.
+        With Lambda >= 1 and the damped energy at most the usual one for
+        c >= 0, the pathwise check cannot fail on S^d or R^d."""
+        rng = np.random.default_rng(9)
+        for _ in range(5000):
+            k1 = 10.0 ** rng.uniform(-2.0, 2.0)
+            k2 = rng.uniform(-k1, k1)
+            T = 10.0 ** rng.uniform(-3.0, 1.0)
+            assert lambda_profile(rng.uniform(0.0, T), T, cb(k1, k2)) >= 1.0
+        assert lambda_profile(0.3, 1.0, cb(0.0, 0.0)) == 1.0
+
+
+class TestGapBracket:
+    """On a model space of dimension d and curvature kappa, c = (d - 1) kappa,
+    the window (|c|, c) brackets the spectral gap: 1/lambda_sup <= gap <= chi_T,
+    the continuum Rayleigh quotient of F = <a, w_T>,
+    chi_T = 1 + cT/2 + T^2 (c^2/12 + kappa^2 (d - 1)/3)."""
+
+    @staticmethod
+    def chi(T, d, kappa):
+        c = (d - 1) * kappa
+        return 1.0 + 0.5 * c * T + T * T * (c * c / 12.0 + kappa**2 * (d - 1) / 3.0)
+
+    @pytest.mark.parametrize(
+        "d, kappa", [(2, 1.0), (3, 1.0), (2, 5.0), (2, -1.0), (3, -1.0)],
+        ids=["S2", "S3", "S2-kappa5", "H2", "H3"],
+    )
+    def test_closed_forms_stay_below_chi(self, d, kappa):
+        """Smallest margins, all at T = 1e-3: +1.0e-3, +2.0e-3, +5.0e-3,
+        +4.2e-7 and +1.0e-6."""
+        c = (d - 1) * kappa
+        for T in np.geomspace(1e-3, 50.0, 60):
+            assert 1.0 / lambda_sup(float(T), cb(abs(c), c)) < self.chi(T, d, kappa)
+
+    def test_hyperbolic_plane_closes_to_first_order(self):
+        """On H^2 both ends are 1 - T/2 to first order, and the width is chi_T's
+        own T^2 coefficient 5/12: the lower bound has no T^2 term there."""
+        for T in (1e-3, 1e-2):
+            width = self.chi(T, 2, -1.0) - 1.0 / lambda_sup(T, cb(1.0, -1.0))
+            assert width / T**2 == pytest.approx(5.0 / 12.0, rel=2e-3)
+
 
 class TestSmallTimeGapBounds:
     def test_flat(self):

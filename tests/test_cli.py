@@ -1,5 +1,6 @@
 """Command-line interface: schemas, determinism, exit codes, config files."""
 
+import dataclasses
 import io
 import json
 import os
@@ -273,6 +274,25 @@ class TestAsymptoticsCommand:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("kappa, code", [("1.0", 0), ("1.25", 1)])
+    def test_wrong_kappa_negative_control(self, monkeypatch, kappa, code):
+        """Slopes fitted on the unit 3-sphere (README ladder, 300 paths, seed 7,
+        1.0212) miss the kappa = 1.25 prediction by 18%, beyond the default
+        --tol-rel of 0.1.  The walk runs on the unit sphere while the
+        prediction follows the --kappa given."""
+        fit = est.small_time_slope
+
+        def on_unit_sphere(m, a, T_list, n_paths, seed, threads=1):
+            rep = fit(sphere(3, 1.0), a, T_list, n_paths, seed, threads)
+            return dataclasses.replace(rep, predicted_slope=0.5 * m.ricci_scalar)
+
+        monkeypatch.setattr(est, "small_time_slope", on_unit_sphere)
+        got, _ = run_cli(
+            ["asymptotics", "--manifold", "sphere", "--dim", "3", "--kappa", kappa,
+             "--T-ladder", "0.005,0.01,0.02,0.04", "--paths", "300", "--seed", "7"]
+        )
+        assert got == code
 
 
 class TestDeterminism:

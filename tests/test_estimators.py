@@ -218,6 +218,53 @@ class TestChiLadder:
         assert peak <= 9e6
 
 
+def expected_numerator(m, T, n):
+    """Mean chi numerator on n uniform steps of constant curvature, |a| = 1.
+
+    The left-point sum of h_k^2 dt, h_k = 1 + c (T - t_k)/2, plus the
+    martingale energy kappa^2 (d - 1) dt^3 (n^3 - n)/3: the martingale terms
+    are orthogonal, so E|M_k|^2 = (d - 1)(n - k)(n - k - 1).
+    """
+    dt = T / n
+    h = 1.0 + 0.5 * m.ricci_scalar * (T - dt * np.arange(n))
+    return float(np.sum(h * h) * dt) + m.kappa**2 * (m.dim - 1) * dt**3 * (n**3 - n) / 3.0
+
+
+class TestChiOracle:
+    """The chi numerator's mean is a closed form on model spaces: an oracle
+    independent of the prefix sums, which catches a bias that the spread
+    tests of ``TestCiCalibration`` cannot see."""
+
+    @pytest.mark.parametrize(
+        "m, rungs",
+        [
+            (pg.sphere(3, 1.0), [(0.02, 200), (0.04, 400)]),
+            (pg.hyperbolic(2, -1.0), [(0.05, 64), (0.5, 128)]),
+            (pg.sphere(2, 3.0), [(0.1, 100), (0.3, 64)]),
+        ],
+        ids=["sphere3", "hyperbolic2", "sphere2-kappa3"],
+    )
+    def test_rung_means_match_the_closed_form(self, m, rungs):
+        a = np.zeros(m.dim)
+        a[0] = 1.0
+        _, x = est._chi_ladder(m, a, rungs, 2000, 3, 1)
+        for x_rung, (T, n) in zip(x, rungs):
+            stderr = np.std(x_rung, ddof=1) / math.sqrt(x_rung.size)
+            assert abs(np.mean(x_rung) - expected_numerator(m, T, n)) <= 4.0 * stderr
+
+    def test_readme_slope_matches_the_expected_fit(self):
+        """The README ladder's expected slope is 1.0210118, not 1: +0.0071 from
+        the T^2 term under the T^-4 weights, +0.0140 from the left-point sum."""
+        m = pg.sphere(3, 1.0)
+        ladder = [0.005, 0.01, 0.02, 0.04]
+        rep = est.small_time_slope(m, np.array([1.0, 0.0, 0.0]), ladder, 300, 7)
+        ts = np.array(ladder)
+        means = np.array([expected_numerator(m, T, est.default_steps(T)) for T in ladder])
+        expected = ts**-3 / np.sum(ts**-2) @ (means / ts - 1.0)
+        assert expected == pytest.approx(1.0210118, abs=1e-7)
+        assert abs(rep.slope.mean - expected) <= 4.0 * rep.slope.stderr
+
+
 class TestVerifyTheorem1:
     def test_flat_equality(self):
         """Zero Ricci: both sides coincide and the violation is exactly zero."""
@@ -398,6 +445,26 @@ class TestDampedEnergyPairwise:
         with np.errstate(over="raise"):
             energy = est.damped_energy_pairwise(ts, gram, c)
         assert energy[0] == pytest.approx(3.0 / c, rel=1e-14)
+
+    @pytest.mark.parametrize("c", [0.1, 1.0, 10.0, 100.0, -0.1])
+    def test_damped_weights_stay_below_the_brownian_covariance(self, c):
+        """For c >= 0, min(t_j, t_k) - K^d is positive semidefinite: the damped
+        energy never exceeds the usual one, whatever the slot vectors.  The
+        weights K^d are read off by feeding unit Gram matrices.  At c < 0 it
+        fails, which is where the pathwise check has power."""
+        rng = np.random.default_rng(8)
+        worst = math.inf
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            ts = np.sort(rng.uniform(0.0, 10.0 ** rng.uniform(-1.0, 1.0), n))
+            units = np.eye(n * n).reshape(n * n, n, n)
+            kd = est.damped_energy_pairwise(ts, units, c).reshape(n, n)
+            ku = np.minimum.outer(ts, ts)
+            worst = min(worst, np.linalg.eigvalsh(ku - kd)[0] / np.linalg.eigvalsh(ku)[-1])
+        if c > 0:
+            assert worst >= -1e-8
+        else:
+            assert worst < -1e-2
 
 
 class TestVerifyLsi:

@@ -1,11 +1,15 @@
 """Constant-curvature geometry: Ricci data, curvature action, geodesic stepping."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import pathgap as pg
 from pathgap.geometry import (
     FramePoint,
+    _project_tangent,
+    _renormalize,
     curvature_action,
     frame_orthonormality_defect,
     geodesic_step,
@@ -165,3 +169,50 @@ class TestFrameIndependence:
             atol=1e-12,
         )
         np.testing.assert_allclose(ricci_matrix(m, 0.0), rot @ ricci_matrix(m, 0.0) @ rot.T, atol=1e-12)
+
+
+# sha256 of geometry_values() over pin_manifolds(), recorded before the sphere
+# and the hyperboloid shared one signed-curvature code path
+GEOMETRY_DIGEST = "6e90f4eea9ff85a429c3f223ace1d3aa45b9fb1029c7d93a788b0d72c9ea8175"
+
+
+def pin_manifolds():
+    """S^2 and S^3 at four curvatures, H^2 and H^3 at four, R^3 and a synthetic path."""
+    ms = [pg.sphere(d, k) for d in (2, 3) for k in (0.5, 1.0, 3.0, 7.3)]
+    ms += [pg.hyperbolic(d, k) for d in (2, 3) for k in (-0.5, -1.0, -2.5, -7.3)]
+    return ms + [pg.euclidean(3), pg.synthetic_ricci_path(2, lambda t: np.diag([1.0, t]))]
+
+
+def geometry_values(m, rng):
+    """Every array the five surface functions return along a 200-step walk.
+
+    The step scale shrinks with |kappa|: at a fixed 0.21 the hyperboloid
+    walks at kappa = -2.5 and -7.3 run out to positions near 5e7, where
+    <x, x> cancels and the snap takes the square root of a negative number.
+    """
+    fp = m.basepoint()
+    out = [fp.position, fp.frame, [surface_defect(m, fp)]]
+    scale = 0.21 / np.sqrt(max(abs(m.kappa), 1.0))
+    positions = []
+    for _ in range(200):
+        fp = geodesic_step(m, fp, scale * rng.normal(size=m.dim), 1.0)
+        vec = rng.normal(size=m.ambient_dim)
+        out += [fp.position, fp.frame, [surface_defect(m, fp)], _project_tangent(m, fp.position, vec)]
+        positions.append(fp.position)
+    stack = np.array(positions)
+    out.append(_project_tangent(m, stack, rng.normal(size=stack.shape)))
+    out.append(_project_tangent(m, stack, rng.normal(size=m.ambient_dim)))
+    off = FramePoint(fp.position * 1.001, fp.frame + 1e-3 * rng.normal(size=fp.frame.shape))
+    out.append([surface_defect(m, off)])
+    if m.kappa:
+        out += list(_renormalize(m, off.position, off.frame))
+    return out
+
+
+class TestPinnedBits:
+    def test_digest(self):
+        h = hashlib.sha256()
+        for seed, m in enumerate(pin_manifolds(), start=20):
+            for a in geometry_values(m, np.random.default_rng(seed)):
+                h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        assert h.hexdigest() == GEOMETRY_DIGEST

@@ -181,6 +181,41 @@ class TestBatchSample:
         assert np.all(np.abs(mean) <= 4.0 * stderr)
 
 
+class TestSimulateArguments:
+    """Bad increments or record indices are refused before the walk runs; the
+    kernel would leave the slots they miss as uninitialised memory."""
+
+    @pytest.mark.parametrize(
+        "record", [[5, 2], [2, 2, 9], [-1, 3], [0, 9], [[0, 1], [2, 3]]]
+    )
+    def test_record_must_be_increasing_slots(self, record):
+        m = pg.sphere(2, 1.0)
+        g = TimeGrid.with_times(0.5, 8, ())
+        inc = batch_increments(g, m.dim, 3, range(3))
+        with pytest.raises(ValueError, match="record"):
+            simulate_increments(m, g, inc, record=np.array(record))
+
+    def test_increments_must_span_the_grid(self):
+        m = pg.sphere(2, 1.0)
+        g = TimeGrid.with_times(0.5, 8, ())
+        short = batch_increments(TimeGrid.with_times(0.5, 4, ()), m.dim, 3, range(3))
+        with pytest.raises(ValueError, match="increments"):
+            simulate_increments(m, g, short)
+        inc = batch_increments(g, m.dim, 3, range(3))
+        for bad in (inc[0], inc[:, :, :1], np.zeros((3, 8, 3))):
+            with pytest.raises(ValueError, match="increments"):
+                simulate_increments(m, g, bad)
+
+    def test_valid_subsets_still_run(self):
+        m = pg.hyperbolic(2, -1.0)
+        g = TimeGrid.with_times(0.5, 8, ())
+        inc = batch_increments(g, m.dim, 3, range(3))
+        full, _ = simulate_increments(m, g, inc)
+        for record in ([0], [8], [0, 2, 5, 8], []):
+            pos, _ = simulate_increments(m, g, inc, record=np.array(record, dtype=np.int64))
+            np.testing.assert_array_equal(pos, full[:, record])
+
+
 class TestSmallTimeStatistics:
     def test_sphere_mean_square_distance(self):
         """E rho^2 <= d T and -> d T at small horizons (unit sphere)."""
