@@ -2,10 +2,10 @@
 
 Closed-form bound evaluation lives in :mod:`pathgap.bounds`; constant-
 curvature geometry in :mod:`pathgap.geometry`; Brownian path sampling in
-:mod:`pathgap.sampling`; pathwise gradient machinery (resolvent, damped and
-usual gradients) in :mod:`pathgap.gradients`; Monte-Carlo estimators and
-inequality verifiers in :mod:`pathgap.estimators`; the command-line front end
-in :mod:`pathgap.cli`.
+:mod:`pathgap.sampling`; damping propagators on a grid and the cylindrical
+functional contract in :mod:`pathgap.gradients`; Monte-Carlo estimators,
+their batched gradient energies and the inequality verifiers in
+:mod:`pathgap.estimators`; the command-line front end in :mod:`pathgap.cli`.
 """
 
 from ._backend import backend_name

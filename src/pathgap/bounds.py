@@ -265,13 +265,20 @@ def gap_bounds_small_time(T: float, cb: CurvatureBounds, k2_at_x: float) -> tupl
     Returns ``(1 - k1*T/2, 1 + k2_at_x*T/2)`` where ``k2_at_x`` is the
     lower Ricci bound at the starting point.  Valid as an asymptotic
     statement for T -> 0; no smallness of T is enforced here, and T = 0
-    gives (1, 1).
+    gives (1, 1).  An end that overflows raises ``OverflowError`` naming it.
     """
     if not 0.0 <= (T := float(T)) < math.inf:
         raise ValueError(f"T must be finite and >= 0, got {T}")
     if not math.isfinite(k2_at_x := float(k2_at_x)):
         raise ValueError(f"k2_at_x must be finite, got {k2_at_x}")
-    return 1.0 - cb.k1 * T / 2, 1.0 + k2_at_x * T / 2
+    lo, hi = 1.0 - cb.k1 * T / 2, 1.0 + k2_at_x * T / 2
+    for name, end in (("lower end 1 - k1*T/2", lo), ("upper end 1 + k2_at_x*T/2", hi)):
+        if not math.isfinite(end):
+            raise OverflowError(
+                f"the small-time envelope's {name} is {end}: k1 = {cb.k1}, k2_at_x = {k2_at_x}, "
+                f"T = {T}"
+            )
+    return lo, hi
 
 
 @dataclass(frozen=True)

@@ -174,16 +174,32 @@ def _project_tangent(m: ModelManifold, pos: np.ndarray, vec: np.ndarray) -> np.n
     return vec - (np.vecdot(vec * m.metric_diag(), pos) / (1.0 / m.kappa))[..., None] * pos
 
 
+def _root(m: ModelManifold, q: float) -> float:
+    """Square root of a metric square that is positive on the surface.
+
+    Far out on the hyperboloid <x, x> and the frame's metric squares cancel
+    to roundoff and can come out nonpositive; such a square raises
+    ValueError naming kappa, as the walk kernel does.
+    """
+    if not 0.0 < q < np.inf:
+        surface = "sphere" if m.kappa > 0 else "hyperboloid"
+        raise ValueError(
+            f"the step leaves the {surface}: kappa = {m.kappa!r}; take a shorter step or a "
+            "smaller |kappa|"
+        )
+    return np.sqrt(q)
+
+
 def _renormalize(m: ModelManifold, pos: np.ndarray, frame: np.ndarray):
     """Snap position back to a curved surface and Gram-Schmidt the frame."""
     g, s = m.metric_diag(), np.sign(m.kappa)
-    pos = pos * ((1.0 / np.sqrt(s * m.kappa)) / np.sqrt(s * ((pos * g) @ pos)))
+    pos = pos * ((1.0 / np.sqrt(s * m.kappa)) / _root(m, s * ((pos * g) @ pos)))
     frame = frame.copy()
     for i in range(frame.shape[0]):
         v = _project_tangent(m, pos, frame[i])
         for j in range(i):
             v = v - ((v * g) @ frame[j]) * frame[j]
-        frame[i] = v / np.sqrt((v * g) @ v)
+        frame[i] = v / _root(m, (v * g) @ v)
     return pos, frame
 
 
@@ -191,7 +207,9 @@ def geodesic_step(m: ModelManifold, fp: FramePoint, v: np.ndarray, h: float = 1.
     """Flow along the geodesic with initial velocity frame . v for time h.
 
     The frame is parallel-transported along the geodesic (a closed-form
-    rotation/boost in the plane of motion), then re-orthonormalized.
+    rotation/boost in the plane of motion), then re-orthonormalized.  A
+    step whose metric squares are roundoff, far out on the hyperboloid,
+    raises ValueError naming kappa instead of returning NaN.
     """
     if h <= 0:
         raise ValueError(f"h must be > 0, got {h}")
@@ -204,9 +222,9 @@ def geodesic_step(m: ModelManifold, fp: FramePoint, v: np.ndarray, h: float = 1.
         return FramePoint(pos + disp, frame)
 
     g = m.metric_diag()
-    arc = np.sqrt((disp * g) @ disp)
-    if arc == 0.0:
+    if (arc2 := (disp * g) @ disp) == 0.0:
         return fp
+    arc = _root(m, arc2)
     direction = disp / arc
     s, cos, sin = (1.0, np.cos, np.sin) if m.kappa > 0 else (-1.0, np.cosh, np.sinh)
     radius = 1.0 / np.sqrt(s * m.kappa)
@@ -217,18 +235,3 @@ def geodesic_step(m: ModelManifold, fp: FramePoint, v: np.ndarray, h: float = 1.
     new_frame = frame + np.outer(coeffs, correction)
     new_pos, new_frame = _renormalize(m, new_pos, new_frame)
     return FramePoint(new_pos, new_frame)
-
-
-def frame_orthonormality_defect(m: ModelManifold, fp: FramePoint) -> float:
-    """Max |<e_i, e_j> - delta_ij| over the frame, in the ambient metric."""
-    g = m.metric_diag()
-    gram = (fp.frame * g) @ fp.frame.T
-    return float(np.max(np.abs(gram - np.eye(m.dim))))
-
-
-def surface_defect(m: ModelManifold, fp: FramePoint) -> float:
-    """Distance of the position from the model surface <x, x> = 1/kappa."""
-    if not m.kappa:
-        return 0.0
-    q = (fp.position * m.metric_diag()) @ fp.position
-    return float(abs(q - 1.0 / m.kappa))

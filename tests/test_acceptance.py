@@ -24,19 +24,18 @@ from pathgap.bounds import (
     psi,
 )
 from pathgap.cli import main as cli_main
-from pathgap.gradients import (
-    CylindricalFunctional,
+from pathgap.gradients import CylindricalFunctional, resolvent_on_grid
+from pathgap.sampling import TimeGrid, sample_path
+
+from conftest import golden_max, lambda_mp, smooth_ricci, spectral_norms, stiff_ricci
+from reference import (
     GradientField,
     damped_gradient,
     damped_gradient_integral_form,
     duality_defect,
     field_l2_distance,
-    resolvent_on_grid,
     transform_pair,
 )
-from pathgap.sampling import TimeGrid, sample_path
-
-from conftest import golden_max, lambda_mp, smooth_ricci, spectral_norms, stiff_ricci
 
 RNG_SEED = 96_001
 

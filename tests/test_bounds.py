@@ -420,6 +420,14 @@ class TestArgumentChecks:
     def test_small_time_zero_horizon(self):
         assert gap_bounds_small_time(0.0, cb(2.0, -1.0), -1.0) == (1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "k1,k2_at_x,end",
+        [(10.0, 10.0, "lower end 1 - k1*T/2"), (0.0, 10.0, "upper end 1 + k2_at_x*T/2")],
+    )
+    def test_small_time_overflow(self, k1, k2_at_x, end):
+        with pytest.raises(OverflowError, match=re.escape(f"envelope's {end} is")):
+            gap_bounds_small_time(1e308, cb(k1, k1), k2_at_x)
+
 
 class TestLambdaAtLeastOne:
     def test_random_admissible_windows(self):

@@ -1,6 +1,7 @@
 """Constant-curvature geometry: Ricci data, curvature action, geodesic stepping."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from pathgap.geometry import (
     _project_tangent,
     _renormalize,
     curvature_action,
-    frame_orthonormality_defect,
     geodesic_step,
     ricci_matrix,
-    surface_defect,
 )
+
+from reference import frame_orthonormality_defect, surface_defect
 
 
 class TestModelManifold:
@@ -135,6 +136,19 @@ class TestGeodesicStep:
         assert frame_orthonormality_defect(m, fp) < 1e-10
         assert surface_defect(m, fp) < 1e-10
 
+    @pytest.mark.parametrize("kappa,last_step", [(-2.5, 152), (-7.3, 86)])
+    def test_refuses_to_leave_the_hyperboloid(self, kappa, last_step):
+        """200 steps of 0.21 N(0, I) run out to |x| near 3e7, where <x, x> and
+        the frame's squares are roundoff: the step raises, it returns no NaN."""
+        m = pg.hyperbolic(2, kappa)
+        rng = np.random.default_rng(20)
+        fp = m.basepoint()
+        for _ in range(last_step):
+            fp = geodesic_step(m, fp, 0.21 * rng.normal(size=2), 1.0)
+        assert np.all(np.isfinite(fp.position))
+        with pytest.raises(ValueError, match=re.escape(f"leaves the hyperboloid: kappa = {kappa}")):
+            geodesic_step(m, fp, 0.21 * rng.normal(size=2), 1.0)
+
     def test_sphere_quarter_turn(self):
         """A quarter great circle from the pole lands on the equator with the
         frame rotated into the radial direction."""
@@ -188,7 +202,7 @@ def geometry_values(m, rng):
 
     The step scale shrinks with |kappa|: at a fixed 0.21 the hyperboloid
     walks at kappa = -2.5 and -7.3 run out to positions near 5e7, where
-    <x, x> cancels and the snap takes the square root of a negative number.
+    <x, x> cancels and the step raises ValueError.
     """
     fp = m.basepoint()
     out = [fp.position, fp.frame, [surface_defect(m, fp)]]

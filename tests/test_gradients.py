@@ -8,25 +8,26 @@ import pytest
 
 import pathgap as pg
 from pathgap import estimators as est
-from pathgap import gradients as gr
 from pathgap._backend import kernels
 from pathgap.geometry import _project_tangent, ricci_matrix
-from pathgap.gradients import (
-    CylindricalFunctional,
+from pathgap.gradients import CylindricalFunctional, resolvent_on_grid
+from pathgap.sampling import TimeGrid, batch_increments, sample_path
+
+from conftest import smooth_ricci
+from reference import (
     GradientField,
+    _damped_limits,
+    _tilde_corrections,
     damped_gradient,
     damped_gradient_integral_form,
+    damped_sweep,
     duality_defect,
     field_energy,
     field_l2_distance,
     frame_pullback_slots,
-    resolvent_on_grid,
     transform_pair,
     usual_gradient,
 )
-from pathgap.sampling import TimeGrid, batch_increments, sample_path
-
-from conftest import smooth_ricci
 
 
 def linear_functional(m, ts, bs):
@@ -191,6 +192,36 @@ class TestDampedGradient:
         assert d1024 <= d512 / 1.8
 
 
+class TestDampedSweepOnField:
+    """The damped transform of the linear functional's deterministic part is a.
+
+    With h(tau) = 1 + c (T - tau)/2, g = h - (c/2) int_tau^T e^{-c(s - tau)/2} h(s) ds
+    solves g' = -(c/2)(g - 1) backward from g(T) = 1, so g = 1.  Sampled at
+    the left node of each cell the field is off by O(dt), so the sweep
+    returns a to first order: the error halves with the step.
+    """
+
+    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "m",
+        [pg.sphere(2, 1.0), pg.sphere(3, 1.0), pg.hyperbolic(2, -1.0)],
+        ids=lambda m: f"{m.kind}{m.dim}",
+    )
+    def test_returns_a_to_first_order(self, m, T):
+        a = np.full(m.dim, 1.0 / np.sqrt(m.dim))
+        c = m.ricci_scalar
+
+        def error(n):
+            g = TimeGrid.with_times(T, n, ())
+            R = resolvent_on_grid(g, m, m.curvature_window)
+            field = (1.0 + 0.5 * c * (T - g.times[:-1]))[:, None] * a
+            return np.max(np.abs(damped_sweep(field, R) - a))
+
+        e128, e256 = error(128), error(256)
+        assert e256 <= 3e-3
+        assert 1.95 <= e128 / e256 <= 2.05
+
+
 class TestTransformPair:
     def test_flat_identity(self):
         m = pg.euclidean(2)
@@ -310,8 +341,8 @@ class TestSweeps:
     @pytest.mark.parametrize("kind", ["synthetic", "hyperbolic"])
     def test_damped_limits_match_rows(self, kind):
         m, path, R, F, _ = self._case(kind)
-        idx, slots = gr.frame_pullback_slots(F, path, m)
-        for got, want in zip(gr._damped_limits(idx, slots, R), _damped_limits_by_rows(idx, slots, R)):
+        idx, slots = frame_pullback_slots(F, path, m)
+        for got, want in zip(_damped_limits(idx, slots, R), _damped_limits_by_rows(idx, slots, R)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("kind", ["synthetic", "hyperbolic"])
@@ -325,7 +356,7 @@ class TestSweeps:
         m, path, R, _, v = self._case(kind)
         ric = ricci_at_nodes(m, path.grid)
         np.testing.assert_allclose(
-            gr._tilde_corrections(v, R, ric), _tilde_corrections_by_rows(v, R, ric), rtol=0, atol=1e-13
+            _tilde_corrections(v, R, ric), _tilde_corrections_by_rows(v, R, ric), rtol=0, atol=1e-13
         )
 
     def test_ricci_is_read_once_per_grid(self):

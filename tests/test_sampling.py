@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import pathgap as pg
-from pathgap.geometry import frame_orthonormality_defect, surface_defect
 from pathgap.sampling import (
     BLOCK,
     TimeGrid,
@@ -12,6 +11,8 @@ from pathgap.sampling import (
     sample_path,
     simulate_increments,
 )
+
+from reference import frame_orthonormality_defect, surface_defect
 
 
 class TestTimeGrid:
