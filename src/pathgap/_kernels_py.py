@@ -42,6 +42,27 @@ def _inner(u, v, lorentz):
     return lanes[0]
 
 
+def _require_root(q, zero_ok, kind, kappa, step, arc2):
+    """Raise ValueError unless every metric square in q is finite and positive
+    (or zero, with ``zero_ok``), before its square root is taken.
+
+    Far out on the hyperboloid the squares cancel to roundoff and can come out
+    nonpositive.  A passing q costs two reductions: a NaN fails both
+    comparisons.  The error names ``step``, kappa and the longest step among
+    the paths that fail, from their squared step lengths ``arc2``.
+    """
+    low = q.min(initial=np.inf)
+    if (low >= 0.0 if zero_ok else low > 0.0) and q.max(initial=0.0) < np.inf:
+        return
+    bad = ~((q >= 0.0 if zero_ok else q > 0.0) & (q < np.inf))
+    surface = "sphere" if kind == SPHERE else "hyperboloid"
+    raise ValueError(
+        f"the walk leaves the {surface} at step {step}: kappa = {kappa!r}, step length "
+        f"{float(np.sqrt(np.max(np.abs(arc2[bad]))))!r}; take more steps or a smaller "
+        "|kappa| * T"
+    )
+
+
 def _step_curved(kind, kappa, pos, frames, disp, step):
     """One geodesic step with parallel transport for a batch of paths.
 
@@ -50,13 +71,16 @@ def _step_curved(kind, kappa, pos, frames, disp, step):
     The surface is <x, x> = s r^2 in the ambient metric, with s = +1 and
     (cos, sin) on the sphere, s = -1 and (cosh, sinh) on the hyperboloid,
     whose metric is Lorentzian (coordinate 0 negative); both share one exact
-    code path.  A point that cannot be snapped back to the surface, or a
-    sphere step past 2**26 radians (its angle rounds by theta * 2**-52), raises
-    ValueError naming ``step``, kappa and the step length.
+    code path.  A squared step length, position or frame row that cannot be
+    taken the square root of (:func:`_require_root`), or a sphere step past
+    2**26 radians (its angle rounds by theta * 2**-52), raises ValueError
+    naming ``step``, kappa and the step length.
     """
     s, cos, sin = (1.0, np.cos, np.sin) if kind == SPHERE else (-1.0, np.cosh, np.sinh)
     lorentz = kind == HYPERBOLIC
-    arc = np.sqrt(_inner(disp, disp, lorentz))
+    arc2 = _inner(disp, disp, lorentz)
+    _require_root(arc2, True, kind, kappa, step, arc2)
+    arc = np.sqrt(arc2)
     moving = arc > 0.0
     direction = disp / np.where(moving, arc, 1.0)
     radius = 1.0 / np.sqrt(s * kappa)
@@ -75,13 +99,7 @@ def _step_curved(kind, kappa, pos, frames, disp, step):
     # Renormalize: snap to surface, project rows to the tangent space,
     # modified Gram-Schmidt in the ambient metric.
     norm2 = s * _inner(new_pos, new_pos, lorentz)
-    off = ~((norm2 > 0.0) & (norm2 < np.inf))
-    if np.any(off):
-        surface = "sphere" if kind == SPHERE else "hyperboloid"
-        raise ValueError(
-            f"the walk leaves the {surface} at step {step}: kappa = {kappa!r}, step length "
-            f"{float(np.max(arc[off]))!r}; take more steps or a smaller |kappa| * T"
-        )
+    _require_root(norm2, False, kind, kappa, step, arc2)
     new_pos *= radius / np.sqrt(norm2)
     proj = s * _inner(new_frames, new_pos, lorentz) / (radius * radius)
     new_frames -= proj[:, None] * new_pos
@@ -90,7 +108,9 @@ def _step_curved(kind, kappa, pos, frames, disp, step):
         for j in range(i):
             w = new_frames[j]
             v = v - _inner(v, w, lorentz) * w
-        new_frames[i] = v / np.sqrt(_inner(v, v, lorentz))
+        q = _inner(v, v, lorentz)
+        _require_root(q, False, kind, kappa, step, arc2)
+        new_frames[i] = v / np.sqrt(q)
 
     # Paths with a zero increment stay put.
     if not np.all(moving):

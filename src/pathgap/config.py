@@ -17,11 +17,22 @@ schema_version is refused; a file without [meta] reads as version 1.
 
 from __future__ import annotations
 
-import configparser
 import io
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
+
+
+def _parser():
+    """A parser that keeps key case (configparser lowercases keys).
+
+    configparser is imported here, so a run without a config file never loads it.
+    """
+    import configparser
+
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    return cp
 
 
 @dataclass(frozen=True)
@@ -32,8 +43,7 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
-        cp = configparser.ConfigParser()
-        cp.optionxform = str  # preserve key case (configparser lowercases)
+        cp = _parser()
         cp["meta"] = {"schema_version": str(SCHEMA_VERSION)}
         cp[self.command] = {k: str(v) for k, v in self.params.items()}
         buf = io.StringIO()
@@ -42,8 +52,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        cp = configparser.ConfigParser()
-        cp.optionxform = str
+        cp = _parser()
         cp.read_string(text)
         version = int(cp.get("meta", "schema_version", fallback=str(SCHEMA_VERSION)))
         if version != SCHEMA_VERSION:

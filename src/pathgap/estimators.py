@@ -14,7 +14,7 @@ rung, and the shorter rungs use a prefix of them.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,8 +78,9 @@ class ChiReport:
 def default_steps(T: float) -> int:
     """Step-count rule keeping order-1 walk bias below the O(T) signal.
 
-    At most 2**14 steps (T <= 1.6384): a chunk of the chi ladder then holds
-    about 110 MB of normals, prefix sums and per-cell buffers at d = 3.
+    At most 2**14 steps (T <= 1.6384): each worker thread of the chi ladder
+    then holds a 101 MB workspace of normals, prefix sums and per-cell rows
+    at d = 3.
     """
     n = _require_horizon(T) / 1e-4
     if n > 2**14:
@@ -111,13 +112,47 @@ def _map_chunks(run_chunk, ranges, threads: int) -> None:
         with np.errstate(**err):
             run_chunk(lo_hi)
 
+    # imported here: a one-thread run needs neither the pool nor the logging it loads
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(run_chunk_in_caller_state, ranges))
 
 
-# Draws per chunk of the chi estimators: keeps the (d, steps, draws) prefix
-# sums cache-sized; the result does not depend on it.
+# Draws per chunk of the chi estimators, one normal block: a worker's _ChiWork
+# is then 2.5 MB at d = 3 and the 400 steps of the README ladder (101 MB at
+# 2**14 steps).  The result does not depend on it.
 _CHI_CHUNK = 64
+
+
+class _ChiWork:
+    """One worker thread's buffers for the chi ladder, sized for its widest chunk.
+
+    ``carve(p)`` points the attributes at C-contiguous views, from the front
+    of one allocation, for a chunk of p draws over n steps: the prefix sums
+    ``w`` and ``u`` (d, n+1, P), ``alpha`` and ``v`` (n+1, P); four (n+1, P)
+    ``rows`` of scratch; and ``inc``, the (P, n, d) transpose of an (n, d, P)
+    normals buffer.  The prefix sums use ``rows[0]``, which the normals do
+    not overlap; the martingale and the rung energy use all four, the last
+    three over the normals, which are dead by then.  Every chunk writes into
+    the same memory, so it is allocated and faulted in once per worker.
+    """
+
+    def __init__(self, dim: int, n: int, width: int):
+        self.dim, self.n = dim, n
+        tail = max(n + 1 + n * dim, 4 * (n + 1))  # rows[0] and the normals, or the four rows
+        self.store = np.empty(width * ((2 * dim + 2) * (n + 1) + tail))
+
+    def carve(self, p: int) -> "_ChiWork":
+        d, n = self.dim, self.n
+        views, at = [], 0
+        for shape in [(d, n + 1, p)] * 2 + [(n + 1, p)] * 6:
+            views.append(self.store[at : at + math.prod(shape)].reshape(shape))
+            at += math.prod(shape)
+        self.w, self.u, self.alpha, self.v, *self.rows = views
+        at -= 3 * (n + 1) * p  # the normals start after rows[0]
+        self.inc = self.store[at : at + n * d * p].reshape(n, d, p).transpose(2, 0, 1)
+        return self
 
 
 def estimate_chi(
@@ -149,25 +184,35 @@ def estimate_chi(
     return _chi_ladder(m, a, [(T, n_steps)], n_paths, seed, threads)[0][0]
 
 
-def _prefix_sums(increments: np.ndarray, a: np.ndarray):
+def _prefix_sums(increments: np.ndarray, a: np.ndarray, work: _ChiWork | None = None):
     """Prefix sums at the nodes of a (P, n, d) batch of increments x_j, draws last.
 
     w_k = sum_{j<k} x_j and u_k = sum_{j<k} alpha_j x_j are (d, n+1, P),
-    alpha_k = <w_k, a> and v_k = sum_{j<k} <w_j, x_j> are (n+1, P).
+    alpha_k = <w_k, a> and v_k = sum_{j<k} <w_j, x_j> are (n+1, P).  They
+    are written into ``work``'s arrays if given, else into a new workspace's.
     """
     x = increments.transpose(2, 1, 0)  # (d, n, P) view
-    w = np.zeros((x.shape[0], x.shape[1] + 1, x.shape[2]))
+    if work is None:
+        d, n, p = x.shape
+        work = _ChiWork(d, n, p).carve(p)
+    w, u, alpha, v, scratch = work.w, work.u, work.alpha, work.v, work.rows[0]
+    w[:, 0] = 0.0
     np.cumsum(x, axis=1, out=w[:, 1:])
-    alpha = sum(ac * wc for ac, wc in zip(a, w))
-    u = np.zeros_like(w)
+    np.multiply(w[0], a[0], out=alpha)
+    for ac, wc in zip(a[1:], w[1:]):
+        alpha += np.multiply(wc, ac, out=scratch)
+    u[:, 0] = 0.0
     np.multiply(alpha[:-1], x, out=u[:, 1:])
     np.cumsum(u[:, 1:], axis=1, out=u[:, 1:])
-    v = np.zeros_like(alpha)
-    np.cumsum(sum(wc[:-1] * xc for wc, xc in zip(w, x)), axis=0, out=v[1:])
+    v[0] = 0.0
+    np.multiply(w[0, :-1], x[0], out=v[1:])
+    for wc, xc in zip(w[1:], x[1:]):
+        v[1:] += np.multiply(wc[:-1], xc, out=scratch[1:])
+    np.cumsum(v[1:], axis=0, out=v[1:])
     return w, alpha, u, v
 
 
-def _martingale(sums, a: np.ndarray, n: int):
+def _martingale(sums, a: np.ndarray, n: int, rows: Sequence[np.ndarray] | None = None):
     """Yield M_k, k < n, over the first n increments, one (n, P) component at a time.
 
     M_k = (u_n - u_k) - alpha_k (w_n - w_k) - [(v_n - v_k) - <w_k, w_n - w_k>] a
@@ -175,15 +220,21 @@ def _martingale(sums, a: np.ndarray, n: int):
     of F = <a, w_T> is a (1 + c (T - tau)/2) - kappa M: the curvature action
     in the moving frame does not depend on the frame, the inner curvature
     integral is exact and the outer one left-point.
+
+    Given ``rows``, three arrays of at least n rows, the work and every part
+    live in them, so each part overwrites the last; without, each part is a
+    new array.
     """
     w, alpha, u, v = sums
-    ahead = np.empty_like(alpha[:n])  # w_n - w_k of one component, then scratch
-    scalar = v[n] - v[:n]
+    if rows is None:
+        rows = [np.empty_like(alpha[:n]), np.empty_like(alpha[:n]), None]
+    ahead, scalar = rows[0][:n], rows[1][:n]  # ahead: w_n - w_k of one component, then scratch
+    np.subtract(v[n], v[:n], out=scalar)
     for wc in w:
         scalar -= np.multiply(wc[:n], np.subtract(wc[n], wc[:n], out=ahead), out=ahead)
     for wc, uc, ac in zip(w, u, a):
         np.multiply(np.subtract(wc[n], wc[:n], out=ahead), alpha[:n], out=ahead)
-        part = uc[n] - uc[:n]
+        part = np.subtract(uc[n], uc[:n], out=None if rows[2] is None else rows[2][:n])
         part -= ahead
         part -= np.multiply(scalar, ac, out=ahead)
         yield part
@@ -203,7 +254,8 @@ def _chi_ladder(
     uses the first n rows, exactly the normals its own grid would draw for
     path k.  One set of prefix sums of z per chunk serves every rung: with
     increments sqrt(dt) z, dt = T/n, the martingale part is -kappa dt M and
-    F = sqrt(dt) <a, w_n>.  Also returns the numerators, (rungs, draws).
+    F = sqrt(dt) <a, w_n>.  Each worker thread draws and sums its chunks in
+    one :class:`_ChiWork`.  Also returns the numerators, (rungs, draws).
     """
     if m.kind == SYNTHETIC:
         raise ValueError("chi estimation needs a curvature tensor")
@@ -227,19 +279,29 @@ def _chi_ladder(
     normals_grid = TimeGrid.with_times(n_max, n_max, ())
     x_r = np.empty((len(grids), n_draws))  # integral |det|^2 + integral |mart|^2 per draw
     f_r = np.empty((len(grids), n_draws))  # F per draw
+    local = threading.local()  # each worker thread's _ChiWork, made by its first chunk
 
     def run_chunk(lo_hi):
         lo, hi = lo_hi
-        sums = _prefix_sums(batch_increments(normals_grid, m.dim, seed, range(lo, hi)), a)
+        if not hasattr(local, "work"):
+            local.work = _ChiWork(m.dim, n_max, min(_CHI_CHUNK, n_draws))
+        work = local.work.carve(hi - lo)
+        batch_increments(normals_grid, m.dim, seed, range(lo, hi), out=work.inc)
+        sums = _prefix_sums(work.inc, a, work)
         for r, grid in enumerate(grids):
             n, dt = grid.n_steps, grid.T / grid.n_steps
             f_r[r, lo:hi] = math.sqrt(dt) * sums[1][n]  # alpha_n = <a, w_n>
-            energy = np.zeros((n, hi - lo))
-            if m.kappa != 0.0:  # flat space has no martingale part
-                for part in _martingale(sums, a, n):
-                    energy += np.square(part, out=part)
+            if m.kappa == 0.0:  # flat space has no martingale part
+                x_r[r, lo:hi] = det_energy[r]
+                continue
+            energy = work.rows[3][:n]
+            parts = _martingale(sums, a, n, work.rows)
+            np.square(next(parts), out=energy)
+            for part in parts:
+                energy += np.square(part, out=part)
             # a running sum adds each draw's cells in order, however wide the chunk
-            x_r[r, lo:hi] = det_energy[r] + m.kappa**2 * dt**3 * np.cumsum(energy, axis=0)[-1]
+            np.cumsum(energy, axis=0, out=energy)
+            x_r[r, lo:hi] = det_energy[r] + m.kappa**2 * dt**3 * energy[-1]
 
     _map_chunks(run_chunk, _chunk_ranges(n_draws, _CHI_CHUNK), threads)
 

@@ -9,7 +9,9 @@ path ``k`` is row ``k mod BLOCK`` of block ``k // BLOCK``, whose normals are
 one time-major ``(n_steps, BLOCK, d)`` draw from
 ``SeedSequence(base_seed, spawn_key=(k // BLOCK,))``.  Any slicing, chunking
 or parallel consumption of a batch therefore reproduces identical paths, and
-an n-step draw is exactly the first n steps of a longer one.  (Stream
+an n-step draw is exactly the first n steps of a longer one.  A generator
+fills its output in order, so the draw may be taken in time slabs of
+``(SLAB, BLOCK, d)`` with the same stream.  (Stream
 version 1 built one generator per path, keyed ``spawn_key=(k,)``.)
 """
 
@@ -118,30 +120,66 @@ class PathSample:
 # Paths per block of the normal stream; it divides every default chunk
 # (64, 1024, 4096), so a default chunk draws whole blocks.
 BLOCK = 64
+# Time steps per draw of a block's normals: a (64, 64, d) slab is 32 KB per
+# dimension whatever the step count, and a grid of up to 64 steps (the README
+# lsi run) draws each block in one call.
+SLAB = 64
 
 
-def batch_increments(grid: TimeGrid, dim: int, seed: int, indices: Iterable[int]) -> np.ndarray:
+def batch_increments(
+    grid: TimeGrid,
+    dim: int,
+    seed: int,
+    indices: Iterable[int],
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Gaussian driving increments, Normal(0, dt_i * Id) per step, (P, n_steps, dim).
 
-    Row r holds path ``indices[r]``.  Each block is drawn once per run of
-    consecutive indices inside it, and the run's rows are scaled into place.
-    The memory is draws last: the result is the transpose of an
-    (n_steps, dim, P) buffer, so the walk's (n, d, P) view and the prefix
-    sums' (d, n, P) view read contiguous rows without a copy.
+    Row r holds path ``indices[r]``.  Each block's generator is built once
+    per run of consecutive indices inside it, and draws the block's normals
+    ``SLAB`` time steps at a time; the run's rows of each slab are scaled
+    into place.  A generator fills its output in order, so slabs read the
+    same stream as one (n_steps, BLOCK, dim) draw.  The memory is draws
+    last: the result is the transpose of an (n_steps, dim, P) buffer, so the
+    walk's (n, d, P) view and the prefix sums' (d, n, P) view read
+    contiguous rows without a copy.
+
+    ``out``, if given, is filled and returned: a float64 (P, n_steps, dim)
+    array in that layout, such as a transposed (n_steps, dim, P) buffer;
+    anything else raises ValueError.
     """
     idx = np.fromiter(indices, dtype=np.int64)
-    out = np.empty((grid.n_steps, dim, idx.size))
+    n = grid.n_steps
+    if out is None:
+        out = np.empty((n, dim, idx.size)).transpose(2, 0, 1)
+    elif (
+        out.shape != (idx.size, n, dim)
+        or out.dtype != np.float64
+        or not out.transpose(1, 2, 0).flags.c_contiguous
+    ):
+        raise ValueError(
+            f"out must be a float64 ({idx.size}, {n}, {dim}) transpose of a C-contiguous "
+            f"({n}, {dim}, {idx.size}) buffer, got {out.dtype} {out.shape} "
+            f"with strides {out.strides}"
+        )
+    buf = out.transpose(1, 2, 0)
     if idx.size:
         breaks = np.flatnonzero((np.diff(idx) != 1) | (idx[1:] % BLOCK == 0)) + 1
         edges = [0, *breaks.tolist(), idx.size]
-        z = np.empty((grid.n_steps, BLOCK, dim))  # one block's normals, refilled per run
+        slab = np.empty((min(n, SLAB), BLOCK, dim))  # refilled per slab of each run
         scale = grid.sqrt_dts[:, None, None]
         for lo, hi in zip(edges[:-1], edges[1:]):
             block, row = divmod(int(idx[lo]), BLOCK)
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-            rng.standard_normal(out=z)
-            np.multiply(z[:, row : row + hi - lo].transpose(0, 2, 1), scale, out=out[:, :, lo:hi])
-    return out.transpose(2, 0, 1)
+            for t in range(0, n, SLAB):
+                z = slab[: min(SLAB, n - t)]
+                rng.standard_normal(out=z)
+                np.multiply(
+                    z[:, row : row + hi - lo].transpose(0, 2, 1),
+                    scale[t : t + z.shape[0]],
+                    out=buf[t : t + z.shape[0], :, lo:hi],
+                )
+    return out
 
 
 def simulate_increments(

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pathgap as pg
 from pathgap import _kernels_py as kern
 from pathgap import estimators as est
 from pathgap._backend import kernels
-from pathgap.sampling import TimeGrid, batch_increments, simulate_increments
+from pathgap.sampling import TimeGrid, batch_increments, sample_path, simulate_increments
 
 from conftest import smooth_ricci
 
@@ -82,6 +83,23 @@ class TestSimulateKernels:
         assert inc.transpose(1, 2, 0).flags.c_contiguous
         for r, i in enumerate(picks):
             np.testing.assert_array_equal(inc[r], batch_increments(g, 3, 5, [i])[0])
+
+    @pytest.mark.parametrize(
+        "kappa, seed, first_bad", [(-2.5, 1, 184), (-7.3, 1, 136), (-7.3, 2, 113)]
+    )
+    def test_refuses_to_leave_the_hyperboloid(self, kappa, seed, first_bad):
+        """H^2, T = 8.82 on 200 steps runs out to where the squared arc or a
+        frame row's square cancels to roundoff.  The walk raises at the first
+        step that would take the root of a nonpositive square, names it and
+        kappa, and warns of nothing (the suite turns RuntimeWarnings into errors)."""
+        m = pg.hyperbolic(2, kappa)
+        g = TimeGrid.with_times(8.82, 200, ())
+        inc = batch_increments(g, m.dim, seed, [0])
+        pos, frames = _simulate(m, inc[:, : first_bad - 1], np.array([first_bad - 1]))
+        assert np.all(np.isfinite(pos)) and np.all(np.isfinite(frames))
+        named = re.escape(f"leaves the hyperboloid at step {first_bad}: kappa = {kappa},")
+        with pytest.raises(ValueError, match=named):
+            sample_path(m, g, seed)
 
     def test_deterministic(self):
         m = pg.sphere(2, 1.0)

@@ -681,6 +681,29 @@ class TestConsoleEntryPoint:
         assert out.stdout == "0 False\n", out.stderr
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--manifold", "sphere", "--dim", "2", "--T", "0.5", "--steps", "16",
+             "--paths", "50", "--mode", "chi"],
+            ["asymptotics", "--manifold", "sphere", "--dim", "3", "--paths", "300"],
+        ],
+        ids=["simulate", "asymptotics"],
+    )
+    def test_one_thread_run_leaves_the_pool_and_configparser_unimported(self, argv):
+        """concurrent.futures (with the logging it loads) serves only --threads > 1,
+        and configparser only a config file read or written."""
+        code = (
+            "import contextlib, io, sys\n"
+            "from pathgap.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "loaded = [m for m in ('concurrent.futures', 'configparser') if m in sys.modules]\n"
+            "print(code, loaded)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.stdout == "0 []\n", out.stderr
+
+    @pytest.mark.parametrize(
         "flags, named",
         [
             pytest.param(flags, named, id=" ".join(flags))

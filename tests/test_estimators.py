@@ -199,6 +199,33 @@ class TestChiLadder:
                              2 * n_draws, 3)
         assert len(calls) == 6
 
+    def test_every_chunk_draws_into_one_buffer(self, monkeypatch):
+        """On one thread the call's workspace is allocated once: every chunk,
+        the narrower last one too, draws its normals into the same memory."""
+        outs = []  # kept alive, so no two allocations can share an id
+        draw = est.batch_increments
+
+        def recorded(*args, out=None, **kwargs):
+            outs.append(out)
+            return draw(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(est, "batch_increments", recorded)
+        n_draws = 5 * est._CHI_CHUNK + 3
+        est._chi_ladder(pg.sphere(2, 1.0), np.array([1.0, 0.0]), [(0.01, 16), (0.02, 32)],
+                        2 * n_draws, 3, 1)
+        assert len(outs) == 6
+        assert len({id(out.base) for out in outs}) == 1
+
+    def test_threads_keep_their_own_workspace(self, monkeypatch):
+        """Four threads on 8-draw chunks, switching every microsecond, give the
+        one-thread numerators bit for bit: no worker writes into another's buffers."""
+        args = (pg.sphere(3, 2.0), np.array([0.0, 0.6, 0.8]), [(0.5, 64), (1.0, 100)], 406, 29)
+        monkeypatch.setattr(est, "_CHI_CHUNK", 8)
+        one = est._chi_ladder(*args, 1)
+        with frequent_thread_switches():
+            four = est._chi_ladder(*args, 4)
+        assert np.array_equal(one[1], four[1]) and one[0] == four[0]
+
     def test_traced_peak_at_benchmark_size(self):
         """S^3, ladder 0.005-0.04 (400 steps at most), 8192 paths, one thread."""
         m = pg.sphere(3, 1.0)

@@ -6,6 +6,7 @@ import pytest
 import pathgap as pg
 from pathgap.sampling import (
     BLOCK,
+    SLAB,
     TimeGrid,
     batch_increments,
     sample_path,
@@ -92,6 +93,59 @@ class TestBlockStream:
         short = batch_increments(g, 3, 11, k)
         long = batch_increments(unit, 3, 11, k)
         np.testing.assert_array_equal(short, long[:, :n] * g.sqrt_dts[:, None])
+
+    @pytest.mark.parametrize("n", [2 * SLAB + 5, SLAB - 3])
+    def test_slabs_read_the_block_stream(self, n):
+        """Row k is row k mod BLOCK of one (n, BLOCK, d) draw of its block's
+        generator, however many slabs the draw is taken in."""
+        g = TimeGrid.with_times(0.7, n, ())
+        k = [BLOCK + 7, 5]
+        got = batch_increments(g, 3, 11, k)
+        for r, i in enumerate(k):
+            key = np.random.SeedSequence(entropy=11, spawn_key=(i // BLOCK,))
+            z = np.random.default_rng(key).standard_normal((n, BLOCK, 3))[:, i % BLOCK]
+            np.testing.assert_array_equal(got[r], z * g.sqrt_dts[:, None])
+
+
+def draws_last(n_paths, n_steps, dim):
+    """A NaN-filled (P, n_steps, dim) transpose of an (n_steps, dim, P) buffer."""
+    return np.full((n_steps, dim, n_paths), np.nan).transpose(2, 0, 1)
+
+
+class TestIncrementsIntoBuffer:
+    """``out=`` fills a caller's draws-last buffer with the allocating call's bits."""
+
+    @pytest.mark.parametrize("n", [1, SLAB - 3, SLAB, 2 * SLAB + 5])
+    @pytest.mark.parametrize(
+        "picks",
+        [
+            range(BLOCK - 3, BLOCK + 5),
+            [2 * BLOCK + 1, 4, 5, BLOCK - 1, BLOCK, 4],
+            range(2 * BLOCK),
+        ],
+        ids=["straddling", "unordered", "two_blocks"],
+    )
+    def test_equals_the_allocating_call(self, n, picks):
+        g = TimeGrid.with_times(0.7, n, ())
+        buf = draws_last(len(picks), n, 2)
+        assert batch_increments(g, 2, 5, picks, out=buf) is buf
+        np.testing.assert_array_equal(buf, batch_increments(g, 2, 5, picks))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            draws_last(4, 12, 2),  # one path short
+            draws_last(5, 12, 3),  # one dimension too many
+            np.empty((12, 2, 5), dtype=np.float32).transpose(2, 0, 1),
+            np.empty((5, 12, 2)),  # path-major
+            np.empty((12, 2, 10))[:, :, ::2].transpose(2, 0, 1),  # strided draws
+        ],
+        ids=["paths", "dim", "float32", "path_major", "strided"],
+    )
+    def test_refuses_a_wrong_buffer(self, bad):
+        g = TimeGrid.with_times(0.7, 12, ())
+        with pytest.raises(ValueError, match="out must be"):
+            batch_increments(g, 2, 5, range(5), out=bad)
 
 
 class TestSamplePath:
