@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import HYPERBOLIC, SPHERE
+from .geometry import HYPERBOLIC, SPHERE, _boost_overflows
 
 
 def _inner(u, v, lorentz):
@@ -72,9 +72,13 @@ def _step_curved(kind, kappa, pos, frames, disp, step):
     (cos, sin) on the sphere, s = -1 and (cosh, sinh) on the hyperboloid,
     whose metric is Lorentzian (coordinate 0 negative); both share one exact
     code path.  A squared step length, position or frame row that cannot be
-    taken the square root of (:func:`_require_root`), or a sphere step past
-    2**26 radians (its angle rounds by theta * 2**-52), raises ValueError
+    taken the square root of (:func:`_require_root`), a sphere step past
+    2**26 radians (its angle rounds by theta * 2**-52), or a hyperbolic step
+    whose cosh, sinh or metric squares would overflow raises ValueError
     naming ``step``, kappa and the step length.
+
+    The step works in place: ``disp`` is overwritten with the step's
+    direction, and when every path moves, ``frames`` with the new frames.
     """
     s, cos, sin = (1.0, np.cos, np.sin) if kind == SPHERE else (-1.0, np.cosh, np.sinh)
     lorentz = kind == HYPERBOLIC
@@ -82,7 +86,8 @@ def _step_curved(kind, kappa, pos, frames, disp, step):
     _require_root(arc2, True, kind, kappa, step, arc2)
     arc = np.sqrt(arc2)
     moving = arc > 0.0
-    direction = disp / np.where(moving, arc, 1.0)
+    all_moving = bool(np.all(moving))
+    direction = np.divide(disp, np.where(moving, arc, 1.0), out=disp)
     radius = 1.0 / np.sqrt(s * kappa)
     theta = arc / radius
     if kind == SPHERE and not np.all(theta <= 2.0**26):
@@ -91,10 +96,19 @@ def _step_curved(kind, kappa, pos, frames, disp, step):
             f"are roundoff: kappa = {kappa!r}, step length {float(np.max(arc))!r}; take more "
             "steps or a smaller kappa * T"
         )
+    if lorentz and _boost_overflows(theta.max(initial=0.0), pos[0].max(initial=radius), radius):
+        raise ValueError(
+            f"the walk's step {step} boosts the hyperboloid past where cosh, sinh and its "
+            f"metric squares are finite: kappa = {kappa!r}, step length "
+            f"{float(np.max(arc))!r}; take more steps or a smaller |kappa| * T"
+        )
     cos_t, sin_t = cos(theta), sin(theta)
     new_pos = cos_t * pos + radius * sin_t * direction
     correction = (cos_t - 1.0) * direction - s * sin_t * pos / radius
-    new_frames = frames + _inner(frames, direction, lorentz)[:, None] * correction
+    # a resting path needs its old frames below, so only a step where every
+    # path moves adds the update into them
+    update = _inner(frames, direction, lorentz)[:, None] * correction
+    new_frames = np.add(frames, update, out=frames if all_moving else None)
 
     # Renormalize: snap to surface, project rows to the tangent space,
     # modified Gram-Schmidt in the ambient metric.
@@ -110,10 +124,10 @@ def _step_curved(kind, kappa, pos, frames, disp, step):
             v = v - _inner(v, w, lorentz) * w
         q = _inner(v, v, lorentz)
         _require_root(q, False, kind, kappa, step, arc2)
-        new_frames[i] = v / np.sqrt(q)
+        np.divide(v, np.sqrt(q), out=new_frames[i])
 
     # Paths with a zero increment stay put.
-    if not np.all(moving):
+    if not all_moving:
         keep = ~moving
         new_pos[:, keep] = pos[:, keep]
         new_frames[:, :, keep] = frames[:, :, keep]

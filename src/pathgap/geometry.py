@@ -190,6 +190,21 @@ def _root(m: ModelManifold, q: float) -> float:
     return np.sqrt(q)
 
 
+# A hyperbolic step of angle theta from positions whose coordinate 0 (the
+# largest) is at most x0 reaches coordinates up to x0 e**theta and frame rows
+# up to e**theta x0 / radius, and squares them.  While theta plus the log of
+# the larger scale stays below 350, cosh, sinh and those squares, summed over
+# the ambient axes, are finite (0.5 log of the float maximum is 354.9).
+_BOOST_LOG_LIMIT = 350.0
+
+
+def _boost_overflows(theta_max: float, x0_max: float, radius: float) -> bool:
+    """Whether a hyperbolic step of angle up to ``theta_max``, from positions
+    whose coordinate 0 is at most ``x0_max``, overflows cosh, sinh or a metric
+    square.  At the basepoint of kappa = -1 that is theta > 350."""
+    return not theta_max + np.log(x0_max * max(1.0, 1.0 / radius)) <= _BOOST_LOG_LIMIT
+
+
 def _renormalize(m: ModelManifold, pos: np.ndarray, frame: np.ndarray):
     """Snap position back to a curved surface and Gram-Schmidt the frame."""
     g, s = m.metric_diag(), np.sign(m.kappa)
@@ -209,7 +224,8 @@ def geodesic_step(m: ModelManifold, fp: FramePoint, v: np.ndarray, h: float = 1.
     The frame is parallel-transported along the geodesic (a closed-form
     rotation/boost in the plane of motion), then re-orthonormalized.  A
     step whose metric squares are roundoff, far out on the hyperboloid,
-    raises ValueError naming kappa instead of returning NaN.
+    raises ValueError naming kappa instead of returning NaN, and so does a
+    hyperbolic step whose cosh, sinh or metric squares would overflow.
     """
     if h <= 0:
         raise ValueError(f"h must be > 0, got {h}")
@@ -229,6 +245,12 @@ def geodesic_step(m: ModelManifold, fp: FramePoint, v: np.ndarray, h: float = 1.
     s, cos, sin = (1.0, np.cos, np.sin) if m.kappa > 0 else (-1.0, np.cosh, np.sinh)
     radius = 1.0 / np.sqrt(s * m.kappa)
     theta = arc / radius
+    if s < 0 and _boost_overflows(theta, pos[0], radius):
+        raise ValueError(
+            f"the step of length {float(arc)!r} boosts past where cosh, sinh and the "
+            f"hyperboloid's metric squares are finite: kappa = {m.kappa!r}; take a shorter "
+            "step or a smaller |kappa|"
+        )
     new_pos = cos(theta) * pos + radius * sin(theta) * direction
     correction = (cos(theta) - 1.0) * direction - s * sin(theta) * pos / radius
     coeffs = (frame * g) @ direction  # metric pairing of each row with direction

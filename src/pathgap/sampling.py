@@ -117,8 +117,9 @@ class PathSample:
         return FramePoint(self.positions[i], self.frames[i])
 
 
-# Paths per block of the normal stream; it divides every default chunk
-# (64, 1024, 4096), so a default chunk draws whole blocks.
+# Paths per block of the normal stream; the estimators' chunks are whole
+# blocks wide (``estimators._chunk_ranges``), so each chunk but the last
+# draws whole blocks.
 BLOCK = 64
 # Time steps per draw of a block's normals: a (64, 64, d) slab is 32 KB per
 # dimension whatever the step count, and a grid of up to 64 steps (the README

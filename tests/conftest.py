@@ -1,8 +1,9 @@
 """Shared test helpers: high-precision oracles and synthetic curvature data.
 
 The oracle layer deliberately re-derives every quantity independently of the
-package (mpmath for closed forms, brute-force quadrature and golden-section
-search for extrema), so agreement is meaningful.
+package (mpmath for closed forms, brute-force quadrature, golden-section
+search and bracketed roots of the derivative for extrema), so agreement is
+meaningful.
 """
 
 import mpmath as mp
@@ -30,6 +31,32 @@ def lambda_mp(t, T, k1, k2):
         + (mp.e ** (-k2 * (T + t) / 2) - mp.e ** (-k2 * (T - t) / 2)) / 2
     )
     return 1 + term1 + term2 + term3
+
+
+def lambda_prime_mp(t, T, k1, k2):
+    """d lambda_mp / dt in 40-digit arithmetic, term by term from the same
+    exponential form (b k2 / 2 = k1 / 2)."""
+    t, T, k1, k2 = map(mp.mpf, (t, T, k1, k2))
+    if k1 == 0:
+        return mp.mpf(0)
+    if k2 == 0:
+        return k1**2 * (T - t) / 4
+    b = k1 / k2
+    e_t, e_rest = mp.e ** (-k2 * t / 2), mp.e ** (-k2 * (T - t) / 2)
+    return k1 / 2 * (e_t - e_rest) + b * k1 / 2 * (e_t - (mp.e ** (-k2 * (T + t) / 2) + e_rest) / 2)
+
+
+def argmax_mp(T, k1, k2):
+    """40-digit maximizer of lambda_mp(., T, k1, k2) on [0, T].
+
+    For k2 > 0 lambda is strictly concave with lambda'(0) > 0 > lambda'(T),
+    so the maximizer is the root of lambda' bracketed by [0, T].  A window
+    with lambda'(T) > 0 gives T, the maximizer where lambda' > 0 throughout
+    (k2 < 0).
+    """
+    if lambda_prime_mp(T, T, k1, k2) > 0:
+        return mp.mpf(T)
+    return mp.findroot(lambda t: lambda_prime_mp(t, T, k1, k2), (0, T), solver="anderson")
 
 
 def lambda_integral_mp(t, T, k1, k2):

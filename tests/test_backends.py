@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import inspect
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,22 @@ class TestSimulateKernels:
         np.testing.assert_array_equal(pos[moving], alone_pos)
         np.testing.assert_array_equal(frames[moving], alone_frames)
 
+    @pytest.mark.parametrize(
+        "m", [pg.sphere(2, 1.0), pg.sphere(3, 2.5), pg.hyperbolic(2, -1.0)], ids=["S2", "S3", "H2"]
+    )
+    def test_inputs_are_left_unchanged(self, m):
+        """The step works in place on its own arrays only: the increments (the
+        walk reads them through a view), start position and frame keep their bytes."""
+        g = TimeGrid.with_times(0.5, 24, ())
+        inc = batch_increments(g, m.dim, seed=17, indices=range(9))
+        inc[2, 5] = 0.0  # a resting path keeps the copying branch in the run
+        base = m.basepoint()
+        start_pos, start_frame = base.position.copy(), base.frame.copy()
+        before = [a.tobytes() for a in (inc, start_pos, start_frame)]
+        kernels.simulate_paths(m.kind, m.kappa, m.dim, start_pos, start_frame, inc,
+                               np.arange(g.n_steps + 1, dtype=np.int64))
+        assert [a.tobytes() for a in (inc, start_pos, start_frame)] == before
+
     def test_increments_are_draws_last(self):
         """The walk's (n, d, P) view of the draws is the buffer itself, and each
         path's draws are the ones it gets drawn alone."""
@@ -100,6 +117,16 @@ class TestSimulateKernels:
         named = re.escape(f"leaves the hyperboloid at step {first_bad}: kappa = {kappa},")
         with pytest.raises(ValueError, match=named):
             sample_path(m, g, seed)
+
+    def test_refuses_a_boost_past_the_float_range_without_warning(self):
+        """One step of about 750 at kappa = -1 would overflow cosh, sinh and the
+        position's square; the walk names the step before computing any of them."""
+        m = pg.hyperbolic(2, -1.0)
+        named = re.escape("step 1 boosts the hyperboloid") + ".*kappa = -1.0, step length"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=named):
+                sample_path(m, TimeGrid.with_times(1e6, 1, ()), 1)
 
     def test_deterministic(self):
         m = pg.sphere(2, 1.0)

@@ -12,7 +12,8 @@ import pathgap as pg
 from pathgap import estimators as est
 from pathgap._backend import kernels
 from pathgap.gradients import CylindricalFunctional, _pullback, resolvent_on_grid
-from pathgap.sampling import TimeGrid, batch_increments, sample_path, simulate_increments
+from pathgap.cli import main
+from pathgap.sampling import BLOCK, TimeGrid, batch_increments, sample_path, simulate_increments
 
 from conftest import smooth_ricci
 from reference import _damped_limits, frame_pullback_slots
@@ -637,6 +638,39 @@ class TestBatchedContract:
         with frequent_thread_switches():
             threaded = est.verify_lsi(m, F, 0.5, 32, 40, 37, threads=4)
         assert narrow == wide == threaded
+
+    @pytest.mark.parametrize(
+        "n, chunk",
+        [(10_000, 4096), (9_000, 4096), (1_000, 1024), (1_025, 1024), (323, 64), (406, 8), (42, 1)],
+    )
+    def test_chunks_split_evenly_in_whole_blocks(self, n, chunk):
+        """ceil(n / chunk) contiguous chunks, none wider than ``chunk``, all but
+        the last of one width in whole blocks (a sub-block chunk is kept as given)."""
+        ranges = est._chunk_ranges(n, chunk)
+        widths = [hi - lo for lo, hi in ranges]
+        assert len(ranges) == -(-n // chunk)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert max(widths) <= chunk and len(set(widths[:-1])) <= 1
+        if chunk >= BLOCK:
+            assert all(w % BLOCK == 0 for w in widths[:-1])
+
+    def test_readme_lsi_run_draws_three_even_chunks(self, monkeypatch, capsys):
+        """The README lsi run's 10,000 paths draw 3,392 + 3,392 + 3,216, not
+        4,096 + 4,096 + 1,808: the widest increment buffer shrinks."""
+        sizes = []
+        draw = est.batch_increments
+
+        def counted(*args, **kwargs):
+            sizes.append(len(args[3]))
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(est, "batch_increments", counted)
+        argv = ["simulate", "--manifold", "sphere", "--dim", "2", "--kappa", "1.0", "--T", "0.5",
+                "--steps", "64", "--paths", "10000", "--seed", "7", "--mode", "lsi"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert sizes == [3392, 3392, 3216]
 
     def test_wrong_gradient_shape_rejected(self):
         m = GEOMETRIES["sphere"]

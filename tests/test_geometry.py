@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,15 @@ class TestGeodesicStep:
         assert np.all(np.isfinite(fp.position))
         with pytest.raises(ValueError, match=re.escape(f"leaves the hyperboloid: kappa = {kappa}")):
             geodesic_step(m, fp, 0.21 * rng.normal(size=2), 1.0)
+
+    def test_refuses_a_boost_past_the_float_range_without_warning(self):
+        """A step of 800 from the basepoint at kappa = -1 would overflow cosh and
+        sinh; it raises before computing them."""
+        m = pg.hyperbolic(2, -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="length 800.0 boosts.*kappa = -1.0"):
+                geodesic_step(m, m.basepoint(), np.array([800.0, 0.0]))
 
     def test_sphere_quarter_turn(self):
         """A quarter great circle from the pole lands on the equator with the
