@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import HYPERBOLIC, SPHERE, _boost_overflows
+from .geometry import _root, _surface
 
 
 def _inner(u, v, lorentz):
@@ -42,66 +42,28 @@ def _inner(u, v, lorentz):
     return lanes[0]
 
 
-def _require_root(q, zero_ok, kind, kappa, step, arc2):
-    """Raise ValueError unless every metric square in q is finite and positive
-    (or zero, with ``zero_ok``), before its square root is taken.
-
-    Far out on the hyperboloid the squares cancel to roundoff and can come out
-    nonpositive.  A passing q costs two reductions: a NaN fails both
-    comparisons.  The error names ``step``, kappa and the longest step among
-    the paths that fail, from their squared step lengths ``arc2``.
-    """
-    low = q.min(initial=np.inf)
-    if (low >= 0.0 if zero_ok else low > 0.0) and q.max(initial=0.0) < np.inf:
-        return
-    bad = ~((q >= 0.0 if zero_ok else q > 0.0) & (q < np.inf))
-    surface = "sphere" if kind == SPHERE else "hyperboloid"
-    raise ValueError(
-        f"the walk leaves the {surface} at step {step}: kappa = {kappa!r}, step length "
-        f"{float(np.sqrt(np.max(np.abs(arc2[bad]))))!r}; take more steps or a smaller "
-        "|kappa| * T"
-    )
-
-
-def _step_curved(kind, kappa, pos, frames, disp, step):
+def _step_curved(kappa, pos, frames, disp, step):
     """One geodesic step with parallel transport for a batch of paths.
 
     Component-major: pos (amb, P), frames (d, amb, P), disp (amb, P) ambient
     displacement, so every coordinate row is a contiguous run over the paths.
-    The surface is <x, x> = s r^2 in the ambient metric, with s = +1 and
-    (cos, sin) on the sphere, s = -1 and (cosh, sinh) on the hyperboloid,
-    whose metric is Lorentzian (coordinate 0 negative); both share one exact
-    code path.  A squared step length, position or frame row that cannot be
-    taken the square root of (:func:`_require_root`), a sphere step past
-    2**26 radians (its angle rounds by theta * 2**-52), or a hyperbolic step
-    whose cosh, sinh or metric squares would overflow raises ValueError
-    naming ``step``, kappa and the step length.
+    The sign of kappa picks the surface (:func:`geometry._surface`): the
+    sphere and the Lorentzian hyperboloid share one exact code path.  Every
+    square root goes through :func:`geometry._root`, the rule geodesic_step
+    shares, which raises ValueError naming ``step``, kappa and the step length
+    for a step that cannot stay on its surface in floating point.
 
     The step works in place: ``disp`` is overwritten with the step's
     direction, and when every path moves, ``frames`` with the new frames.
     """
-    s, cos, sin = (1.0, np.cos, np.sin) if kind == SPHERE else (-1.0, np.cosh, np.sinh)
-    lorentz = kind == HYPERBOLIC
-    arc2 = _inner(disp, disp, lorentz)
-    _require_root(arc2, True, kind, kappa, step, arc2)
-    arc = np.sqrt(arc2)
+    s, cos, sin, radius, lorentz = _surface(kappa)
+    with np.errstate(over="ignore", invalid="ignore"):  # _root refuses inf and NaN
+        arc2 = _inner(disp, disp, lorentz)
+    arc = _root(kappa, arc2, step, pos[0])
     moving = arc > 0.0
     all_moving = bool(np.all(moving))
     direction = np.divide(disp, np.where(moving, arc, 1.0), out=disp)
-    radius = 1.0 / np.sqrt(s * kappa)
     theta = arc / radius
-    if kind == SPHERE and not np.all(theta <= 2.0**26):
-        raise ValueError(
-            f"the walk's step {step} turns the sphere past 2**26 radians, where sine and cosine "
-            f"are roundoff: kappa = {kappa!r}, step length {float(np.max(arc))!r}; take more "
-            "steps or a smaller kappa * T"
-        )
-    if lorentz and _boost_overflows(theta.max(initial=0.0), pos[0].max(initial=radius), radius):
-        raise ValueError(
-            f"the walk's step {step} boosts the hyperboloid past where cosh, sinh and its "
-            f"metric squares are finite: kappa = {kappa!r}, step length "
-            f"{float(np.max(arc))!r}; take more steps or a smaller |kappa| * T"
-        )
     cos_t, sin_t = cos(theta), sin(theta)
     new_pos = cos_t * pos + radius * sin_t * direction
     correction = (cos_t - 1.0) * direction - s * sin_t * pos / radius
@@ -112,9 +74,7 @@ def _step_curved(kind, kappa, pos, frames, disp, step):
 
     # Renormalize: snap to surface, project rows to the tangent space,
     # modified Gram-Schmidt in the ambient metric.
-    norm2 = s * _inner(new_pos, new_pos, lorentz)
-    _require_root(norm2, False, kind, kappa, step, arc2)
-    new_pos *= radius / np.sqrt(norm2)
+    new_pos *= radius / _root(kappa, arc2, step, q=s * _inner(new_pos, new_pos, lorentz))
     proj = s * _inner(new_frames, new_pos, lorentz) / (radius * radius)
     new_frames -= proj[:, None] * new_pos
     for i in range(frames.shape[0]):
@@ -122,9 +82,7 @@ def _step_curved(kind, kappa, pos, frames, disp, step):
         for j in range(i):
             w = new_frames[j]
             v = v - _inner(v, w, lorentz) * w
-        q = _inner(v, v, lorentz)
-        _require_root(q, False, kind, kappa, step, arc2)
-        np.divide(v, np.sqrt(q), out=new_frames[i])
+        np.divide(v, _root(kappa, arc2, step, q=_inner(v, v, lorentz)), out=new_frames[i])
 
     # Paths with a zero increment stay put.
     if not all_moving:
@@ -134,13 +92,15 @@ def _step_curved(kind, kappa, pos, frames, disp, step):
     return new_pos, new_frames
 
 
-# dim is unused but kept in place: perfbench/tracer.py reads the increments as args[5].
+# kind and dim are unused but kept in place: perfbench/tracer.py reads the
+# increments as args[5].
 def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record):
     """Geodesic random walk driven by per-path increment arrays.
 
-    kind is a ``ModelManifold.kind``; increments: (P, n, d); record: sorted
-    int64 indices into 0..n of the time slots whose positions/frames are
-    kept.  Returns (positions (P, m, amb), frames (P, m, d, amb)).
+    The sign of kappa picks the surface, and kappa = 0 walks flat.
+    increments: (P, n, d); record: sorted int64 indices into 0..n of the time
+    slots whose positions/frames are kept.  Returns (positions (P, m, amb),
+    frames (P, m, d, amb)).
 
     The walk runs component-major, draws last: positions (amb, P), frames
     (d, amb, P), and step k reads the (d, P) slice of the increments' (n, d, P)
@@ -166,8 +126,8 @@ def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record)
             disp = np.zeros_like(pos)
             for i in range(d):
                 disp += inc[k - 1, i] * frames[i]
-            if kind in (SPHERE, HYPERBOLIC):
-                pos, frames = _step_curved(kind, kappa, pos, frames, disp, k)
+            if kappa:
+                pos, frames = _step_curved(kappa, pos, frames, disp, k)
             else:
                 pos = pos + disp
         if rec_ptr < m and record[rec_ptr] == k:

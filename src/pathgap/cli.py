@@ -118,7 +118,7 @@ def _horizons(args) -> list[float]:
             raise CliError("--T-grid expects start:stop:count") from exc
         if count < 1 or stop < start:
             raise CliError("--T-grid expects stop >= start and count >= 1")
-        return list(np.linspace(start, stop, count))
+        return np.linspace(start, stop, count).tolist()
     raise CliError("a horizon is required: --T or --T-grid")
 
 

@@ -8,7 +8,9 @@ time-dependent Ricci matrix path (flat geometry) for exercising the resolvent
 machinery with non-symmetric curvature data.
 
 The sign of kappa, not ``kind``, picks the surface <x, x> = 1/kappa: s = +1
-(cos, sin) and s = -1 (cosh, sinh) share one code path of radius 1/sqrt(s kappa).
+(cos, sin) and s = -1 (cosh, sinh) share one code path of radius 1/sqrt(s kappa)
+(``_surface``).  One rule refuses a curved step that cannot stay on its surface
+in floating point (``_root``), for geodesic_step and the batched walk alike.
 """
 
 from __future__ import annotations
@@ -174,47 +176,84 @@ def _project_tangent(m: ModelManifold, pos: np.ndarray, vec: np.ndarray) -> np.n
     return vec - (np.vecdot(vec * m.metric_diag(), pos) / (1.0 / m.kappa))[..., None] * pos
 
 
-def _root(m: ModelManifold, q: float) -> float:
-    """Square root of a metric square that is positive on the surface.
-
-    Far out on the hyperboloid <x, x> and the frame's metric squares cancel
-    to roundoff and can come out nonpositive; such a square raises
-    ValueError naming kappa, as the walk kernel does.
-    """
-    if not 0.0 < q < np.inf:
-        surface = "sphere" if m.kappa > 0 else "hyperboloid"
-        raise ValueError(
-            f"the step leaves the {surface}: kappa = {m.kappa!r}; take a shorter step or a "
-            "smaller |kappa|"
-        )
-    return np.sqrt(q)
+def _surface(kappa: float):
+    """The curved surface <x, x> = 1/kappa: its sign s, its geodesics' (cos, sin)
+    pair, its radius 1/sqrt(s kappa) and whether its metric is Lorentzian."""
+    if kappa > 0:
+        return 1.0, np.cos, np.sin, 1.0 / np.sqrt(kappa), False
+    return -1.0, np.cosh, np.sinh, 1.0 / np.sqrt(-kappa), True
 
 
 # A hyperbolic step of angle theta from positions whose coordinate 0 (the
 # largest) is at most x0 reaches coordinates up to x0 e**theta and frame rows
 # up to e**theta x0 / radius, and squares them.  While theta plus the log of
 # the larger scale stays below 350, cosh, sinh and those squares, summed over
-# the ambient axes, are finite (0.5 log of the float maximum is 354.9).
+# the ambient axes, are finite (0.5 log of the float maximum is 354.9).  At
+# the basepoint of kappa = -1 that is theta <= 350.
 _BOOST_LOG_LIMIT = 350.0
 
 
-def _boost_overflows(theta_max: float, x0_max: float, radius: float) -> bool:
-    """Whether a hyperbolic step of angle up to ``theta_max``, from positions
-    whose coordinate 0 is at most ``x0_max``, overflows cosh, sinh or a metric
-    square.  At the basepoint of kappa = -1 that is theta > 350."""
-    return not theta_max + np.log(x0_max * max(1.0, 1.0 / radius)) <= _BOOST_LOG_LIMIT
+def _root(kappa: float, arc2, step=None, x0=None, q=None):
+    """Square roots of a curved step's metric squares, once the step passes the
+    one rule that refuses it.
+
+    The walk kernel passes arrays over its paths and the 1-based ``step``;
+    geodesic_step passes single values.  ``arc2`` are the squared step lengths.
+    With ``q`` None they are the squares rooted, and three checks run:
+
+    * they must be finite and nonnegative (a squared length can overflow);
+    * on the sphere the largest angle theta = sqrt(max arc2) / radius (the
+      largest per-path angle bit for bit: both operations are monotone) may
+      not pass 2**26 radians, where it rounds by theta * 2**-52 and sine and
+      cosine are roundoff;
+    * on the hyperboloid theta plus the log of the position scale, from
+      coordinates 0 at most max(x0), stays within ``_BOOST_LOG_LIMIT``.
+
+    Otherwise ``q`` (a position's or a frame row's metric squares) must be
+    finite and positive: far out on the hyperboloid they cancel to roundoff.
+    A passing check costs two reductions (a NaN fails both), and one over x0
+    on the hyperboloid.  A failing one raises ValueError naming the step
+    (when given), kappa and the longest step length.
+    """
+    lengths = q is None
+    q = arc2 if lengths else q
+    low = np.minimum.reduce(q, axis=None, initial=np.inf)
+    high = np.maximum.reduce(q, axis=None, initial=0.0)
+    what = None
+    if not ((low >= 0.0 if lengths else low > 0.0) and high < np.inf):
+        what = f"leaves the {'sphere' if kappa > 0 else 'hyperboloid'}"
+    elif lengths:
+        radius = _surface(kappa)[3]
+        theta = np.sqrt(high) / radius
+        if kappa > 0 and not theta <= 2.0**26:
+            what = "turns the sphere past 2**26 radians, where sine and cosine are roundoff"
+        elif kappa < 0 and not theta + np.log(
+            np.maximum.reduce(x0, axis=None, initial=radius) * max(1.0, 1.0 / radius)
+        ) <= _BOOST_LOG_LIMIT:
+            what = "boosts the hyperboloid past where cosh, sinh and its metric squares are finite"
+    if what is None:
+        return np.sqrt(q)
+    subject = "the step" if step is None else f"the walk's step {step}"
+    raise ValueError(
+        f"{subject} {what}: kappa = {kappa!r}, step length "
+        f"{float(np.sqrt(np.max(np.abs(arc2))))!r}; take shorter steps or a smaller |kappa|"
+    )
 
 
-def _renormalize(m: ModelManifold, pos: np.ndarray, frame: np.ndarray):
-    """Snap position back to a curved surface and Gram-Schmidt the frame."""
-    g, s = m.metric_diag(), np.sign(m.kappa)
-    pos = pos * ((1.0 / np.sqrt(s * m.kappa)) / _root(m, s * ((pos * g) @ pos)))
+def _renormalize(m: ModelManifold, pos: np.ndarray, frame: np.ndarray, arc2: float = 0.0):
+    """Snap position back to a curved surface and Gram-Schmidt the frame.
+
+    ``arc2`` is the squared length of the step that led here, for the error
+    of a metric square that :func:`_root` refuses.
+    """
+    g, (s, _, _, radius, _) = m.metric_diag(), _surface(m.kappa)
+    pos = pos * (radius / _root(m.kappa, arc2, q=s * ((pos * g) @ pos)))
     frame = frame.copy()
     for i in range(frame.shape[0]):
         v = _project_tangent(m, pos, frame[i])
         for j in range(i):
             v = v - ((v * g) @ frame[j]) * frame[j]
-        frame[i] = v / _root(m, (v * g) @ v)
+        frame[i] = v / _root(m.kappa, arc2, q=(v * g) @ v)
     return pos, frame
 
 
@@ -223,9 +262,11 @@ def geodesic_step(m: ModelManifold, fp: FramePoint, v: np.ndarray, h: float = 1.
 
     The frame is parallel-transported along the geodesic (a closed-form
     rotation/boost in the plane of motion), then re-orthonormalized.  A
-    step whose metric squares are roundoff, far out on the hyperboloid,
-    raises ValueError naming kappa instead of returning NaN, and so does a
-    hyperbolic step whose cosh, sinh or metric squares would overflow.
+    curved step is refused by the rule the walk kernel shares
+    (:func:`_root`): a squared length, position or frame square that is not
+    finite and positive, a sphere turn past 2**26 radians or a boost past
+    the float range raises ValueError naming kappa and the step length,
+    with no RuntimeWarning and no NaN returned.
     """
     if h <= 0:
         raise ValueError(f"h must be > 0, got {h}")
@@ -238,22 +279,17 @@ def geodesic_step(m: ModelManifold, fp: FramePoint, v: np.ndarray, h: float = 1.
         return FramePoint(pos + disp, frame)
 
     g = m.metric_diag()
-    if (arc2 := (disp * g) @ disp) == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # _root refuses inf and NaN
+        arc2 = (disp * g) @ disp
+    if arc2 == 0.0:
         return fp
-    arc = _root(m, arc2)
+    arc = _root(m.kappa, arc2, x0=pos[0])
     direction = disp / arc
-    s, cos, sin = (1.0, np.cos, np.sin) if m.kappa > 0 else (-1.0, np.cosh, np.sinh)
-    radius = 1.0 / np.sqrt(s * m.kappa)
+    s, cos, sin, radius, _ = _surface(m.kappa)
     theta = arc / radius
-    if s < 0 and _boost_overflows(theta, pos[0], radius):
-        raise ValueError(
-            f"the step of length {float(arc)!r} boosts past where cosh, sinh and the "
-            f"hyperboloid's metric squares are finite: kappa = {m.kappa!r}; take a shorter "
-            "step or a smaller |kappa|"
-        )
     new_pos = cos(theta) * pos + radius * sin(theta) * direction
     correction = (cos(theta) - 1.0) * direction - s * sin(theta) * pos / radius
     coeffs = (frame * g) @ direction  # metric pairing of each row with direction
     new_frame = frame + np.outer(coeffs, correction)
-    new_pos, new_frame = _renormalize(m, new_pos, new_frame)
+    new_pos, new_frame = _renormalize(m, new_pos, new_frame, arc2)
     return FramePoint(new_pos, new_frame)

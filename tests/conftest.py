@@ -168,17 +168,17 @@ def stiff_ricci():
 def spectral_norms(mats):
     """Operator (2-)norms of a stack of small matrices, vectorized.
 
-    Uses closed-form eigenvalues of M^T M for d = 2, eigvalsh otherwise.
+    Uses closed-form eigenvalues of M^T M for d = 2, whose Gram entries are
+    elementwise products of the columns, and eigvalsh otherwise.
     """
     mats = np.asarray(mats)
-    d = mats.shape[-1]
-    gram = np.einsum("...ki,...kj->...ij", mats, mats)
-    if d == 2:
-        tr = gram[..., 0, 0] + gram[..., 1, 1]
-        det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] * gram[..., 1, 0]
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    if mats.shape[-1] == 2:
+        a, b, c, d = (mats[..., i, j] for i in (0, 1) for j in (0, 1))
+        g00, g11, g01 = a * a + c * c, b * b + d * d, a * b + c * d
+        tr = g00 + g11
+        disc = np.sqrt(np.maximum(tr * tr - 4.0 * (g00 * g11 - g01 * g01), 0.0))
         return np.sqrt(0.5 * (tr + disc))
-    return np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+    return np.sqrt(np.linalg.eigvalsh(np.einsum("...ki,...kj->...ij", mats, mats))[..., -1])
 
 
 @pytest.fixture(scope="session")

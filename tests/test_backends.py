@@ -114,7 +114,7 @@ class TestSimulateKernels:
         inc = batch_increments(g, m.dim, seed, [0])
         pos, frames = _simulate(m, inc[:, : first_bad - 1], np.array([first_bad - 1]))
         assert np.all(np.isfinite(pos)) and np.all(np.isfinite(frames))
-        named = re.escape(f"leaves the hyperboloid at step {first_bad}: kappa = {kappa},")
+        named = re.escape(f"step {first_bad} leaves the hyperboloid: kappa = {kappa},")
         with pytest.raises(ValueError, match=named):
             sample_path(m, g, seed)
 
@@ -127,6 +127,63 @@ class TestSimulateKernels:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=named):
                 sample_path(m, TimeGrid.with_times(1e6, 1, ()), 1)
+
+    @pytest.mark.parametrize("path_index", range(1, 6))
+    def test_refuses_an_overflowing_step_length_without_warning(self, path_index):
+        """In one step of T = 1.7e308 the squared step length overflows to inf;
+        the walk refuses it as it does a nonpositive square, with no warning."""
+        m = pg.hyperbolic(2, -1.0)
+        named = re.escape("step 1 leaves the hyperboloid: kappa = -1.0, step length inf;")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=named):
+                sample_path(m, TimeGrid.with_times(1.7e308, 1, ()), 1, path_index)
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0, -0.5, -1.0, -7.3])
+    def test_refuses_the_steps_geodesic_step_refuses(self, kappa):
+        """One step from the basepoint through geodesic_step and through the
+        kernel: both raise a ValueError naming kappa, or both return, with no
+        warning.  The lengths run from 1e-3 to 1e200, one per decade, and to
+        each side of the sphere's 2**26-radian turn and of a boost of 350 at the
+        basepoint.  A refused step names the same rule both ways; where both
+        return a step of length <= 1, they agree to 1e-12.  Between a hyperbolic
+        angle of about 12 and the boost limit the position's metric square is
+        roundoff, which each path sums in its own order, so there the two can
+        still differ (ROADMAP item 6)."""
+        m = pg.sphere(2, kappa) if kappa > 0 else pg.hyperbolic(2, kappa)
+        base = m.basepoint()
+        radius = 1.0 / np.sqrt(abs(kappa))
+        edge = (2.0**26 if kappa > 0 else 350.0) * radius
+
+        def outcome(step):
+            """The step's result, or the rule its ValueError names."""
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    return step()
+                except ValueError as exc:
+                    message = str(exc).replace("the walk's step 1", "the step")
+                    rule, named = message.split(": kappa = ")
+                    assert named.startswith(f"{kappa!r}, step length ")
+                    return rule
+
+        rules = []
+        for length in [*np.logspace(-3.0, 200.0, 204), edge * (1.0 - 1e-9), edge * (1.0 + 1e-9)]:
+            v = length * np.array([0.6, 0.8])
+            ref = outcome(lambda: pg.geodesic_step(m, base, v))
+            out = outcome(lambda: kernels.simulate_paths(
+                m.kind, kappa, m.dim, base.position, base.frame, v[None, None], np.array([1])
+            ))
+            if isinstance(ref, str) or isinstance(out, str):
+                assert ref == out, length
+            elif length <= 1.0:
+                np.testing.assert_allclose(out[0][0, 0], ref.position, atol=1e-12)
+                np.testing.assert_allclose(out[1][0, 0], ref.frame, atol=1e-12)
+            rules.append(ref if isinstance(ref, str) else "")
+        edge_rule = "turns the sphere" if kappa > 0 else "boosts the hyperboloid"
+        assert edge_rule in rules[-1]
+        # a hyperboloid's radius above 1 lowers the basepoint's limit to 350 - log(radius)
+        assert (edge_rule in rules[-2]) == (kappa < 0 and radius > 1.0)
 
     def test_deterministic(self):
         m = pg.sphere(2, 1.0)

@@ -45,6 +45,15 @@ class TestBoundsCommand:
         assert code == 0
         assert len(out.strip().split("\n")) == 6
 
+    def test_horizon_grid_prints_plain_floats(self):
+        code, out = run_cli(
+            ["bounds", "--k1", "1", "--k2", "0.5", "--T-grid", "0.5:1:2", "--profile", "2"]
+        )
+        assert code == 0
+        assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == [
+            "0.5", "0.5", "1.0", "1.0"
+        ]
+
     def test_profile_mode(self):
         code, out = run_cli(["bounds", "--k1", "1", "--k2", "1", "--T", "1.0", "--profile", "11"])
         assert code == 0

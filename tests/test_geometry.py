@@ -156,8 +156,27 @@ class TestGeodesicStep:
         m = pg.hyperbolic(2, -1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="length 800.0 boosts.*kappa = -1.0"):
+            with pytest.raises(ValueError, match="boosts.*kappa = -1.0, step length 800.0;"):
                 geodesic_step(m, m.basepoint(), np.array([800.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "m, v, named",
+        [
+            # the squared length overflows: inf is refused like a square that is roundoff
+            (pg.hyperbolic(2, -1.0), [1e200, 0.0],
+             "leaves the hyperboloid: kappa = -1.0, step length inf;"),
+            # the angle rounds by theta * 2**-52, so its sine and cosine are roundoff
+            (pg.sphere(2, 1.0), [1e17, 0.0],
+             "turns the sphere past 2**26 radians, where sine and cosine are roundoff: "
+             "kappa = 1.0, step length 1e+17;"),
+        ],
+        ids=["H2-overflow", "S2-turn"],
+    )
+    def test_refuses_what_the_walk_refuses_without_warning(self, m, v, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(named)):
+                geodesic_step(m, m.basepoint(), np.array(v))
 
     def test_sphere_quarter_turn(self):
         """A quarter great circle from the pole lands on the equator with the
