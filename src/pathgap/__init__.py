@@ -23,7 +23,6 @@ from .bounds import (
 from .geometry import (
     FramePoint,
     ModelManifold,
-    curvature_action,
     euclidean,
     geodesic_step,
     hyperbolic,
@@ -44,7 +43,6 @@ __all__ = [
     "TimeGrid",
     "backend_name",
     "bound_report",
-    "curvature_action",
     "euclidean",
     "gap_bounds_small_time",
     "geodesic_step",

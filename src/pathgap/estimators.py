@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -195,17 +195,14 @@ def estimate_chi(
     return _chi_ladder(m, a, [(T, n_steps)], n_paths, seed, threads)[0][0]
 
 
-def _prefix_sums(increments: np.ndarray, a: np.ndarray, work: _ChiWork | None = None):
+def _prefix_sums(increments: np.ndarray, a: np.ndarray, work: _ChiWork):
     """Prefix sums at the nodes of a (P, n, d) batch of increments x_j, draws last.
 
     w_k = sum_{j<k} x_j and u_k = sum_{j<k} alpha_j x_j are (d, n+1, P),
     alpha_k = <w_k, a> and v_k = sum_{j<k} <w_j, x_j> are (n+1, P).  They
-    are written into ``work``'s arrays if given, else into a new workspace's.
+    are written into the arrays of ``work``, carved for P draws.
     """
     x = increments.transpose(2, 1, 0)  # (d, n, P) view
-    if work is None:
-        d, n, p = x.shape
-        work = _ChiWork(d, n, p).carve(p)
     w, u, alpha, v, scratch = work.w, work.u, work.alpha, work.v, work.rows[0]
     w[:, 0] = 0.0
     np.cumsum(x, axis=1, out=w[:, 1:])
@@ -223,7 +220,7 @@ def _prefix_sums(increments: np.ndarray, a: np.ndarray, work: _ChiWork | None = 
     return w, alpha, u, v
 
 
-def _martingale(sums, a: np.ndarray, n: int, rows: Sequence[np.ndarray] | None = None):
+def _martingale(sums, a: np.ndarray, n: int, rows: Sequence[np.ndarray]):
     """Yield M_k, k < n, over the first n increments, one (n, P) component at a time.
 
     M_k = (u_n - u_k) - alpha_k (w_n - w_k) - [(v_n - v_k) - <w_k, w_n - w_k>] a
@@ -232,20 +229,17 @@ def _martingale(sums, a: np.ndarray, n: int, rows: Sequence[np.ndarray] | None =
     in the moving frame does not depend on the frame, the inner curvature
     integral is exact and the outer one left-point.
 
-    Given ``rows``, three arrays of at least n rows, the work and every part
-    live in them, so each part overwrites the last; without, each part is a
-    new array.
+    The work and every part live in ``rows``, three (at least n, P) arrays,
+    so each part overwrites the last.
     """
     w, alpha, u, v = sums
-    if rows is None:
-        rows = [np.empty_like(alpha[:n]), np.empty_like(alpha[:n]), None]
     ahead, scalar = rows[0][:n], rows[1][:n]  # ahead: w_n - w_k of one component, then scratch
     np.subtract(v[n], v[:n], out=scalar)
     for wc in w:
         scalar -= np.multiply(wc[:n], np.subtract(wc[n], wc[:n], out=ahead), out=ahead)
     for wc, uc, ac in zip(w, u, a):
         np.multiply(np.subtract(wc[n], wc[:n], out=ahead), alpha[:n], out=ahead)
-        part = np.subtract(uc[n], uc[:n], out=None if rows[2] is None else rows[2][:n])
+        part = np.subtract(uc[n], uc[:n], out=rows[2][:n])
         part -= ahead
         part -= np.multiply(scalar, ac, out=ahead)
         yield part
@@ -384,6 +378,9 @@ class TheoremOneReport:
     satisfied_fraction: float
     slack: float
     seed: int
+    # (path_index, functional_index, lhs, rhs) of max_violation, from its path
+    # drawn again alone, as sample_path draws it; repr prints only the summary
+    witness: tuple[int, int, float, float] = field(repr=False)
 
 
 def verify_theorem1(
@@ -440,36 +437,41 @@ def verify_theorem1(
         per_F.append((F, sel, ts, wmat, damped_w))
     g = m.metric_diag()
 
-    ranges = _chunk_ranges(n_paths, _THEOREM1_CHUNK)
-    width = ranges[0][1]  # every chunk but the last is this wide
-    worst = [-math.inf] * len(ranges)  # per chunk: largest violation
-    n_ok = [0] * len(ranges)  # per chunk: samples within the slack
+    worst = np.full(n_paths, -np.inf)  # per path: largest violation
+    n_ok = np.zeros(n_paths, dtype=np.int64)  # per path: functionals within the slack
 
-    def run_chunk(lo_hi):
-        lo, hi = lo_hi
-        c = lo // width
+    def sides(lo, hi):
+        """Yield each functional's (violation, lhs, rhs) on paths lo..hi."""
         inc = batch_increments(grid, m.dim, seed, range(lo, hi))
         pos, frames = simulate_increments(m, grid, inc, record=rec_idx)
         for F, sel, ts, wmat, damped_w in per_F:
-            slots = _pullback(F, pos[:, sel], frames[:, sel], g)
+            slots = _pullback(F, pos[:, sel], frames[:, sel], g, lo)
             gram = slots @ slots.transpose(0, 2, 1)
             rhs = np.sum(gram * wmat, axis=(1, 2))
             if damped_w is None:
                 lhs = damped_energy_pairwise(ts, gram, m.ricci_scalar)
             else:
                 lhs = _damped_energy_trapezoid(damped_w, slots)
-            violation = (lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
-            worst[c] = max(worst[c], float(np.max(violation)))
-            n_ok[c] += int(np.count_nonzero(violation <= THEOREM1_SLACK))
+            yield (lhs - rhs) / np.maximum(np.abs(rhs), 1e-300), lhs, rhs
 
-    _map_chunks(run_chunk, ranges, threads)
+    def run_chunk(lo_hi):
+        lo, hi = lo_hi
+        for violation, _, _ in sides(lo, hi):
+            np.maximum(worst[lo:hi], violation, out=worst[lo:hi])
+            n_ok[lo:hi] += violation <= THEOREM1_SLACK
+
+    _map_chunks(run_chunk, _chunk_ranges(n_paths, _THEOREM1_CHUNK), threads)
+    k = int(np.argmax(worst))
+    replay = [(float(v[0]), float(lhs[0]), float(rhs[0])) for v, lhs, rhs in sides(k, k + 1)]
+    j = int(np.argmax([v for v, _, _ in replay]))
     return TheoremOneReport(
         n_paths=n_paths,
         n_functionals=len(F_family),
-        max_violation=max(worst),
-        satisfied_fraction=sum(n_ok) / (n_paths * len(F_family)),
+        max_violation=float(worst[k]),
+        satisfied_fraction=int(np.sum(n_ok)) / (n_paths * len(F_family)),
         slack=THEOREM1_SLACK,
         seed=seed,
+        witness=(k, j, *replay[j][1:]),
     )
 
 
@@ -565,7 +567,10 @@ def verify_lsi(
                 f"value must return one number per path: expected shape {(hi - lo,)}, "
                 f"got {val.shape}"
             )
-        slots = _pullback(F, pos, frames, g)
+        bad = ~np.isfinite(val)
+        if bad.any():
+            raise ValueError(f"value is not finite on path {lo + int(np.argmax(bad))}")
+        slots = _pullback(F, pos, frames, g, lo)
         f2 = val * val
         a_p[lo:hi] = f2 * _elementwise(math.log, f2)
         b_p[lo:hi] = f2

@@ -28,7 +28,6 @@ __all__ = [
     "hyperbolic",
     "synthetic_ricci_path",
     "ricci_matrix",
-    "curvature_action",
     "geodesic_step",
 ]
 
@@ -147,21 +146,6 @@ def ricci_matrix(m: ModelManifold, t: float) -> np.ndarray:
     return m.ricci_scalar * np.eye(m.dim)
 
 
-def curvature_action(m: ModelManifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of c |-> kappa * (<b, c> a - <a, c> b) in the moving frame.
-
-    Frame-independent for constant curvature, which is why no frame argument
-    appears.  Antisymmetric in (a, b); identically zero on Euclidean space.
-    """
-    if m.kind == SYNTHETIC:
-        raise ValueError("synthetic mode carries no curvature tensor")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (m.dim,) or b.shape != (m.dim,):
-        raise ValueError(f"a, b must be vectors of length {m.dim}")
-    return m.kappa * (np.outer(a, b) - np.outer(b, a))
-
-
 def _project_tangent(m: ModelManifold, pos: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Remove the normal component of ambient vectors at ``pos``.
 
@@ -184,15 +168,6 @@ def _surface(kappa: float):
     return -1.0, np.cosh, np.sinh, 1.0 / np.sqrt(-kappa), True
 
 
-# A hyperbolic step of angle theta from positions whose coordinate 0 (the
-# largest) is at most x0 reaches coordinates up to x0 e**theta and frame rows
-# up to e**theta x0 / radius, and squares them.  While theta plus the log of
-# the larger scale stays below 350, cosh, sinh and those squares, summed over
-# the ambient axes, are finite (0.5 log of the float maximum is 354.9).  At
-# the basepoint of kappa = -1 that is theta <= 350.
-_BOOST_LOG_LIMIT = 350.0
-
-
 def _root(kappa: float, arc2, step=None, x0=None, q=None):
     """Square roots of a curved step's metric squares, once the step passes the
     one rule that refuses it.
@@ -206,14 +181,20 @@ def _root(kappa: float, arc2, step=None, x0=None, q=None):
       largest per-path angle bit for bit: both operations are monotone) may
       not pass 2**26 radians, where it rounds by theta * 2**-52 and sine and
       cosine are roundoff;
-    * on the hyperboloid theta plus the log of the position scale, from
-      coordinates 0 at most max(x0), stays within ``_BOOST_LOG_LIMIT``.
+    * on the hyperboloid the largest coordinate the step may reach from
+      coordinates 0 at most max(x0), max(x0) e**theta, may not pass 2**17
+      radii r.  The metric squares of the position and of the frame rows
+      (which reach x0 / r) cancel, and rounding leaves them and the
+      renormalized step a relative error of up to about 6 (x0/r)**2 2**-53,
+      1.2e-5 at the limit (measured on one step from the basepoint against
+      the exact geodesic).  Nor may it pass e**350, where the squares
+      overflow (0.5 log of the float maximum is 354.9); that binds only for
+      |kappa| below about 2e-294.
 
     Otherwise ``q`` (a position's or a frame row's metric squares) must be
-    finite and positive: far out on the hyperboloid they cancel to roundoff.
-    A passing check costs two reductions (a NaN fails both), and one over x0
-    on the hyperboloid.  A failing one raises ValueError naming the step
-    (when given), kappa and the longest step length.
+    finite and positive.  A passing check costs two reductions (a NaN fails
+    both), and one over x0 on the hyperboloid.  A failing one raises
+    ValueError naming the step (when given), kappa and the longest step length.
     """
     lengths = q is None
     q = arc2 if lengths else q
@@ -228,9 +209,9 @@ def _root(kappa: float, arc2, step=None, x0=None, q=None):
         if kappa > 0 and not theta <= 2.0**26:
             what = "turns the sphere past 2**26 radians, where sine and cosine are roundoff"
         elif kappa < 0 and not theta + np.log(
-            np.maximum.reduce(x0, axis=None, initial=radius) * max(1.0, 1.0 / radius)
-        ) <= _BOOST_LOG_LIMIT:
-            what = "boosts the hyperboloid past where cosh, sinh and its metric squares are finite"
+            np.maximum.reduce(x0, axis=None, initial=radius)
+        ) <= min(np.log(radius) + 17 * np.log(2.0), 350.0):
+            what = "boosts the hyperboloid past 2**17 radii (or e**350), where its squares fail"
     if what is None:
         return np.sqrt(q)
     subject = "the step" if step is None else f"the walk's step {step}"
@@ -264,9 +245,9 @@ def geodesic_step(m: ModelManifold, fp: FramePoint, v: np.ndarray, h: float = 1.
     rotation/boost in the plane of motion), then re-orthonormalized.  A
     curved step is refused by the rule the walk kernel shares
     (:func:`_root`): a squared length, position or frame square that is not
-    finite and positive, a sphere turn past 2**26 radians or a boost past
-    the float range raises ValueError naming kappa and the step length,
-    with no RuntimeWarning and no NaN returned.
+    finite and positive, a sphere turn past 2**26 radians or a boost that
+    may carry a coordinate past 2**17 radii raises ValueError naming kappa
+    and the step length, with no RuntimeWarning and no NaN returned.
     """
     if h <= 0:
         raise ValueError(f"h must be > 0, got {h}")

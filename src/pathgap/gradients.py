@@ -123,12 +123,16 @@ def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBound
     return ResolventGrid(grid, kernels.resolvent_steps(stages, grid.dts), ricci)
 
 
-def _pullback(F: CylindricalFunctional, positions: np.ndarray, frames: np.ndarray, g: np.ndarray):
+def _pullback(
+    F: CylindricalFunctional, positions: np.ndarray, frames: np.ndarray, g: np.ndarray, first: int
+):
     """Frame-coordinate slot gradients u^{-1} (grad_j f) for a batch of paths.
 
-    ``positions`` (P, N, amb) and ``frames`` (P, N, d, amb) hold each path
-    at the evaluation times of F and ``g`` is the ambient metric diagonal.
-    Returns (P, N, d).
+    ``positions`` (P, N, amb) and ``frames`` (P, N, d, amb) hold paths
+    first, first + 1, ... at the evaluation times of F and ``g`` is the
+    ambient metric diagonal.  Returns (P, N, d).  A gradient of the wrong
+    shape, or one that is not finite, raises ValueError; the latter names
+    the first such path.
     """
     grads = np.asarray(F.slot_gradients(positions), dtype=float)
     if grads.shape != positions.shape:
@@ -136,4 +140,7 @@ def _pullback(F: CylindricalFunctional, positions: np.ndarray, frames: np.ndarra
             f"slot_gradients must return one ambient vector per path and slot: "
             f"expected shape {positions.shape}, got {grads.shape}"
         )
+    bad = ~np.isfinite(grads).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"slot_gradients is not finite on path {first + int(np.argmax(bad))}")
     return np.einsum("pjia,pja->pji", frames * g, grads)

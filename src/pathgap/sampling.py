@@ -25,7 +25,7 @@ import numpy as np
 
 from ._backend import kernels
 from .bounds import _require_horizon
-from .geometry import FramePoint, ModelManifold
+from .geometry import ModelManifold
 
 __all__ = ["TimeGrid", "PathSample", "sample_path"]
 
@@ -112,9 +112,6 @@ class PathSample:
     increments: np.ndarray
     seed: int
     path_index: int = 0
-
-    def frame_point(self, i: int) -> FramePoint:
-        return FramePoint(self.positions[i], self.frames[i])
 
 
 # Paths per block of the normal stream; the estimators' chunks are whole

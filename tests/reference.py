@@ -3,7 +3,9 @@
 The package computes the damped energy in one batched form only
 (``estimators._damped_weights`` and ``damped_energy_pairwise``); this module
 re-derives the gradient fields one path at a time, and the tests compare
-against it.  Imported by the tests as ``from reference import ...``.
+against it.  The curvature action, which no package code needs, is kept
+here for the contraction identity (Ricci as its trace).  Imported by the
+tests as ``from reference import ...``.
 
 For a cylindrical functional F(path) = f(x_{t_1}, ..., x_{t_N}) the usual
 gradient at time tau is the frame pullback of the slot gradients of f summed
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pathgap.geometry import FramePoint, ModelManifold
+from pathgap.geometry import SYNTHETIC, FramePoint, ModelManifold
 from pathgap.gradients import CylindricalFunctional, ResolventGrid, _pullback
 from pathgap.sampling import PathSample, TimeGrid
 
@@ -63,7 +65,9 @@ def frame_pullback_slots(F: CylindricalFunctional, path: PathSample, m: ModelMan
     gradient u^{-1} (grad_j f) in R^d at evaluation time j.
     """
     idx = np.array([path.grid.index_of(t) for t in F.eval_times], dtype=np.int64)
-    slots = _pullback(F, path.positions[idx][None], path.frames[idx][None], m.metric_diag())
+    slots = _pullback(
+        F, path.positions[idx][None], path.frames[idx][None], m.metric_diag(), path.path_index
+    )
     return idx, slots[0]
 
 
@@ -206,6 +210,21 @@ def duality_defect(
     tilde_right = v.values - corr[1:]
     rhs = float(0.5 * np.einsum("k,kd,kd->", dts, usual.values, tilde_left + tilde_right))
     return abs(lhs - rhs)
+
+
+def curvature_action(m: ModelManifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of c |-> kappa * (<b, c> a - <a, c> b) in the moving frame.
+
+    Frame-independent for constant curvature, which is why no frame argument
+    appears.  Antisymmetric in (a, b); identically zero on Euclidean space.
+    """
+    if m.kind == SYNTHETIC:
+        raise ValueError("synthetic mode carries no curvature tensor")
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != (m.dim,) or b.shape != (m.dim,):
+        raise ValueError(f"a, b must be vectors of length {m.dim}")
+    return m.kappa * (np.outer(a, b) - np.outer(b, a))
 
 
 def frame_orthonormality_defect(m: ModelManifold, fp: FramePoint) -> float:

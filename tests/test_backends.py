@@ -24,6 +24,19 @@ def _simulate(m, inc, record):
     return kern.simulate_paths(m.kind, m.kappa, m.dim, base.position, base.frame, inc, record)
 
 
+def _step_outcome(step, kappa):
+    """One step's result, or the rule its ValueError names; a warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return step()
+        except ValueError as exc:
+            message = str(exc).replace("the walk's step 1", "the step")
+            rule, named = message.split(": kappa = ")
+            assert named.startswith(f"{kappa!r}, step length ")
+            return rule
+
+
 # sha256 of the walk outputs of walk_cases(), recorded from the einsum form of
 # the walk before it became component-major
 WALK_DIGEST = "4a4d3fb0d5331792976dc345049cef26e130d5c34e5a4642d4e911135bf2efed"
@@ -102,19 +115,21 @@ class TestSimulateKernels:
             np.testing.assert_array_equal(inc[r], batch_increments(g, 3, 5, [i])[0])
 
     @pytest.mark.parametrize(
-        "kappa, seed, first_bad", [(-2.5, 1, 184), (-7.3, 1, 136), (-7.3, 2, 113)]
+        "kappa, seed, first_bad", [(-2.5, 1, 142), (-7.3, 1, 51), (-7.3, 2, 86)]
     )
     def test_refuses_to_leave_the_hyperboloid(self, kappa, seed, first_bad):
-        """H^2, T = 8.82 on 200 steps runs out to where the squared arc or a
-        frame row's square cancels to roundoff.  The walk raises at the first
-        step that would take the root of a nonpositive square, names it and
-        kappa, and warns of nothing (the suite turns RuntimeWarnings into errors)."""
+        """H^2, T = 8.82 on 200 steps runs out to where the metric squares of
+        the position and the frame rows cancel to roundoff.  The walk raises at
+        the first step that may carry a coordinate past 2**17 radii, names it
+        and kappa, and warns of nothing (the suite turns RuntimeWarnings into
+        errors)."""
         m = pg.hyperbolic(2, kappa)
         g = TimeGrid.with_times(8.82, 200, ())
         inc = batch_increments(g, m.dim, seed, [0])
         pos, frames = _simulate(m, inc[:, : first_bad - 1], np.array([first_bad - 1]))
         assert np.all(np.isfinite(pos)) and np.all(np.isfinite(frames))
-        named = re.escape(f"step {first_bad} leaves the hyperboloid: kappa = {kappa},")
+        named = re.escape(f"step {first_bad} boosts the hyperboloid past 2**17 radii")
+        named += f".*: kappa = {re.escape(repr(kappa))},"
         with pytest.raises(ValueError, match=named):
             sample_path(m, g, seed)
 
@@ -144,36 +159,21 @@ class TestSimulateKernels:
         """One step from the basepoint through geodesic_step and through the
         kernel: both raise a ValueError naming kappa, or both return, with no
         warning.  The lengths run from 1e-3 to 1e200, one per decade, and to
-        each side of the sphere's 2**26-radian turn and of a boost of 350 at the
-        basepoint.  A refused step names the same rule both ways; where both
-        return a step of length <= 1, they agree to 1e-12.  Between a hyperbolic
-        angle of about 12 and the boost limit the position's metric square is
-        roundoff, which each path sums in its own order, so there the two can
-        still differ (ROADMAP item 6)."""
+        each side of the sphere's 2**26-radian turn and of the boost to 2**17
+        radii from the basepoint, an angle of 17 log 2.  A refused step names
+        the same rule both ways; where both return a step of length <= 1, they
+        agree to 1e-12."""
         m = pg.sphere(2, kappa) if kappa > 0 else pg.hyperbolic(2, kappa)
         base = m.basepoint()
         radius = 1.0 / np.sqrt(abs(kappa))
-        edge = (2.0**26 if kappa > 0 else 350.0) * radius
-
-        def outcome(step):
-            """The step's result, or the rule its ValueError names."""
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    return step()
-                except ValueError as exc:
-                    message = str(exc).replace("the walk's step 1", "the step")
-                    rule, named = message.split(": kappa = ")
-                    assert named.startswith(f"{kappa!r}, step length ")
-                    return rule
-
+        edge = (2.0**26 if kappa > 0 else 17 * np.log(2.0)) * radius
         rules = []
         for length in [*np.logspace(-3.0, 200.0, 204), edge * (1.0 - 1e-9), edge * (1.0 + 1e-9)]:
             v = length * np.array([0.6, 0.8])
-            ref = outcome(lambda: pg.geodesic_step(m, base, v))
-            out = outcome(lambda: kernels.simulate_paths(
+            ref = _step_outcome(lambda: pg.geodesic_step(m, base, v), kappa)
+            out = _step_outcome(lambda: kernels.simulate_paths(
                 m.kind, kappa, m.dim, base.position, base.frame, v[None, None], np.array([1])
-            ))
+            ), kappa)
             if isinstance(ref, str) or isinstance(out, str):
                 assert ref == out, length
             elif length <= 1.0:
@@ -181,9 +181,34 @@ class TestSimulateKernels:
                 np.testing.assert_allclose(out[1][0, 0], ref.frame, atol=1e-12)
             rules.append(ref if isinstance(ref, str) else "")
         edge_rule = "turns the sphere" if kappa > 0 else "boosts the hyperboloid"
-        assert edge_rule in rules[-1]
-        # a hyperboloid's radius above 1 lowers the basepoint's limit to 350 - log(radius)
-        assert (edge_rule in rules[-2]) == (kappa < 0 and radius > 1.0)
+        assert edge_rule in rules[-1] and rules[-2] == ""
+
+    @pytest.mark.parametrize("kappa", [-0.5, -1.0, -7.3])
+    def test_dense_angles_refuse_or_agree(self, kappa):
+        """One step from the basepoint at every hyperbolic angle 1, 1.25, ..., 350,
+        through geodesic_step and through the kernel: both refuse with the same
+        rule, or both return the same step.  The metric squares sum in a
+        different order each way and round to (x0/r)**2 2**-53 of themselves, so
+        positions and frames agree to 1e-12 until x0/r = cosh(angle) reaches
+        about 30, and to (x0/r)**2 2**-49 of their size beyond."""
+        m = pg.hyperbolic(2, kappa)
+        base = m.basepoint()
+        radius = 1.0 / np.sqrt(-kappa)
+        returned = 0
+        for theta in np.arange(4, 1401) / 4:
+            v = theta * radius * np.array([0.6, 0.8])
+            ref = _step_outcome(lambda: pg.geodesic_step(m, base, v), kappa)
+            out = _step_outcome(lambda: kernels.simulate_paths(
+                m.kind, kappa, m.dim, base.position, base.frame, v[None, None], np.array([1])
+            ), kappa)
+            if isinstance(ref, str) or isinstance(out, str):
+                assert ref == out, theta
+                continue
+            returned += 1
+            tol = max(1e-12, np.cosh(theta) ** 2 * 2.0**-49)
+            for got, want in ((out[0][0, 0], ref.position), (out[1][0, 0], ref.frame)):
+                assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), theta
+        assert returned == 44  # the angles up to 11.75 < 17 log 2
 
     def test_deterministic(self):
         m = pg.sphere(2, 1.0)

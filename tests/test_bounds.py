@@ -26,7 +26,7 @@ from pathgap.bounds import (
     psi,
 )
 
-from conftest import admissible_params, golden_max, lambda_integral_mp, lambda_mp
+from conftest import admissible_params, argmax_mp, golden_max, lambda_integral_mp, lambda_mp
 
 # 40-digit reference values, frozen from the mpmath oracle in conftest
 LAMBDA_0_K1 = 1.3934693402873665763962  # lambda(0, 1) at k1 = k2 = 1
@@ -287,8 +287,9 @@ class TestSupAndPsi:
 
     def test_sweep_near_k2_zero(self):
         for k1, k2, T in DEGENERATE_WINDOW:
-            t_star = golden_max(lambda t: lambda_mp(t, T, k1, k2), 0.0, T, mp.mpf(10) ** -25)
-            want = float(lambda_mp(t_star, T, k1, k2))
+            # the 40-digit root of lambda' (Lambda there matches a golden-section
+            # search to 1e-25 in t on every window, as floats bit for bit)
+            want = float(lambda_mp(argmax_mp(T, k1, k2), T, k1, k2))
             assert lambda_sup(T, cb(k1, k2)) == pytest.approx(want, rel=1e-10), (k1, k2)
             assert psi(T, cb(k1, k2)) == pytest.approx(want, rel=1e-10), (k1, k2)
 

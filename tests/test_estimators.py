@@ -11,6 +11,7 @@ import pytest
 import pathgap as pg
 from pathgap import estimators as est
 from pathgap._backend import kernels
+from pathgap.bounds import lambda_integral
 from pathgap.gradients import CylindricalFunctional, _pullback, resolvent_on_grid
 from pathgap.cli import main
 from pathgap.sampling import BLOCK, TimeGrid, batch_increments, sample_path, simulate_increments
@@ -141,13 +142,16 @@ class TestChiLadder:
         seed, n_draws = 23, 150
         reports, x = est._chi_ladder(m, a, rungs, 2 * n_draws, seed, 1)
         z = batch_increments(TimeGrid.with_times(100, 100, ()), m.dim, seed, range(n_draws))
-        sums = est._prefix_sums(z, a)
+        work = est._ChiWork(m.dim, 100, n_draws).carve(n_draws)
+        sums = est._prefix_sums(z, a, work)
         for report, x_rung, (T, n) in zip(reports, x, rungs):
             grid = TimeGrid.with_times(T, n, ())
             inc = z[:, :n] * grid.sqrt_dts[:, None]
             field = _linear_field_by_suffix_sums(inc, grid.times, a, m.kappa, m.ricci_scalar)
             det = a * (1.0 + 0.5 * m.ricci_scalar * (T - grid.times[:-1]))[:, None]
-            parts = np.stack(list(est._martingale(sums, a, n)), axis=-1).transpose(1, 0, 2)
+            # the parts share one row buffer: each is copied before the next
+            parts = [p.copy() for p in est._martingale(sums, a, n, work.rows)]
+            parts = np.stack(parts, axis=-1).transpose(1, 0, 2)
             np.testing.assert_allclose(
                 det - m.kappa * (T / n) * parts, field, rtol=0, atol=1e-14
             )
@@ -351,6 +355,26 @@ class TestVerifyTheorem1:
         else:
             assert rep.max_violation < 0.0 and rep.satisfied_fraction == 1.0
 
+    def test_witness_replays_through_sample_path(self):
+        """The report names its worst sample: path k, functional j and both
+        sides.  Path k drawn alone by sample_path gives the same lhs and rhs,
+        bit for bit, and their relative excess is max_violation."""
+        m = pg.hyperbolic(2, -1.0)
+        family = est.random_two_point_family(m, 1.0, 10, seed=7)
+        declared = pg.CurvatureBounds(1.0, -0.99)
+        rep = est.verify_theorem1(m, declared, family, 1.0, 128, 1000, 7)
+        assert rep.max_violation == pytest.approx(7.1e-4, rel=0.01)
+        k, j, lhs, rhs = rep.witness
+        grid = TimeGrid.with_times(1.0, 128, sorted({t for F in family for t in F.eval_times}))
+        slots = frame_pullback_slots(family[j], sample_path(m, grid, 7, k), m)[1][None]
+        gram = slots @ slots.transpose(0, 2, 1)
+        ts = np.array(family[j].eval_times)
+        wmat = lambda_integral(np.minimum.outer(ts, ts), 1.0, declared)
+        assert rhs == np.sum(gram * wmat, axis=(1, 2))[0]
+        assert lhs == est.damped_energy_pairwise(ts, gram, m.ricci_scalar)[0]
+        assert (lhs - rhs) / rhs == rep.max_violation
+        assert "witness" not in repr(rep)  # the golden corpus pins repr
+
     def test_synthetic_nonsymmetric(self):
         m, cb = smooth_ricci(2, seed=43)
         family = est.random_two_point_family(m, 1.0, 5, seed=3)
@@ -445,7 +469,7 @@ class TestVerifyTheorem1:
         for F in family:
             idx = np.array([grid.index_of(t) for t in F.eval_times])
             sel = np.array([slot_times.index(t) for t in F.eval_times])
-            slots = _pullback(F, pos[:, idx], frames[:, idx], m.metric_diag())
+            slots = _pullback(F, pos[:, idx], frames[:, idx], m.metric_diag(), 0)
             got = est._damped_energy_trapezoid(weights[np.ix_(sel, sel)], slots)
             want = []
             for s in slots:
@@ -683,6 +707,41 @@ class TestBatchedContract:
         path = sample_path(m, TimeGrid.with_times(1.0, 16, [0.5]), 1)
         with pytest.raises(ValueError, match="slot_gradients"):
             frame_pullback_slots(one_path, path, m)
+
+    @staticmethod
+    def _poisoned(fn):
+        """``fn`` with NaN in the rows of paths 700, 707, ...: the rows are
+        numbered across calls, in the order one worker thread makes them."""
+        seen = [0]
+
+        def poisoned(pos):
+            out = np.array(fn(pos), dtype=float)
+            paths = seen[0] + np.arange(len(pos))
+            seen[0] += len(pos)
+            out[(paths >= 700) & (paths % 7 == 0)] = np.nan
+            return out
+
+        return poisoned
+
+    def test_non_finite_slot_gradient_rejected(self):
+        """A NaN gradient stops the check and names the first path it is on,
+        here in the second of two chunks; it is not dropped from max_violation."""
+        m = GEOMETRIES["hyperbolic"]
+        family = est.random_two_point_family(m, 1.0, 2, seed=7)
+        F = family[1]
+        bad = CylindricalFunctional(F.eval_times, F.value, self._poisoned(F.slot_gradients))
+        with pytest.raises(ValueError, match="slot_gradients is not finite on path 700$"):
+            est.verify_theorem1(m, m.curvature_window, [family[0], bad], 1.0, 64, 1100, 7)
+
+    def test_non_finite_value_rejected(self, monkeypatch):
+        """A NaN value stops the entropy check and names the first path it is
+        on, here in the second of three chunks; it does not become a NaN gap."""
+        monkeypatch.setattr(est, "_LSI_CHUNK", 512)
+        m = GEOMETRIES["sphere"]
+        F = est.exponential_functional(m, np.array([0.4, -0.3, 0.5]), 0.5)
+        bad = CylindricalFunctional(F.eval_times, self._poisoned(F.value), F.slot_gradients)
+        with pytest.raises(ValueError, match="value is not finite on path 700$"):
+            est.verify_lsi(m, bad, 0.5, 16, 1100, 1)
 
     def test_wrong_value_shape_rejected(self):
         m = GEOMETRIES["sphere"]

@@ -182,7 +182,7 @@ class TestSamplePath:
             g = TimeGrid.with_times(1.0, 256, ())
             s = sample_path(m, g, 3)
             for i in (0, 64, 256):
-                fp = s.frame_point(i)
+                fp = pg.FramePoint(s.positions[i], s.frames[i])
                 assert frame_orthonormality_defect(m, fp) < 1e-10
                 assert surface_defect(m, fp) < 1e-10
 
