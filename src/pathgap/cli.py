@@ -144,12 +144,12 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _simulate_rows(m, args, seed):
-    base = (args.T, m.kind, m.dim, m.kappa, args.paths, args.steps, seed)
-    a = np.zeros(m.dim)
-    a[0] = 1.0
+def _simulate_rows(m, args):
+    base = (args.T, m.kind, m.dim, m.kappa, args.paths, args.steps, args.seed)
     if args.mode == "chi":
-        rep = est.estimate_chi(m, a, args.T, args.steps, args.paths, seed, threads=args.threads)
+        rep = est.estimate_chi(
+            m, np.eye(m.dim)[0], args.T, args.steps, args.paths, args.seed, threads=args.threads
+        )
         base = base[:4] + (rep.n_paths,) + base[5:]
         rows = [
             base + ("chi", rep.chi.mean, rep.chi.stderr),
@@ -159,9 +159,9 @@ def _simulate_rows(m, args, seed):
         ]
         return rows, 0
     if args.mode == "theorem1":
-        family = est.random_two_point_family(m, args.T, args.functionals, seed)
+        family = est.random_two_point_family(m, args.T, args.functionals, args.seed)
         rep = est.verify_theorem1(
-            m, m.curvature_window, family, args.T, args.steps, args.paths, seed,
+            m, m.curvature_window, family, args.T, args.steps, args.paths, args.seed,
             threads=args.threads,
         )
         rows = [
@@ -170,14 +170,14 @@ def _simulate_rows(m, args, seed):
         ]
         return rows, 0 if rep.satisfied_fraction == 1.0 else CHECK_FAILED
     if args.mode == "lsi":
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(9100,)))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(9100,)))
         b = rng.normal(size=m.ambient_dim)
         b /= np.linalg.norm(b)
         if m.kind == "euclidean":
             F = est.truncated_exponential_functional(b, args.T, cap=1.5)
         else:
             F = est.exponential_functional(m, b, args.T)
-        rep = est.verify_lsi(m, F, args.T, args.steps, args.paths, seed, threads=args.threads)
+        rep = est.verify_lsi(m, F, args.T, args.steps, args.paths, args.seed, threads=args.threads)
         rows = [
             base + ("entropy", rep.entropy, 0.0),
             base + ("dirichlet_twice", rep.dirichlet_twice, 0.0),
@@ -190,24 +190,23 @@ def _simulate_rows(m, args, seed):
 def cmd_simulate(args) -> int:
     _require_positive(args, "paths", "steps", "functionals")
     m = _manifold(args.manifold, args.dim, args.kappa)
-    rows, status = _simulate_rows(m, args, args.seed)
+    rows, status = _simulate_rows(m, args)
     _emit(SIMULATE_COLUMNS, rows, args.format)
     return status
 
 
 def cmd_asymptotics(args) -> int:
     _require_positive(args, "paths")
-    seed = args.seed
     m = _manifold(args.manifold, args.dim, args.kappa)
-    a = np.zeros(m.dim)
-    a[0] = 1.0
-    rep = est.small_time_slope(m, a, args.T_ladder, args.paths, seed, threads=args.threads)
-    rows = [
-        (p.T, m.kind, m.dim, m.kappa, p.n_paths, p.n_steps, seed, "chi", p.chi.mean, p.chi.stderr)
-        for p in rep.points
-    ]
-    last = rep.points[-1]
-    tail = (last.T, m.kind, m.dim, m.kappa, last.n_paths, last.n_steps, seed)
+    rep = est.small_time_slope(
+        m, np.eye(m.dim)[0], args.T_ladder, args.paths, args.seed, threads=args.threads
+    )
+
+    def head(p):
+        return (p.T, m.kind, m.dim, m.kappa, p.n_paths, p.n_steps, args.seed)
+
+    rows = [head(p) + ("chi", p.chi.mean, p.chi.stderr) for p in rep.points]
+    tail = head(rep.points[-1])
     rows.append(tail + ("slope_fitted", rep.slope.mean, rep.slope.stderr))
     rows.append(tail + ("slope_predicted", rep.predicted_slope, 0.0))
     _emit(SIMULATE_COLUMNS, rows, args.format)

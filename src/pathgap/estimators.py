@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import CurvatureBounds, _require_horizon, lambda_integral
 from .geometry import SYNTHETIC, ModelManifold, _project_tangent
-from .gradients import CylindricalFunctional, _pullback, resolvent_on_grid
+from .gradients import CylindricalFunctional, _batch_output, _pullback, resolvent_on_grid
 from .sampling import BLOCK, TimeGrid, batch_increments, simulate_increments
 
 __all__ = [
@@ -340,21 +340,19 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x), float, x.size)
 
 
-def damped_energy_pairwise(ts: np.ndarray, gram: np.ndarray, c: float) -> np.ndarray:
-    """Exact integral |D~_tau F|^2 dtau for constant Ricci c, one per path.
+def damped_kernel(ts: np.ndarray, c: float) -> np.ndarray:
+    """Weights K^d of the exact damped energy for constant Ricci c, (N, N).
 
-    ts are the slot times, gram the (P, N, N) stack of frame-coordinate slot
-    Gram matrices, gram[p, j, k] = <g_j, g_k> along path p.  Each (j, k)
-    pair contributes the closed-form integral of e^{-c (t_j + t_k - 2 tau)/2}
-    over tau in [0, min(t_j, t_k)].  Returns (P,).
+    integral |D~_tau F|^2 dtau = sum_{j,k} <s_j, s_k> K^d_jk in the frame slot
+    vectors s_j at the slot times ts: K^d_jk is the closed-form integral of
+    e^{-c (t_j + t_k - 2 tau)/2} over tau in [0, min(t_j, t_k)].  The weights
+    do not depend on the path.
     """
     tmin = np.minimum.outer(ts, ts)
     if c == 0.0:
-        weights = tmin
-    else:
-        # e^{-c (t_j + t_k)/2} (e^{c tmin} - 1) / c, bounded for c > 0
-        weights = -np.exp(-0.5 * c * np.abs(np.subtract.outer(ts, ts))) * np.expm1(-c * tmin) / c
-    return np.sum(gram * weights, axis=(1, 2))
+        return tmin
+    # e^{-c (t_j + t_k)/2} (e^{c tmin} - 1) / c, bounded for c > 0
+    return -np.exp(-0.5 * c * np.abs(np.subtract.outer(ts, ts))) * np.expm1(-c * tmin) / c
 
 
 # Relative excess of the damped over the weighted usual energy that still
@@ -399,9 +397,10 @@ def verify_theorem1(
     Constant-curvature manifolds use exact closed-form time integrals on both
     sides (the inequality has equality cases, so quadrature skew would
     produce spurious violations); synthetic Ricci paths use a per-cell
-    trapezoid for the damped side, whose weights do not depend on the path.
-    Each functional is evaluated once per chunk of paths.  The report does
-    not depend on the chunking or on ``threads``.
+    trapezoid for the damped side.  Neither side's weights depend on the
+    path: they are built once, and each chunk of paths evaluates each
+    functional once and contracts.  The report does not depend on the
+    chunking or on ``threads``.
 
     Only a synthetic path is checked against ``declared`` (``DataError``
     before any path is drawn): its window is a contract on supplied data.
@@ -413,7 +412,7 @@ def verify_theorem1(
     and h = (c/2) u - u' with u(T) = 0, and integrating by parts gives
     integral |D~F|^2 = integral |DF|^2 - (c^2/4) integral |u|^2 - (c/2) |u(0)|^2,
     at most integral |DF|^2 when c >= 0.  In slot vectors: min(t_j, t_k)
-    minus the ``damped_energy_pairwise`` weights is positive semidefinite.
+    minus the :func:`damped_kernel` weights is positive semidefinite.
     Since also Lambda >= 1 on every admissible window, no window passed with
     a sphere or flat space fails; on H^d a raised k2 does.
     """
@@ -425,16 +424,17 @@ def verify_theorem1(
     grid = TimeGrid.with_times(T, n_steps, eval_times)
     rec_idx = np.array([grid.index_of(t) for t in eval_times], dtype=np.int64)
     rec_pos = {t: i for i, t in enumerate(eval_times)}
-    slot_w = None
+    # both kernels over the run's distinct slot times, before any path: K^d, (N, N, d, d)
+    # on a synthetic path, and L(min(t_j, t_k)); each functional takes its block
+    ts = grid.times[rec_idx]
     if m.kind == SYNTHETIC:
-        slot_w = _damped_weights(grid, rec_idx, resolvent_on_grid(grid, m, declared).steps)
-    per_F = []
-    for F in F_family:
-        sel = np.array([rec_pos[t] for t in F.eval_times], dtype=np.int64)
-        ts = np.array(F.eval_times)
-        wmat = lambda_integral(np.minimum.outer(ts, ts), T, declared)
-        damped_w = None if slot_w is None else slot_w[np.ix_(sel, sel)]
-        per_F.append((F, sel, ts, wmat, damped_w))
+        k_damped = _damped_weights(grid, rec_idx, resolvent_on_grid(grid, m, declared).steps)
+    else:
+        k_damped = damped_kernel(ts, m.ricci_scalar)
+    r = np.arange(ts.size)
+    k_lambda = lambda_integral(ts, T, declared)[np.minimum.outer(r, r)]
+    sels = [np.array([rec_pos[t] for t in F.eval_times], dtype=np.int64) for F in F_family]
+    per_F = [(F, s, k_damped[np.ix_(s, s)], k_lambda[np.ix_(s, s)]) for F, s in zip(F_family, sels)]
     g = m.metric_diag()
 
     worst = np.full(n_paths, -np.inf)  # per path: largest violation
@@ -444,14 +444,14 @@ def verify_theorem1(
         """Yield each functional's (violation, lhs, rhs) on paths lo..hi."""
         inc = batch_increments(grid, m.dim, seed, range(lo, hi))
         pos, frames = simulate_increments(m, grid, inc, record=rec_idx)
-        for F, sel, ts, wmat, damped_w in per_F:
+        for F, sel, kd, kl in per_F:
             slots = _pullback(F, pos[:, sel], frames[:, sel], g, lo)
             gram = slots @ slots.transpose(0, 2, 1)
-            rhs = np.sum(gram * wmat, axis=(1, 2))
-            if damped_w is None:
-                lhs = damped_energy_pairwise(ts, gram, m.ricci_scalar)
+            rhs = np.sum(gram * kl, axis=(1, 2))
+            if kd.ndim == 2:
+                lhs = np.sum(gram * kd, axis=(1, 2))
             else:
-                lhs = _damped_energy_trapezoid(damped_w, slots)
+                lhs = np.einsum("pja,jlab,plb->p", slots, kd, slots)
             yield (lhs - rhs) / np.maximum(np.abs(rhs), 1e-300), lhs, rhs
 
     def run_chunk(lo_hi):
@@ -509,11 +509,6 @@ def _damped_weights(grid: TimeGrid, idx: np.ndarray, steps: np.ndarray) -> np.nd
     return weights
 
 
-def _damped_energy_trapezoid(weights: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Trapezoid-in-tau integral of |D~_tau F|^2 per path from the (P, N, d) slots."""
-    return np.einsum("pja,jlab,plb->p", slots, weights, slots)
-
-
 @dataclass(frozen=True)
 class LsiReport:
     """One-sided statistical check of entropy <= 2 * damped Dirichlet energy."""
@@ -549,8 +544,7 @@ def verify_lsi(
         raise ValueError(f"the entropy check needs at least 2 paths, got {n_paths}")
     grid = TimeGrid.with_times(T, n_steps, list(F.eval_times))
     eval_idx = np.array([grid.index_of(t) for t in F.eval_times], dtype=np.int64)
-    ts = grid.times[eval_idx]
-    c = m.ricci_scalar
+    k_damped = damped_kernel(grid.times[eval_idx], m.ricci_scalar)
     g = m.metric_diag()
 
     a_p = np.empty(n_paths)  # F^2 log F^2
@@ -561,20 +555,12 @@ def verify_lsi(
         lo, hi = lo_hi
         inc = batch_increments(grid, m.dim, seed, range(lo, hi))
         pos, frames = simulate_increments(m, grid, inc, record=eval_idx)
-        val = np.asarray(F.value(pos), dtype=float)
-        if val.shape != (hi - lo,):
-            raise ValueError(
-                f"value must return one number per path: expected shape {(hi - lo,)}, "
-                f"got {val.shape}"
-            )
-        bad = ~np.isfinite(val)
-        if bad.any():
-            raise ValueError(f"value is not finite on path {lo + int(np.argmax(bad))}")
+        val = _batch_output(F.value(pos), (hi - lo,), "value", "one number per path", lo)
         slots = _pullback(F, pos, frames, g, lo)
         f2 = val * val
         a_p[lo:hi] = f2 * _elementwise(math.log, f2)
         b_p[lo:hi] = f2
-        r_p[lo:hi] = 2.0 * damped_energy_pairwise(ts, slots @ slots.transpose(0, 2, 1), c)
+        r_p[lo:hi] = 2.0 * np.sum(slots @ slots.transpose(0, 2, 1) * k_damped, axis=(1, 2))
 
     _map_chunks(run_chunk, _chunk_ranges(n_paths, _LSI_CHUNK), threads)
     a_bar, b_bar, r_bar = float(np.mean(a_p)), float(np.mean(b_p)), float(np.mean(r_p))

@@ -123,6 +123,18 @@ def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBound
     return ResolventGrid(grid, kernels.resolvent_steps(stages, grid.dts), ricci)
 
 
+def _batch_output(out, shape: tuple, name: str, what: str, first: int) -> np.ndarray:
+    """A batched callback's output as a float array of ``shape``, or ValueError for a
+    wrong shape or for an entry that is not finite, naming its first path (from ``first``)."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{name} must return {what}: expected shape {shape}, got {out.shape}")
+    bad = ~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
+    if bad.any():
+        raise ValueError(f"{name} is not finite on path {first + int(np.argmax(bad))}")
+    return out
+
+
 def _pullback(
     F: CylindricalFunctional, positions: np.ndarray, frames: np.ndarray, g: np.ndarray, first: int
 ):
@@ -131,16 +143,10 @@ def _pullback(
     ``positions`` (P, N, amb) and ``frames`` (P, N, d, amb) hold paths
     first, first + 1, ... at the evaluation times of F and ``g`` is the
     ambient metric diagonal.  Returns (P, N, d).  A gradient of the wrong
-    shape, or one that is not finite, raises ValueError; the latter names
-    the first such path.
+    shape, or one that is not finite, raises ValueError (:func:`_batch_output`).
     """
-    grads = np.asarray(F.slot_gradients(positions), dtype=float)
-    if grads.shape != positions.shape:
-        raise ValueError(
-            f"slot_gradients must return one ambient vector per path and slot: "
-            f"expected shape {positions.shape}, got {grads.shape}"
-        )
-    bad = ~np.isfinite(grads).all(axis=(1, 2))
-    if bad.any():
-        raise ValueError(f"slot_gradients is not finite on path {first + int(np.argmax(bad))}")
+    grads = _batch_output(
+        F.slot_gradients(positions), positions.shape, "slot_gradients",
+        "one ambient vector per path and slot", first,
+    )
     return np.einsum("pjia,pja->pji", frames * g, grads)

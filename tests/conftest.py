@@ -60,8 +60,27 @@ def argmax_mp(T, k1, k2):
 
 
 def lambda_integral_mp(t, T, k1, k2):
-    """integral_0^t lambda_mp(tau, T, k1, k2) dtau by mpmath quadrature."""
-    return mp.quad(lambda tau: lambda_mp(tau, T, k1, k2), [0, t])
+    """integral_0^t lambda_mp(tau, T, k1, k2) dtau, term by term in closed form.
+
+    With a = k2/2 and b = k1/k2 each exponential of lambda_mp integrates to
+    an exponential over a.  The terms cancel by up to b^2/a (1.6e25 at
+    k2 T = 1e-9 with k1/|k2| = 1e8), so they are summed at 60 digits.
+    """
+    with mp.workdps(60):
+        t, T, k1, k2 = map(mp.mpf, (t, T, k1, k2))
+        if k1 == 0:
+            return +t
+        if k2 == 0:
+            return t * (1 + k1 * T / 2) + k1**2 * (T * t**2 / 8 - t**3 / 24)
+        a, b = k2 / 2, k1 / k2
+
+        def e(x):
+            return mp.e ** (-a * x)
+
+        rest = (e(T - t) - e(T)) / a  # integral_0^t e^{-a (T - tau)} dtau
+        head = t - (1 - e(t)) / a  # integral_0^t (1 - e^{-a tau}) dtau
+        tail = (e(T) - e(T + t)) / a  # integral_0^t e^{-a (T + tau)} dtau
+        return t + b * (t - rest) + b * head + b * b * (head + (tail - rest) / 2)
 
 
 def golden_max(f, lo, hi, tol):
@@ -98,6 +117,14 @@ def admissible_params(rng, n, k_scale=3.0, t_range=(0.1, 3.0)):
             continue
         out.append((k1, k2, T))
     return out
+
+
+def golden_synthetic_ricci(t):
+    """Non-symmetric 2x2 Ricci path of the golden ``theorem1_synthetic`` case."""
+    return np.array(
+        [[0.5 + 0.3 * np.sin(2 * t), 0.2 * np.cos(3 * t)],
+         [-0.2 * np.cos(3 * t), 0.6 - 0.2 * np.sin(t)]]
+    )
 
 
 def smooth_ricci(dim, seed, amplitude=1.0):

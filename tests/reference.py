@@ -1,7 +1,7 @@
 """Reference gradient algebra of one sampled path, and the geometry defects.
 
 The package computes the damped energy in one batched form only
-(``estimators._damped_weights`` and ``damped_energy_pairwise``); this module
+(``estimators._damped_weights`` and ``damped_kernel``); this module
 re-derives the gradient fields one path at a time, and the tests compare
 against it.  The curvature action, which no package code needs, is kept
 here for the contraction identity (Ricci as its trace).  Imported by the

@@ -1,5 +1,6 @@
 """Monte-Carlo estimators: chi, inequality verifiers, entropy check, slope fit."""
 
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -12,11 +13,12 @@ import pathgap as pg
 from pathgap import estimators as est
 from pathgap._backend import kernels
 from pathgap.bounds import lambda_integral
+from pathgap.geometry import SYNTHETIC
 from pathgap.gradients import CylindricalFunctional, _pullback, resolvent_on_grid
 from pathgap.cli import main
 from pathgap.sampling import BLOCK, TimeGrid, batch_increments, sample_path, simulate_increments
 
-from conftest import smooth_ricci
+from conftest import golden_synthetic_ricci, smooth_ricci
 from reference import _damped_limits, frame_pullback_slots
 
 
@@ -292,6 +294,34 @@ class TestChiOracle:
         assert abs(rep.slope.mean - expected) <= 4.0 * rep.slope.stderr
 
 
+def exact_worst_violation(m, declared, family, T, n_steps):
+    """The family's largest lambda_max(K^L^-1 K^d) - 1: each functional's worst
+    relative violation over all slot vectors at its slot times.
+
+    Both sides are quadratic forms in the slot vectors, with K^L = L(min(t_j,
+    t_k)); on a synthetic path the damped side is the symmetrized (Nd, Nd)
+    form of the trapezoid weights against K^L (x) I_d.  A Cholesky of K^L
+    whitens the damped side, and ``eigvalsh`` takes its largest eigenvalue.
+    """
+    grid = TimeGrid.with_times(T, n_steps, sorted({t for F in family for t in F.eval_times}))
+    worst = -math.inf
+    for F in family:
+        ts = np.array(F.eval_times)
+        kl = lambda_integral(np.minimum.outer(ts, ts), T, declared)
+        if m.kind == SYNTHETIC:
+            idx = np.array([grid.index_of(t) for t in ts])
+            w = est._damped_weights(grid, idx, resolvent_on_grid(grid, m, declared).steps)
+            nd = w.shape[0] * w.shape[-1]
+            kd = w.transpose(0, 2, 1, 3).reshape(nd, nd)
+            kl = np.kron(kl, np.eye(w.shape[-1]))
+        else:
+            kd = est.damped_kernel(ts, m.ricci_scalar)
+        chol = np.linalg.cholesky(kl)
+        white = np.linalg.solve(chol, np.linalg.solve(chol, kd).T)
+        worst = max(worst, np.linalg.eigvalsh(0.5 * (white + white.T))[-1] - 1.0)
+    return worst
+
+
 class TestVerifyTheorem1:
     def test_flat_equality(self):
         """Zero Ricci: both sides coincide and the violation is exactly zero."""
@@ -355,6 +385,29 @@ class TestVerifyTheorem1:
         else:
             assert rep.max_violation < 0.0 and rep.satisfied_fraction == 1.0
 
+    @pytest.mark.parametrize("case", ["h2_true", "h2_raised", "synthetic_golden"])
+    def test_monte_carlo_never_beats_the_exact_worst_case(self, case):
+        """Each sampled violation is one point of a deterministic quadratic
+        form, so max_violation is at most the family's exact worst case.
+        Sampled against exact: -2.06e-4 and -1.88e-4 on H^2 at its true
+        window, +7.14e-4 and +7.32e-4 at k2 = -0.99, and -0.397 and -0.351 on
+        the golden synthetic case."""
+        if case == "synthetic_golden":
+            m = pg.synthetic_ricci_path(2, golden_synthetic_ricci)
+            declared = pg.CurvatureBounds(1.0, 0.4)
+            family = est.random_two_point_family(m, 1.0, 3, seed=5)
+            n_steps, n_paths, seed = 24, 8, 5
+        else:
+            m = pg.hyperbolic(2, -1.0)
+            declared = pg.CurvatureBounds(1.0, -1.0 if case == "h2_true" else -0.99)
+            family = est.random_two_point_family(m, 1.0, 10, seed=7)
+            n_steps, n_paths, seed = 128, 1000, 7
+        rep = est.verify_theorem1(m, declared, family, 1.0, n_steps, n_paths, seed)
+        exact = exact_worst_violation(m, declared, family, 1.0, n_steps)
+        want = {"h2_true": -1.88e-4, "h2_raised": 7.32e-4, "synthetic_golden": -0.351}[case]
+        assert exact == pytest.approx(want, rel=2e-3)
+        assert rep.max_violation <= exact
+
     def test_witness_replays_through_sample_path(self):
         """The report names its worst sample: path k, functional j and both
         sides.  Path k drawn alone by sample_path gives the same lhs and rhs,
@@ -371,7 +424,7 @@ class TestVerifyTheorem1:
         ts = np.array(family[j].eval_times)
         wmat = lambda_integral(np.minimum.outer(ts, ts), 1.0, declared)
         assert rhs == np.sum(gram * wmat, axis=(1, 2))[0]
-        assert lhs == est.damped_energy_pairwise(ts, gram, m.ricci_scalar)[0]
+        assert lhs == np.sum(gram * est.damped_kernel(ts, m.ricci_scalar), axis=(1, 2))[0]
         assert (lhs - rhs) / rhs == rep.max_violation
         assert "witness" not in repr(rep)  # the golden corpus pins repr
 
@@ -470,7 +523,7 @@ class TestVerifyTheorem1:
             idx = np.array([grid.index_of(t) for t in F.eval_times])
             sel = np.array([slot_times.index(t) for t in F.eval_times])
             slots = _pullback(F, pos[:, idx], frames[:, idx], m.metric_diag(), 0)
-            got = est._damped_energy_trapezoid(weights[np.ix_(sel, sel)], slots)
+            got = np.einsum("pja,jlab,plb->p", slots, weights[np.ix_(sel, sel)], slots)
             want = []
             for s in slots:
                 left, right = _damped_limits(idx, s, R)
@@ -478,34 +531,53 @@ class TestVerifyTheorem1:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
+# sha256 of the K^d weights, read through unit Gram matrices as the verifiers
+# contract them, for KERNEL_TS at each of KERNEL_CS; pinned from the pairwise
+# damped energy that the kernel replaced
+KERNEL_DIGEST = "dfa745a8372f336aff4c863c1074356c745c941c2d5232b70a73f1b1eb71f850"
+KERNEL_CS = (0.0, 1.0, -1.0, 3.0, 1e4)
+KERNEL_TS = [
+    (0.5,),
+    (0.1, 0.3, 0.5),
+    (0.0, 0.25, 0.75, 1.0),
+    (0.2, 0.9, 2.0, 7.5),
+    tuple(np.linspace(0.0, 3.0, 13)[1:]),
+]
+
+
 class TestDampedEnergyPairwise:
     def test_weights_match_the_product_form_and_stay_bounded(self):
         ts = np.array([0.1, 0.3, 0.5])
-        gram = np.ones((1, 3, 3))
         c = 3.0
         product = np.exp(-0.5 * c * np.add.outer(ts, ts)) * np.expm1(c * np.minimum.outer(ts, ts))
-        np.testing.assert_allclose(
-            est.damped_energy_pairwise(ts, gram, c), [np.sum(product) / c], rtol=1e-14
-        )
+        np.testing.assert_allclose(est.damped_kernel(ts, c), product / c, rtol=1e-14)
         # e^{c t} overflows at c = 1e4; each diagonal weight is (1 - e^{-c t_j}) / c
         c = 1e4
         with np.errstate(over="raise"):
-            energy = est.damped_energy_pairwise(ts, gram, c)
-        assert energy[0] == pytest.approx(3.0 / c, rel=1e-14)
+            kd = est.damped_kernel(ts, c)
+        np.testing.assert_allclose(np.diag(kd), 1.0 / c, rtol=1e-14)
+        assert np.sum(kd) == pytest.approx(3.0 / c, rel=1e-14)
+
+    def test_bits_match_the_pinned_digest(self):
+        h = hashlib.sha256()
+        for c in KERNEL_CS:
+            for ts in KERNEL_TS:
+                n = len(ts)
+                units = np.eye(n * n).reshape(n * n, n, n)
+                h.update(np.sum(units * est.damped_kernel(np.array(ts), c), axis=(1, 2)).tobytes())
+        assert h.hexdigest() == KERNEL_DIGEST
 
     @pytest.mark.parametrize("c", [0.1, 1.0, 10.0, 100.0, -0.1])
     def test_damped_weights_stay_below_the_brownian_covariance(self, c):
         """For c >= 0, min(t_j, t_k) - K^d is positive semidefinite: the damped
-        energy never exceeds the usual one, whatever the slot vectors.  The
-        weights K^d are read off by feeding unit Gram matrices.  At c < 0 it
-        fails, which is where the pathwise check has power."""
+        energy never exceeds the usual one, whatever the slot vectors.  At
+        c < 0 it fails, which is where the pathwise check has power."""
         rng = np.random.default_rng(8)
         worst = math.inf
         for _ in range(200):
             n = int(rng.integers(1, 13))
             ts = np.sort(rng.uniform(0.0, 10.0 ** rng.uniform(-1.0, 1.0), n))
-            units = np.eye(n * n).reshape(n * n, n, n)
-            kd = est.damped_energy_pairwise(ts, units, c).reshape(n, n)
+            kd = est.damped_kernel(ts, c)
             ku = np.minimum.outer(ts, ts)
             worst = min(worst, np.linalg.eigvalsh(ku - kd)[0] / np.linalg.eigvalsh(ku)[-1])
         if c > 0:
@@ -569,10 +641,8 @@ class TestVerifyLsi:
         Rayleigh quotient is below 1, as it is for <b, x_T> on H^2.
         """
         if not damped:
-            pairwise = est.damped_energy_pairwise
-            monkeypatch.setattr(
-                est, "damped_energy_pairwise", lambda ts, gram, c: pairwise(ts, gram, 0.0)
-            )
+            kernel = est.damped_kernel
+            monkeypatch.setattr(est, "damped_kernel", lambda ts, c: kernel(ts, 0.0))
         m = pg.hyperbolic(2, -1.0)
         F = est.truncated_exponential_functional(np.array([0.0, 0.05, 0.0]), 0.5, cap=50)
         rep = est.verify_lsi(m, F, 0.5, 128, 20_000, 7)

@@ -15,12 +15,13 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import pathgap as pg
 from pathgap import estimators as est
 from pathgap.cli import main
+
+from conftest import golden_synthetic_ricci
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -103,14 +104,7 @@ def theorem1_synthetic() -> str:
     This is the only case that runs the RK4 propagator sweep to the slot
     rows and the trapezoid damped energy; no CLI command reaches either.
     """
-
-    def ric(t):
-        return np.array(
-            [[0.5 + 0.3 * np.sin(2 * t), 0.2 * np.cos(3 * t)],
-             [-0.2 * np.cos(3 * t), 0.6 - 0.2 * np.sin(t)]]
-        )
-
-    m = pg.synthetic_ricci_path(2, ric)
+    m = pg.synthetic_ricci_path(2, golden_synthetic_ricci)
     family = est.random_two_point_family(m, 1.0, 3, seed=5)
     rep = est.verify_theorem1(m, pg.CurvatureBounds(1.0, 0.4), family, 1.0, 24, 8, seed=5)
     return repr(rep) + "\n"
