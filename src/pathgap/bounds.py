@@ -304,9 +304,7 @@ def bound_report(T: float, cb: CurvatureBounds) -> BoundReport:
     k1, k2 = cb.k1, cb.k2
     lam0, lamT = _profile(0.0, T, k1, k2), _profile(T, T, k1, k2)
     t_star = _argmax(T, k1, k2)
-    # t* = T whenever k2 <= 0 or k1 = 0; below the switch psi is the endpoint
-    sup_val = lamT if t_star == T else _profile(t_star, T, k1, k2)
-    psi_val = lamT if abs(k2) * T < K2_SWITCH else _psi(T, k1, k2)
+    sup_val, psi_val = _profile(t_star, T, k1, k2), _psi(T, k1, k2)
     report = BoundReport(T, k1, k2, lam0, lamT, t_star, sup_val, psi_val, 1 / sup_val, 1 / psi_val)
     # An inf, or the nan of inf - inf, means k1 * T or k2 * T overflowed.
     if not all(map(math.isfinite, (lam0, lamT, sup_val))):

@@ -55,7 +55,9 @@ SIMULATE_COLUMNS = (
 )
 
 DEFAULT_SEED = 20240
-THREADS_HELP = "worker threads over chunks of paths (the output does not depend on it)"
+# --threads is still parsed, so that existing command lines and written configs
+# run; every run takes its chunks of paths in turn on the calling thread.
+THREADS_HELP = "has no effect (paths run on one thread); must be at least 1"
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -147,9 +149,7 @@ def cmd_bounds(args) -> int:
 def _simulate_rows(m, args):
     base = (args.T, m.kind, m.dim, m.kappa, args.paths, args.steps, args.seed)
     if args.mode == "chi":
-        rep = est.estimate_chi(
-            m, np.eye(m.dim)[0], args.T, args.steps, args.paths, args.seed, threads=args.threads
-        )
+        rep = est.estimate_chi(m, np.eye(m.dim)[0], args.T, args.steps, args.paths, args.seed)
         base = base[:4] + (rep.n_paths,) + base[5:]
         rows = [
             base + ("chi", rep.chi.mean, rep.chi.stderr),
@@ -161,8 +161,7 @@ def _simulate_rows(m, args):
     if args.mode == "theorem1":
         family = est.random_two_point_family(m, args.T, args.functionals, args.seed)
         rep = est.verify_theorem1(
-            m, m.curvature_window, family, args.T, args.steps, args.paths, args.seed,
-            threads=args.threads,
+            m, m.curvature_window, family, args.T, args.steps, args.paths, args.seed
         )
         rows = [
             base + ("max_violation", rep.max_violation, 0.0),
@@ -177,7 +176,7 @@ def _simulate_rows(m, args):
             F = est.truncated_exponential_functional(b, args.T, cap=1.5)
         else:
             F = est.exponential_functional(m, b, args.T)
-        rep = est.verify_lsi(m, F, args.T, args.steps, args.paths, args.seed, threads=args.threads)
+        rep = est.verify_lsi(m, F, args.T, args.steps, args.paths, args.seed)
         rows = [
             base + ("entropy", rep.entropy, 0.0),
             base + ("dirichlet_twice", rep.dirichlet_twice, 0.0),
@@ -188,7 +187,7 @@ def _simulate_rows(m, args):
 
 
 def cmd_simulate(args) -> int:
-    _require_positive(args, "paths", "steps", "functionals")
+    _require_positive(args, "paths", "steps", "functionals", "threads")
     m = _manifold(args.manifold, args.dim, args.kappa)
     rows, status = _simulate_rows(m, args)
     _emit(SIMULATE_COLUMNS, rows, args.format)
@@ -196,11 +195,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    _require_positive(args, "paths")
+    _require_positive(args, "paths", "threads")
     m = _manifold(args.manifold, args.dim, args.kappa)
-    rep = est.small_time_slope(
-        m, np.eye(m.dim)[0], args.T_ladder, args.paths, args.seed, threads=args.threads
-    )
+    rep = est.small_time_slope(m, np.eye(m.dim)[0], args.T_ladder, args.paths, args.seed)
 
     def head(p):
         return (p.T, m.kind, m.dim, m.kappa, p.n_paths, p.n_steps, args.seed)

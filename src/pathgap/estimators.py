@@ -3,7 +3,7 @@
 Everything is deterministic in (seed, configuration): paths are seeded
 counter-style, per-path statistics are written into preallocated arrays at
 fixed offsets, and reductions happen once over the full arrays, so the
-results do not depend on chunking or on the number of worker threads.
+results do not depend on chunking.
 
 The chi estimators compute nothing twice.  A mirrored path ``-increments``
 has the same gradient field as its draw, so each pair is computed once.
@@ -14,7 +14,6 @@ rung, and the shorter rungs use a prefix of them.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -78,9 +77,8 @@ class ChiReport:
 def default_steps(T: float) -> int:
     """Step-count rule keeping order-1 walk bias below the O(T) signal.
 
-    At most 2**14 steps (T <= 1.6384): each worker thread of the chi ladder
-    then holds a 101 MB workspace of normals, prefix sums and per-cell rows
-    at d = 3.
+    At most 2**14 steps (T <= 1.6384): the chi ladder's workspace of
+    normals, prefix sums and per-cell rows is then 101 MB at d = 3.
     """
     n = _require_horizon(T) / 1e-4
     if n > 2**14:
@@ -94,50 +92,21 @@ def _chunk_ranges(n: int, chunk: int):
     The width is at most ``chunk`` and is rounded up to whole blocks of
     ``BLOCK`` paths, so 10,000 paths in chunks of at most 4,096 run as
     3,392 + 3,392 + 3,216 rather than 4,096 + 4,096 + 1,808, and the
-    widest buffer shrinks.  A ``chunk`` below one block is used as given.
+    widest buffer shrinks.  A ``chunk`` below one block comes out as given.
     """
-    width = chunk
-    if chunk >= BLOCK:
-        count = -(-n // chunk)
-        width = min(chunk, BLOCK * -(-n // (count * BLOCK)))
+    count = -(-n // chunk)
+    width = min(chunk, BLOCK * -(-n // (count * BLOCK)))
     return [(s, min(s + width, n)) for s in range(0, n, width)]
 
 
-def _map_chunks(run_chunk, ranges, threads: int) -> None:
-    """Call ``run_chunk(lo_hi)`` for each range, on ``threads`` worker threads.
-
-    Each chunk writes its results into preallocated slots, so the order in
-    which chunks finish changes nothing.  A worker's error is raised here.
-    """
-    if threads < 1:
-        raise ValueError(f"need at least 1 worker thread, got {threads}")
-    if threads == 1:
-        for r in ranges:
-            run_chunk(r)
-        return
-    # numpy keeps its error state per context, so a worker starts from the
-    # default state; each chunk runs under the caller's instead
-    err = np.geterr()
-
-    def run_chunk_in_caller_state(lo_hi):
-        with np.errstate(**err):
-            run_chunk(lo_hi)
-
-    # imported here: a one-thread run needs neither the pool nor the logging it loads
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run_chunk_in_caller_state, ranges))
-
-
-# Draws per chunk of the chi estimators, one normal block: a worker's _ChiWork
+# Draws per chunk of the chi estimators, one normal block: the ladder's _ChiWork
 # is then 2.5 MB at d = 3 and the 400 steps of the README ladder (101 MB at
 # 2**14 steps).  The result does not depend on it.
 _CHI_CHUNK = 64
 
 
 class _ChiWork:
-    """One worker thread's buffers for the chi ladder, sized for its widest chunk.
+    """The chi ladder's buffers, sized for its widest chunk.
 
     ``carve(p)`` points the attributes at C-contiguous views, from the front
     of one allocation, for a chunk of p draws over n steps: the prefix sums
@@ -146,7 +115,7 @@ class _ChiWork:
     normals buffer.  The prefix sums use ``rows[0]``, which the normals do
     not overlap; the martingale and the rung energy use all four, the last
     three over the normals, which are dead by then.  Every chunk writes into
-    the same memory, so it is allocated and faulted in once per worker.
+    the same memory, so it is allocated and faulted in once per call.
     """
 
     def __init__(self, dim: int, n: int, width: int):
@@ -173,7 +142,6 @@ def estimate_chi(
     n_steps: int,
     n_paths: int,
     seed: int,
-    threads: int = 1,
 ) -> ChiReport:
     """Monte-Carlo Rayleigh quotient chi_T for F = <a, w_T>, |a| = 1.
 
@@ -190,9 +158,9 @@ def estimate_chi(
     same field while F changes sign; a pair is computed once, and an odd
     ``n_paths`` is rounded up to the next pair.  ``var_F``, the pair mean of
     F^2, checks the normals against Var F = T.  The result does not depend
-    on the chunking or on ``threads``.
+    on the chunking.
     """
-    return _chi_ladder(m, a, [(T, n_steps)], n_paths, seed, threads)[0][0]
+    return _chi_ladder(m, a, [(T, n_steps)], n_paths, seed)[0][0]
 
 
 def _prefix_sums(increments: np.ndarray, a: np.ndarray, work: _ChiWork):
@@ -251,7 +219,6 @@ def _chi_ladder(
     rungs: Sequence[tuple[float, int]],
     n_paths: int,
     seed: int,
-    threads: int,
 ) -> tuple[list[ChiReport], np.ndarray]:
     """``estimate_chi`` for each (T, n_steps) rung, sharing every path's draw.
 
@@ -259,12 +226,14 @@ def _chi_ladder(
     uses the first n rows, exactly the normals its own grid would draw for
     path k.  One set of prefix sums of z per chunk serves every rung: with
     increments sqrt(dt) z, dt = T/n, the martingale part is -kappa dt M and
-    F = sqrt(dt) <a, w_n>.  Each worker thread draws and sums its chunks in
-    one :class:`_ChiWork`.  Also returns the numerators, (rungs, draws).
+    F = sqrt(dt) <a, w_n>.  Every chunk is drawn and summed in one
+    :class:`_ChiWork`.  Also returns the numerators, (rungs, draws).
     """
     if m.kind == SYNTHETIC:
         raise ValueError("chi estimation needs a curvature tensor")
     a = np.asarray(a, dtype=float)
+    if a.shape != (m.dim,):
+        raise ValueError(f"direction a must have shape ({m.dim},), got {a.shape}")
     if abs(np.linalg.norm(a) - 1.0) > 1e-9:
         raise ValueError("direction a must be a unit vector")
     n_paths += n_paths % 2
@@ -285,13 +254,9 @@ def _chi_ladder(
     x_r = np.empty((len(grids), n_draws))  # integral |det|^2 + integral |mart|^2 per draw
     f_r = np.empty((len(grids), n_draws))  # F per draw
     ranges = _chunk_ranges(n_draws, _CHI_CHUNK)
-    local = threading.local()  # each worker thread's _ChiWork, made by its first chunk
-
-    def run_chunk(lo_hi):
-        lo, hi = lo_hi
-        if not hasattr(local, "work"):
-            local.work = _ChiWork(m.dim, n_max, ranges[0][1])
-        work = local.work.carve(hi - lo)
+    work = _ChiWork(m.dim, n_max, ranges[0][1])
+    for lo, hi in ranges:
+        work.carve(hi - lo)
         batch_increments(normals_grid, m.dim, seed, range(lo, hi), out=work.inc)
         sums = _prefix_sums(work.inc, a, work)
         for r, grid in enumerate(grids):
@@ -308,8 +273,6 @@ def _chi_ladder(
             # a running sum adds each draw's cells in order, however wide the chunk
             np.cumsum(energy, axis=0, out=energy)
             x_r[r, lo:hi] = det_energy[r] + m.kappa**2 * dt**3 * energy[-1]
-
-    _map_chunks(run_chunk, ranges, threads)
 
     reports = []
     for r, grid in enumerate(grids):
@@ -389,7 +352,6 @@ def verify_theorem1(
     n_steps: int,
     n_paths: int,
     seed: int,
-    threads: int = 1,
 ) -> TheoremOneReport:
     """Per-path check that the damped-gradient energy never exceeds the
     Lambda-weighted usual-gradient energy.
@@ -400,7 +362,7 @@ def verify_theorem1(
     trapezoid for the damped side.  Neither side's weights depend on the
     path: they are built once, and each chunk of paths evaluates each
     functional once and contracts.  The report does not depend on the
-    chunking or on ``threads``.
+    chunking.
 
     Only a synthetic path is checked against ``declared`` (``DataError``
     before any path is drawn): its window is a contract on supplied data.
@@ -454,13 +416,11 @@ def verify_theorem1(
                 lhs = np.einsum("pja,jlab,plb->p", slots, kd, slots)
             yield (lhs - rhs) / np.maximum(np.abs(rhs), 1e-300), lhs, rhs
 
-    def run_chunk(lo_hi):
-        lo, hi = lo_hi
+    for lo, hi in _chunk_ranges(n_paths, _THEOREM1_CHUNK):
         for violation, _, _ in sides(lo, hi):
             np.maximum(worst[lo:hi], violation, out=worst[lo:hi])
             n_ok[lo:hi] += violation <= THEOREM1_SLACK
 
-    _map_chunks(run_chunk, _chunk_ranges(n_paths, _THEOREM1_CHUNK), threads)
     k = int(np.argmax(worst))
     replay = [(float(v[0]), float(lhs[0]), float(rhs[0])) for v, lhs, rhs in sides(k, k + 1)]
     j = int(np.argmax([v for v, _, _ in replay]))
@@ -529,14 +489,12 @@ def verify_lsi(
     n_steps: int,
     n_paths: int,
     seed: int,
-    threads: int = 1,
 ) -> LsiReport:
     """Estimate E(F^2 log(F^2/||F||^2)) and 2 E integral |D~F|^2 and compare.
 
     Monte Carlo cannot certify an inequality between expectations; the check
     only flags a failure when the gap is negative beyond four combined
-    standard errors.  The report does not depend on the chunking or on
-    ``threads``.
+    standard errors.  The report does not depend on the chunking.
     """
     if m.kind == SYNTHETIC:
         raise ValueError("the entropy check needs a curvature tensor")
@@ -551,8 +509,8 @@ def verify_lsi(
     b_p = np.empty(n_paths)  # F^2
     r_p = np.empty(n_paths)  # 2 * integral |D~F|^2
 
-    def run_chunk(lo_hi):
-        lo, hi = lo_hi
+    # a function, so that a chunk's arrays are freed before the next chunk draws
+    def run_chunk(lo, hi):
         inc = batch_increments(grid, m.dim, seed, range(lo, hi))
         pos, frames = simulate_increments(m, grid, inc, record=eval_idx)
         val = _batch_output(F.value(pos), (hi - lo,), "value", "one number per path", lo)
@@ -562,7 +520,8 @@ def verify_lsi(
         b_p[lo:hi] = f2
         r_p[lo:hi] = 2.0 * np.sum(slots @ slots.transpose(0, 2, 1) * k_damped, axis=(1, 2))
 
-    _map_chunks(run_chunk, _chunk_ranges(n_paths, _LSI_CHUNK), threads)
+    for lo, hi in _chunk_ranges(n_paths, _LSI_CHUNK):
+        run_chunk(lo, hi)
     a_bar, b_bar, r_bar = float(np.mean(a_p)), float(np.mean(b_p)), float(np.mean(r_p))
     entropy = a_bar - b_bar * math.log(b_bar)
     gap = r_bar - entropy
@@ -600,7 +559,6 @@ def small_time_slope(
     T_list: Sequence[float],
     n_paths: int,
     seed: int,
-    threads: int = 1,
 ) -> SlopeReport:
     """Fit the first-order coefficient of chi_T - 1 over a horizon ladder.
 
@@ -616,9 +574,7 @@ def small_time_slope(
     T_list = list(T_list)
     if len(T_list) < 4:
         raise ValueError("need at least 4 horizons for the slope fit")
-    points, x = _chi_ladder(
-        m, a, [(T, default_steps(T)) for T in T_list], n_paths, seed, threads
-    )
+    points, x = _chi_ladder(m, a, [(T, default_steps(T)) for T in T_list], n_paths, seed)
     ts = np.array([p.T for p in points])
     coef = ts**-3 / np.sum(ts**-2)
     slope = _mean_ci(coef @ (x / ts[:, None] - 1.0), seed)

@@ -191,6 +191,7 @@ class TestSimulateCommand:
             ["--mode", "lsi", "--paths", "1"],
             ["--T", "0"],
             ["--threads", "0"],
+            ["--threads", "-1"],
         ],
         ids=lambda extra: " ".join(extra),
     )
@@ -292,8 +293,8 @@ class TestAsymptoticsCommand:
         prediction follows the --kappa given."""
         fit = est.small_time_slope
 
-        def on_unit_sphere(m, a, T_list, n_paths, seed, threads=1):
-            rep = fit(sphere(3, 1.0), a, T_list, n_paths, seed, threads)
+        def on_unit_sphere(m, a, T_list, n_paths, seed):
+            rep = fit(sphere(3, 1.0), a, T_list, n_paths, seed)
             return dataclasses.replace(rep, predicted_slope=0.5 * m.ricci_scalar)
 
         monkeypatch.setattr(est, "small_time_slope", on_unit_sphere)
@@ -695,22 +696,26 @@ class TestConsoleEntryPoint:
             ["simulate", "--manifold", "sphere", "--dim", "2", "--T", "0.5", "--steps", "16",
              "--paths", "50", "--mode", "chi"],
             ["asymptotics", "--manifold", "sphere", "--dim", "3", "--paths", "300"],
+            ["simulate", "--manifold", "sphere", "--dim", "2", "--T", "0.5", "--steps", "16",
+             "--paths", "50", "--mode", "lsi", "--threads", "2"],
         ],
-        ids=["simulate", "asymptotics"],
+        ids=["simulate", "asymptotics", "simulate-threads-2"],
     )
     def test_one_thread_run_leaves_the_pool_and_configparser_unimported(self, argv):
-        """concurrent.futures (with the logging it loads) serves only --threads > 1,
-        and configparser only a config file read or written."""
+        """Every run stays on the calling thread, --threads 2 too, and loads no
+        thread pool; configparser serves only a config file read or written."""
         code = (
-            "import contextlib, io, sys\n"
+            "import contextlib, io, sys, threading\n"
+            "started, start = [], threading.Thread.start\n"
+            "threading.Thread.start = lambda t: (started.append(t), start(t))[1]\n"
             "from pathgap.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = main({argv!r})\n"
             "loaded = [m for m in ('concurrent.futures', 'configparser') if m in sys.modules]\n"
-            "print(code, loaded)\n"
+            "print(code, loaded, len(started), threading.active_count())\n"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert out.stdout == "0 []\n", out.stderr
+        assert out.stdout == "0 [] 0 1\n", out.stderr
 
     @pytest.mark.parametrize(
         "flags, named",
@@ -723,7 +728,7 @@ class TestConsoleEntryPoint:
                 # a sphere step angle whose sine and cosine are roundoff
                 (["--manifold", "sphere", "--dim", "2", "--kappa", "1e300", "--T", "0.5",
                   "--mode", "theorem1"], ["sphere", "step 1", "kappa = 1e+300", "step length"]),
-                # the chi field overflows inside a worker thread
+                # the chi field overflows (--threads 2 changes nothing)
                 (["--manifold", "sphere", "--dim", "3", "--kappa", "1e308", "--T", "0.5",
                   "--mode", "chi", "--threads", "2"], ["float range"]),
             ]

@@ -2,9 +2,7 @@
 
 import hashlib
 import math
-import sys
 import tracemalloc
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -82,13 +80,6 @@ class TestEstimateChi:
         r2 = est.estimate_chi(m, np.array([1.0, 0.0]), 0.05, 64, 2000, 19)
         assert r1 == r2
 
-    def test_threads_do_not_change_results(self, monkeypatch):
-        m = pg.sphere(2, 1.0)
-        monkeypatch.setattr(est, "_CHI_CHUNK", 512)
-        r1 = est.estimate_chi(m, np.array([1.0, 0.0]), 0.05, 64, 4000, 19, threads=1)
-        r2 = est.estimate_chi(m, np.array([1.0, 0.0]), 0.05, 64, 4000, 19, threads=4)
-        assert r1 == r2
-
     def test_chunking_does_not_change_results(self, monkeypatch):
         m = pg.sphere(3, 1.0)
         a = np.array([0.0, 1.0, 0.0])
@@ -110,6 +101,17 @@ class TestEstimateChi:
     def test_unit_vector_required(self):
         with pytest.raises(ValueError):
             est.estimate_chi(pg.euclidean(2), np.array([1.0, 1.0]), 0.1, 32, 100, 3)
+
+    @pytest.mark.parametrize("a", [[1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [[1.0, 0.0, 0.0]]])
+    def test_direction_of_the_wrong_shape_rejected_before_any_draw(self, monkeypatch, a):
+        """A unit direction of another shape than (dim,) is refused, not
+        truncated to the first components or broadcast."""
+        monkeypatch.setattr(est, "batch_increments", refuse_draws)
+        m = pg.sphere(3, 1.0)
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            est.estimate_chi(m, np.array(a), 0.02, 64, 2000, 7)
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            est.small_time_slope(m, np.array(a), [0.005, 0.01, 0.02, 0.04], 2000, 7)
 
 
 def _linear_field_by_suffix_sums(increments, times, a, kappa, ric_scalar):
@@ -142,7 +144,7 @@ class TestChiLadder:
         a[0], a[-1] = 0.8, 0.6
         rungs = [(0.005, 64), (0.01, 100)]
         seed, n_draws = 23, 150
-        reports, x = est._chi_ladder(m, a, rungs, 2 * n_draws, seed, 1)
+        reports, x = est._chi_ladder(m, a, rungs, 2 * n_draws, seed)
         z = batch_increments(TimeGrid.with_times(100, 100, ()), m.dim, seed, range(n_draws))
         work = est._ChiWork(m.dim, 100, n_draws).carve(n_draws)
         sums = est._prefix_sums(z, a, work)
@@ -174,7 +176,7 @@ class TestChiLadder:
         monkeypatch.setattr(est, "_martingale", refuse)
         rungs = [(0.005, 64), (0.01, 100)]
         a = np.array([0.0, 0.6, 0.8])
-        reports, x = est._chi_ladder(pg.euclidean(3), a, rungs, 300, 5, 1)
+        reports, x = est._chi_ladder(pg.euclidean(3), a, rungs, 300, 5)
         for report, x_rung, (T, _) in zip(reports, x, rungs):
             assert np.all(x_rung == x_rung[0]) and x_rung[0] == pytest.approx(T, rel=1e-14)
             assert report.dirichlet.stderr == 0.0 and report.chi.stderr == 0.0
@@ -182,7 +184,7 @@ class TestChiLadder:
     def test_one_draw_chunks_change_nothing(self, monkeypatch):
         """A chunk of one draw sums its cells in the same order as a wide one.
         At T ~ 1 the martingale energy is a visible share of each numerator."""
-        args = (pg.sphere(3, 2.0), np.array([0.0, 1.0, 0.0]), [(0.5, 64), (1.0, 100)], 42, 29, 1)
+        args = (pg.sphere(3, 2.0), np.array([0.0, 1.0, 0.0]), [(0.5, 64), (1.0, 100)], 42, 29)
         monkeypatch.setattr(est, "_CHI_CHUNK", 1)
         one = est._chi_ladder(*args)
         monkeypatch.setattr(est, "_CHI_CHUNK", 64)
@@ -207,8 +209,8 @@ class TestChiLadder:
         assert len(calls) == 6
 
     def test_every_chunk_draws_into_one_buffer(self, monkeypatch):
-        """On one thread the call's workspace is allocated once: every chunk,
-        the narrower last one too, draws its normals into the same memory."""
+        """The call's workspace is allocated once: every chunk, the narrower
+        last one too, draws its normals into the same memory."""
         outs = []  # kept alive, so no two allocations can share an id
         draw = est.batch_increments
 
@@ -219,22 +221,12 @@ class TestChiLadder:
         monkeypatch.setattr(est, "batch_increments", recorded)
         n_draws = 5 * est._CHI_CHUNK + 3
         est._chi_ladder(pg.sphere(2, 1.0), np.array([1.0, 0.0]), [(0.01, 16), (0.02, 32)],
-                        2 * n_draws, 3, 1)
+                        2 * n_draws, 3)
         assert len(outs) == 6
         assert len({id(out.base) for out in outs}) == 1
 
-    def test_threads_keep_their_own_workspace(self, monkeypatch):
-        """Four threads on 8-draw chunks, switching every microsecond, give the
-        one-thread numerators bit for bit: no worker writes into another's buffers."""
-        args = (pg.sphere(3, 2.0), np.array([0.0, 0.6, 0.8]), [(0.5, 64), (1.0, 100)], 406, 29)
-        monkeypatch.setattr(est, "_CHI_CHUNK", 8)
-        one = est._chi_ladder(*args, 1)
-        with frequent_thread_switches():
-            four = est._chi_ladder(*args, 4)
-        assert np.array_equal(one[1], four[1]) and one[0] == four[0]
-
     def test_traced_peak_at_benchmark_size(self):
-        """S^3, ladder 0.005-0.04 (400 steps at most), 8192 paths, one thread."""
+        """S^3, ladder 0.005-0.04 (400 steps at most), 8192 paths."""
         m = pg.sphere(3, 1.0)
         tracemalloc.start()
         try:
@@ -276,7 +268,7 @@ class TestChiOracle:
     def test_rung_means_match_the_closed_form(self, m, rungs):
         a = np.zeros(m.dim)
         a[0] = 1.0
-        _, x = est._chi_ladder(m, a, rungs, 2000, 3, 1)
+        _, x = est._chi_ladder(m, a, rungs, 2000, 3)
         for x_rung, (T, n) in zip(x, rungs):
             stderr = np.std(x_rung, ddof=1) / math.sqrt(x_rung.size)
             assert abs(np.mean(x_rung) - expected_numerator(m, T, n)) <= 4.0 * stderr
@@ -441,23 +433,6 @@ class TestVerifyTheorem1:
         family = est.random_two_point_family(m, 1.0, 2, seed=3)
         with pytest.raises(ValueError, match="at least 1 path"):
             est.verify_theorem1(m, m.curvature_window, family, 1.0, 16, 0, 1)
-
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_no_threads_rejected_before_any_draw(self, monkeypatch, threads):
-        monkeypatch.setattr(est, "batch_increments", refuse_draws)
-        m = pg.sphere(2, 1.0)
-        a = np.array([1.0, 0.0])
-        family = est.random_two_point_family(m, 1.0, 2, seed=3)
-        F = est.exponential_functional(m, np.array([0.0, 0.6, 0.8]), 0.5)
-        runs = [
-            lambda: est.estimate_chi(m, a, 0.1, 8, 10, 1, threads=threads),
-            lambda: est.small_time_slope(m, a, [0.01, 0.02, 0.03, 0.04], 10, 1, threads),
-            lambda: est.verify_theorem1(m, m.curvature_window, family, 1.0, 16, 5, 1, threads),
-            lambda: est.verify_lsi(m, F, 0.5, 16, 5, 1, threads=threads),
-        ]
-        for run in runs:
-            with pytest.raises(ValueError, match="at least 1 worker thread"):
-                run()
 
     def test_no_functionals_rejected_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(est, "batch_increments", refuse_draws)
@@ -677,17 +652,6 @@ def factory_functionals(m):
     }
 
 
-@contextmanager
-def frequent_thread_switches():
-    """Switch threads every microsecond, so chunks interleave as much as they can."""
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(old)
-
-
 class TestBatchedContract:
     @pytest.mark.parametrize("kind", sorted(GEOMETRIES))
     def test_batched_rows_equal_single_path_calls(self, kind):
@@ -718,9 +682,7 @@ class TestBatchedContract:
         wide = est.verify_theorem1(m, cb, family, 1.0, 32, 30, 5)
         monkeypatch.setattr(est, "_THEOREM1_CHUNK", 7)
         narrow = est.verify_theorem1(m, cb, family, 1.0, 32, 30, 5)
-        with frequent_thread_switches():
-            threaded = est.verify_theorem1(m, cb, family, 1.0, 32, 30, 5, threads=4)
-        assert narrow == wide == threaded
+        assert narrow == wide
 
     def test_lsi_report_does_not_depend_on_chunk(self, monkeypatch):
         m = GEOMETRIES["sphere"]
@@ -729,9 +691,7 @@ class TestBatchedContract:
         wide = est.verify_lsi(m, F, 0.5, 32, 40, 37)
         monkeypatch.setattr(est, "_LSI_CHUNK", 7)
         narrow = est.verify_lsi(m, F, 0.5, 32, 40, 37)
-        with frequent_thread_switches():
-            threaded = est.verify_lsi(m, F, 0.5, 32, 40, 37, threads=4)
-        assert narrow == wide == threaded
+        assert narrow == wide
 
     @pytest.mark.parametrize(
         "n, chunk",
@@ -781,7 +741,7 @@ class TestBatchedContract:
     @staticmethod
     def _poisoned(fn):
         """``fn`` with NaN in the rows of paths 700, 707, ...: the rows are
-        numbered across calls, in the order one worker thread makes them."""
+        numbered across calls, in the order the chunks run."""
         seen = [0]
 
         def poisoned(pos):
