@@ -376,6 +376,8 @@ def main(argv=None) -> int:
             return _COMMANDS[args.command](args)
     except (OverflowError, FloatingPointError) as exc:
         print(f"error: the arithmetic leaves the float range ({exc})", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: the run does not fit in memory ({exc})", file=sys.stderr)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return USAGE_ERROR

@@ -360,9 +360,9 @@ def verify_theorem1(
     sides (the inequality has equality cases, so quadrature skew would
     produce spurious violations); synthetic Ricci paths use a per-cell
     trapezoid for the damped side.  Neither side's weights depend on the
-    path: they are built once, and each chunk of paths evaluates each
-    functional once and contracts.  The report does not depend on the
-    chunking.
+    path: each functional's pair is built once from its own slot times, and
+    each chunk of paths evaluates each functional once and contracts.  The
+    report does not depend on the chunking.
 
     Only a synthetic path is checked against ``declared`` (``DataError``
     before any path is drawn): its window is a contract on supplied data.
@@ -382,21 +382,18 @@ def verify_theorem1(
         raise ValueError(f"the pathwise check needs at least 1 path, got {n_paths}")
     if len(F_family) == 0:
         raise ValueError("the pathwise check needs at least 1 functional")
-    eval_times = sorted({t for F in F_family for t in F.eval_times})
+    eval_times = np.array(sorted({t for F in F_family for t in F.eval_times}), dtype=float)
     grid = TimeGrid.with_times(T, n_steps, eval_times)
     rec_idx = np.array([grid.index_of(t) for t in eval_times], dtype=np.int64)
-    rec_pos = {t: i for i, t in enumerate(eval_times)}
-    # both kernels over the run's distinct slot times, before any path: K^d, (N, N, d, d)
-    # on a synthetic path, and L(min(t_j, t_k)); each functional takes its block
-    ts = grid.times[rec_idx]
+    # per functional, before any path: K^d (a block of one sweep on a synthetic path), K^L
     if m.kind == SYNTHETIC:
-        k_damped = _damped_weights(grid, rec_idx, resolvent_on_grid(grid, m, declared).steps)
-    else:
-        k_damped = damped_kernel(ts, m.ricci_scalar)
-    r = np.arange(ts.size)
-    k_lambda = lambda_integral(ts, T, declared)[np.minimum.outer(r, r)]
-    sels = [np.array([rec_pos[t] for t in F.eval_times], dtype=np.int64) for F in F_family]
-    per_F = [(F, s, k_damped[np.ix_(s, s)], k_lambda[np.ix_(s, s)]) for F, s in zip(F_family, sels)]
+        sweep = _damped_weights(grid, rec_idx, resolvent_on_grid(grid, m, declared).steps)
+    per_F = []
+    for F in F_family:
+        sel = np.searchsorted(eval_times, F.eval_times)
+        ts = eval_times[sel]
+        kd = sweep[np.ix_(sel, sel)] if m.kind == SYNTHETIC else damped_kernel(ts, m.ricci_scalar)
+        per_F.append((F, sel, kd, lambda_integral(np.minimum.outer(ts, ts), T, declared)))
     g = m.metric_diag()
 
     worst = np.full(n_paths, -np.inf)  # per path: largest violation

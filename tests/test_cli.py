@@ -545,6 +545,7 @@ UNWRITABLE = os.path.join(os.devnull, "x.cfg")
 
 SIM = ["simulate", "--steps", "8", "--paths", "9", "--seed", "1"]
 ASYM = ["asymptotics", "--manifold", "sphere", "--paths", "9", "--seed", "1"]
+HUGE = "100000000000000"
 USAGE_ERRORS = [
     SIM + ["--manifold", "sphere", "--kappa", "1e300", "--T", "0.5", "--mode", "theorem1"],
     SIM + ["--manifold", "hyperbolic", "--kappa", "-50", "--T", "5", "--mode", "lsi"],
@@ -554,6 +555,12 @@ USAGE_ERRORS = [
     SIM + ["--manifold", "sphere", "--kappa", "inf", "--T", "0.5", "--mode", "chi"],
     SIM + ["--manifold", "sphere", "--T", "1e300", "--mode", "lsi"],
     ["bounds", "--k1", "1", "--k2", "1", "--T", "1", "--write-config", UNWRITABLE],
+    # counts past the 128 TB address space: numpy refuses them before touching memory
+    *(SIM + ["--manifold", "sphere", "--T", "0.5", "--mode", mode, "--paths", HUGE]
+      for mode in ("theorem1", "lsi", "chi")),
+    ASYM + ["--paths", HUGE],
+    SIM + ["--manifold", "sphere", "--T", "0.5", "--steps", HUGE, "--mode", "lsi"],
+    ["bounds", "--k1", "1", "--k2", "1", "--T", "1", "--profile", HUGE],
 ]
 
 FLOATS = [

@@ -463,6 +463,37 @@ class TestVerifyTheorem1:
         assert rep.satisfied_fraction == 1.0
         assert peak <= 12e6
 
+    def test_traced_peak_is_linear_in_the_family(self):
+        """S^2, 500 functionals, 8 steps, 64 paths: each functional's kernels come
+        from its own slot times.  (1,000, 1,000) kernels over every slot time of
+        the run peaked at 30.6 MB; the per-functional ones peak at 5.9 MB."""
+        m = pg.sphere(2, 1.0)
+        family = est.random_two_point_family(m, 1.0, 500, seed=3)
+        tracemalloc.start()
+        try:
+            rep = est.verify_theorem1(m, m.curvature_window, family, 1.0, 8, 64, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.satisfied_fraction == 1.0
+        assert peak <= 12e6
+
+    def test_synthetic_path_is_swept_once(self, monkeypatch):
+        """Every functional cuts its block from one trapezoid sweep over all slots."""
+        sweeps = []
+        sweep = est._damped_weights
+
+        def counted(*args):
+            sweeps.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(est, "_damped_weights", counted)
+        m, cb = smooth_ricci(2, seed=43)
+        family = est.random_two_point_family(m, 1.0, 5, seed=3)
+        rep = est.verify_theorem1(m, cb, family, 1.0, 64, 20, 17)
+        assert rep.satisfied_fraction == 1.0
+        assert len(sweeps) == 1
+
     @pytest.mark.parametrize("d,seed", [(2, 43), (3, 19)])
     def test_damped_energy_weights_match_per_path_trapezoid(self, d, seed):
         """The weight form of the trapezoid damped energy equals the per-path sum.
@@ -850,3 +881,26 @@ class TestCiCalibration:
             stderrs = np.array([e.stderr for e in estimates])
             ratio = np.std(means, ddof=1) / math.sqrt(np.mean(stderrs**2))
             assert 0.85 <= ratio <= 1.18
+
+    @pytest.mark.parametrize("case", ["flat_exponential", "flat_truncated", "sphere_exponential"])
+    def test_lsi_gap_stderr_matches_the_spread_across_seeds(self, case):
+        """Across 200 seeds (300 paths, 16 steps, T = 0.5), the SD of the entropy
+        gap over the RMS of its delta-method stderr lies in [0.8, 1.25].  On flat
+        space exp(<b, w_T>) is the equality case of the inequality, so its gap
+        has mean zero and no seed may read as violated."""
+        T, b = 0.5, np.array([0.8, -0.6])
+        flat, sphere = pg.euclidean(2), pg.sphere(2, 1.0)
+        m, F = {
+            "flat_exponential": (flat, est.exponential_functional(flat, b, T)),
+            "flat_truncated": (flat, est.truncated_exponential_functional(b, T, 1.5)),
+            "sphere_exponential": (
+                sphere, est.exponential_functional(sphere, np.array([0.4, -0.3, 0.5]), T)
+            ),
+        }[case]
+        reps = [est.verify_lsi(m, F, T, 16, 300, 6000 + s) for s in range(200)]
+        gaps = np.array([r.gap for r in reps])
+        stderrs = np.array([r.gap_stderr for r in reps])
+        ratio = np.std(gaps, ddof=1) / math.sqrt(np.mean(stderrs**2))
+        assert 0.8 <= ratio <= 1.25
+        if case == "flat_exponential":
+            assert not any(r.violated for r in reps)
