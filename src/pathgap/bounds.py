@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "CurvatureBounds",
     "BoundReport",
@@ -243,16 +241,11 @@ def _integral(t: float, T: float, k1: float, k2: float) -> float:
     return (1.0 + b) ** 2 * t - term_right - term_left - term_cosh
 
 
-def lambda_integral(t, T: float, cb: CurvatureBounds):
+def lambda_integral(t: float, T: float, cb: CurvatureBounds) -> float:
     """Antiderivative L(t) = integral_0^t Lambda(tau, T) dtau, closed form.
 
-    ``t`` is a float or a numpy array of times in [0, T]; an array gives an
-    array of its shape, each entry rounded exactly as its scalar call.  The
-    pathwise inequality verifier integrates the right-hand side with it.
+    The pathwise inequality verifier integrates the right-hand side with it.
     """
-    if isinstance(t, np.ndarray):
-        T = _require_horizon(T)  # also when t is empty
-        return np.array([lambda_integral(x, T, cb) for x in t.ravel().tolist()]).reshape(t.shape)
     T, t = float(T), float(t)
     if not (0.0 < T < math.inf and 0.0 <= t <= T):
         _require_time(t, _require_horizon(T))

@@ -196,6 +196,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     _require_positive(args, "paths", "threads")
+    if not 0.0 < args.tol_rel < math.inf:  # also rejects nan
+        raise CliError(f"--tol-rel must be positive and finite, got {args.tol_rel}")
     m = _manifold(args.manifold, args.dim, args.kappa)
     rep = est.small_time_slope(m, np.eye(m.dim)[0], args.T_ladder, args.paths, args.seed)
 

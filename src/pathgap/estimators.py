@@ -384,16 +384,18 @@ def verify_theorem1(
         raise ValueError("the pathwise check needs at least 1 functional")
     eval_times = np.array(sorted({t for F in F_family for t in F.eval_times}), dtype=float)
     grid = TimeGrid.with_times(T, n_steps, eval_times)
-    rec_idx = np.array([grid.index_of(t) for t in eval_times], dtype=np.int64)
+    rec_idx = np.searchsorted(grid.times, eval_times)  # with_times inserted them exactly
     # per functional, before any path: K^d (a block of one sweep on a synthetic path), K^L
     if m.kind == SYNTHETIC:
         sweep = _damped_weights(grid, rec_idx, resolvent_on_grid(grid, m, declared).steps)
+    L = np.array([lambda_integral(t, T, declared) for t in eval_times])
     per_F = []
     for F in F_family:
         sel = np.searchsorted(eval_times, F.eval_times)
         ts = eval_times[sel]
         kd = sweep[np.ix_(sel, sel)] if m.kind == SYNTHETIC else damped_kernel(ts, m.ricci_scalar)
-        per_F.append((F, sel, kd, lambda_integral(np.minimum.outer(ts, ts), T, declared)))
+        # eval_times increase, so L(min(t_j, t_k)) is L at min(sel_j, sel_k)
+        per_F.append((F, sel, kd, L[np.minimum.outer(sel, sel)]))
     g = m.metric_diag()
 
     worst = np.full(n_paths, -np.inf)  # per path: largest violation
@@ -497,9 +499,9 @@ def verify_lsi(
         raise ValueError("the entropy check needs a curvature tensor")
     if n_paths < 2:
         raise ValueError(f"the entropy check needs at least 2 paths, got {n_paths}")
-    grid = TimeGrid.with_times(T, n_steps, list(F.eval_times))
-    eval_idx = np.array([grid.index_of(t) for t in F.eval_times], dtype=np.int64)
-    k_damped = damped_kernel(grid.times[eval_idx], m.ricci_scalar)
+    grid = TimeGrid.with_times(T, n_steps, F.eval_times)
+    eval_idx = np.searchsorted(grid.times, F.eval_times)  # with_times inserted them exactly
+    k_damped = damped_kernel(np.array(F.eval_times), m.ricci_scalar)
     g = m.metric_diag()
 
     a_p = np.empty(n_paths)  # F^2 log F^2

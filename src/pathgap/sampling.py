@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -63,10 +63,9 @@ class TimeGrid:
         T = _require_horizon(T)
         if n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-        times = np.linspace(0.0, T, n_steps + 1)
-        times[-1] = T
+        times = np.linspace(0.0, T, n_steps + 1)  # its last node is T itself
         forced = np.asarray(forced, dtype=float)
-        if forced.size:
+        if forced.size:  # else a node linspace repeats (T = 5e-324) is left to be refused
             if forced.min() < 0 or forced.max() > T:
                 raise ValueError("forced times must lie in [0, T]")
             # sort and drop adjacent duplicates, as np.unique does, without
@@ -128,14 +127,15 @@ def batch_increments(
     grid: TimeGrid,
     dim: int,
     seed: int,
-    indices: Iterable[int],
+    indices: range,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Gaussian driving increments, Normal(0, dt_i * Id) per step, (P, n_steps, dim).
 
-    Row r holds path ``indices[r]``.  Each block's generator is built once
-    per run of consecutive indices inside it, and draws the block's normals
-    ``SLAB`` time steps at a time; the run's rows of each slab are scaled
+    ``indices`` is a ``range`` of consecutive paths; row r holds path
+    ``indices[r]``, and any other ``indices`` raises ValueError.  Each block
+    the range meets builds its generator once and draws the block's normals
+    ``SLAB`` time steps at a time; the range's rows of each slab are scaled
     into place.  A generator fills its output in order, so slabs read the
     same stream as one (n_steps, BLOCK, dim) draw.  The memory is draws
     last: the result is the transpose of an (n_steps, dim, P) buffer, so the
@@ -146,37 +146,37 @@ def batch_increments(
     array in that layout, such as a transposed (n_steps, dim, P) buffer;
     anything else raises ValueError.
     """
-    idx = np.fromiter(indices, dtype=np.int64)
-    n = grid.n_steps
+    if not isinstance(indices, range) or indices.step != 1:
+        raise ValueError(f"indices must be a range of consecutive paths, got {indices!r}")
+    P, n = len(indices), grid.n_steps
     if out is None:
-        out = np.empty((n, dim, idx.size)).transpose(2, 0, 1)
+        out = np.empty((n, dim, P)).transpose(2, 0, 1)
     elif (
-        out.shape != (idx.size, n, dim)
+        out.shape != (P, n, dim)
         or out.dtype != np.float64
         or not out.transpose(1, 2, 0).flags.c_contiguous
     ):
         raise ValueError(
-            f"out must be a float64 ({idx.size}, {n}, {dim}) transpose of a C-contiguous "
-            f"({n}, {dim}, {idx.size}) buffer, got {out.dtype} {out.shape} "
+            f"out must be a float64 ({P}, {n}, {dim}) transpose of a C-contiguous "
+            f"({n}, {dim}, {P}) buffer, got {out.dtype} {out.shape} "
             f"with strides {out.strides}"
         )
     buf = out.transpose(1, 2, 0)
-    if idx.size:
-        breaks = np.flatnonzero((np.diff(idx) != 1) | (idx[1:] % BLOCK == 0)) + 1
-        edges = [0, *breaks.tolist(), idx.size]
-        slab = np.empty((min(n, SLAB), BLOCK, dim))  # refilled per slab of each run
-        scale = grid.sqrt_dts[:, None, None]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            block, row = divmod(int(idx[lo]), BLOCK)
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-            for t in range(0, n, SLAB):
-                z = slab[: min(SLAB, n - t)]
-                rng.standard_normal(out=z)
-                np.multiply(
-                    z[:, row : row + hi - lo].transpose(0, 2, 1),
-                    scale[t : t + z.shape[0]],
-                    out=buf[t : t + z.shape[0], :, lo:hi],
-                )
+    lo, hi = indices.start, indices.start + P
+    starts = [lo, *range((lo // BLOCK + 1) * BLOCK, hi, BLOCK)]  # one run per block
+    slab = np.empty((min(n, SLAB), BLOCK, dim))  # refilled per slab of each run
+    scale = grid.sqrt_dts[:, None, None]
+    for a, b in zip(starts, [*starts[1:], hi]):
+        block, row = divmod(a, BLOCK)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+        for t in range(0, n, SLAB):
+            z = slab[: min(SLAB, n - t)]
+            rng.standard_normal(out=z)
+            np.multiply(
+                z[:, row : row + b - a].transpose(0, 2, 1),
+                scale[t : t + z.shape[0]],
+                out=buf[t : t + z.shape[0], :, a - lo : b - lo],
+            )
     return out
 
 

@@ -1,4 +1,5 @@
-"""Reference gradient algebra of one sampled path, and the geometry defects.
+"""Reference gradient algebra of one sampled path, the geometry defects and
+the chi numerator's exact mean on model spaces.
 
 The package computes the damped energy in one batched form only
 (``estimators._damped_weights`` and ``damped_kernel``); this module
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pathgap.estimators import default_steps
 from pathgap.geometry import SYNTHETIC, FramePoint, ModelManifold
 from pathgap.gradients import CylindricalFunctional, ResolventGrid, _pullback
 from pathgap.sampling import PathSample, TimeGrid
@@ -240,3 +242,23 @@ def surface_defect(m: ModelManifold, fp: FramePoint) -> float:
         return 0.0
     q = (fp.position * m.metric_diag()) @ fp.position
     return float(abs(q - 1.0 / m.kappa))
+
+
+def expected_numerator(m: ModelManifold, T: float, n: int) -> float:
+    """Mean chi numerator on n uniform steps of constant curvature, |a| = 1.
+
+    The left-point sum of h_k^2 dt, h_k = 1 + c (T - t_k)/2, plus the
+    martingale energy kappa^2 (d - 1) dt^3 (n^3 - n)/3: the martingale terms
+    are orthogonal, so E|M_k|^2 = (d - 1)(n - k)(n - k - 1).
+    """
+    dt = T / n
+    h = 1.0 + 0.5 * m.ricci_scalar * (T - dt * np.arange(n))
+    return float(np.sum(h * h) * dt) + m.kappa**2 * (m.dim - 1) * dt**3 * (n**3 - n) / 3.0
+
+
+def expected_slope(m: ModelManifold, ladder) -> float:
+    """The slope ``small_time_slope`` fits, with the T^-4 weights, to the exact
+    chi means on each rung's default step count."""
+    ts = np.array(ladder, dtype=float)
+    means = np.array([expected_numerator(m, T, default_steps(T)) for T in ladder])
+    return float(ts**-3 / np.sum(ts**-2) @ (means / ts - 1.0))

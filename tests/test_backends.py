@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import inspect
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -107,12 +108,12 @@ class TestSimulateKernels:
         """The walk's (n, d, P) view of the draws is the buffer itself, and each
         path's draws are the ones it gets drawn alone."""
         g = TimeGrid.with_times(0.5, 20, ())
-        picks = [3, 4, 5, 70, 64, 200, 2]
+        picks = range(60, 70)
         inc = batch_increments(g, 3, 5, picks)
         assert inc.shape == (len(picks), g.n_steps, 3)
         assert inc.transpose(1, 2, 0).flags.c_contiguous
         for r, i in enumerate(picks):
-            np.testing.assert_array_equal(inc[r], batch_increments(g, 3, 5, [i])[0])
+            np.testing.assert_array_equal(inc[r], batch_increments(g, 3, 5, range(i, i + 1))[0])
 
     @pytest.mark.parametrize(
         "kappa, seed, first_bad", [(-2.5, 1, 142), (-7.3, 1, 51), (-7.3, 2, 86)]
@@ -125,7 +126,7 @@ class TestSimulateKernels:
         errors)."""
         m = pg.hyperbolic(2, kappa)
         g = TimeGrid.with_times(8.82, 200, ())
-        inc = batch_increments(g, m.dim, seed, [0])
+        inc = batch_increments(g, m.dim, seed, range(1))
         pos, frames = _simulate(m, inc[:, : first_bad - 1], np.array([first_bad - 1]))
         assert np.all(np.isfinite(pos)) and np.all(np.isfinite(frames))
         named = re.escape(f"step {first_bad} boosts the hyperboloid past 2**17 radii")
@@ -297,6 +298,23 @@ def test_perfbench_tracer_lookups_resolve():
     assert callable(getattr(est, "batch_increments", None))
     assert callable(pg.backend_name)
     assert list(inspect.signature(kernels.simulate_paths).parameters)[5] == "increments"
+
+
+def test_perfbench_workloads_run_in_process(monkeypatch):
+    """Every benchmark workload runs at its smoke size in process and passes its
+    own check.  That pins the call forms the benchmark uses (the four-argument
+    ``random_two_point_family``, the scalar Ricci callback, ``--threads 1`` and
+    the closed-form calls) in this suite, not only in a benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # registered first: dataclasses look their module up while they are built
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert len(workloads.WORKLOADS) == 5
+    for name, w in workloads.WORKLOADS.items():
+        code, out, _ = w.run(w.smoke, 1, lambda: None)
+        assert w.check(code, out) == [], name
 
 
 def test_walk_receives_paths_steps_dims(monkeypatch):

@@ -561,6 +561,9 @@ USAGE_ERRORS = [
     ASYM + ["--paths", HUGE],
     SIM + ["--manifold", "sphere", "--T", "0.5", "--steps", HUGE, "--mode", "lsi"],
     ["bounds", "--k1", "1", "--k2", "1", "--T", "1", "--profile", HUGE],
+    # a tolerance that is not finite and positive makes the slope check meaningless;
+    # "=" keeps argparse from reading "-inf" as a flag
+    *(ASYM + [f"--tol-rel={tol}"] for tol in ("nan", "inf", "-inf", "-1", "0")),
 ]
 
 FLOATS = [
@@ -631,6 +634,20 @@ class TestExitCodeContract:
         code, out, err = run_cli_contract(argv)
         assert (code, out) == (2, "")
         assert sum("error:" in line for line in err.splitlines()) == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_config_tol_rel_refused_before_any_draw(self, tmp_path, monkeypatch, tol):
+        """A config value is held to the flag's rule, before any path is drawn."""
+
+        def refuse_draws(*args, **kwargs):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(est, "batch_increments", refuse_draws)
+        path = str(tmp_path / "exp.cfg")
+        ExperimentConfig("asymptotics", {"manifold": "sphere", "tol-rel": tol}).write(path)
+        code, out, err = run_cli_contract(["asymptotics", "--config", path])
+        assert (code, out) == (2, "")
+        assert err == f"error: --tol-rel must be positive and finite, got {float(tol)}\n"
 
     @pytest.mark.parametrize("mode", ["theorem1", "lsi"])
     def test_large_sphere_curvature_times_horizon_runs(self, mode):

@@ -17,7 +17,7 @@ from pathgap.cli import main
 from pathgap.sampling import BLOCK, TimeGrid, batch_increments, sample_path, simulate_increments
 
 from conftest import golden_synthetic_ricci, smooth_ricci
-from reference import _damped_limits, frame_pullback_slots
+from reference import _damped_limits, expected_numerator, expected_slope, frame_pullback_slots
 
 
 def refuse_draws(*args, **kwargs):
@@ -239,18 +239,6 @@ class TestChiLadder:
         assert peak <= 9e6
 
 
-def expected_numerator(m, T, n):
-    """Mean chi numerator on n uniform steps of constant curvature, |a| = 1.
-
-    The left-point sum of h_k^2 dt, h_k = 1 + c (T - t_k)/2, plus the
-    martingale energy kappa^2 (d - 1) dt^3 (n^3 - n)/3: the martingale terms
-    are orthogonal, so E|M_k|^2 = (d - 1)(n - k)(n - k - 1).
-    """
-    dt = T / n
-    h = 1.0 + 0.5 * m.ricci_scalar * (T - dt * np.arange(n))
-    return float(np.sum(h * h) * dt) + m.kappa**2 * (m.dim - 1) * dt**3 * (n**3 - n) / 3.0
-
-
 class TestChiOracle:
     """The chi numerator's mean is a closed form on model spaces: an oracle
     independent of the prefix sums, which catches a bias that the spread
@@ -279,11 +267,14 @@ class TestChiOracle:
         m = pg.sphere(3, 1.0)
         ladder = [0.005, 0.01, 0.02, 0.04]
         rep = est.small_time_slope(m, np.array([1.0, 0.0, 0.0]), ladder, 300, 7)
-        ts = np.array(ladder)
-        means = np.array([expected_numerator(m, T, est.default_steps(T)) for T in ladder])
-        expected = ts**-3 / np.sum(ts**-2) @ (means / ts - 1.0)
+        expected = expected_slope(m, ladder)
         assert expected == pytest.approx(1.0210118, abs=1e-7)
         assert abs(rep.slope.mean - expected) <= 4.0 * rep.slope.stderr
+
+
+def lambda_kernel(ts, T, declared):
+    """K^L = L(min(t_j, t_k)), one scalar lambda_integral call per entry."""
+    return np.array([[lambda_integral(min(a, b), T, declared) for b in ts] for a in ts])
 
 
 def exact_worst_violation(m, declared, family, T, n_steps):
@@ -299,7 +290,7 @@ def exact_worst_violation(m, declared, family, T, n_steps):
     worst = -math.inf
     for F in family:
         ts = np.array(F.eval_times)
-        kl = lambda_integral(np.minimum.outer(ts, ts), T, declared)
+        kl = lambda_kernel(ts, T, declared)
         if m.kind == SYNTHETIC:
             idx = np.array([grid.index_of(t) for t in ts])
             w = est._damped_weights(grid, idx, resolvent_on_grid(grid, m, declared).steps)
@@ -414,7 +405,7 @@ class TestVerifyTheorem1:
         slots = frame_pullback_slots(family[j], sample_path(m, grid, 7, k), m)[1][None]
         gram = slots @ slots.transpose(0, 2, 1)
         ts = np.array(family[j].eval_times)
-        wmat = lambda_integral(np.minimum.outer(ts, ts), 1.0, declared)
+        wmat = lambda_kernel(ts, 1.0, declared)
         assert rhs == np.sum(gram * wmat, axis=(1, 2))[0]
         assert lhs == np.sum(gram * est.damped_kernel(ts, m.ricci_scalar), axis=(1, 2))[0]
         assert (lhs - rhs) / rhs == rep.max_violation
@@ -493,6 +484,24 @@ class TestVerifyTheorem1:
         rep = est.verify_theorem1(m, cb, family, 1.0, 64, 20, 17)
         assert rep.satisfied_fraction == 1.0
         assert len(sweeps) == 1
+
+    @pytest.mark.parametrize("n_slots", [1, 2, 5])
+    def test_lambda_integral_once_per_slot_time(self, monkeypatch, n_slots):
+        """K^L = L(min(t_j, t_k)) reads L at the slot times only: an N-slot
+        functional makes N scalar lambda_integral calls, not N^2."""
+        calls = []
+        integral = est.lambda_integral
+
+        def counted(t, T, cb):
+            calls.append(t)
+            return integral(t, T, cb)
+
+        monkeypatch.setattr(est, "lambda_integral", counted)
+        m = pg.hyperbolic(2, -1.0)
+        ts = tuple(np.linspace(1.0, 0.2, n_slots)[::-1])
+        F = CylindricalFunctional(ts, lambda pos: pos[:, 0, 0], lambda pos: pos)
+        est.verify_theorem1(m, m.curvature_window, [F], 1.0, 16, 8, 3)
+        assert calls == list(ts)
 
     @pytest.mark.parametrize("d,seed", [(2, 43), (3, 19)])
     def test_damped_energy_weights_match_per_path_trapezoid(self, d, seed):

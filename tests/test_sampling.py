@@ -50,6 +50,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(1.0, np.array([0.0, 0.5, 0.4, 1.0]))
 
+    def test_repeated_node_refused(self):
+        """linspace repeats nodes below a subnormal horizon; with no forced
+        times nothing deduplicates them, so the grid is refused."""
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TimeGrid.with_times(5e-324, 4, ())
+
     def test_step_count_checked_before_forced_times(self):
         with pytest.raises(ValueError, match="n_steps must be >= 1"):
             TimeGrid.with_times(1.0, 0, [0.5])
@@ -79,17 +85,23 @@ class TestBlockStream:
         part = batch_increments(g, 2, 5, range(BLOCK - 3, BLOCK + 5))
         np.testing.assert_array_equal(part, whole[BLOCK - 3 : BLOCK + 5])
 
-    def test_unordered_indices(self):
+    @pytest.mark.parametrize(
+        "indices", [[4, 5], (4, 5), range(0, 10, 2), range(9, 3, -1), np.arange(4, 6)]
+    )
+    def test_refuses_anything_but_one_range_of_consecutive_paths(self, indices):
         g = TimeGrid.with_times(0.7, 12, ())
-        whole = batch_increments(g, 2, 5, range(3 * BLOCK))
-        picks = [2 * BLOCK + 1, 4, 5, BLOCK - 1, BLOCK, 4]
-        np.testing.assert_array_equal(batch_increments(g, 2, 5, picks), whole[picks])
+        with pytest.raises(ValueError, match="range of consecutive paths"):
+            batch_increments(g, 2, 5, indices)
+
+    def test_empty_range(self):
+        g = TimeGrid.with_times(0.7, 12, ())
+        assert batch_increments(g, 2, 5, range(BLOCK + 3, BLOCK + 3)).shape == (0, 12, 2)
 
     def test_short_grid_draws_a_prefix(self):
         n = 20
         g = TimeGrid.with_times(0.3, n, ())
         unit = TimeGrid.with_times(2.0 * n, 2 * n, ())
-        k = [BLOCK + 7]
+        k = range(BLOCK + 7, BLOCK + 8)
         short = batch_increments(g, 3, 11, k)
         long = batch_increments(unit, 3, 11, k)
         np.testing.assert_array_equal(short, long[:, :n] * g.sqrt_dts[:, None])
@@ -99,7 +111,7 @@ class TestBlockStream:
         """Row k is row k mod BLOCK of one (n, BLOCK, d) draw of its block's
         generator, however many slabs the draw is taken in."""
         g = TimeGrid.with_times(0.7, n, ())
-        k = [BLOCK + 7, 5]
+        k = range(BLOCK - 2, BLOCK + 7)
         got = batch_increments(g, 3, 11, k)
         for r, i in enumerate(k):
             key = np.random.SeedSequence(entropy=11, spawn_key=(i // BLOCK,))
@@ -120,10 +132,9 @@ class TestIncrementsIntoBuffer:
         "picks",
         [
             range(BLOCK - 3, BLOCK + 5),
-            [2 * BLOCK + 1, 4, 5, BLOCK - 1, BLOCK, 4],
             range(2 * BLOCK),
         ],
-        ids=["straddling", "unordered", "two_blocks"],
+        ids=["straddling", "two_blocks"],
     )
     def test_equals_the_allocating_call(self, n, picks):
         g = TimeGrid.with_times(0.7, n, ())
