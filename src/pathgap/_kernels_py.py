@@ -7,9 +7,10 @@ Two kernels:
   time indices.
 * ``resolvent_steps`` -- RK4 for the damping ODE dQ/dt = -1/2 A(t) Q.  The
   ODE is linear in Q, so each cell's RK4 step is one matrix
-  M_k = Q_{t_{k+1}, t_k}, and every propagator is a product of them.
+  M_k = Q_{t_{k+1}, t_k}, and every propagator is a product of them; the
+  (n, d, d) step array is what ``gradients.resolvent_on_grid`` returns.
   ``resolvent_triangle`` (all pairs) and ``resolvent_column`` (one start
-  column) form those products from the steps; they are the test
+  column) form those products from that array; they are the test
   references, and no package code calls them.
 
 Vectorization is across paths (simulate, component-major: every array holds

@@ -57,7 +57,7 @@ class EstimateWithCI:
 def _mean_ci(samples: np.ndarray, seed: int) -> EstimateWithCI:
     n = samples.shape[0]
     mean = float(np.mean(samples))
-    stderr = float(np.std(samples, ddof=1) / math.sqrt(n)) if n >= 2 else 0.0
+    stderr = float(np.std(samples, ddof=1) / math.sqrt(n))
     return EstimateWithCI(mean, stderr, n, seed)
 
 
@@ -387,7 +387,7 @@ def verify_theorem1(
     rec_idx = np.searchsorted(grid.times, eval_times)  # with_times inserted them exactly
     # per functional, before any path: K^d (a block of one sweep on a synthetic path), K^L
     if m.kind == SYNTHETIC:
-        sweep = _damped_weights(grid, rec_idx, resolvent_on_grid(grid, m, declared).steps)
+        sweep = _damped_weights(grid, rec_idx, resolvent_on_grid(grid, m, declared))
     L = np.array([lambda_integral(t, T, declared) for t in eval_times])
     per_F = []
     for F in F_family:

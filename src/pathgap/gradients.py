@@ -4,12 +4,13 @@ For a cylindrical functional F(path) = f(x_{t_1}, ..., x_{t_N}) the damped
 gradient twists each frame-pulled-back slot gradient by the transposed
 damping propagator Q_{t_j, tau}, where Q solves
 dQ_{t,s}/dt = -1/2 ric(t) Q_{t,s}, Q_{s,s} = Id.  This module holds Q on a
-time grid as its per-cell steps M_k = Q_{t_{k+1}, t_k}, checks the Ricci
-data against the declared window, and pulls the slot gradients of a batch
-of paths back through their frames.  The batched damped energies and the
-algebra of the linear functional <a, w_T> are in :mod:`pathgap.estimators`,
-their only caller; the one-path gradient fields, transforms and duality
-that the tests compare against are in ``tests/reference.py``.
+time grid as one (n, d, d) array of its per-cell steps M_k = Q_{t_{k+1}, t_k},
+checks the Ricci data against the declared window, and pulls the slot
+gradients of a batch of paths back through their frames.  The batched damped
+energies and the algebra of the linear functional <a, w_T> are in
+:mod:`pathgap.estimators`, their only caller; the one-path gradient fields,
+transforms and duality that the tests compare against are in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .sampling import TimeGrid
 
 __all__ = [
     "DataError",
-    "ResolventGrid",
     "CylindricalFunctional",
     "resolvent_on_grid",
 ]
@@ -61,23 +61,6 @@ class CylindricalFunctional:
             raise ValueError("evaluation times must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class ResolventGrid:
-    """Damping propagators on a time grid, held as their per-cell steps.
-
-    ``steps[k]`` is M_k = Q_{t_{k+1}, t_k}, (n, d, d): the exact
-    e^{-c dt_k/2} Id on constant Ricci c, the RK4 step otherwise.  Every
-    propagator is a product Q_{t_i, t_j} = M_{i-1} ... M_j, so every damped
-    quantity sweeps the steps in O(n); ``kernels.resolvent_triangle`` and
-    ``kernels.resolvent_column`` form the products as test references.
-    ``ricci`` holds the Ricci matrices at the n + 1 nodes, (n+1, d, d).
-    """
-
-    grid: TimeGrid
-    steps: np.ndarray
-    ricci: np.ndarray
-
-
 def _stage_ricci(m: ModelManifold, grid: TimeGrid) -> np.ndarray:
     """Ricci path at the RK4 stage times (t_k, midpoint, t_{k+1}), each node once."""
     times = grid.times
@@ -86,14 +69,17 @@ def _stage_ricci(m: ModelManifold, grid: TimeGrid) -> np.ndarray:
     return np.stack([nodes[:-1], mids, nodes[1:]], axis=1)
 
 
-def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBounds) -> ResolventGrid:
-    """Damping propagators on a grid; the Ricci data depends on time only.
+def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBounds) -> np.ndarray:
+    """The damping steps M_k = Q_{t_{k+1}, t_k} of a grid, float64 (n, d, d).
 
-    The Ricci data is checked against the declared window first; a violation
-    raises :class:`DataError`.  Constant Ricci c gives the exact steps
-    e^{-c dt_k/2} Id.  A synthetic path is checked at every distinct RK4
-    stage time and integrated by RK4 with stage-time evaluation: one step
-    matrix per cell.  Either way the grid holds O(n) matrices.
+    Every propagator is a product Q_{t_i, t_j} = M_{i-1} ... M_j, so every
+    damped quantity sweeps the steps in O(n); ``kernels.resolvent_triangle``
+    and ``kernels.resolvent_column`` form the products as test references.
+    The Ricci data, which depends on time only, is checked against the
+    declared window first; a violation raises :class:`DataError`.  Constant
+    Ricci c gives the exact steps e^{-c dt_k/2} Id.  A synthetic path is
+    checked at every distinct RK4 stage time and integrated by RK4 with
+    stage-time evaluation: one step matrix per cell.
     """
     if m.kind != SYNTHETIC:
         c = m.ricci_scalar
@@ -102,12 +88,9 @@ def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBound
                 f"constant Ricci {c:.6g} outside declared window "
                 f"(k1={declared.k1:.6g}, k2={declared.k2:.6g})"
             )
-        eye = np.eye(m.dim)
-        ricci = c * np.broadcast_to(eye, (grid.n_steps + 1, m.dim, m.dim))
-        return ResolventGrid(grid, np.exp(-0.5 * c * grid.dts)[:, None, None] * eye, ricci)
+        return np.exp(-0.5 * c * grid.dts)[:, None, None] * np.eye(m.dim)
     stages = _stage_ricci(m, grid)
-    ricci = np.concatenate([stages[:, 0], stages[-1:, 2]])
-    mats = np.concatenate([ricci, stages[:, 1]])
+    mats = np.concatenate([stages[:, 0], stages[-1:, 2], stages[:, 1]])  # nodes, then midpoints
     min_eig = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))[:, 0].min()
     op_norm = np.linalg.norm(mats, ord=2, axis=(-2, -1)).max()
     if min_eig < declared.k2 - 1e-9:
@@ -120,7 +103,7 @@ def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBound
             f"ricci path violates declared norm bound: max operator norm "
             f"{op_norm:.6g} > k1 = {declared.k1:.6g}"
         )
-    return ResolventGrid(grid, kernels.resolvent_steps(stages, grid.dts), ricci)
+    return kernels.resolvent_steps(stages, grid.dts)
 
 
 def _batch_output(out, shape: tuple, name: str, what: str, first: int) -> np.ndarray:

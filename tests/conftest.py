@@ -1,4 +1,5 @@
-"""Shared test helpers: high-precision oracles and synthetic curvature data.
+"""Shared test helpers: high-precision oracles, synthetic curvature data and
+the control runs that the README quotes.
 
 The oracle layer deliberately re-derives every quantity independently of the
 package (mpmath for closed forms, brute-force quadrature, golden-section
@@ -6,11 +7,14 @@ search and bracketed roots of the derivative for extrema), so agreement is
 meaningful.
 """
 
+import functools
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 import pathgap as pg
+from pathgap import estimators as est
 
 mp.mp.dps = 40
 
@@ -206,6 +210,30 @@ def spectral_norms(mats):
         disc = np.sqrt(np.maximum(tr * tr - 4.0 * (g00 * g11 - g01 * g01), 0.0))
         return np.sqrt(0.5 * (tr + disc))
     return np.sqrt(np.linalg.eigvalsh(np.einsum("...ki,...kj->...ij", mats, mats))[..., -1])
+
+
+@functools.cache
+def h2_theorem1_control(k2):
+    """(family, report) of the theorem1 check on H^2 at declared (1, k2): T = 1,
+    128 steps, 1,000 paths, 10 functionals, seed 7.  Run once per session, so
+    the control tests and the README's quotes read the same run."""
+    m = pg.hyperbolic(2, -1.0)
+    family = est.random_two_point_family(m, 1.0, 10, seed=7)
+    return family, est.verify_theorem1(m, pg.CurvatureBounds(1.0, k2), family, 1.0, 128, 1000, 7)
+
+
+@functools.cache
+def h2_lsi_control(damped):
+    """The lsi check on H^2 at T = 0.5, 128 steps, 20,000 paths, seed 7, with
+    damped weights or undamped ones (c = 0 in ``damped_kernel``).  Run once per
+    session, like :func:`h2_theorem1_control`."""
+    m = pg.hyperbolic(2, -1.0)
+    F = est.truncated_exponential_functional(np.array([0.0, 0.05, 0.0]), 0.5, cap=50)
+    with pytest.MonkeyPatch.context() as patch:
+        if not damped:
+            kernel = est.damped_kernel
+            patch.setattr(est, "damped_kernel", lambda ts, c: kernel(ts, 0.0))
+        return est.verify_lsi(m, F, 0.5, 128, 20_000, 7)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
-"""Reference gradient algebra of one sampled path, the geometry defects and
-the chi numerator's exact mean on model spaces.
+"""Reference gradient algebra of one sampled path, the geometry defects, the
+chi numerator's exact mean on model spaces and the theorem1 family's exact
+worst case.
 
 The package computes the damped energy in one batched form only
 (``estimators._damped_weights`` and ``damped_kernel``); this module
@@ -20,19 +21,53 @@ sums.  Integrals weighted by the propagator use a trapezoid rule per cell,
 which keeps the transform round-trips and the two damped-gradient formulas
 consistent to second order in the step.  Every discrete propagator is a
 product of the per-cell steps M_k = Q_{t_{k+1}, t_k}, so each damped
-quantity is one forward or backward sweep over them, O(n) in the grid.
+quantity is one forward or backward sweep over them, O(n) in the grid.  The
+package returns only the steps (``resolvent_on_grid``); :func:`resolvent`
+bundles them with their grid and the node Ricci matrices that the sweeps read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from pathgap import estimators as est
+from pathgap.bounds import CurvatureBounds, lambda_integral
 from pathgap.estimators import default_steps
-from pathgap.geometry import SYNTHETIC, FramePoint, ModelManifold
-from pathgap.gradients import CylindricalFunctional, ResolventGrid, _pullback
+from pathgap.geometry import SYNTHETIC, FramePoint, ModelManifold, ricci_matrix
+from pathgap.gradients import CylindricalFunctional, _pullback, resolvent_on_grid
 from pathgap.sampling import PathSample, TimeGrid
+
+
+def index_of(grid: TimeGrid, t: float) -> int:
+    """Exact index of a grid time; raises if t is not on the grid."""
+    idx = int(np.searchsorted(grid.times, t))
+    if idx >= grid.times.shape[0] or grid.times[idx] != t:
+        raise ValueError(f"time {t} is not a grid point")
+    return idx
+
+
+def ricci_at_nodes(m: ModelManifold, grid: TimeGrid) -> np.ndarray:
+    """The Ricci matrices at the grid nodes, one callback call each."""
+    return np.array([ricci_matrix(m, t) for t in grid.times])
+
+
+@dataclass(frozen=True)
+class Resolvent:
+    """What the one-path sweeps read of a grid: the grid, its damping steps
+    (``resolvent_on_grid``, (n, d, d)) and the Ricci matrices at its n + 1
+    nodes, (n+1, d, d)."""
+
+    grid: TimeGrid
+    steps: np.ndarray
+    ricci: np.ndarray
+
+
+def resolvent(grid: TimeGrid, m: ModelManifold, declared: CurvatureBounds) -> Resolvent:
+    """The grid's :class:`Resolvent`, its steps checked against ``declared``."""
+    return Resolvent(grid, resolvent_on_grid(grid, m, declared), ricci_at_nodes(m, grid))
 
 
 @dataclass(frozen=True)
@@ -66,7 +101,7 @@ def frame_pullback_slots(F: CylindricalFunctional, path: PathSample, m: ModelMan
     Returns (eval_indices, slots) where slots[j] is the frame-coordinate
     gradient u^{-1} (grad_j f) in R^d at evaluation time j.
     """
-    idx = np.array([path.grid.index_of(t) for t in F.eval_times], dtype=np.int64)
+    idx = np.array([index_of(path.grid, t) for t in F.eval_times], dtype=np.int64)
     slots = _pullback(
         F, path.positions[idx][None], path.frames[idx][None], m.metric_diag(), path.path_index
     )
@@ -88,7 +123,7 @@ def usual_gradient(F: CylindricalFunctional, path: PathSample, m: ModelManifold)
 
 
 def damped_gradient(
-    F: CylindricalFunctional, path: PathSample, R: ResolventGrid, m: ModelManifold
+    F: CylindricalFunctional, path: PathSample, R: Resolvent, m: ModelManifold
 ) -> GradientField:
     """Damped version: each future slot is twisted by Q*_{t_j, tau}."""
     idx, slots = frame_pullback_slots(F, path, m)
@@ -96,7 +131,7 @@ def damped_gradient(
     return GradientField(path.grid, left)
 
 
-def _damped_limits(idx, slots, R: ResolventGrid):
+def _damped_limits(idx, slots, R: Resolvent):
     """Left and right limits of the damped gradient on each grid cell, (n, d) each.
 
     On cell k the damped gradient is the sum of Q*_{t_j, tau} slots[j] over
@@ -119,7 +154,7 @@ def _damped_limits(idx, slots, R: ResolventGrid):
     return left, right
 
 
-def damped_sweep(usual: np.ndarray, R: ResolventGrid) -> np.ndarray:
+def damped_sweep(usual: np.ndarray, R: Resolvent) -> np.ndarray:
     """The damped transform of a gradient field, (n, d) values on R's grid.
 
     D~_t = D_t - 1/2 integral_t^T Q*_{s,t} ric*(s) D_s ds, with the s-integral
@@ -138,7 +173,7 @@ def damped_sweep(usual: np.ndarray, R: ResolventGrid) -> np.ndarray:
 
 
 def damped_gradient_integral_form(
-    F: CylindricalFunctional, path: PathSample, R: ResolventGrid, m: ModelManifold
+    F: CylindricalFunctional, path: PathSample, R: Resolvent, m: ModelManifold
 ) -> GradientField:
     """Damped gradient via the correction-integral formula: the usual
     gradient through :func:`damped_sweep`.  Agrees with
@@ -149,7 +184,7 @@ def damped_gradient_integral_form(
 
 
 def transform_pair(
-    v: GradientField, path: PathSample, R: ResolventGrid, m: ModelManifold
+    v: GradientField, path: PathSample, R: Resolvent, m: ModelManifold
 ) -> tuple[GradientField, GradientField]:
     """The mutually inverse damping / undamping maps on adapted fields.
 
@@ -168,7 +203,7 @@ def transform_pair(
     return GradientField(path.grid, tilde), GradientField(path.grid, hat)
 
 
-def _tilde_corrections(v: GradientField, R: ResolventGrid, ric: np.ndarray) -> np.ndarray:
+def _tilde_corrections(v: GradientField, R: Resolvent, ric: np.ndarray) -> np.ndarray:
     """1/2 ric(t_k) integral_0^{t_k} Q_{t_k, s} v_s ds at the nodes k = 0..n, (n+1, d).
 
     One forward sweep of the composite trapezoid: the integral I_k at t_k
@@ -189,7 +224,7 @@ def duality_defect(
     F: CylindricalFunctional,
     v: GradientField,
     path: PathSample,
-    R: ResolventGrid,
+    R: Resolvent,
     m: ModelManifold,
 ) -> float:
     """|integral <D~F, v> dt - integral <DF, tilde(v)> dt|, both sides quadratured.
@@ -262,3 +297,36 @@ def expected_slope(m: ModelManifold, ladder) -> float:
     ts = np.array(ladder, dtype=float)
     means = np.array([expected_numerator(m, T, default_steps(T)) for T in ladder])
     return float(ts**-3 / np.sum(ts**-2) @ (means / ts - 1.0))
+
+
+def lambda_kernel(ts, T, declared):
+    """K^L = L(min(t_j, t_k)), one scalar lambda_integral call per entry."""
+    return np.array([[lambda_integral(min(a, b), T, declared) for b in ts] for a in ts])
+
+
+def exact_worst_violation(m, declared, family, T, n_steps):
+    """The family's largest lambda_max(K^L^-1 K^d) - 1: each functional's worst
+    relative violation over all slot vectors at its slot times.
+
+    Both sides are quadratic forms in the slot vectors, with K^L = L(min(t_j,
+    t_k)); on a synthetic path the damped side is the symmetrized (Nd, Nd)
+    form of the trapezoid weights against K^L (x) I_d.  A Cholesky of K^L
+    whitens the damped side, and ``eigvalsh`` takes its largest eigenvalue.
+    """
+    grid = TimeGrid.with_times(T, n_steps, sorted({t for F in family for t in F.eval_times}))
+    worst = -math.inf
+    for F in family:
+        ts = np.array(F.eval_times)
+        kl = lambda_kernel(ts, T, declared)
+        if m.kind == SYNTHETIC:
+            idx = np.array([index_of(grid, t) for t in ts])
+            w = est._damped_weights(grid, idx, resolvent_on_grid(grid, m, declared))
+            nd = w.shape[0] * w.shape[-1]
+            kd = w.transpose(0, 2, 1, 3).reshape(nd, nd)
+            kl = np.kron(kl, np.eye(w.shape[-1]))
+        else:
+            kd = est.damped_kernel(ts, m.ricci_scalar)
+        chol = np.linalg.cholesky(kl)
+        white = np.linalg.solve(chol, np.linalg.solve(chol, kd).T)
+        worst = max(worst, np.linalg.eigvalsh(0.5 * (white + white.T))[-1] - 1.0)
+    return worst

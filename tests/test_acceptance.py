@@ -33,6 +33,7 @@ from reference import (
     damped_gradient_integral_form,
     duality_defect,
     field_l2_distance,
+    resolvent,
     transform_pair,
 )
 
@@ -139,7 +140,7 @@ def test_criterion_3_resolvent():
     # constant Ricci: exact exponential entries
     m = pg.sphere(2, 1.0)
     grid = TimeGrid.with_times(1.0, 512, ())
-    tri = kernels.resolvent_triangle(resolvent_on_grid(grid, m, m.curvature_window).steps)
+    tri = kernels.resolvent_triangle(resolvent_on_grid(grid, m, m.curvature_window))
     worst_const = 0.0
     for i, j in [(512, 0), (300, 120), (64, 63)]:
         want = math.exp(-0.5 * (grid.times[i] - grid.times[j]))
@@ -152,7 +153,7 @@ def test_criterion_3_resolvent():
     idx_i, idx_j = np.tril_indices(513)
     for path_id in range(100):
         ms, cb = smooth_ricci(2, seed=2000 + path_id)
-        tri = kernels.resolvent_triangle(resolvent_on_grid(grid, ms, cb).steps)
+        tri = kernels.resolvent_triangle(resolvent_on_grid(grid, ms, cb))
         norms = spectral_norms(tri)
         bound = np.exp(-0.5 * cb.k2 * (grid.times[idx_i] - grid.times[idx_j]))
         worst_excess = max(worst_excess, float((norms - bound).max()))
@@ -170,7 +171,7 @@ def test_criterion_3_resolvent():
 
     def q_final(n):
         g = TimeGrid.with_times(1.0, n, ())
-        return kernels.resolvent_column(resolvent_on_grid(g, msf, cbf).steps, 0)[-1]
+        return kernels.resolvent_column(resolvent_on_grid(g, msf, cbf), 0)[-1]
 
     ref = q_final(16384)
     e_256 = np.abs(q_final(256) - ref).max()
@@ -225,7 +226,7 @@ def test_criterion_5_gradient_algebra():
     def measure(n, reps):
         g = TimeGrid.with_times(1.0, n, ())
         path = sample_path(m, g, 55)
-        R = resolvent_on_grid(path.grid, m, cb)
+        R = resolvent(path.grid, m, cb)
         v = GradientField(g, np.repeat(v_base, reps, axis=0))
         tld, hat = transform_pair(v, path, R, m)
         _, hat_of_tilde = transform_pair(tld, path, R, m)

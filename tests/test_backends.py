@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import inspect
+import pkgutil
 import re
 import sys
 import warnings
@@ -280,6 +281,23 @@ class TestResolventKernels:
         stages, dts = self._stages(n, d, seed)
         tri = kern.resolvent_triangle(kern.resolvent_steps(stages, dts))
         np.testing.assert_allclose(tri, _rk4_stage_form_triangle(stages, dts), rtol=0, atol=1e-13)
+
+
+def test_every_exported_name_resolves():
+    """Each name in ``pathgap.__all__`` and in every submodule's ``__all__`` is
+    an attribute of its module, so a stale entry fails here, not only a
+    star import."""
+    modules = [pg] + [
+        importlib.import_module(f"pathgap.{mod.name}") for mod in pkgutil.iter_modules(pg.__path__)
+    ]
+    stale = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert stale == []
+    assert sum(hasattr(mod, "__all__") for mod in modules) >= 6
 
 
 def test_perfbench_tracer_lookups_resolve():

@@ -554,6 +554,10 @@ USAGE_ERRORS = [
     ASYM + ["--T-ladder", "0.01,0.02,0.04,inf"],
     SIM + ["--manifold", "sphere", "--kappa", "inf", "--T", "0.5", "--mode", "chi"],
     SIM + ["--manifold", "sphere", "--T", "1e300", "--mode", "lsi"],
+    # np.linspace repeats nodes below a subnormal horizon: no mode may merge them
+    # away and walk fewer steps than it prints
+    *(SIM + ["--manifold", "sphere", "--T", "5e-324", "--mode", mode]
+      for mode in ("lsi", "chi", "theorem1")),
     ["bounds", "--k1", "1", "--k2", "1", "--T", "1", "--write-config", UNWRITABLE],
     # counts past the 128 TB address space: numpy refuses them before touching memory
     *(SIM + ["--manifold", "sphere", "--T", "0.5", "--mode", mode, "--paths", HUGE]

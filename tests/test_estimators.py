@@ -10,14 +10,21 @@ import pytest
 import pathgap as pg
 from pathgap import estimators as est
 from pathgap._backend import kernels
-from pathgap.bounds import lambda_integral
-from pathgap.geometry import SYNTHETIC
 from pathgap.gradients import CylindricalFunctional, _pullback, resolvent_on_grid
 from pathgap.cli import main
 from pathgap.sampling import BLOCK, TimeGrid, batch_increments, sample_path, simulate_increments
 
-from conftest import golden_synthetic_ricci, smooth_ricci
-from reference import _damped_limits, expected_numerator, expected_slope, frame_pullback_slots
+from conftest import golden_synthetic_ricci, h2_lsi_control, h2_theorem1_control, smooth_ricci
+from reference import (
+    _damped_limits,
+    exact_worst_violation,
+    expected_numerator,
+    expected_slope,
+    frame_pullback_slots,
+    index_of,
+    lambda_kernel,
+    resolvent,
+)
 
 
 def refuse_draws(*args, **kwargs):
@@ -272,39 +279,6 @@ class TestChiOracle:
         assert abs(rep.slope.mean - expected) <= 4.0 * rep.slope.stderr
 
 
-def lambda_kernel(ts, T, declared):
-    """K^L = L(min(t_j, t_k)), one scalar lambda_integral call per entry."""
-    return np.array([[lambda_integral(min(a, b), T, declared) for b in ts] for a in ts])
-
-
-def exact_worst_violation(m, declared, family, T, n_steps):
-    """The family's largest lambda_max(K^L^-1 K^d) - 1: each functional's worst
-    relative violation over all slot vectors at its slot times.
-
-    Both sides are quadratic forms in the slot vectors, with K^L = L(min(t_j,
-    t_k)); on a synthetic path the damped side is the symmetrized (Nd, Nd)
-    form of the trapezoid weights against K^L (x) I_d.  A Cholesky of K^L
-    whitens the damped side, and ``eigvalsh`` takes its largest eigenvalue.
-    """
-    grid = TimeGrid.with_times(T, n_steps, sorted({t for F in family for t in F.eval_times}))
-    worst = -math.inf
-    for F in family:
-        ts = np.array(F.eval_times)
-        kl = lambda_kernel(ts, T, declared)
-        if m.kind == SYNTHETIC:
-            idx = np.array([grid.index_of(t) for t in ts])
-            w = est._damped_weights(grid, idx, resolvent_on_grid(grid, m, declared).steps)
-            nd = w.shape[0] * w.shape[-1]
-            kd = w.transpose(0, 2, 1, 3).reshape(nd, nd)
-            kl = np.kron(kl, np.eye(w.shape[-1]))
-        else:
-            kd = est.damped_kernel(ts, m.ricci_scalar)
-        chol = np.linalg.cholesky(kl)
-        white = np.linalg.solve(chol, np.linalg.solve(chol, kd).T)
-        worst = max(worst, np.linalg.eigvalsh(0.5 * (white + white.T))[-1] - 1.0)
-    return worst
-
-
 class TestVerifyTheorem1:
     def test_flat_equality(self):
         """Zero Ricci: both sides coincide and the violation is exactly zero."""
@@ -360,9 +334,7 @@ class TestVerifyTheorem1:
         Constant curvature never checks the declared window, so a k2 raised
         by 1% runs, and its bound is too tight for some path.
         """
-        m = pg.hyperbolic(2, -1.0)
-        family = est.random_two_point_family(m, 1.0, 10, seed=7)
-        rep = est.verify_theorem1(m, pg.CurvatureBounds(1.0, k2), family, 1.0, 128, 1000, 7)
+        _, rep = h2_theorem1_control(k2)
         if fails:
             assert rep.max_violation > 1e-4 and rep.satisfied_fraction < 1.0
         else:
@@ -379,13 +351,13 @@ class TestVerifyTheorem1:
             m = pg.synthetic_ricci_path(2, golden_synthetic_ricci)
             declared = pg.CurvatureBounds(1.0, 0.4)
             family = est.random_two_point_family(m, 1.0, 3, seed=5)
-            n_steps, n_paths, seed = 24, 8, 5
+            n_steps = 24
+            rep = est.verify_theorem1(m, declared, family, 1.0, n_steps, 8, 5)
         else:
             m = pg.hyperbolic(2, -1.0)
             declared = pg.CurvatureBounds(1.0, -1.0 if case == "h2_true" else -0.99)
-            family = est.random_two_point_family(m, 1.0, 10, seed=7)
-            n_steps, n_paths, seed = 128, 1000, 7
-        rep = est.verify_theorem1(m, declared, family, 1.0, n_steps, n_paths, seed)
+            family, rep = h2_theorem1_control(declared.k2)
+            n_steps = 128
         exact = exact_worst_violation(m, declared, family, 1.0, n_steps)
         want = {"h2_true": -1.88e-4, "h2_raised": 7.32e-4, "synthetic_golden": -0.351}[case]
         assert exact == pytest.approx(want, rel=2e-3)
@@ -396,9 +368,8 @@ class TestVerifyTheorem1:
         sides.  Path k drawn alone by sample_path gives the same lhs and rhs,
         bit for bit, and their relative excess is max_violation."""
         m = pg.hyperbolic(2, -1.0)
-        family = est.random_two_point_family(m, 1.0, 10, seed=7)
         declared = pg.CurvatureBounds(1.0, -0.99)
-        rep = est.verify_theorem1(m, declared, family, 1.0, 128, 1000, 7)
+        family, rep = h2_theorem1_control(declared.k2)
         assert rep.max_violation == pytest.approx(7.1e-4, rel=0.01)
         k, j, lhs, rhs = rep.witness
         grid = TimeGrid.with_times(1.0, 128, sorted({t for F in family for t in F.eval_times}))
@@ -529,13 +500,13 @@ class TestVerifyTheorem1:
             for ts in [(0.25, 0.75), (0.25, 1.0), (1.0,), (0.125, 0.5, 1.0), (0.0, 0.5)]
         ]
         grid = TimeGrid.with_times(1.0, 64, ())
-        R = resolvent_on_grid(grid, m, cb)
+        R = resolvent(grid, m, cb)
         slot_times = sorted({t for F in family for t in F.eval_times})
-        slot_idx = np.array([grid.index_of(t) for t in slot_times])
+        slot_idx = np.array([index_of(grid, t) for t in slot_times])
         weights = est._damped_weights(grid, slot_idx, R.steps)
         pos, frames = simulate_increments(m, grid, batch_increments(grid, d, seed, range(20)))
         for F in family:
-            idx = np.array([grid.index_of(t) for t in F.eval_times])
+            idx = np.array([index_of(grid, t) for t in F.eval_times])
             sel = np.array([slot_times.index(t) for t in F.eval_times])
             slots = _pullback(F, pos[:, idx], frames[:, idx], m.metric_diag(), 0)
             got = np.einsum("pja,jlab,plb->p", slots, weights[np.ix_(sel, sel)], slots)
@@ -648,19 +619,14 @@ class TestVerifyLsi:
         assert rep.gap > 0.0  # strict gap expected away from the equality family
 
     @pytest.mark.parametrize("damped", [True, False])
-    def test_hyperbolic_negative_control(self, monkeypatch, damped):
+    def test_hyperbolic_negative_control(self, damped):
         """Undamped weights (c = 0) make the check fail on H^2.
 
         For F = e^{eps G}, Ent(F^2) ~ 2 eps^2 Var G and the undamped side is
         2 eps^2 E integral |DG|^2, so the undamped check fails when G's
         Rayleigh quotient is below 1, as it is for <b, x_T> on H^2.
         """
-        if not damped:
-            kernel = est.damped_kernel
-            monkeypatch.setattr(est, "damped_kernel", lambda ts, c: kernel(ts, 0.0))
-        m = pg.hyperbolic(2, -1.0)
-        F = est.truncated_exponential_functional(np.array([0.0, 0.05, 0.0]), 0.5, cap=50)
-        rep = est.verify_lsi(m, F, 0.5, 128, 20_000, 7)
+        rep = h2_lsi_control(damped)
         if damped:
             assert not rep.violated and rep.gap > 30.0 * rep.gap_stderr  # +1.32e-3 +- 3.9e-5
         else:
@@ -698,7 +664,7 @@ class TestBatchedContract:
         m = GEOMETRIES[kind]
         for name, F in factory_functionals(m).items():
             grid = TimeGrid.with_times(1.0, 16, list(F.eval_times))
-            idx = [grid.index_of(t) for t in F.eval_times]
+            idx = [index_of(grid, t) for t in F.eval_times]
             inc = batch_increments(grid, m.dim, 23, range(32))
             pos = simulate_increments(m, grid, inc, record=np.array(idx))[0]
             values = F.value(pos)

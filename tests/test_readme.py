@@ -1,11 +1,12 @@
 """The README's quoted outputs, from its own commands.
 
 Every ``pathgap`` command in the README's fenced blocks runs in process
-through ``cli.main``.  Each number the README quotes from those runs, or from
-a closed form it names, is read from the README text and compared with the
-run or the call at the quoted precision: within half a unit of the last
-quoted digit.  So editing a quoted digit, or changing what a run prints,
-fails here.
+through ``cli.main``.  Each number the README quotes from those runs, from a
+closed form it names, or from a control run of the estimator tests (shared
+through ``conftest``, so it runs once per session), is read from the README
+text and compared with the run or the call at the quoted precision: within
+half a unit of the last quoted digit.  So editing a quoted digit, or changing
+what a run prints, fails here.
 """
 
 import io
@@ -23,7 +24,8 @@ from pathgap import bounds as bd
 from pathgap import estimators as est
 from pathgap.cli import main
 
-from reference import expected_slope
+from conftest import h2_lsi_control, h2_theorem1_control
+from reference import exact_worst_violation, expected_slope
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 PROSE = " ".join(README.split())  # one space between words, so quotes may wrap
@@ -135,3 +137,36 @@ def test_chunk_split_of_the_lsi_run(runs):
     argv, _ = run_named(runs, "lsi")
     assert n_paths == int(argv[argv.index("--paths") + 1])
     assert [hi - lo for lo, hi in est._chunk_ranges(n_paths, lsi)] == widths
+
+
+def test_theorem1_control():
+    """The raised-k2 run of the theorem1 control test (H^2, 10 functionals)."""
+    violation, fraction = quoted(
+        r"`k2 = -0.99` fails with ([+-][\d.e-]+) \(satisfied fraction ([\d.]+)\)"
+    )
+    _, rep = h2_theorem1_control(-0.99)
+    assert_quoted(rep.max_violation, violation)
+    assert_quoted(rep.satisfied_fraction, fraction)
+
+
+def test_exact_worst_case_of_the_control_family():
+    true_window, raised = quoted(
+        r"`lambda_max\(K\^L\^-1 K\^d\) - 1`: ([+-][\d.e-]+) at the true window and "
+        r"([+-][\d.e-]+) at `k2 = -0.99`"
+    )
+    family, _ = h2_theorem1_control(-0.99)
+    m = pg.hyperbolic(2, -1.0)
+    for k2, text in [(-1.0, true_window), (-0.99, raised)]:
+        assert_quoted(exact_worst_violation(m, pg.CurvatureBounds(1.0, k2), family, 1.0, 128), text)
+
+
+def test_lsi_controls():
+    """The damped and undamped runs of the lsi control test on H^2."""
+    gap, err, undamped_gap, undamped_err = quoted(
+        r"the damped check passes with gap ([+-][\d.e-]+) \+- ([\d.e-]+) and the undamped "
+        r"one is violated at ([+-][\d.e-]+) \+- ([\d.e-]+)"
+    )
+    for damped, (g, e) in [(True, (gap, err)), (False, (undamped_gap, undamped_err))]:
+        rep = h2_lsi_control(damped)
+        assert_quoted(rep.gap, g)
+        assert_quoted(rep.gap_stderr, e)

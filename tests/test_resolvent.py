@@ -30,8 +30,8 @@ class TestScalarMode:
     def test_exact_exponential(self, m, c):
         g = TimeGrid.with_times(1.0, 64, ())
         path = sample_path(m, g, 3)
-        R = resolvent_on_grid(path.grid, m, m.curvature_window)
-        tri = kernels.resolvent_triangle(R.steps)
+        steps = resolvent_on_grid(path.grid, m, m.curvature_window)
+        tri = kernels.resolvent_triangle(steps)
         for i, j in [(0, 0), (10, 3), (64, 0), (40, 40)]:
             want = np.exp(-0.5 * c * (g.times[i] - g.times[j])) * np.eye(2)
             np.testing.assert_allclose(tri[pair(i, j)], want, rtol=1e-12, atol=1e-15)
@@ -46,18 +46,18 @@ class TestScalarMode:
     def test_steps_compose_to_the_exponential(self):
         m = pg.sphere(2, 1.0)
         g = TimeGrid.with_times(1.0, 64, ())
-        R = resolvent_on_grid(g, m, m.curvature_window)
-        assert R.steps.shape == (64, 2, 2)
+        steps = resolvent_on_grid(g, m, m.curvature_window)
+        assert steps.shape == (64, 2, 2)
         np.testing.assert_allclose(
-            np.linalg.multi_dot(R.steps[::-1]), np.exp(-0.5) * np.eye(2), rtol=1e-13, atol=0
+            np.linalg.multi_dot(steps[::-1]), np.exp(-0.5) * np.eye(2), rtol=1e-13, atol=0
         )
 
     def test_row_and_column_layout(self):
         m = pg.hyperbolic(2, -0.5)
         g = TimeGrid.with_times(1.0, 16, ())
-        R = resolvent_on_grid(g, m, m.curvature_window)
-        row = kernels.resolvent_triangle(R.steps)[pair(10, 0) : pair(11, 0)]
-        col = kernels.resolvent_column(R.steps, 4)
+        steps = resolvent_on_grid(g, m, m.curvature_window)
+        row = kernels.resolvent_triangle(steps)[pair(10, 0) : pair(11, 0)]
+        col = kernels.resolvent_column(steps, 4)
         want = np.exp(-0.5 * m.ricci_scalar * (g.times[10] - g.times[4])) * np.eye(2)
         np.testing.assert_allclose(row[4], want, atol=1e-15)
         np.testing.assert_allclose(col[6], want, atol=1e-15)
@@ -67,7 +67,7 @@ class TestSyntheticMode:
     def test_identity_on_diagonal(self):
         m, cb = smooth_ricci(2, seed=5)
         g = TimeGrid.with_times(1.0, 32, ())
-        tri = kernels.resolvent_triangle(resolvent_on_grid(g, m, cb).steps)
+        tri = kernels.resolvent_triangle(resolvent_on_grid(g, m, cb))
         for i in (0, 7, 32):
             np.testing.assert_array_equal(tri[pair(i, i)], np.eye(2))
 
@@ -76,9 +76,9 @@ class TestSyntheticMode:
         rates = np.array([0.6, -0.2])
         m = pg.synthetic_ricci_path(2, lambda t: np.diag(rates))
         g = TimeGrid.with_times(1.0, 512, ())
-        R = resolvent_on_grid(g, m, pg.CurvatureBounds(0.6, -0.2))
+        steps = resolvent_on_grid(g, m, pg.CurvatureBounds(0.6, -0.2))
         want = np.diag(np.exp(-0.5 * rates * 1.0))
-        np.testing.assert_allclose(kernels.resolvent_column(R.steps, 0)[512], want, atol=1e-10)
+        np.testing.assert_allclose(kernels.resolvent_column(steps, 0)[512], want, atol=1e-10)
 
     def test_piecewise_diagonal_product(self):
         """Breaks at grid nodes: first-order stage error stays below 1e-3."""
@@ -89,16 +89,16 @@ class TestSyntheticMode:
 
         m = pg.synthetic_ricci_path(2, ric)
         g = TimeGrid.with_times(1.0, 512, ())
-        R = resolvent_on_grid(g, m, pg.CurvatureBounds(1.0, -0.5))
+        steps = resolvent_on_grid(g, m, pg.CurvatureBounds(1.0, -0.5))
         int_a = 0.6 * 0.5 - 0.2 * 0.5
         int_b = 0.3 * 0.25 + 0.8 * 0.75
         want = np.diag(np.exp(-0.5 * np.array([int_a, int_b])))
-        np.testing.assert_allclose(kernels.resolvent_column(R.steps, 0)[512], want, atol=1e-3)
+        np.testing.assert_allclose(kernels.resolvent_column(steps, 0)[512], want, atol=1e-3)
 
     def test_cocycle(self, rng):
         m, cb = smooth_ricci(2, seed=11)
         g = TimeGrid.with_times(1.0, 512, ())
-        tri = kernels.resolvent_triangle(resolvent_on_grid(g, m, cb).steps)
+        tri = kernels.resolvent_triangle(resolvent_on_grid(g, m, cb))
         n = g.n_steps
         for _ in range(500):
             j = int(rng.integers(0, n))
@@ -110,9 +110,9 @@ class TestSyntheticMode:
     def test_norm_bound_all_pairs(self):
         m, cb = smooth_ricci(2, seed=13)
         g = TimeGrid.with_times(1.0, 256, ())
-        R = resolvent_on_grid(g, m, cb)
+        steps = resolvent_on_grid(g, m, cb)
         idx_i, idx_j = np.tril_indices(g.n_steps + 1)
-        norms = spectral_norms(kernels.resolvent_triangle(R.steps))
+        norms = spectral_norms(kernels.resolvent_triangle(steps))
         bound = np.exp(-0.5 * cb.k2 * (g.times[idx_i] - g.times[idx_j]))
         assert np.all(norms <= bound + 1e-8)
 
@@ -129,11 +129,11 @@ class TestSyntheticMode:
         g = TimeGrid.with_times(1.0, 2048, ())
         tracemalloc.start()
         try:
-            R = resolvent_on_grid(g, m, cb)
+            steps = resolvent_on_grid(g, m, cb)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert R.steps.shape == (2048, 2, 2) and R.ricci.shape == (2049, 2, 2)
+        assert steps.shape == (2048, 2, 2)
         assert peak <= 2e6
 
     def test_each_ricci_node_evaluated_once(self):
@@ -159,8 +159,8 @@ class TestSyntheticMode:
     def test_steps_are_the_rk4_steps(self):
         m, cb = smooth_ricci(2, seed=5)
         g = TimeGrid.with_times(1.0, 32, ())
-        R = resolvent_on_grid(g, m, cb)
-        np.testing.assert_array_equal(R.steps, kernels.resolvent_steps(gr._stage_ricci(m, g), g.dts))
+        steps = resolvent_on_grid(g, m, cb)
+        np.testing.assert_array_equal(steps, kernels.resolvent_steps(gr._stage_ricci(m, g), g.dts))
 
 
 class TestConvergence:
@@ -170,7 +170,7 @@ class TestConvergence:
 
         def q_final(n):
             g = TimeGrid.with_times(1.0, n, ())
-            return kernels.resolvent_column(resolvent_on_grid(g, m, cb).steps, 0)[-1]
+            return kernels.resolvent_column(resolvent_on_grid(g, m, cb), 0)[-1]
 
         ref = q_final(16384)
         e_256 = np.abs(q_final(256) - ref).max()
@@ -183,7 +183,7 @@ class TestConvergence:
 
         def cocycle_err(n):
             g = TimeGrid.with_times(1.0, n, ())
-            steps = resolvent_on_grid(g, m, cb).steps
+            steps = resolvent_on_grid(g, m, cb)
             mid, end = n // 2, n
             from_0 = kernels.resolvent_column(steps, 0)
             from_mid = kernels.resolvent_column(steps, mid)

@@ -13,7 +13,7 @@ from pathgap.sampling import (
     simulate_increments,
 )
 
-from reference import frame_orthonormality_defect, surface_defect
+from reference import frame_orthonormality_defect, index_of, surface_defect
 
 
 class TestTimeGrid:
@@ -27,7 +27,7 @@ class TestTimeGrid:
         assert 0.3 in g.times and 0.5 in g.times
         assert g.times[0] == 0.0 and g.times[-1] == 1.0
         assert np.all(np.diff(g.times) > 0)
-        assert g.index_of(0.3) == int(np.searchsorted(g.times, 0.3))
+        assert index_of(g, 0.3) == int(np.searchsorted(g.times, 0.3))
 
     def test_forced_times_deduplicated_exactly(self):
         """A forced time on a grid node, a repeated one and both ends each appear once."""
@@ -40,7 +40,7 @@ class TestTimeGrid:
     def test_index_of_missing(self):
         g = TimeGrid.with_times(1.0, 4, ())
         with pytest.raises(ValueError):
-            g.index_of(0.3)
+            index_of(g, 0.3)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -51,10 +51,12 @@ class TestTimeGrid:
             TimeGrid(1.0, np.array([0.0, 0.5, 0.4, 1.0]))
 
     def test_repeated_node_refused(self):
-        """linspace repeats nodes below a subnormal horizon; with no forced
-        times nothing deduplicates them, so the grid is refused."""
-        with pytest.raises(ValueError, match="strictly increasing"):
-            TimeGrid.with_times(5e-324, 4, ())
+        """linspace repeats nodes below a subnormal horizon; the uniform grid
+        is refused before forced times are merged, so deduplicating the merge
+        cannot shrink it to fewer steps than asked for."""
+        for forced in [(), (5e-324,)]:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                TimeGrid.with_times(5e-324, 8, forced)
 
     def test_step_count_checked_before_forced_times(self):
         with pytest.raises(ValueError, match="n_steps must be >= 1"):
