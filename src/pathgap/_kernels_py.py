@@ -5,10 +5,11 @@ Two kernels:
 * ``simulate_paths`` -- geodesic random walk on a model manifold for a batch
   of driving-increment arrays, recording positions and frames at selected
   time indices.
-* ``resolvent_steps`` -- RK4 for the damping ODE dQ/dt = -1/2 A(t) Q.  The
-  ODE is linear in Q, so each cell's RK4 step is one matrix
-  M_k = Q_{t_{k+1}, t_k}, and every propagator is a product of them; the
-  (n, d, d) step array is what ``gradients.resolvent_on_grid`` returns.
+* ``resolvent_steps(nodes, mids, dts)`` -- RK4 for the damping ODE
+  dQ/dt = -1/2 A(t) Q from A at the grid nodes and cell midpoints.  The ODE
+  is linear in Q, so each cell's RK4 step is one matrix M_k = Q_{t_{k+1}, t_k},
+  and every propagator is a product of them; the (n, d, d) step array is
+  what ``gradients.resolvent_on_grid`` returns.
   ``resolvent_triangle`` (all pairs) and ``resolvent_column`` (one start
   column) form those products from that array; they are the test
   references, and no package code calls them.
@@ -138,16 +139,15 @@ def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record)
     return out_pos, out_frames
 
 
-def resolvent_steps(ric_stages, dts):
+def resolvent_steps(nodes, mids, dts):
     """Each cell's RK4 step as one matrix M_k, (n, d, d).
 
-    ric_stages: (n, 3, d, d) Ricci matrices at (t_k, t_k + dt/2, t_{k+1});
-    dts: (n,).
+    Cell k's stages read the Ricci matrices nodes[k] at t_k, mids[k] at
+    t_k + dt_k/2 and nodes[k+1], from (n+1, d, d) and (n, d, d); dts: (n,).
     """
-    ric_stages = np.asarray(ric_stages, dtype=np.float64)
-    h = np.asarray(dts, dtype=np.float64)[:, None, None]
-    b0, b1, b2 = (-0.5 * ric_stages[:, i] for i in range(3))
-    eye = np.eye(ric_stages.shape[-1])
+    h = dts[:, None, None]
+    b0, b1, b2 = -0.5 * nodes[:-1], -0.5 * mids, -0.5 * nodes[1:]
+    eye = np.eye(nodes.shape[-1])
     k2 = b1 @ (eye + (0.5 * h) * b0)
     k3 = b1 @ (eye + (0.5 * h) * k2)
     k4 = b2 @ (eye + h * k3)

@@ -149,7 +149,7 @@ def cmd_bounds(args) -> int:
 def _simulate_rows(m, args):
     base = (args.T, m.kind, m.dim, m.kappa, args.paths, args.steps, args.seed)
     if args.mode == "chi":
-        rep = est.estimate_chi(m, np.eye(m.dim)[0], args.T, args.steps, args.paths, args.seed)
+        rep = est.estimate_chi(m, args.T, args.steps, args.paths, args.seed)
         base = base[:4] + (rep.n_paths,) + base[5:]
         rows = [
             base + ("chi", rep.chi.mean, rep.chi.stderr),
@@ -199,7 +199,7 @@ def cmd_asymptotics(args) -> int:
     if not 0.0 < args.tol_rel < math.inf:  # also rejects nan
         raise CliError(f"--tol-rel must be positive and finite, got {args.tol_rel}")
     m = _manifold(args.manifold, args.dim, args.kappa)
-    rep = est.small_time_slope(m, np.eye(m.dim)[0], args.T_ladder, args.paths, args.seed)
+    rep = est.small_time_slope(m, args.T_ladder, args.paths, args.seed)
 
     def head(p):
         return (p.T, m.kind, m.dim, m.kappa, p.n_paths, p.n_steps, args.seed)

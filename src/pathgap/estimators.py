@@ -63,7 +63,7 @@ def _mean_ci(samples: np.ndarray, seed: int) -> EstimateWithCI:
 
 @dataclass(frozen=True)
 class ChiReport:
-    """Rayleigh-quotient estimate for the linear functional F = <a, w_T>."""
+    """Rayleigh-quotient estimate for the linear functional F = w_T^1."""
 
     T: float
     chi: EstimateWithCI
@@ -78,7 +78,7 @@ def default_steps(T: float) -> int:
     """Step-count rule keeping order-1 walk bias below the O(T) signal.
 
     At most 2**14 steps (T <= 1.6384): the chi ladder's workspace of
-    normals, prefix sums and per-cell rows is then 101 MB at d = 3.
+    normals, prefix sums and per-cell rows is then 92 MB at d = 3.
     """
     n = _require_horizon(T) / 1e-4
     if n > 2**14:
@@ -100,7 +100,7 @@ def _chunk_ranges(n: int, chunk: int):
 
 
 # Draws per chunk of the chi estimators, one normal block: the ladder's _ChiWork
-# is then 2.5 MB at d = 3 and the 400 steps of the README ladder (101 MB at
+# is then 2.3 MB at d = 3 and the 400 steps of the README ladder (92 MB at
 # 2**14 steps).  The result does not depend on it.
 _CHI_CHUNK = 64
 
@@ -110,26 +110,26 @@ class _ChiWork:
 
     ``carve(p)`` points the attributes at C-contiguous views, from the front
     of one allocation, for a chunk of p draws over n steps: the prefix sums
-    ``w`` and ``u`` (d, n+1, P), ``alpha`` and ``v`` (n+1, P); four (n+1, P)
-    ``rows`` of scratch; and ``inc``, the (P, n, d) transpose of an (n, d, P)
-    normals buffer.  The prefix sums use ``rows[0]``, which the normals do
-    not overlap; the martingale and the rung energy use all four, the last
-    three over the normals, which are dead by then.  Every chunk writes into
-    the same memory, so it is allocated and faulted in once per call.
+    ``w`` and ``u`` (d, n+1, P) and ``v`` (n+1, P); four (n+1, P) ``rows`` of
+    scratch; and ``inc``, the (P, n, d) transpose of an (n, d, P) normals
+    buffer.  The prefix sums use ``rows[0]``, which the normals do not
+    overlap; the martingale and the rung energy use all four, the last three
+    over the normals, which are dead by then.  Every chunk writes into the
+    same memory, so it is allocated and faulted in once per call.
     """
 
     def __init__(self, dim: int, n: int, width: int):
         self.dim, self.n = dim, n
         tail = max(n + 1 + n * dim, 4 * (n + 1))  # rows[0] and the normals, or the four rows
-        self.store = np.empty(width * ((2 * dim + 2) * (n + 1) + tail))
+        self.store = np.empty(width * ((2 * dim + 1) * (n + 1) + tail))
 
     def carve(self, p: int) -> "_ChiWork":
         d, n = self.dim, self.n
         views, at = [], 0
-        for shape in [(d, n + 1, p)] * 2 + [(n + 1, p)] * 6:
+        for shape in [(d, n + 1, p)] * 2 + [(n + 1, p)] * 5:
             views.append(self.store[at : at + math.prod(shape)].reshape(shape))
             at += math.prod(shape)
-        self.w, self.u, self.alpha, self.v, *self.rows = views
+        self.w, self.u, self.v, *self.rows = views
         at -= 3 * (n + 1) * p  # the normals start after rows[0]
         self.inc = self.store[at : at + n * d * p].reshape(n, d, p).transpose(2, 0, 1)
         return self
@@ -137,17 +137,18 @@ class _ChiWork:
 
 def estimate_chi(
     m: ModelManifold,
-    a: np.ndarray,
     T: float,
     n_steps: int,
     n_paths: int,
     seed: int,
 ) -> ChiReport:
-    """Monte-Carlo Rayleigh quotient chi_T for F = <a, w_T>, |a| = 1.
+    """Monte-Carlo Rayleigh quotient chi_T for F = w_T^1, the first frame
+    coordinate of the driving motion.  On a model space every unit a gives
+    F = <a, w_T> the same chi_T: a rotation of the normals maps a to e_1.
 
-    chi_T = E integral |D_tau F|^2 dtau / Var F, and Var F = |a|^2 T is an
+    chi_T = E integral |D_tau F|^2 dtau / Var F, and Var F = T is an
     identity for this functional on every manifold.  The gradient field is
-    det + mart: det = a h with h = 1 + c (T - tau)/2 is deterministic, and
+    det + mart: det = e_1 h with h = 1 + c (T - tau)/2 is deterministic, and
     the martingale part mart multiplies each increment by a left point
     independent of it, so the cross term 2 integral <det, mart> has mean
     exactly zero.  The numerator drops it, a control variate with a known
@@ -160,62 +161,59 @@ def estimate_chi(
     F^2, checks the normals against Var F = T.  The result does not depend
     on the chunking.
     """
-    return _chi_ladder(m, a, [(T, n_steps)], n_paths, seed)[0][0]
+    return _chi_ladder(m, [(T, n_steps)], n_paths, seed)[0][0]
 
 
-def _prefix_sums(increments: np.ndarray, a: np.ndarray, work: _ChiWork):
+def _prefix_sums(increments: np.ndarray, work: _ChiWork):
     """Prefix sums at the nodes of a (P, n, d) batch of increments x_j, draws last.
 
-    w_k = sum_{j<k} x_j and u_k = sum_{j<k} alpha_j x_j are (d, n+1, P),
-    alpha_k = <w_k, a> and v_k = sum_{j<k} <w_j, x_j> are (n+1, P).  They
-    are written into the arrays of ``work``, carved for P draws.
+    w_k = sum_{j<k} x_j and u_k = sum_{j<k} w_j^1 x_j are (d, n+1, P), and
+    v_k = sum_{j<k} <w_j, x_j> is (n+1, P).  They are written into the
+    arrays of ``work``, carved for P draws.
     """
     x = increments.transpose(2, 1, 0)  # (d, n, P) view
-    w, u, alpha, v, scratch = work.w, work.u, work.alpha, work.v, work.rows[0]
+    w, u, v, scratch = work.w, work.u, work.v, work.rows[0]
     w[:, 0] = 0.0
     np.cumsum(x, axis=1, out=w[:, 1:])
-    np.multiply(w[0], a[0], out=alpha)
-    for ac, wc in zip(a[1:], w[1:]):
-        alpha += np.multiply(wc, ac, out=scratch)
     u[:, 0] = 0.0
-    np.multiply(alpha[:-1], x, out=u[:, 1:])
+    np.multiply(w[0, :-1], x, out=u[:, 1:])
     np.cumsum(u[:, 1:], axis=1, out=u[:, 1:])
     v[0] = 0.0
     np.multiply(w[0, :-1], x[0], out=v[1:])
     for wc, xc in zip(w[1:], x[1:]):
         v[1:] += np.multiply(wc[:-1], xc, out=scratch[1:])
     np.cumsum(v[1:], axis=0, out=v[1:])
-    return w, alpha, u, v
+    return w, u, v
 
 
-def _martingale(sums, a: np.ndarray, n: int, rows: Sequence[np.ndarray]):
+def _martingale(sums, n: int, rows: Sequence[np.ndarray]):
     """Yield M_k, k < n, over the first n increments, one (n, P) component at a time.
 
-    M_k = (u_n - u_k) - alpha_k (w_n - w_k) - [(v_n - v_k) - <w_k, w_n - w_k>] a
+    M_k = (u_n - u_k) - w_k^1 (w_n - w_k) - [(v_n - v_k) - <w_k, w_n - w_k>] e_1
     from the :func:`_prefix_sums`.  On constant curvature the gradient field
-    of F = <a, w_T> is a (1 + c (T - tau)/2) - kappa M: the curvature action
+    of F = w_T^1 is e_1 (1 + c (T - tau)/2) - kappa M: the curvature action
     in the moving frame does not depend on the frame, the inner curvature
     integral is exact and the outer one left-point.
 
     The work and every part live in ``rows``, three (at least n, P) arrays,
     so each part overwrites the last.
     """
-    w, alpha, u, v = sums
+    w, u, v = sums
     ahead, scalar = rows[0][:n], rows[1][:n]  # ahead: w_n - w_k of one component, then scratch
     np.subtract(v[n], v[:n], out=scalar)
     for wc in w:
         scalar -= np.multiply(wc[:n], np.subtract(wc[n], wc[:n], out=ahead), out=ahead)
-    for wc, uc, ac in zip(w, u, a):
-        np.multiply(np.subtract(wc[n], wc[:n], out=ahead), alpha[:n], out=ahead)
+    for c, (wc, uc) in enumerate(zip(w, u)):
+        np.multiply(np.subtract(wc[n], wc[:n], out=ahead), w[0, :n], out=ahead)
         part = np.subtract(uc[n], uc[:n], out=rows[2][:n])
         part -= ahead
-        part -= np.multiply(scalar, ac, out=ahead)
+        if c == 0:  # the scalar term lies along e_1
+            part -= scalar
         yield part
 
 
 def _chi_ladder(
     m: ModelManifold,
-    a: np.ndarray,
     rungs: Sequence[tuple[float, int]],
     n_paths: int,
     seed: int,
@@ -226,16 +224,11 @@ def _chi_ladder(
     uses the first n rows, exactly the normals its own grid would draw for
     path k.  One set of prefix sums of z per chunk serves every rung: with
     increments sqrt(dt) z, dt = T/n, the martingale part is -kappa dt M and
-    F = sqrt(dt) <a, w_n>.  Every chunk is drawn and summed in one
+    F = sqrt(dt) w_n^1.  Every chunk is drawn and summed in one
     :class:`_ChiWork`.  Also returns the numerators, (rungs, draws).
     """
     if m.kind == SYNTHETIC:
         raise ValueError("chi estimation needs a curvature tensor")
-    a = np.asarray(a, dtype=float)
-    if a.shape != (m.dim,):
-        raise ValueError(f"direction a must have shape ({m.dim},), got {a.shape}")
-    if abs(np.linalg.norm(a) - 1.0) > 1e-9:
-        raise ValueError("direction a must be a unit vector")
     n_paths += n_paths % 2
     n_draws = n_paths // 2
     if n_draws < 2:
@@ -246,7 +239,8 @@ def _chi_ladder(
     c = m.ricci_scalar
 
     grids = [TimeGrid.with_times(T, n_steps, ()) for T, n_steps in rungs]
-    dets = [a * (1.0 + 0.5 * c * (g.times[-1] - g.times[:-1]))[:, None] for g in grids]
+    # the (n, d) field e_1 h: a 1-D sum of h^2 dt rounds differently
+    dets = [np.eye(m.dim)[0] * (1.0 + 0.5 * c * (g.T - g.times[:-1]))[:, None] for g in grids]
     det_energy = [float(np.einsum("kd,kd,k->", det, det, g.dts)) for det, g in zip(dets, grids)]
     n_max = max(grid.n_steps for grid in grids)
     # unit steps: batch_increments returns the raw normals
@@ -258,15 +252,15 @@ def _chi_ladder(
     for lo, hi in ranges:
         work.carve(hi - lo)
         batch_increments(normals_grid, m.dim, seed, range(lo, hi), out=work.inc)
-        sums = _prefix_sums(work.inc, a, work)
+        sums = _prefix_sums(work.inc, work)
         for r, grid in enumerate(grids):
             n, dt = grid.n_steps, grid.T / grid.n_steps
-            f_r[r, lo:hi] = math.sqrt(dt) * sums[1][n]  # alpha_n = <a, w_n>
+            f_r[r, lo:hi] = math.sqrt(dt) * work.w[0, n]
             if m.kappa == 0.0:  # flat space has no martingale part
                 x_r[r, lo:hi] = det_energy[r]
                 continue
             energy = work.rows[3][:n]
-            parts = _martingale(sums, a, n, work.rows)
+            parts = _martingale(sums, n, work.rows)
             np.square(next(parts), out=energy)
             for part in parts:
                 energy += np.square(part, out=part)
@@ -554,14 +548,13 @@ class SlopeReport:
 
 def small_time_slope(
     m: ModelManifold,
-    a: np.ndarray,
     T_list: Sequence[float],
     n_paths: int,
     seed: int,
 ) -> SlopeReport:
     """Fit the first-order coefficient of chi_T - 1 over a horizon ladder.
 
-    The fitted slope is compared against <ric(u0) a, a> / 2 by the caller;
+    The fitted slope is compared against c/2 = <ric(u0) a, a> / 2 by the caller;
     chi_T upper-bounds the inverse-gap test quantity, so this exercises the
     upper branch of the small-time envelope.  The chi stderr scales as T^2,
     so rung r gets the fixed weight w_r = T_r^-4, and each draw i gives the
@@ -573,12 +566,11 @@ def small_time_slope(
     T_list = list(T_list)
     if len(T_list) < 4:
         raise ValueError("need at least 4 horizons for the slope fit")
-    points, x = _chi_ladder(m, a, [(T, default_steps(T)) for T in T_list], n_paths, seed)
+    points, x = _chi_ladder(m, [(T, default_steps(T)) for T in T_list], n_paths, seed)
     ts = np.array([p.T for p in points])
     coef = ts**-3 / np.sum(ts**-2)
     slope = _mean_ci(coef @ (x / ts[:, None] - 1.0), seed)
-    predicted = 0.5 * m.ricci_scalar * float(np.dot(a, a))
-    return SlopeReport(slope=slope, predicted_slope=predicted, points=tuple(points))
+    return SlopeReport(slope=slope, predicted_slope=0.5 * m.ricci_scalar, points=tuple(points))
 
 
 def random_two_point_family(

@@ -7,7 +7,7 @@ dQ_{t,s}/dt = -1/2 ric(t) Q_{t,s}, Q_{s,s} = Id.  This module holds Q on a
 time grid as one (n, d, d) array of its per-cell steps M_k = Q_{t_{k+1}, t_k},
 checks the Ricci data against the declared window, and pulls the slot
 gradients of a batch of paths back through their frames.  The batched damped
-energies and the algebra of the linear functional <a, w_T> are in
+energies and the algebra of the linear functional w_T^1 are in
 :mod:`pathgap.estimators`, their only caller; the one-path gradient fields,
 transforms and duality that the tests compare against are in
 ``tests/reference.py``.
@@ -57,16 +57,10 @@ class CylindricalFunctional:
         object.__setattr__(self, "eval_times", ts)
         if len(ts) == 0:
             raise ValueError("need at least one evaluation time")
+        if not np.all(np.isfinite(ts)):
+            raise ValueError(f"evaluation times must be finite, got {ts}")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("evaluation times must be strictly increasing")
-
-
-def _stage_ricci(m: ModelManifold, grid: TimeGrid) -> np.ndarray:
-    """Ricci path at the RK4 stage times (t_k, midpoint, t_{k+1}), each node once."""
-    times = grid.times
-    nodes = np.array([ricci_matrix(m, t) for t in times])
-    mids = np.array([ricci_matrix(m, 0.5 * (t0 + t1)) for t0, t1 in zip(times[:-1], times[1:])])
-    return np.stack([nodes[:-1], mids, nodes[1:]], axis=1)
 
 
 def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBounds) -> np.ndarray:
@@ -78,8 +72,8 @@ def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBound
     The Ricci data, which depends on time only, is checked against the
     declared window first; a violation raises :class:`DataError`.  Constant
     Ricci c gives the exact steps e^{-c dt_k/2} Id.  A synthetic path is
-    checked at every distinct RK4 stage time and integrated by RK4 with
-    stage-time evaluation: one step matrix per cell.
+    read once at each node and midpoint, checked there and integrated by
+    RK4 with stage-time evaluation: one step matrix per cell.
     """
     if m.kind != SYNTHETIC:
         c = m.ricci_scalar
@@ -89,8 +83,9 @@ def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBound
                 f"(k1={declared.k1:.6g}, k2={declared.k2:.6g})"
             )
         return np.exp(-0.5 * c * grid.dts)[:, None, None] * np.eye(m.dim)
-    stages = _stage_ricci(m, grid)
-    mats = np.concatenate([stages[:, 0], stages[-1:, 2], stages[:, 1]])  # nodes, then midpoints
+    nodes = np.array([ricci_matrix(m, t) for t in grid.times])
+    mids = np.array([ricci_matrix(m, t) for t in 0.5 * (grid.times[:-1] + grid.times[1:])])
+    mats = np.concatenate([nodes, mids])
     min_eig = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))[:, 0].min()
     op_norm = np.linalg.norm(mats, ord=2, axis=(-2, -1)).max()
     if min_eig < declared.k2 - 1e-9:
@@ -103,7 +98,7 @@ def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBound
             f"ricci path violates declared norm bound: max operator norm "
             f"{op_norm:.6g} > k1 = {declared.k1:.6g}"
         )
-    return kernels.resolvent_steps(stages, grid.dts)
+    return kernels.resolvent_steps(nodes, mids, grid.dts)
 
 
 def _batch_output(out, shape: tuple, name: str, what: str, first: int) -> np.ndarray:

@@ -69,8 +69,9 @@ class TimeGrid:
             raise ValueError(f"n_steps must be >= 1, got {n_steps}")
         times = cls(T, np.linspace(0.0, T, n_steps + 1)).times  # its last node is T itself
         forced = np.asarray(forced, dtype=float)
-        if np.any((forced < 0) | (forced > T)):
-            raise ValueError("forced times must lie in [0, T]")
+        inside = (forced >= 0) & (forced <= T)  # false for NaN
+        if not np.all(inside):
+            raise ValueError(f"forced times must lie in [0, {T}], got {forced[~inside].tolist()}")
         # sort and drop adjacent duplicates, as np.unique does, without
         # np.unique's import of numpy.ma (about 1.3 MB and 15 ms)
         times = np.sort(np.concatenate([times, forced]))

@@ -280,7 +280,7 @@ def surface_defect(m: ModelManifold, fp: FramePoint) -> float:
 
 
 def expected_numerator(m: ModelManifold, T: float, n: int) -> float:
-    """Mean chi numerator on n uniform steps of constant curvature, |a| = 1.
+    """Mean chi numerator of F = w_T^1 on n uniform steps of constant curvature.
 
     The left-point sum of h_k^2 dt, h_k = 1 + c (T - t_k)/2, plus the
     martingale energy kappa^2 (d - 1) dt^3 (n^3 - n)/3: the martingale terms

@@ -261,18 +261,18 @@ def test_criterion_5_gradient_algebra():
 def test_criterion_6_chi_reproduction():
     t0 = time.time()
     flat = est.estimate_chi(
-        pg.euclidean(3), np.array([1.0, 0.0, 0.0]), 0.02, 200, 10_000, RNG_SEED + 6
+        pg.euclidean(3), 0.02, 200, 10_000, RNG_SEED + 6
     )
     flat_ok = abs(flat.chi.mean - 1.0) <= 1e-12 and flat.chi.stderr == 0.0
 
     ladder = [0.005, 0.01, 0.02, 0.04]
     s3 = est.small_time_slope(
-        pg.sphere(3, 1.0), np.array([1.0, 0.0, 0.0]), ladder, 100_000, RNG_SEED + 7
+        pg.sphere(3, 1.0), ladder, 100_000, RNG_SEED + 7
     )
     s3_ok = abs(s3.slope.mean - 1.0) <= 0.1
 
     h2 = est.small_time_slope(
-        pg.hyperbolic(2, -1.0), np.array([1.0, 0.0]), ladder, 100_000, RNG_SEED + 8
+        pg.hyperbolic(2, -1.0), ladder, 100_000, RNG_SEED + 8
     )
     h2_ok = abs(h2.slope.mean - (-0.5)) <= 0.05
 

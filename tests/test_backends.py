@@ -16,9 +16,11 @@ import pathgap as pg
 from pathgap import _kernels_py as kern
 from pathgap import estimators as est
 from pathgap._backend import kernels
+from pathgap.geometry import ricci_matrix
 from pathgap.sampling import TimeGrid, batch_increments, sample_path, simulate_increments
 
 from conftest import smooth_ricci
+from reference import ricci_at_nodes
 
 
 def _simulate(m, inc, record):
@@ -259,17 +261,19 @@ def _rk4_stage_form_triangle(ric_stages, dts):
 
 class TestResolventKernels:
     @staticmethod
-    def _stages(n, d, seed):
-        import pathgap.gradients as gr
-
-        m, cb = smooth_ricci(d, seed=seed)
+    def _ricci(n, d, seed):
+        """A smooth Ricci path at the nodes and midpoints of n uniform cells on
+        [0, 1], and the cell widths: the arguments of ``resolvent_steps``."""
+        m, _ = smooth_ricci(d, seed=seed)
         g = TimeGrid.with_times(1.0, n, ())
-        return gr._stage_ricci(m, g), g.dts
+        nodes = ricci_at_nodes(m, g)
+        mids = np.array([ricci_matrix(m, 0.5 * (t0 + t1)) for t0, t1 in zip(g.times, g.times[1:])])
+        return nodes, mids, g.dts
 
     def test_column_matches_triangle(self):
         """Both references form the same products, bit for bit, from any start column."""
         for n, d, seed, j0 in [(48, 2, 59, 0), (64, 3, 19, 5)]:
-            steps = kern.resolvent_steps(*self._stages(n, d, seed))
+            steps = kern.resolvent_steps(*self._ricci(n, d, seed))
             tri = kern.resolvent_triangle(steps)
             idx = np.arange(j0, n + 1)
             col = kern.resolvent_column(steps, j0)
@@ -278,8 +282,9 @@ class TestResolventKernels:
     @pytest.mark.parametrize("n,d,seed", [(48, 2, 59), (40, 3, 19)])
     def test_triangle_matches_stage_form(self, n, d, seed):
         """One step matrix per cell is the RK4 step, up to roundoff."""
-        stages, dts = self._stages(n, d, seed)
-        tri = kern.resolvent_triangle(kern.resolvent_steps(stages, dts))
+        nodes, mids, dts = self._ricci(n, d, seed)
+        tri = kern.resolvent_triangle(kern.resolvent_steps(nodes, mids, dts))
+        stages = np.stack([nodes[:-1], mids, nodes[1:]], axis=1)  # cell k: t_k, midpoint, t_{k+1}
         np.testing.assert_allclose(tri, _rk4_stage_form_triangle(stages, dts), rtol=0, atol=1e-13)
 
 

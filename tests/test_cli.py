@@ -269,7 +269,7 @@ class TestAsymptoticsCommand:
         )
         assert code == 0
         rows = [line.split(",") for line in out.splitlines()[1:]]
-        rep = est.small_time_slope(sphere(2, 1.0), np.array([1.0, 0.0]), ladder, 20, 3)
+        rep = est.small_time_slope(sphere(2, 1.0), ladder, 20, 3)
         steps = SIMULATE_COLUMNS.index("n_steps")
         assert [int(row[steps]) for row in rows] == (
             [p.n_steps for p in rep.points] + [rep.points[-1].n_steps] * 2
@@ -293,8 +293,8 @@ class TestAsymptoticsCommand:
         prediction follows the --kappa given."""
         fit = est.small_time_slope
 
-        def on_unit_sphere(m, a, T_list, n_paths, seed):
-            rep = fit(sphere(3, 1.0), a, T_list, n_paths, seed)
+        def on_unit_sphere(m, T_list, n_paths, seed):
+            rep = fit(sphere(3, 1.0), T_list, n_paths, seed)
             return dataclasses.replace(rep, predicted_slope=0.5 * m.ricci_scalar)
 
         monkeypatch.setattr(est, "small_time_slope", on_unit_sphere)

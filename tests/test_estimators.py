@@ -33,7 +33,7 @@ def refuse_draws(*args, **kwargs):
 
 class TestEstimateChi:
     def test_flat_exact(self):
-        rep = est.estimate_chi(pg.euclidean(3), np.array([1.0, 0, 0]), 0.5, 64, 500, 7)
+        rep = est.estimate_chi(pg.euclidean(3), 0.5, 64, 500, 7)
         assert abs(rep.chi.mean - 1.0) <= 1e-12
         assert rep.chi.stderr == 0.0
         assert abs(rep.dirichlet.mean - 0.5) <= 1e-12
@@ -43,7 +43,7 @@ class TestEstimateChi:
         """chi on the unit 3-sphere tracks 1 + (d-1) T / 2 at small T."""
         m = pg.sphere(3, 1.0)
         T = 0.02
-        rep = est.estimate_chi(m, np.array([1.0, 0, 0]), T, 200, 20_000, 11)
+        rep = est.estimate_chi(m, T, 200, 20_000, 11)
         assert rep.predicted_first_order == pytest.approx(1.02)
         slack = 4.0 * rep.chi.stderr + 4.0 * T * T
         assert abs(rep.chi.mean - rep.predicted_first_order) <= slack
@@ -51,7 +51,7 @@ class TestEstimateChi:
     def test_variance_tracks_horizon(self):
         m = pg.sphere(2, 1.0)
         T = 0.1
-        rep = est.estimate_chi(m, np.array([1.0, 0.0]), T, 64, 20_000, 13)
+        rep = est.estimate_chi(m, T, 64, 20_000, 13)
         assert abs(rep.var_F.mean - T) <= 4.0 * rep.var_F.stderr
 
     def test_i_term_decomposition(self):
@@ -60,12 +60,12 @@ class TestEstimateChi:
         numerator is the other two terms."""
         m = pg.sphere(3, 1.0)
         T, n_steps, seed = 0.05, 64, 17
-        a = np.array([0.0, 1.0, 0.0])
-        rep = est.estimate_chi(m, a, T, n_steps, 8000, seed)
+        rep = est.estimate_chi(m, T, n_steps, 8000, seed)
         grid = TimeGrid.with_times(T, n_steps, ())
         inc = batch_increments(grid, m.dim, seed, range(4000))
-        field = _linear_field_by_suffix_sums(inc, grid.times, a, m.kappa, m.ricci_scalar)
-        det = a * (1.0 + 0.5 * m.ricci_scalar * (T - grid.times[:-1]))[:, None]
+        e1 = np.eye(m.dim)[0]
+        field = _linear_field_by_suffix_sums(inc, grid.times, e1, m.kappa, m.ricci_scalar)
+        det = e1 * (1.0 + 0.5 * m.ricci_scalar * (T - grid.times[:-1]))[:, None]
         mart = field - det
 
         def energy(u, v):
@@ -83,14 +83,12 @@ class TestEstimateChi:
 
     def test_seed_determinism(self):
         m = pg.sphere(2, 1.0)
-        r1 = est.estimate_chi(m, np.array([1.0, 0.0]), 0.05, 64, 2000, 19)
-        r2 = est.estimate_chi(m, np.array([1.0, 0.0]), 0.05, 64, 2000, 19)
+        r1 = est.estimate_chi(m, 0.05, 64, 2000, 19)
+        r2 = est.estimate_chi(m, 0.05, 64, 2000, 19)
         assert r1 == r2
 
     def test_chunking_does_not_change_results(self, monkeypatch):
-        m = pg.sphere(3, 1.0)
-        a = np.array([0.0, 1.0, 0.0])
-        args = (m, a, 0.02, 64, 5000, 29)
+        args = (pg.sphere(3, 1.0), 0.02, 64, 5000, 29)
         monkeypatch.setattr(est, "_CHI_CHUNK", 512)
         many = est.estimate_chi(*args)
         monkeypatch.setattr(est, "_CHI_CHUNK", 1 << 20)
@@ -99,26 +97,10 @@ class TestEstimateChi:
 
     def test_too_few_draws_rejected(self):
         m = pg.sphere(2, 1.0)
-        a = np.array([1.0, 0.0])
         with pytest.raises(ValueError, match="2 independent draws"):
-            est.estimate_chi(m, a, 0.1, 8, 2, 3)
-        rep = est.estimate_chi(m, a, 0.1, 8, 3, 3)  # rounded up to two mirrored pairs
+            est.estimate_chi(m, 0.1, 8, 2, 3)
+        rep = est.estimate_chi(m, 0.1, 8, 3, 3)  # rounded up to two mirrored pairs
         assert (rep.n_paths, rep.chi.n) == (4, 2)
-
-    def test_unit_vector_required(self):
-        with pytest.raises(ValueError):
-            est.estimate_chi(pg.euclidean(2), np.array([1.0, 1.0]), 0.1, 32, 100, 3)
-
-    @pytest.mark.parametrize("a", [[1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [[1.0, 0.0, 0.0]]])
-    def test_direction_of_the_wrong_shape_rejected_before_any_draw(self, monkeypatch, a):
-        """A unit direction of another shape than (dim,) is refused, not
-        truncated to the first components or broadcast."""
-        monkeypatch.setattr(est, "batch_increments", refuse_draws)
-        m = pg.sphere(3, 1.0)
-        with pytest.raises(ValueError, match=r"shape \(3,\)"):
-            est.estimate_chi(m, np.array(a), 0.02, 64, 2000, 7)
-        with pytest.raises(ValueError, match=r"shape \(3,\)"):
-            est.small_time_slope(m, np.array(a), [0.005, 0.01, 0.02, 0.04], 2000, 7)
 
 
 def _linear_field_by_suffix_sums(increments, times, a, kappa, ric_scalar):
@@ -145,45 +127,53 @@ class TestChiLadder:
     )
     def test_numerators_match_the_suffix_sum_field(self, m):
         """Per cell, det - kappa dt M from the prefix sums of the longest rung's
-        normals is the reference field; per draw, the numerator is integral
-        |det|^2 + integral |field - det|^2, on rungs of different dt; F is <a, w_T>."""
+        normals z is the reference field of F = w_T^1.  Per draw, the numerator
+        is integral |det|^2 + integral |field - det|^2 for F = <a, w_T> with an
+        off-axis a on the normals H z, H the Householder reflection with
+        H e_1 = a, on rungs of different dt: on a model space the direction
+        does not change the law."""
+        e1 = np.eye(m.dim)[0]
         a = np.zeros(m.dim)
         a[0], a[-1] = 0.8, 0.6
+        H = np.eye(m.dim) - 2.0 * np.outer(e1 - a, e1 - a) / np.dot(e1 - a, e1 - a)
+        np.testing.assert_allclose(H @ e1, a, rtol=0, atol=1e-15)
         rungs = [(0.005, 64), (0.01, 100)]
         seed, n_draws = 23, 150
-        reports, x = est._chi_ladder(m, a, rungs, 2 * n_draws, seed)
+        reports, x = est._chi_ladder(m, rungs, 2 * n_draws, seed)
         z = batch_increments(TimeGrid.with_times(100, 100, ()), m.dim, seed, range(n_draws))
         work = est._ChiWork(m.dim, 100, n_draws).carve(n_draws)
-        sums = est._prefix_sums(z, a, work)
+        sums = est._prefix_sums(z, work)
         for report, x_rung, (T, n) in zip(reports, x, rungs):
             grid = TimeGrid.with_times(T, n, ())
+            h = (1.0 + 0.5 * m.ricci_scalar * (T - grid.times[:-1]))[:, None]
             inc = z[:, :n] * grid.sqrt_dts[:, None]
-            field = _linear_field_by_suffix_sums(inc, grid.times, a, m.kappa, m.ricci_scalar)
-            det = a * (1.0 + 0.5 * m.ricci_scalar * (T - grid.times[:-1]))[:, None]
+            field = _linear_field_by_suffix_sums(inc, grid.times, e1, m.kappa, m.ricci_scalar)
             # the parts share one row buffer: each is copied before the next
-            parts = [p.copy() for p in est._martingale(sums, a, n, work.rows)]
+            parts = [p.copy() for p in est._martingale(sums, n, work.rows)]
             parts = np.stack(parts, axis=-1).transpose(1, 0, 2)
             np.testing.assert_allclose(
-                det - m.kappa * (T / n) * parts, field, rtol=0, atol=1e-14
+                e1 * h - m.kappa * (T / n) * parts, field, rtol=0, atol=1e-14
             )
-            mart = field - det
+            inc_a = inc @ H  # H is symmetric: each row x_j becomes H x_j
+            det = a * h
+            field_a = _linear_field_by_suffix_sums(inc_a, grid.times, a, m.kappa, m.ricci_scalar)
+            mart = field_a - det
             want = np.einsum("kd,kd,k->", det, det, grid.dts)
             want = want + np.einsum("pkd,pkd,k->p", mart, mart, grid.dts)
             np.testing.assert_allclose(x_rung, want, rtol=1e-12)
-            f = np.einsum("pkd,d->p", inc, a)
+            f = np.einsum("pkd,d->p", inc_a, a)
             assert report.var_F.mean == pytest.approx(np.mean(f * f), rel=1e-12)
 
     def test_flat_numerator_is_the_deterministic_energy(self, monkeypatch):
         """kappa = 0: no martingale sweep, and every draw's numerator is the
-        deterministic energy |a|^2 T."""
+        deterministic energy T."""
 
         def refuse(*args):
             raise AssertionError("the flat ladder swept the martingale sums")
 
         monkeypatch.setattr(est, "_martingale", refuse)
         rungs = [(0.005, 64), (0.01, 100)]
-        a = np.array([0.0, 0.6, 0.8])
-        reports, x = est._chi_ladder(pg.euclidean(3), a, rungs, 300, 5)
+        reports, x = est._chi_ladder(pg.euclidean(3), rungs, 300, 5)
         for report, x_rung, (T, _) in zip(reports, x, rungs):
             assert np.all(x_rung == x_rung[0]) and x_rung[0] == pytest.approx(T, rel=1e-14)
             assert report.dirichlet.stderr == 0.0 and report.chi.stderr == 0.0
@@ -191,7 +181,7 @@ class TestChiLadder:
     def test_one_draw_chunks_change_nothing(self, monkeypatch):
         """A chunk of one draw sums its cells in the same order as a wide one.
         At T ~ 1 the martingale energy is a visible share of each numerator."""
-        args = (pg.sphere(3, 2.0), np.array([0.0, 1.0, 0.0]), [(0.5, 64), (1.0, 100)], 42, 29)
+        args = (pg.sphere(3, 2.0), [(0.5, 64), (1.0, 100)], 42, 29)
         monkeypatch.setattr(est, "_CHI_CHUNK", 1)
         one = est._chi_ladder(*args)
         monkeypatch.setattr(est, "_CHI_CHUNK", 64)
@@ -211,7 +201,7 @@ class TestChiLadder:
 
         monkeypatch.setattr(est, "batch_increments", counted)
         n_draws = 5 * est._CHI_CHUNK + 3
-        est.small_time_slope(pg.sphere(2, 1.0), np.array([1.0, 0.0]), [0.01, 0.02, 0.03, 0.04],
+        est.small_time_slope(pg.sphere(2, 1.0), [0.01, 0.02, 0.03, 0.04],
                              2 * n_draws, 3)
         assert len(calls) == 6
 
@@ -227,7 +217,7 @@ class TestChiLadder:
 
         monkeypatch.setattr(est, "batch_increments", recorded)
         n_draws = 5 * est._CHI_CHUNK + 3
-        est._chi_ladder(pg.sphere(2, 1.0), np.array([1.0, 0.0]), [(0.01, 16), (0.02, 32)],
+        est._chi_ladder(pg.sphere(2, 1.0), [(0.01, 16), (0.02, 32)],
                         2 * n_draws, 3)
         assert len(outs) == 6
         assert len({id(out.base) for out in outs}) == 1
@@ -237,7 +227,7 @@ class TestChiLadder:
         m = pg.sphere(3, 1.0)
         tracemalloc.start()
         try:
-            rep = est.small_time_slope(m, np.array([1.0, 0.0, 0.0]), [0.005, 0.01, 0.02, 0.04],
+            rep = est.small_time_slope(m, [0.005, 0.01, 0.02, 0.04],
                                        8192, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -261,9 +251,7 @@ class TestChiOracle:
         ids=["sphere3", "hyperbolic2", "sphere2-kappa3"],
     )
     def test_rung_means_match_the_closed_form(self, m, rungs):
-        a = np.zeros(m.dim)
-        a[0] = 1.0
-        _, x = est._chi_ladder(m, a, rungs, 2000, 3)
+        _, x = est._chi_ladder(m, rungs, 2000, 3)
         for x_rung, (T, n) in zip(x, rungs):
             stderr = np.std(x_rung, ddof=1) / math.sqrt(x_rung.size)
             assert abs(np.mean(x_rung) - expected_numerator(m, T, n)) <= 4.0 * stderr
@@ -273,7 +261,7 @@ class TestChiOracle:
         the T^2 term under the T^-4 weights, +0.0140 from the left-point sum."""
         m = pg.sphere(3, 1.0)
         ladder = [0.005, 0.01, 0.02, 0.04]
-        rep = est.small_time_slope(m, np.array([1.0, 0.0, 0.0]), ladder, 300, 7)
+        rep = est.small_time_slope(m, ladder, 300, 7)
         expected = expected_slope(m, ladder)
         assert expected == pytest.approx(1.0210118, abs=1e-7)
         assert abs(rep.slope.mean - expected) <= 4.0 * rep.slope.stderr
@@ -790,7 +778,7 @@ class TestBatchedContract:
 class TestSmallTimeSlope:
     def test_flat_zero_slope(self):
         rep = est.small_time_slope(
-            pg.euclidean(3), np.array([1.0, 0, 0]), [0.005, 0.01, 0.02, 0.04], 500, 3
+            pg.euclidean(3), [0.005, 0.01, 0.02, 0.04], 500, 3
         )
         assert rep.slope.mean == 0.0
         assert rep.slope.stderr == 0.0
@@ -798,14 +786,14 @@ class TestSmallTimeSlope:
 
     def test_sphere_slope(self):
         rep = est.small_time_slope(
-            pg.sphere(3, 1.0), np.array([0.0, 1.0, 0.0]), [0.005, 0.01, 0.02, 0.04], 20_000, 5
+            pg.sphere(3, 1.0), [0.005, 0.01, 0.02, 0.04], 20_000, 5
         )
         assert rep.predicted_slope == pytest.approx(1.0)
         assert abs(rep.slope.mean - 1.0) <= 0.1
 
     def test_hyperbolic_slope(self):
         rep = est.small_time_slope(
-            pg.hyperbolic(2, -1.0), np.array([1.0, 0.0]), [0.005, 0.01, 0.02, 0.04], 20_000, 5
+            pg.hyperbolic(2, -1.0), [0.005, 0.01, 0.02, 0.04], 20_000, 5
         )
         assert rep.predicted_slope == pytest.approx(-0.5)
         assert abs(rep.slope.mean + 0.5) <= 0.05
@@ -814,26 +802,24 @@ class TestSmallTimeSlope:
         """Each rung reuses a prefix of the longest rung's normals; the
         points equal the stand-alone estimates exactly."""
         m = pg.sphere(2, 1.0)
-        a = np.array([0.6, 0.8])
         ladder = [0.005, 0.01, 0.02, 0.04]
-        rep = est.small_time_slope(m, a, ladder, 1001, 31)
+        rep = est.small_time_slope(m, ladder, 1001, 31)
         for point, T in zip(rep.points, ladder):
-            assert point == est.estimate_chi(m, a, T, est.default_steps(T), 1001, 31)
+            assert point == est.estimate_chi(m, T, est.default_steps(T), 1001, 31)
 
     def test_ladder_length_enforced(self):
         with pytest.raises(ValueError):
-            est.small_time_slope(pg.euclidean(2), np.array([1.0, 0]), [0.01, 0.02], 100, 3)
+            est.small_time_slope(pg.euclidean(2), [0.01, 0.02], 100, 3)
 
 
 class TestCiCalibration:
     def test_flat_variance_ci_coverage(self):
         """95% CI of the sample variance covers Var(F) = T in >= 90 of 100 runs."""
         m = pg.euclidean(2)
-        a = np.array([1.0, 0.0])
         T = 0.3
         covered = 0
         for rep_idx in range(100):
-            rep = est.estimate_chi(m, a, T, 16, 800, seed=1000 + rep_idx)  # 400 draws
+            rep = est.estimate_chi(m, T, 16, 800, seed=1000 + rep_idx)  # 400 draws
             lo, hi = rep.var_F.ci()
             covered += lo <= T <= hi
         assert covered >= 90
@@ -845,10 +831,8 @@ class TestCiCalibration:
         """Across 200 seeds, the SD of the fitted slope over the RMS of its
         reported stderr lies in [0.85, 1.18], and so does that of one rung's
         chi.  The ladder is shorter than the README's to keep the panel fast."""
-        a = np.zeros(m.dim)
-        a[0] = 1.0
         reps = [
-            est.small_time_slope(m, a, [0.0025, 0.005, 0.0075, 0.01], 300, 5000 + s)
+            est.small_time_slope(m, [0.0025, 0.005, 0.0075, 0.01], 300, 5000 + s)
             for s in range(200)
         ]
         for estimates in ([r.slope for r in reps], [r.points[-1].chi for r in reps]):

@@ -53,6 +53,16 @@ def constant_functional(dim, t_eval):
     )
 
 
+class TestCylindricalFunctional:
+    @pytest.mark.parametrize(
+        "ts", [(math.nan,), (0.2, math.nan), (0.1, math.inf)], ids=["nan", "late-nan", "inf"]
+    )
+    def test_non_finite_evaluation_time_refused(self, ts):
+        """A NaN passes the strictly-increasing check, whose comparisons are all false."""
+        with pytest.raises(ValueError, match="evaluation times must be finite"):
+            CylindricalFunctional(ts, lambda pos: pos[:, 0, 0], lambda pos: pos)
+
+
 class TestUsualGradient:
     def test_single_slot_indicator(self):
         m = pg.euclidean(2)
@@ -413,14 +423,12 @@ class TestLinearFunctionalGradient:
         """The martingale part is even in the increments: -inc gives it bit for bit."""
         g = TimeGrid.with_times(0.1, 48, ())
         inc = batch_increments(g, m.dim, seed=57, indices=range(64))
-        a = np.zeros(m.dim)
-        a[0] = 1.0
 
         def parts(increments):
             """The martingale parts, each copied out of the workspace they share."""
             work = est._ChiWork(m.dim, g.n_steps, 64).carve(64)
-            sums = est._prefix_sums(increments, a, work)
-            return [p.copy() for p in est._martingale(sums, a, g.n_steps, work.rows)]
+            sums = est._prefix_sums(increments, work)
+            return [p.copy() for p in est._martingale(sums, g.n_steps, work.rows)]
 
         assert np.array_equal(parts(inc), parts(-inc))
 

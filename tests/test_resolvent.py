@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 import pathgap as pg
-from pathgap import gradients as gr
 from pathgap._backend import kernels
 from pathgap.geometry import ricci_matrix
 from pathgap.gradients import DataError, resolvent_on_grid
 from pathgap.sampling import TimeGrid, sample_path
 
 from conftest import smooth_ricci, spectral_norms, stiff_ricci
+from reference import ricci_at_nodes
 
 
 def pair(i, j):
@@ -137,8 +137,9 @@ class TestSyntheticMode:
         assert peak <= 2e6
 
     def test_each_ricci_node_evaluated_once(self):
-        """2n + 1 callback calls give the stages of 3n per-stage calls, bit for bit."""
-        m, _ = smooth_ricci(2, seed=5)
+        """2n + 1 callback calls, one per node and midpoint, give the steps of
+        the Ricci matrices read one time at a time, bit for bit."""
+        m, cb = smooth_ricci(2, seed=5)
         calls = []
 
         def counted(t):
@@ -146,21 +147,27 @@ class TestSyntheticMode:
             return m.ricci_path(t)
 
         g = TimeGrid.with_times(1.0, 32, ())
-        stages = gr._stage_ricci(pg.synthetic_ricci_path(2, counted), g)
+        steps = resolvent_on_grid(g, pg.synthetic_ricci_path(2, counted), cb)
         assert len(calls) == 2 * 32 + 1 == len(set(calls))
-        want = np.array(
-            [
-                [ricci_matrix(m, t0), ricci_matrix(m, 0.5 * (t0 + t1)), ricci_matrix(m, t1)]
-                for t0, t1 in zip(g.times[:-1], g.times[1:])
-            ]
-        )
-        np.testing.assert_array_equal(stages, want)
+        nodes = ricci_at_nodes(m, g)
+        mids = np.array([ricci_matrix(m, 0.5 * (t0 + t1)) for t0, t1 in zip(g.times, g.times[1:])])
+        np.testing.assert_array_equal(steps, kernels.resolvent_steps(nodes, mids, g.dts))
 
     def test_steps_are_the_rk4_steps(self):
+        """Cell k's step is one classic RK4 step of dQ/dt = -1/2 A Q from Q = I,
+        with A read at t_k, twice at the midpoint, and at t_{k+1}."""
         m, cb = smooth_ricci(2, seed=5)
         g = TimeGrid.with_times(1.0, 32, ())
         steps = resolvent_on_grid(g, m, cb)
-        np.testing.assert_array_equal(steps, kernels.resolvent_steps(gr._stage_ricci(m, g), g.dts))
+        for step, t0, t1 in zip(steps, g.times, g.times[1:]):
+            a0, a1, a2 = (-0.5 * ricci_matrix(m, t) for t in (t0, 0.5 * (t0 + t1), t1))
+            h, q = t1 - t0, np.eye(2)
+            k1 = a0 @ q
+            k2 = a1 @ (q + 0.5 * h * k1)
+            k3 = a1 @ (q + 0.5 * h * k2)
+            k4 = a2 @ (q + h * k3)
+            want = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            np.testing.assert_allclose(step, want, rtol=0, atol=1e-15)
 
 
 class TestConvergence:

@@ -58,6 +58,13 @@ class TestTimeGrid:
             with pytest.raises(ValueError, match="strictly increasing"):
                 TimeGrid.with_times(5e-324, 8, forced)
 
+    @pytest.mark.parametrize("forced", [[float("nan")], [0.5, float("nan")]])
+    def test_nan_forced_time_refused_by_name(self, forced):
+        """Every comparison with NaN is false, so the range check is written to
+        pass only times inside [0, T]; the message names the time refused."""
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\.0\], got \[nan\]"):
+            TimeGrid.with_times(1.0, 4, forced)
+
     def test_step_count_checked_before_forced_times(self):
         with pytest.raises(ValueError, match="n_steps must be >= 1"):
             TimeGrid.with_times(1.0, 0, [0.5])
