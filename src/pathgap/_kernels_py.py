@@ -20,6 +20,8 @@ the paths on its last axis) and across cells (resolvent steps).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .geometry import _root, _surface
@@ -95,24 +97,27 @@ def _step_curved(kappa, pos, frames, disp, step):
 
 
 # kind and dim are unused but kept in place: perfbench/tracer.py reads the
-# increments as args[5].
+# increments as args[5] and counts path-steps from their shape.
 def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record):
-    """Geodesic random walk driven by per-path increment arrays.
+    """Geodesic random walk driven by per-path increments.
 
     The sign of kappa picks the surface, and kappa = 0 walks flat.
-    increments: (P, n, d); record: sorted int64 indices into 0..n of the time
-    slots whose positions/frames are kept.  Returns (positions (P, m, amb),
-    frames (P, m, d, amb)).
+    increments: (P, n, d), an array or a stream of that ``shape`` yielding
+    (s, d, P) time slabs in order; record: sorted int64 indices into 0..n of
+    the time slots whose positions/frames are kept.  Returns (positions
+    (P, m, amb), frames (P, m, d, amb)).
 
     The walk runs component-major, draws last: positions (amb, P), frames
-    (d, amb, P), and step k reads the (d, P) slice of the increments' (n, d, P)
-    view.  ``batch_increments`` stores its draws in that order, so the view
-    costs no copy; any other layout is copied once.  Only the recorded slots
-    are transposed back to path-major.  Every operation is elementwise over
-    the paths, so a path's bits do not depend on the batch it runs in.
+    (d, amb, P), and step k reads the (d, P) row k - 1 of the (n, d, P)
+    increments, across slab seams.  An array is one slab, its (n, d, P) view,
+    free in ``batch_increments``' layout (any other is copied once).  Only the
+    recorded slots are transposed back to path-major.  Every operation is
+    elementwise over the paths, so a path's bits do not depend on the batch.
     """
-    inc = np.ascontiguousarray(np.transpose(increments, (1, 2, 0)), dtype=np.float64)
-    n_steps, d, n_paths = inc.shape
+    n_paths, n_steps, d = np.shape(increments)
+    if isinstance(increments, np.ndarray):
+        increments = [np.ascontiguousarray(np.transpose(increments, (1, 2, 0)), dtype=np.float64)]
+    rows = itertools.chain.from_iterable(increments)  # row k - 1 drives step k
     record = np.asarray(record, dtype=np.int64)
     m = record.shape[0]
 
@@ -124,10 +129,11 @@ def simulate_paths(kind, kappa, dim, start_pos, start_frame, increments, record)
     rec_ptr = 0
     for k in range(n_steps + 1):
         if k:
+            x = next(rows)
             # summed from zero in frame order: an all-zero sum is +0.0
             disp = np.zeros_like(pos)
             for i in range(d):
-                disp += inc[k - 1, i] * frames[i]
+                disp += x[i] * frames[i]
             if kappa:
                 pos, frames = _step_curved(kappa, pos, frames, disp, k)
             else:

@@ -124,11 +124,11 @@ def _horizons(args) -> list[float]:
     raise CliError("a horizon is required: --T or --T-grid")
 
 
-def _require_positive(args, *names: str) -> None:
+def _require_at_least(args, least: int, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
-        if value < 1:
-            raise CliError(f"--{name} must be >= 1, got {value}")
+        if value < least:
+            raise CliError(f"--{name} must be >= {least}, got {value}")
 
 
 def cmd_bounds(args) -> int:
@@ -187,7 +187,8 @@ def _simulate_rows(m, args):
 
 
 def cmd_simulate(args) -> int:
-    _require_positive(args, "paths", "steps", "functionals", "threads")
+    _require_at_least(args, 1, "paths", "steps", "functionals", "threads")
+    _require_at_least(args, 0, "seed")
     m = _manifold(args.manifold, args.dim, args.kappa)
     rows, status = _simulate_rows(m, args)
     _emit(SIMULATE_COLUMNS, rows, args.format)
@@ -195,7 +196,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    _require_positive(args, "paths", "threads")
+    _require_at_least(args, 1, "paths", "threads")
+    _require_at_least(args, 0, "seed")
     if not 0.0 < args.tol_rel < math.inf:  # also rejects nan
         raise CliError(f"--tol-rel must be positive and finite, got {args.tol_rel}")
     m = _manifold(args.manifold, args.dim, args.kappa)

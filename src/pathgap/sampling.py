@@ -11,8 +11,9 @@ one time-major ``(n_steps, BLOCK, d)`` draw from
 or parallel consumption of a batch therefore reproduces identical paths, and
 an n-step draw is exactly the first n steps of a longer one.  A generator
 fills its output in order, so the draw may be taken in time slabs of
-``(SLAB, BLOCK, d)`` with the same stream.  (Stream
-version 1 built one generator per path, keyed ``spawn_key=(k,)``.)
+``(SLAB, BLOCK, d)`` with the same stream, each as the walk reads it
+(:class:`IncrementStream`).  (Stream version 1 built one generator per path,
+keyed ``spawn_key=(k,)``.)
 """
 
 from __future__ import annotations
@@ -113,10 +114,55 @@ class PathSample:
 # blocks wide (``estimators._chunk_ranges``), so each chunk but the last
 # draws whole blocks.
 BLOCK = 64
-# Time steps per draw of a block's normals: a (64, 64, d) slab is 32 KB per
-# dimension whatever the step count, and a grid of up to 64 steps (the README
-# lsi run) draws each block in one call.
-SLAB = 64
+# Time steps per slab of a stream: a chunk's (SLAB, d, P) buffer, 0.9 MB for
+# the README lsi run's widest chunk, replaces its (n_steps, d, P) array.  That
+# run peaks at 38.2 MB of RSS with 16, 39.2 MB with 32 and 40.9 MB with 64.
+SLAB = 16
+
+
+class IncrementStream:
+    """The increments of a range of paths, shape (P, n_steps, dim), drawn as they are read.
+
+    Iterating yields the (s, dim, P) time slabs of the draws-last (n_steps,
+    dim, P) array in order, ``SLAB`` steps each but the last, in one reused
+    buffer: a slab is valid until the next is drawn.  Each block's generator
+    is built once, with the stream, and fills its output in order, so the
+    slabs read the normals of one (n_steps, BLOCK, dim) draw.  A stream is read once.
+    """
+
+    def __init__(self, grid: TimeGrid, dim: int, seed: int, indices: range):
+        if not isinstance(indices, range) or indices.step != 1 or indices.start < 0:
+            raise ValueError(f"indices must be a range of consecutive paths >= 0, got {indices!r}")
+        self.shape, self._scale = (len(indices), grid.n_steps, dim), grid.sqrt_dts[:, None, None]
+        lo, hi = indices.start, indices.start + len(indices)
+        starts = [lo, *range((lo // BLOCK + 1) * BLOCK, hi, BLOCK)]  # one run per block
+        self._runs = [
+            (np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(a // BLOCK,))),
+             a % BLOCK, a - lo, b - lo)
+            for a, b in zip(starts, [*starts[1:], hi])
+        ]
+
+    def __iter__(self):
+        runs, self._runs = self._runs, None
+        if runs is None:
+            raise ValueError("an IncrementStream is read once: its generators have moved on")
+        P, n, dim = self.shape
+        return self._slabs(runs, np.empty((min(n, SLAB), dim, P)))
+
+    def _slabs(self, runs, buf):
+        """Draw into ``buf``, (n_steps, dim, P) or one slab long; yield each slab in it."""
+        n, dim = self.shape[1:]
+        z = np.empty((min(n, SLAB), BLOCK, dim))  # each block's normals of one slab
+        for t in range(0, n, SLAB):
+            s, at = min(SLAB, n - t), t % buf.shape[0]  # at t in a whole buffer, 0 in a slab
+            for rng, row, a, b in runs:
+                rng.standard_normal(out=z[:s])
+                np.multiply(
+                    z[:s, row : row + b - a].transpose(0, 2, 1),
+                    self._scale[t : t + s],
+                    out=buf[at : at + s, :, a:b],
+                )
+            yield buf[at : at + s]
 
 
 def batch_increments(
@@ -125,54 +171,33 @@ def batch_increments(
     seed: int,
     indices: range,
     out: Optional[np.ndarray] = None,
-) -> np.ndarray:
+):
     """Gaussian driving increments, Normal(0, dt_i * Id) per step, (P, n_steps, dim).
 
-    ``indices`` is a ``range`` of consecutive paths; row r holds path
-    ``indices[r]``, and any other ``indices`` raises ValueError.  Each block
-    the range meets builds its generator once and draws the block's normals
-    ``SLAB`` time steps at a time; the range's rows of each slab are scaled
-    into place.  A generator fills its output in order, so slabs read the
-    same stream as one (n_steps, BLOCK, dim) draw.  The memory is draws
-    last: the result is the transpose of an (n_steps, dim, P) buffer, so the
-    walk's (n, d, P) view and the prefix sums' (d, n, P) view read
-    contiguous rows without a copy.
+    ``indices`` is a ``range`` of consecutive paths from index 0 up; row r
+    holds path ``indices[r]``, and any other ``indices`` raises ValueError.
+    Without ``out`` the result is an :class:`IncrementStream`, which draws a
+    slab at a time as the walk reads it, so a chunk's memory does not grow
+    with the step count.
 
-    ``out``, if given, is filled and returned: a float64 (P, n_steps, dim)
-    array in that layout, such as a transposed (n_steps, dim, P) buffer;
-    anything else raises ValueError.
+    ``out``, if given, is filled with the stream's slabs and returned: a
+    float64 (P, n_steps, dim) transpose of a C-contiguous (n_steps, dim, P)
+    buffer, so the walk's (n, d, P) view and the prefix sums' (d, n, P) view
+    read contiguous rows without a copy; anything else raises ValueError.
     """
-    if not isinstance(indices, range) or indices.step != 1:
-        raise ValueError(f"indices must be a range of consecutive paths, got {indices!r}")
-    P, n = len(indices), grid.n_steps
+    stream = IncrementStream(grid, dim, seed, indices)
     if out is None:
-        out = np.empty((n, dim, P)).transpose(2, 0, 1)
-    elif (
-        out.shape != (P, n, dim)
-        or out.dtype != np.float64
-        or not out.transpose(1, 2, 0).flags.c_contiguous
-    ):
+        return stream
+    P, n, dim = stream.shape
+    buf = out.transpose(1, 2, 0) if out.shape == stream.shape else None
+    if buf is None or buf.dtype != np.float64 or not buf.flags.c_contiguous:
         raise ValueError(
             f"out must be a float64 ({P}, {n}, {dim}) transpose of a C-contiguous "
             f"({n}, {dim}, {P}) buffer, got {out.dtype} {out.shape} "
             f"with strides {out.strides}"
         )
-    buf = out.transpose(1, 2, 0)
-    lo, hi = indices.start, indices.start + P
-    starts = [lo, *range((lo // BLOCK + 1) * BLOCK, hi, BLOCK)]  # one run per block
-    slab = np.empty((min(n, SLAB), BLOCK, dim))  # refilled per slab of each run
-    scale = grid.sqrt_dts[:, None, None]
-    for a, b in zip(starts, [*starts[1:], hi]):
-        block, row = divmod(a, BLOCK)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-        for t in range(0, n, SLAB):
-            z = slab[: min(SLAB, n - t)]
-            rng.standard_normal(out=z)
-            np.multiply(
-                z[:, row : row + b - a].transpose(0, 2, 1),
-                scale[t : t + z.shape[0]],
-                out=buf[t : t + z.shape[0], :, a - lo : b - lo],
-            )
+    for _ in stream._slabs(stream._runs, buf):
+        pass
     return out
 
 
@@ -182,16 +207,16 @@ def simulate_increments(
     increments: np.ndarray,
     record: Optional[np.ndarray] = None,
 ):
-    """Run the geodesic walk kernel on a batch of increment arrays.
+    """Run the geodesic walk kernel on a batch of increments, an array or a stream.
 
     Returns (positions (P, m, amb), frames (P, m, d, amb)) at the recorded
     time indices (all of them by default).  Raises ValueError unless the
     increments are (P, grid.n_steps, m.dim) and ``record`` is 1-D, strictly
     increasing and within 0..n_steps: the kernel leaves any other slot unwritten.
     """
-    n = grid.n_steps
-    if np.ndim(increments) != 3 or np.shape(increments)[1:] != (n, m.dim):
-        raise ValueError(f"increments must be (P, {n}, {m.dim}), got {np.shape(increments)}")
+    n, shape = grid.n_steps, np.shape(increments)  # np.shape reads a stream's shape
+    if len(shape) != 3 or shape[1:] != (n, m.dim):
+        raise ValueError(f"increments must be (P, {n}, {m.dim}), got {shape}")
     if record is None:
         record = np.arange(n + 1, dtype=np.int64)
     else:
@@ -208,7 +233,8 @@ def simulate_increments(
 
 def sample_path(m: ModelManifold, grid: TimeGrid, seed: int, path_index: int = 0) -> PathSample:
     """Sample one path; deterministic in (m, grid, seed, path_index)."""
-    inc = batch_increments(grid, m.dim, seed, range(path_index, path_index + 1))[0]
-    pos, frames = simulate_increments(m, grid, inc[None])
-    return PathSample(grid, pos[0], frames[0], inc, seed, path_index)
+    out = np.empty((grid.n_steps, m.dim, 1)).transpose(2, 0, 1)
+    inc = batch_increments(grid, m.dim, seed, range(path_index, path_index + 1), out=out)
+    pos, frames = simulate_increments(m, grid, inc)
+    return PathSample(grid, pos[0], frames[0], inc[0], seed, path_index)
 

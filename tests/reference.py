@@ -38,7 +38,14 @@ from pathgap.bounds import CurvatureBounds, lambda_integral
 from pathgap.estimators import default_steps
 from pathgap.geometry import SYNTHETIC, FramePoint, ModelManifold, ricci_matrix
 from pathgap.gradients import CylindricalFunctional, _pullback, resolvent_on_grid
-from pathgap.sampling import PathSample, TimeGrid
+from pathgap.sampling import PathSample, TimeGrid, batch_increments
+
+
+def whole_increments(grid: TimeGrid, dim: int, seed: int, indices: range) -> np.ndarray:
+    """All (P, n_steps, dim) increments of paths ``indices`` in one array, drawn
+    through ``out=`` into a draws-last buffer (without it the draw is a stream)."""
+    out = np.empty((grid.n_steps, dim, len(indices))).transpose(2, 0, 1)
+    return batch_increments(grid, dim, seed, indices, out=out)
 
 
 def index_of(grid: TimeGrid, t: float) -> int:

@@ -20,7 +20,7 @@ from pathgap.geometry import ricci_matrix
 from pathgap.sampling import TimeGrid, batch_increments, sample_path, simulate_increments
 
 from conftest import smooth_ricci
-from reference import ricci_at_nodes
+from reference import ricci_at_nodes, whole_increments
 
 
 def _simulate(m, inc, record):
@@ -55,7 +55,7 @@ def walk_cases():
     manifolds = [pg.sphere(2, 1.0), pg.sphere(3, 2.5), pg.hyperbolic(2, -1.0),
                  pg.hyperbolic(3, -0.7), pg.euclidean(3)]
     for seed, m in enumerate(manifolds, start=61):
-        inc = batch_increments(g, m.dim, seed, range(37))
+        inc = whole_increments(g, m.dim, seed, range(37))
         for record in (full, sub):
             yield m, inc, record
 
@@ -76,7 +76,7 @@ class TestSimulateKernels:
         """A path whose increment is zero at a step keeps its position and frame
         bit for bit there; the other paths of the batch are those paths run alone."""
         g = TimeGrid.with_times(0.5, 16, ())
-        inc = batch_increments(g, m.dim, seed=13, indices=range(6)).copy()
+        inc = whole_increments(g, m.dim, seed=13, indices=range(6)).copy()
         resting, zero_steps = [1, 4], [0, 3, 4, 9]
         moving = [0, 2, 3, 5]
         inc[np.ix_(resting, zero_steps)] = 0.0
@@ -98,7 +98,7 @@ class TestSimulateKernels:
         """The step works in place on its own arrays only: the increments (the
         walk reads them through a view), start position and frame keep their bytes."""
         g = TimeGrid.with_times(0.5, 24, ())
-        inc = batch_increments(g, m.dim, seed=17, indices=range(9))
+        inc = whole_increments(g, m.dim, seed=17, indices=range(9))
         inc[2, 5] = 0.0  # a resting path keeps the copying branch in the run
         base = m.basepoint()
         start_pos, start_frame = base.position.copy(), base.frame.copy()
@@ -108,15 +108,19 @@ class TestSimulateKernels:
         assert [a.tobytes() for a in (inc, start_pos, start_frame)] == before
 
     def test_increments_are_draws_last(self):
-        """The walk's (n, d, P) view of the draws is the buffer itself, and each
-        path's draws are the ones it gets drawn alone."""
+        """The walk reads each (s, d, P) slab of a stream as it is, contiguous,
+        and each path's draws are the ones it gets drawn alone."""
         g = TimeGrid.with_times(0.5, 20, ())
         picks = range(60, 70)
-        inc = batch_increments(g, 3, 5, picks)
-        assert inc.shape == (len(picks), g.n_steps, 3)
-        assert inc.transpose(1, 2, 0).flags.c_contiguous
+        stream = batch_increments(g, 3, 5, picks)
+        assert stream.shape == (len(picks), g.n_steps, 3)
+        slabs = []
+        for slab in stream:
+            assert slab.shape[1:] == (3, len(picks)) and slab.flags.c_contiguous
+            slabs.append(slab.copy())
+        inc = np.concatenate(slabs).transpose(2, 0, 1)
         for r, i in enumerate(picks):
-            np.testing.assert_array_equal(inc[r], batch_increments(g, 3, 5, range(i, i + 1))[0])
+            np.testing.assert_array_equal(inc[r], whole_increments(g, 3, 5, range(i, i + 1))[0])
 
     @pytest.mark.parametrize(
         "kappa, seed, first_bad", [(-2.5, 1, 142), (-7.3, 1, 51), (-7.3, 2, 86)]
@@ -129,13 +133,15 @@ class TestSimulateKernels:
         errors)."""
         m = pg.hyperbolic(2, kappa)
         g = TimeGrid.with_times(8.82, 200, ())
-        inc = batch_increments(g, m.dim, seed, range(1))
+        inc = whole_increments(g, m.dim, seed, range(1))
         pos, frames = _simulate(m, inc[:, : first_bad - 1], np.array([first_bad - 1]))
         assert np.all(np.isfinite(pos)) and np.all(np.isfinite(frames))
         named = re.escape(f"step {first_bad} boosts the hyperboloid past 2**17 radii")
         named += f".*: kappa = {re.escape(repr(kappa))},"
         with pytest.raises(ValueError, match=named):
             sample_path(m, g, seed)
+        with pytest.raises(ValueError, match=named):  # the step's slab comes late in a stream
+            simulate_increments(m, g, batch_increments(g, m.dim, seed, range(1)))
 
     def test_refuses_a_boost_past_the_float_range_without_warning(self):
         """One step of about 750 at kappa = -1 would overflow cosh, sinh and the
@@ -217,7 +223,7 @@ class TestSimulateKernels:
     def test_deterministic(self):
         m = pg.sphere(2, 1.0)
         g = TimeGrid.with_times(0.5, 64, ())
-        inc = batch_increments(g, m.dim, seed=3, indices=range(4))
+        inc = whole_increments(g, m.dim, seed=3, indices=range(4))
         record = np.arange(g.n_steps + 1, dtype=np.int64)
         a = _simulate(m, inc, record)
         b = _simulate(m, inc, record)
@@ -227,7 +233,7 @@ class TestSimulateKernels:
     def test_record_subset(self):
         m = pg.hyperbolic(2, -1.0)
         g = TimeGrid.with_times(0.5, 32, ())
-        inc = batch_increments(g, m.dim, seed=5, indices=range(3))
+        inc = whole_increments(g, m.dim, seed=5, indices=range(3))
         full = np.arange(g.n_steps + 1, dtype=np.int64)
         sub = np.array([0, 7, 32], dtype=np.int64)
         pos_f, fr_f = _simulate(m, inc, full)
@@ -342,7 +348,9 @@ def test_perfbench_workloads_run_in_process(monkeypatch):
 
 def test_walk_receives_paths_steps_dims(monkeypatch):
     """The tracer counts walk path-steps as ``args[5].shape[0] * shape[1]``: the
-    increments reach the kernel as (P, n, d)."""
+    increments reach the kernel as (P, n, d), a whole array or a stream of
+    that shape.  Over a verifier run of more steps than one slab, the counts
+    add up to paths x steps: the chunks and the witness replay."""
     calls = []
     walk = kernels.simulate_paths
 
@@ -355,3 +363,15 @@ def test_walk_receives_paths_steps_dims(monkeypatch):
     g = TimeGrid.with_times(0.5, 12, ())
     simulate_increments(m, g, batch_increments(g, m.dim, 3, range(5)))
     assert len(calls) == 1 and calls[0][5].shape == (5, 12, 3)
+
+    calls.clear()
+    m = pg.sphere(2, 1.0)
+    F = est.exponential_functional(m, np.array([0.6, 0.0, 0.8]), 0.5)
+    est.verify_lsi(m, F, 0.5, 147, 300, 3)
+    assert sum(c[5].shape[0] * c[5].shape[1] for c in calls) == 300 * 147
+    calls.clear()
+    family = est.random_two_point_family(m, 1.0, 2, seed=3)
+    est.verify_theorem1(m, m.curvature_window, family, 1.0, 147, 1100, 3)
+    n_steps = TimeGrid.with_times(1.0, 147, [t for F in family for t in F.eval_times]).n_steps
+    assert n_steps > 147 and len(calls) == 3  # two chunks and the replay
+    assert sum(c[5].shape[0] * c[5].shape[1] for c in calls) == (1100 + 1) * n_steps

@@ -540,6 +540,10 @@ def run_cli_contract(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def refuse_draws(*args, **kwargs):
+    raise AssertionError("a path was drawn")
+
+
 # the null device is not a directory, so no config can be written below it
 UNWRITABLE = os.path.join(os.devnull, "x.cfg")
 
@@ -568,6 +572,10 @@ USAGE_ERRORS = [
     # a tolerance that is not finite and positive makes the slope check meaningless;
     # "=" keeps argparse from reading "-inf" as a flag
     *(ASYM + [f"--tol-rel={tol}"] for tol in ("nan", "inf", "-inf", "-1", "0")),
+    # a seed below 0 is refused by name, not by numpy's SeedSequence
+    *(SIM + ["--manifold", "sphere", "--T", "0.5", "--mode", mode, "--seed=-1"]
+      for mode in ("lsi", "theorem1", "chi")),
+    ASYM + ["--seed=-3"],
 ]
 
 FLOATS = [
@@ -642,16 +650,38 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_config_tol_rel_refused_before_any_draw(self, tmp_path, monkeypatch, tol):
         """A config value is held to the flag's rule, before any path is drawn."""
-
-        def refuse_draws(*args, **kwargs):
-            raise AssertionError("a path was drawn")
-
         monkeypatch.setattr(est, "batch_increments", refuse_draws)
         path = str(tmp_path / "exp.cfg")
         ExperimentConfig("asymptotics", {"manifold": "sphere", "tol-rel": tol}).write(path)
         code, out, err = run_cli_contract(["asymptotics", "--config", path])
         assert (code, out) == (2, "")
         assert err == f"error: --tol-rel must be positive and finite, got {float(tol)}\n"
+
+    @pytest.mark.parametrize(
+        "argv, seed",
+        [
+            *((SIM + ["--manifold", "sphere", "--T", "0.5", "--mode", mode, "--seed=-1"], -1)
+              for mode in ("lsi", "theorem1", "chi")),
+            (ASYM + ["--seed=-3"], -3),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_negative_seed_refused_by_name_before_any_draw(self, monkeypatch, argv, seed):
+        monkeypatch.setattr(est, "batch_increments", refuse_draws)
+        code, out, err = run_cli_contract(argv)
+        assert (code, out, err) == (2, "", f"error: --seed must be >= 0, got {seed}\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "asymptotics"])
+    def test_config_negative_seed_refused_before_any_draw(self, tmp_path, monkeypatch, command):
+        """A seed from a config file is held to the flag's rule."""
+        monkeypatch.setattr(est, "batch_increments", refuse_draws)
+        path = str(tmp_path / "exp.cfg")
+        params = {"manifold": "sphere", "seed": "-1"}
+        if command == "simulate":
+            params["T"] = "0.5"
+        ExperimentConfig(command, params).write(path)
+        code, out, err = run_cli_contract([command, "--config", path])
+        assert (code, out, err) == (2, "", "error: --seed must be >= 0, got -1\n")
 
     @pytest.mark.parametrize("mode", ["theorem1", "lsi"])
     def test_large_sphere_curvature_times_horizon_runs(self, mode):

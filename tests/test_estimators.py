@@ -24,6 +24,7 @@ from reference import (
     index_of,
     lambda_kernel,
     resolvent,
+    whole_increments,
 )
 
 
@@ -62,7 +63,7 @@ class TestEstimateChi:
         T, n_steps, seed = 0.05, 64, 17
         rep = est.estimate_chi(m, T, n_steps, 8000, seed)
         grid = TimeGrid.with_times(T, n_steps, ())
-        inc = batch_increments(grid, m.dim, seed, range(4000))
+        inc = whole_increments(grid, m.dim, seed, range(4000))
         e1 = np.eye(m.dim)[0]
         field = _linear_field_by_suffix_sums(inc, grid.times, e1, m.kappa, m.ricci_scalar)
         det = e1 * (1.0 + 0.5 * m.ricci_scalar * (T - grid.times[:-1]))[:, None]
@@ -140,7 +141,7 @@ class TestChiLadder:
         rungs = [(0.005, 64), (0.01, 100)]
         seed, n_draws = 23, 150
         reports, x = est._chi_ladder(m, rungs, 2 * n_draws, seed)
-        z = batch_increments(TimeGrid.with_times(100, 100, ()), m.dim, seed, range(n_draws))
+        z = whole_increments(TimeGrid.with_times(100, 100, ()), m.dim, seed, range(n_draws))
         work = est._ChiWork(m.dim, 100, n_draws).carve(n_draws)
         sums = est._prefix_sums(z, work)
         for report, x_rung, (T, n) in zip(reports, x, rungs):
@@ -634,6 +635,39 @@ GEOMETRIES = {
     "sphere": pg.sphere(2, 1.0),
     "hyperbolic": pg.hyperbolic(2, -1.0),
 }
+
+
+def traced_peak(run) -> int:
+    """Peak traced bytes of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryFlatInSteps:
+    """A chunk draws its increments a slab at a time as the walk reads them,
+    so a verifier's traced peak hardly grows from 64 to 1,024 steps.  With
+    whole (P, n, d) increment arrays the lsi peak grew from 0.81 to 8.69 MB
+    and the theorem1 peak from 1.15 to 9.03 MB."""
+
+    @staticmethod
+    def assert_flat(run):
+        run(64)  # one-time costs of a first call stay out of the peaks
+        peaks = [traced_peak(lambda: run(n)) for n in (64, 1024)]
+        assert peaks[1] < 1.25 * peaks[0], peaks
+
+    def test_lsi(self):
+        m = pg.sphere(2, 1.0)
+        F = est.exponential_functional(m, np.array([0.6, 0.0, 0.8]), 0.5)
+        self.assert_flat(lambda n: est.verify_lsi(m, F, 0.5, n, 512, 7))
+
+    def test_theorem1(self):
+        m = pg.hyperbolic(2, -1.0)
+        family = est.random_two_point_family(m, 1.0, 4, seed=7)
+        self.assert_flat(lambda n: est.verify_theorem1(m, m.curvature_window, family, 1.0, n, 512, 7))
 
 
 def factory_functionals(m):

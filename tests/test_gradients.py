@@ -11,7 +11,7 @@ from pathgap import estimators as est
 from pathgap._backend import kernels
 from pathgap.geometry import _project_tangent
 from pathgap.gradients import CylindricalFunctional, resolvent_on_grid
-from pathgap.sampling import TimeGrid, batch_increments, sample_path
+from pathgap.sampling import TimeGrid, sample_path
 
 from conftest import smooth_ricci
 from reference import (
@@ -30,6 +30,7 @@ from reference import (
     ricci_at_nodes,
     transform_pair,
     usual_gradient,
+    whole_increments,
 )
 
 
@@ -397,7 +398,7 @@ class TestLinearFunctionalGradient:
         T, n = 0.5, 64
         g = TimeGrid.with_times(T, n, ())
         a = np.array([1.0, 0.0, 0.0])
-        inc = batch_increments(g, m.dim, seed=51, indices=range(20_000))
+        inc = whole_increments(g, m.dim, seed=51, indices=range(20_000))
         w = np.cumsum(inc, axis=1)  # w at t_1..t_n, tau = 0
         kappa, d = 1.0, 3
         # C(w, s, 0) a = -kappa (<w_s, a> e_i - a_i w_s) per direction i
@@ -422,7 +423,7 @@ class TestLinearFunctionalGradient:
     def test_mirror_path_has_the_same_field(self, m):
         """The martingale part is even in the increments: -inc gives it bit for bit."""
         g = TimeGrid.with_times(0.1, 48, ())
-        inc = batch_increments(g, m.dim, seed=57, indices=range(64))
+        inc = whole_increments(g, m.dim, seed=57, indices=range(64))
 
         def parts(increments):
             """The martingale parts, each copied out of the workspace they share."""
@@ -437,7 +438,7 @@ class TestLinearFunctionalGradient:
         m = pg.hyperbolic(2, -1.0)
         T, n_paths = 0.3, 50_000
         g = TimeGrid.with_times(T, 32, ())
-        inc = batch_increments(g, m.dim, seed=53, indices=range(n_paths))
+        inc = whole_increments(g, m.dim, seed=53, indices=range(n_paths))
         a = np.array([0.6, 0.8])
         F = np.einsum("pkd,d->p", inc, a)
         var = F.var(ddof=1)

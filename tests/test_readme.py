@@ -22,7 +22,7 @@ import pytest
 import pathgap as pg
 from pathgap import bounds as bd
 from pathgap import estimators as est
-from pathgap.cli import main
+from pathgap.cli import build_parser, main
 
 from conftest import h2_lsi_control, h2_theorem1_control
 from reference import exact_worst_violation, expected_slope
@@ -158,6 +158,26 @@ def test_exact_worst_case_of_the_control_family():
     m = pg.hyperbolic(2, -1.0)
     for k2, text in [(-1.0, true_window), (-0.99, raised)]:
         assert_quoted(exact_worst_violation(m, pg.CurvatureBounds(1.0, k2), family, 1.0, 128), text)
+
+
+def test_wrong_kappa_control(runs):
+    """The kappa = 1.25 control of ``test_cli``: the README ladder walked on the
+    unit 3-sphere (300 paths, seed 7), fitted against the prediction for the
+    kappa given, misses it by more than the default tolerance."""
+    argv, _ = run_named(runs, "asymptotics")
+    ladder = [float(t) for t in argv[argv.index("--T-ladder") + 1].split(",")]
+    slope, kappa, predicted, miss, tol = quoted(
+        r"the unit 3-sphere's fitted slope, ([\d.]+) at the ladder below, misses the "
+        r"kappa = ([\d.]+) prediction of ([\d.]+) by (\d+)%, beyond the default "
+        r"`--tol-rel` of ([\d.]+)"
+    )
+    rep = est.small_time_slope(pg.sphere(3, 1.0), ladder, 300, 7)
+    want = 0.5 * pg.sphere(3, float(kappa)).ricci_scalar
+    assert_quoted(rep.slope.mean, slope)
+    assert_quoted(want, predicted)
+    assert_quoted(100.0 * abs(rep.slope.mean - want) / want, miss)
+    assert float(tol) == build_parser().parse_args(["asymptotics", "--manifold", "s"]).tol_rel
+    assert abs(rep.slope.mean - want) > float(tol) * want
 
 
 def test_lsi_controls():

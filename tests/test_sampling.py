@@ -13,7 +13,7 @@ from pathgap.sampling import (
     simulate_increments,
 )
 
-from reference import frame_orthonormality_defect, index_of, surface_defect
+from reference import frame_orthonormality_defect, index_of, surface_defect, whole_increments
 
 
 class TestTimeGrid:
@@ -73,16 +73,16 @@ class TestTimeGrid:
 class TestIncrements:
     def test_deterministic(self):
         g = TimeGrid.with_times(1.0, 16, ())
-        a = batch_increments(g, 3, 9, range(2, 3))[0]
-        b = batch_increments(g, 3, 9, range(2, 3))[0]
+        a = whole_increments(g, 3, 9, range(2, 3))[0]
+        b = whole_increments(g, 3, 9, range(2, 3))[0]
         np.testing.assert_array_equal(a, b)
-        c = batch_increments(g, 3, 9, range(3, 4))[0]
+        c = whole_increments(g, 3, 9, range(3, 4))[0]
         assert not np.array_equal(a, c)
 
     def test_scaling(self):
         """Increment variance tracks the step size."""
         g = TimeGrid.with_times(2.0, 8, ())
-        inc = batch_increments(g, 2, seed=4, indices=range(4000))
+        inc = whole_increments(g, 2, seed=4, indices=range(4000))
         var = inc.var(axis=(0, 2))
         np.testing.assert_allclose(var, g.dts, rtol=0.1)
 
@@ -90,8 +90,8 @@ class TestIncrements:
 class TestBlockStream:
     def test_rows_straddling_a_block_boundary(self):
         g = TimeGrid.with_times(0.7, 12, ())
-        whole = batch_increments(g, 2, 5, range(2 * BLOCK))
-        part = batch_increments(g, 2, 5, range(BLOCK - 3, BLOCK + 5))
+        whole = whole_increments(g, 2, 5, range(2 * BLOCK))
+        part = whole_increments(g, 2, 5, range(BLOCK - 3, BLOCK + 5))
         np.testing.assert_array_equal(part, whole[BLOCK - 3 : BLOCK + 5])
 
     @pytest.mark.parametrize(
@@ -102,6 +102,19 @@ class TestBlockStream:
         with pytest.raises(ValueError, match="range of consecutive paths"):
             batch_increments(g, 2, 5, indices)
 
+    def test_refuses_a_negative_path_index_by_name(self):
+        g = TimeGrid.with_times(0.7, 12, ())
+        with pytest.raises(ValueError, match=r"consecutive paths >= 0, got range\(-1, 2\)"):
+            batch_increments(g, 2, 5, range(-1, 2))
+
+    def test_a_stream_is_read_once(self):
+        """Its block generators move on as it is read: a second read would
+        draw other normals, so it raises instead."""
+        stream = batch_increments(TimeGrid.with_times(0.7, 12, ()), 2, 5, range(3))
+        assert len(list(stream)) == 1
+        with pytest.raises(ValueError, match="read once"):
+            iter(stream)
+
     def test_empty_range(self):
         g = TimeGrid.with_times(0.7, 12, ())
         assert batch_increments(g, 2, 5, range(BLOCK + 3, BLOCK + 3)).shape == (0, 12, 2)
@@ -111,8 +124,8 @@ class TestBlockStream:
         g = TimeGrid.with_times(0.3, n, ())
         unit = TimeGrid.with_times(2.0 * n, 2 * n, ())
         k = range(BLOCK + 7, BLOCK + 8)
-        short = batch_increments(g, 3, 11, k)
-        long = batch_increments(unit, 3, 11, k)
+        short = whole_increments(g, 3, 11, k)
+        long = whole_increments(unit, 3, 11, k)
         np.testing.assert_array_equal(short, long[:, :n] * g.sqrt_dts[:, None])
 
     @pytest.mark.parametrize("n", [2 * SLAB + 5, SLAB - 3])
@@ -121,7 +134,7 @@ class TestBlockStream:
         generator, however many slabs the draw is taken in."""
         g = TimeGrid.with_times(0.7, n, ())
         k = range(BLOCK - 2, BLOCK + 7)
-        got = batch_increments(g, 3, 11, k)
+        got = whole_increments(g, 3, 11, k)
         for r, i in enumerate(k):
             key = np.random.SeedSequence(entropy=11, spawn_key=(i // BLOCK,))
             z = np.random.default_rng(key).standard_normal((n, BLOCK, 3))[:, i % BLOCK]
@@ -134,7 +147,8 @@ def draws_last(n_paths, n_steps, dim):
 
 
 class TestIncrementsIntoBuffer:
-    """``out=`` fills a caller's draws-last buffer with the allocating call's bits."""
+    """``out=`` fills a caller's draws-last buffer with the bits of the stream
+    that the allocating call (no ``out``) returns, slab after slab."""
 
     @pytest.mark.parametrize("n", [1, SLAB - 3, SLAB, 2 * SLAB + 5])
     @pytest.mark.parametrize(
@@ -149,7 +163,9 @@ class TestIncrementsIntoBuffer:
         g = TimeGrid.with_times(0.7, n, ())
         buf = draws_last(len(picks), n, 2)
         assert batch_increments(g, 2, 5, picks, out=buf) is buf
-        np.testing.assert_array_equal(buf, batch_increments(g, 2, 5, picks))
+        slabs = [slab.copy() for slab in batch_increments(g, 2, 5, picks)]
+        assert [len(slab) for slab in slabs] == [min(SLAB, n - t) for t in range(0, n, SLAB)]
+        np.testing.assert_array_equal(buf.transpose(1, 2, 0), np.concatenate(slabs))
 
     @pytest.mark.parametrize(
         "bad",
@@ -211,7 +227,7 @@ def chunked_batch(m, g, n_paths, seed, chunk):
     """Positions and increments of paths 0..n_paths-1, drawn and walked chunk by chunk."""
     positions, increments = [], []
     for lo in range(0, n_paths, chunk):
-        inc = batch_increments(g, m.dim, seed, range(lo, min(lo + chunk, n_paths)))
+        inc = whole_increments(g, m.dim, seed, range(lo, min(lo + chunk, n_paths)))
         positions.append(simulate_increments(m, g, inc)[0])
         increments.append(inc)
     return np.concatenate(positions), np.concatenate(increments)
@@ -238,7 +254,7 @@ class TestBatchSample:
         m = pg.sphere(2, 1.0)
         g = TimeGrid.with_times(0.3, 16, ())
         n = 3 * BLOCK
-        inc = batch_increments(g, m.dim, 21, range(n))
+        inc = whole_increments(g, m.dim, 21, range(n))
         pos, frames = simulate_increments(m, g, inc)
         for k in (0, BLOCK - 1, BLOCK, 2 * BLOCK + 5, n - 1):
             single = sample_path(m, g, 21, path_index=k)
@@ -249,11 +265,56 @@ class TestBatchSample:
     def test_flat_mean_displacement(self):
         m = pg.euclidean(2)
         g = TimeGrid.with_times(1.0, 8, ())
-        inc = batch_increments(g, 2, seed=3, indices=range(20_000))
+        inc = whole_increments(g, 2, seed=3, indices=range(20_000))
         finals = inc.sum(axis=1)
         mean = finals.mean(axis=0)
         stderr = finals.std(axis=0, ddof=1) / np.sqrt(finals.shape[0])
         assert np.all(np.abs(mean) <= 4.0 * stderr)
+
+
+SEAM_MANIFOLDS = {
+    "S2": pg.sphere(2, 1.0),
+    "S3": pg.sphere(3, 2.5),
+    "H2": pg.hyperbolic(2, -1.0),
+    "H3": pg.hyperbolic(3, -0.7),
+    "R3": pg.euclidean(3),
+    "synthetic": pg.synthetic_ricci_path(2, lambda t: np.eye(2)),
+}
+
+
+class TestSlabSeams:
+    """A walk read from the stream, slab by slab, equals the walk of the whole
+    increment array bit for bit: position, frames, step number and record
+    pointer carry across the slab seams."""
+
+    @pytest.mark.parametrize("name", sorted(SEAM_MANIFOLDS))
+    @pytest.mark.parametrize(
+        "n, forced",
+        [(1, ()), (SLAB - 1, ()), (SLAB, ()), (SLAB + 1, ()), (147, ()), (130, (0.1234, 0.4321))],
+    )
+    def test_stream_walk_equals_whole_walk(self, name, n, forced):
+        m = SEAM_MANIFOLDS[name]
+        g = TimeGrid.with_times(0.5, n, forced)
+        n = g.n_steps
+        edges = {k for t in range(0, n + 1, SLAB) for k in (t - 1, t, t + 1) if 0 <= k <= n}
+        edges = sorted(edges | {n})
+        paths = range(37, 301)  # not aligned to blocks
+        for record in (None, np.array(edges, dtype=np.int64)):
+            whole = simulate_increments(m, g, whole_increments(g, m.dim, 5, paths), record)
+            streamed = simulate_increments(m, g, batch_increments(g, m.dim, 5, paths), record)
+            for a, b in zip(whole, streamed):
+                np.testing.assert_array_equal(a, b)
+
+    def test_one_path_replay(self):
+        """The theorem1 witness replay walks one path from a stream; sample_path
+        walks the same path from a whole array."""
+        m = pg.hyperbolic(2, -1.0)
+        g = TimeGrid.with_times(1.0, 2 * SLAB + 3, (0.37,))
+        for k in (0, 100, 300):
+            single = sample_path(m, g, 7, path_index=k)
+            pos, frames = simulate_increments(m, g, batch_increments(g, m.dim, 7, range(k, k + 1)))
+            np.testing.assert_array_equal(pos[0], single.positions)
+            np.testing.assert_array_equal(frames[0], single.frames)
 
 
 class TestSimulateArguments:
@@ -276,7 +337,7 @@ class TestSimulateArguments:
         short = batch_increments(TimeGrid.with_times(0.5, 4, ()), m.dim, 3, range(3))
         with pytest.raises(ValueError, match="increments"):
             simulate_increments(m, g, short)
-        inc = batch_increments(g, m.dim, 3, range(3))
+        inc = whole_increments(g, m.dim, 3, range(3))
         for bad in (inc[0], inc[:, :, :1], np.zeros((3, 8, 3))):
             with pytest.raises(ValueError, match="increments"):
                 simulate_increments(m, g, bad)
@@ -284,7 +345,7 @@ class TestSimulateArguments:
     def test_valid_subsets_still_run(self):
         m = pg.hyperbolic(2, -1.0)
         g = TimeGrid.with_times(0.5, 8, ())
-        inc = batch_increments(g, m.dim, 3, range(3))
+        inc = whole_increments(g, m.dim, 3, range(3))
         full, _ = simulate_increments(m, g, inc)
         for record in ([0], [8], [0, 2, 5, 8], []):
             pos, _ = simulate_increments(m, g, inc, record=np.array(record, dtype=np.int64))
