@@ -131,17 +131,29 @@ def _require_at_least(args, least: int, *names: str) -> None:
             raise CliError(f"--{name} must be >= {least}, got {value}")
 
 
+def _write_config(args) -> int:
+    """Write the resolved config of a run whose own checks passed, and exit 0."""
+    try:
+        _resolved_config(build_parser(), args).write(args.write_config)
+    except OSError as exc:
+        raise CliError(f"cannot write config {args.write_config}: {exc}") from exc
+    print(f"wrote {args.write_config}", file=sys.stderr)
+    return 0
+
+
 def cmd_bounds(args) -> int:
-    cb = bd.CurvatureBounds(args.k1, args.k2)
+    cb, horizons = bd.CurvatureBounds(args.k1, args.k2), _horizons(args)
+    if args.write_config:
+        return _write_config(args)
     if args.profile:
         columns, rows = PROFILE_COLUMNS, [
             (T, args.k1, args.k2, float(t), bd.lambda_profile(float(t), T, cb))
-            for T in _horizons(args)
+            for T in horizons
             for t in np.linspace(0.0, T, args.profile)
         ]
     else:
         columns = BOUNDS_COLUMNS
-        rows = [dataclasses.astuple(bd.bound_report(T, cb)) for T in _horizons(args)]
+        rows = [dataclasses.astuple(bd.bound_report(T, cb)) for T in horizons]
     _emit(columns, rows, args.format)
     return 0
 
@@ -168,28 +180,30 @@ def _simulate_rows(m, args):
             base + ("satisfied_fraction", rep.satisfied_fraction, 0.0),
         ]
         return rows, 0 if rep.satisfied_fraction == 1.0 else CHECK_FAILED
-    if args.mode == "lsi":
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(9100,)))
-        b = rng.normal(size=m.ambient_dim)
-        b /= np.linalg.norm(b)
-        if m.kind == "euclidean":
-            F = est.truncated_exponential_functional(b, args.T, cap=1.5)
-        else:
-            F = est.exponential_functional(m, b, args.T)
-        rep = est.verify_lsi(m, F, args.T, args.steps, args.paths, args.seed)
-        rows = [
-            base + ("entropy", rep.entropy, 0.0),
-            base + ("dirichlet_twice", rep.dirichlet_twice, 0.0),
-            base + ("gap", rep.gap, rep.gap_stderr),
-        ]
-        return rows, 0 if not rep.violated else CHECK_FAILED
-    raise CliError(f"unknown simulate mode {args.mode!r} (chi, theorem1, lsi)")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(9100,)))
+    b = rng.normal(size=m.ambient_dim)
+    b /= np.linalg.norm(b)
+    if m.kind == "euclidean":
+        F = est.truncated_exponential_functional(b, args.T, cap=1.5)
+    else:
+        F = est.exponential_functional(m, b, args.T)
+    rep = est.verify_lsi(m, F, args.T, args.steps, args.paths, args.seed)
+    rows = [
+        base + ("entropy", rep.entropy, 0.0),
+        base + ("dirichlet_twice", rep.dirichlet_twice, 0.0),
+        base + ("gap", rep.gap, rep.gap_stderr),
+    ]
+    return rows, 0 if not rep.violated else CHECK_FAILED
 
 
 def cmd_simulate(args) -> int:
     _require_at_least(args, 1, "paths", "steps", "functionals", "threads")
     _require_at_least(args, 0, "seed")
     m = _manifold(args.manifold, args.dim, args.kappa)
+    if args.mode not in ("chi", "theorem1", "lsi"):
+        raise CliError(f"unknown simulate mode {args.mode!r} (chi, theorem1, lsi)")
+    if args.write_config:
+        return _write_config(args)
     rows, status = _simulate_rows(m, args)
     _emit(SIMULATE_COLUMNS, rows, args.format)
     return status
@@ -201,6 +215,8 @@ def cmd_asymptotics(args) -> int:
     if not 0.0 < args.tol_rel < math.inf:  # also rejects nan
         raise CliError(f"--tol-rel must be positive and finite, got {args.tol_rel}")
     m = _manifold(args.manifold, args.dim, args.kappa)
+    if args.write_config:
+        return _write_config(args)
     rep = est.small_time_slope(m, args.T_ladder, args.paths, args.seed)
 
     def head(p):
@@ -366,14 +382,6 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         args = _apply_config(parser, argv)
-        if getattr(args, "write_config", None):
-            cfg = _resolved_config(parser, args)
-            try:
-                cfg.write(args.write_config)
-            except OSError as exc:
-                raise CliError(f"cannot write config {args.write_config}: {exc}") from exc
-            print(f"wrote {args.write_config}", file=sys.stderr)
-            return 0
         # a float that overflows or turns nan stops the run here instead of
         # printing a numpy warning and carrying on
         with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -41,15 +41,15 @@ SYNTHETIC = "synthetic"
 class ModelManifold:
     """Geometry descriptor: kind, intrinsic dimension, sectional curvature.
 
-    ``ricci_path`` is only set in synthetic mode and maps time to a d x d
-    matrix (not necessarily symmetric).  ``ricci_scalar`` is the constant c
-    with Ric = c * Id for the three constant-curvature kinds.
+    ``ricci_path`` (synthetic mode only) maps (n,) times to their (d, d, n)
+    Ricci matrices, time last, not necessarily symmetric.  ``ricci_scalar`` is
+    the constant c with Ric = c * Id for the three constant-curvature kinds.
     """
 
     kind: str
     dim: int
     kappa: float = 0.0
-    ricci_path: Optional[Callable[[float], np.ndarray]] = field(default=None, compare=False)
+    ricci_path: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in (EUCLIDEAN, SPHERE, HYPERBOLIC, SYNTHETIC):
@@ -128,22 +128,28 @@ def hyperbolic(dim: int, kappa: float = -1.0) -> ModelManifold:
     return ModelManifold(HYPERBOLIC, dim, float(kappa))
 
 
-def synthetic_ricci_path(dim: int, ricci_path: Callable[[float], np.ndarray]) -> ModelManifold:
+def synthetic_ricci_path(dim: int, ricci_path: Callable[[np.ndarray], np.ndarray]) -> ModelManifold:
+    """Flat R^dim carrying ``ricci_path``: (n,) times -> (d, d, n) Ricci matrices."""
     return ModelManifold(SYNTHETIC, dim, 0.0, ricci_path)
 
 
-def ricci_matrix(m: ModelManifold, t: float) -> np.ndarray:
-    """Ricci action read in the moving frame: a d x d matrix.
+def ricci_matrix(m: ModelManifold, t) -> np.ndarray:
+    """Ricci action read in the moving frame: (..., d, d) at times of shape (...).
 
-    Constant curvature gives (d-1)*kappa*Id regardless of the frame; the
-    synthetic mode returns its prescribed matrix path at time t.
+    Constant curvature gives (d-1)*kappa*Id in any frame.  A synthetic path is
+    read in one ``ricci_path`` call, which must return finite (d, d, n) for the
+    n flat times; a matrix that is not finite is refused by its first time.
     """
-    if m.kind == SYNTHETIC:
-        out = np.asarray(m.ricci_path(float(t)), dtype=float)
-        if out.shape != (m.dim, m.dim):
-            raise ValueError(f"ricci_path must return a {(m.dim, m.dim)} matrix, got {out.shape}")
-        return out
-    return m.ricci_scalar * np.eye(m.dim)
+    if m.kind != SYNTHETIC:
+        return m.ricci_scalar * np.broadcast_to(np.eye(m.dim), np.shape(t) + (m.dim, m.dim))
+    ts = np.asarray(t, dtype=float)
+    out, want = np.asarray(m.ricci_path(ts.ravel()), dtype=float), (m.dim, m.dim, ts.size)
+    if out.shape != want:
+        raise ValueError(f"ricci_path must return (d, d, n) = {want} for n times, got {out.shape}")
+    bad = ~np.isfinite(out).all(axis=(0, 1))
+    if bad.any():
+        raise ValueError(f"ricci_path is not finite at t = {float(ts.ravel()[bad].min())!r}")
+    return np.moveaxis(out, -1, 0).reshape(ts.shape + out.shape[:2])
 
 
 def _project_tangent(m: ModelManifold, pos: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -72,8 +72,8 @@ def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBound
     The Ricci data, which depends on time only, is checked against the
     declared window first; a violation raises :class:`DataError`.  Constant
     Ricci c gives the exact steps e^{-c dt_k/2} Id.  A synthetic path is
-    read once at each node and midpoint, checked there and integrated by
-    RK4 with stage-time evaluation: one step matrix per cell.
+    read in one call (the n + 1 nodes, then the n midpoints), checked there
+    and integrated by RK4 with stage-time evaluation: one step per cell.
     """
     if m.kind != SYNTHETIC:
         c = m.ricci_scalar
@@ -83,9 +83,7 @@ def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBound
                 f"(k1={declared.k1:.6g}, k2={declared.k2:.6g})"
             )
         return np.exp(-0.5 * c * grid.dts)[:, None, None] * np.eye(m.dim)
-    nodes = np.array([ricci_matrix(m, t) for t in grid.times])
-    mids = np.array([ricci_matrix(m, t) for t in 0.5 * (grid.times[:-1] + grid.times[1:])])
-    mats = np.concatenate([nodes, mids])
+    mats = ricci_matrix(m, np.concatenate([grid.times, 0.5 * (grid.times[:-1] + grid.times[1:])]))
     min_eig = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))[:, 0].min()
     op_norm = np.linalg.norm(mats, ord=2, axis=(-2, -1)).max()
     if min_eig < declared.k2 - 1e-9:
@@ -98,7 +96,7 @@ def resolvent_on_grid(grid: TimeGrid, m: ModelManifold, declared: CurvatureBound
             f"ricci path violates declared norm bound: max operator norm "
             f"{op_norm:.6g} > k1 = {declared.k1:.6g}"
         )
-    return kernels.resolvent_steps(nodes, mids, grid.dts)
+    return kernels.resolvent_steps(mats[: grid.n_steps + 1], mats[grid.n_steps + 1 :], grid.dts)
 
 
 def _batch_output(out, shape: tuple, name: str, what: str, first: int) -> np.ndarray:

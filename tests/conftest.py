@@ -131,6 +131,11 @@ def golden_synthetic_ricci(t):
     )
 
 
+def constant_ricci(mat):
+    """The Ricci callback of the constant matrix ``mat``: (n,) times -> (d, d, n)."""
+    return lambda ts: np.multiply.outer(mat, np.ones_like(ts))
+
+
 def smooth_ricci(dim, seed, amplitude=1.0):
     """Random smooth non-symmetric Ricci path plus a tight declared window.
 
@@ -157,8 +162,8 @@ def smooth_ricci(dim, seed, amplitude=1.0):
         sym = (rot * diag[:, None, :]) @ np.swapaxes(rot, 1, 2)
         return sym + np.sin(1.3 * ts)[:, None, None] * skew
 
-    def ric(t):
-        return ric_batch([t])[0]
+    def ric(ts):
+        return np.moveaxis(ric_batch(ts), 0, -1)
 
     # window measured on a dense grid; the pad covers excursions between
     # grid samples (curvature of the trig profiles is O(amplitude))
@@ -179,17 +184,21 @@ def stiff_ricci():
     the RK4 error measurable across the whole refinement ladder.
     """
 
-    def ric(t):
-        c, s = np.cos(3.0 * t), np.sin(3.0 * t)
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        diag = np.diag(
-            [2.0 + 1.5 * np.sin(5.0 * t), -1.0 + 2.0 * np.cos(4.0 * t), 3.0 * np.sin(6.0 * t + 1.0)]
+    def ric(ts):
+        c, s = np.cos(3.0 * ts), np.sin(3.0 * ts)
+        zero, one = np.zeros_like(ts), np.ones_like(ts)
+        rot = np.array([[c, -s, zero], [s, c, zero], [zero, zero, one]]).T  # (n, 3, 3) of rot^T
+        diag = np.stack(
+            [2.0 + 1.5 * np.sin(5.0 * ts), -1.0 + 2.0 * np.cos(4.0 * ts),
+             3.0 * np.sin(6.0 * ts + 1.0)],
+            axis=-1,
         )
-        skew = np.array([[0.0, 1.2, -0.7], [-1.2, 0.0, 0.9], [0.7, -0.9, 0.0]]) * np.cos(5.5 * t)
-        return rot @ diag @ rot.T + skew
+        # rot diag rot^T per time, with diag applied as a column scaling
+        sym = (np.swapaxes(rot, 1, 2) * diag[:, None, :]) @ rot
+        skew = np.array([[0.0, 1.2, -0.7], [-1.2, 0.0, 0.9], [0.7, -0.9, 0.0]])
+        return np.moveaxis(sym, 0, -1) + np.multiply.outer(skew, np.cos(5.5 * ts))
 
-    ts = np.linspace(0.0, 1.0, 8001)
-    mats = np.array([ric(t) for t in ts])
+    mats = np.moveaxis(ric(np.linspace(0.0, 1.0, 8001)), -1, 0)
     sym = 0.5 * (mats + np.swapaxes(mats, 1, 2))
     k2 = float(np.linalg.eigvalsh(sym)[:, 0].min()) - 1e-3
     k1 = float(np.linalg.norm(mats, ord=2, axis=(1, 2)).max()) + 1e-3

@@ -56,9 +56,22 @@ def index_of(grid: TimeGrid, t: float) -> int:
     return idx
 
 
+def zonal_moment(m: ModelManifold, positions: np.ndarray, T: float):
+    """The l = 1 zonal eigenfunction at curved-space positions (..., ambient_dim),
+    and its exact mean at time T under the generator Delta/2.
+
+    With o the basepoint, kappa <x, o>_g is cos(sqrt(kappa) rho) on S^d(kappa)
+    and cosh(sqrt(-kappa) rho) on H^d(kappa), rho the distance to o.  Both are
+    eigenfunctions of Delta with eigenvalue -d kappa, so Brownian motion from o
+    has E kappa <X_T, o>_g = exp(-d kappa T / 2), for either sign of kappa.
+    """
+    values = m.kappa * ((positions * m.metric_diag()) @ m.basepoint().position)
+    return values, float(np.exp(-0.5 * m.dim * m.kappa * T))
+
+
 def ricci_at_nodes(m: ModelManifold, grid: TimeGrid) -> np.ndarray:
-    """The Ricci matrices at the grid nodes, one callback call each."""
-    return np.array([ricci_matrix(m, t) for t in grid.times])
+    """The Ricci matrices at the grid nodes, (n+1, d, d), in one callback call."""
+    return ricci_matrix(m, grid.times)
 
 
 @dataclass(frozen=True)

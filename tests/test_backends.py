@@ -273,7 +273,7 @@ class TestResolventKernels:
         m, _ = smooth_ricci(d, seed=seed)
         g = TimeGrid.with_times(1.0, n, ())
         nodes = ricci_at_nodes(m, g)
-        mids = np.array([ricci_matrix(m, 0.5 * (t0 + t1)) for t0, t1 in zip(g.times, g.times[1:])])
+        mids = ricci_matrix(m, 0.5 * (g.times[:-1] + g.times[1:]))
         return nodes, mids, g.dts
 
     def test_column_matches_triangle(self):
@@ -332,7 +332,7 @@ def test_perfbench_tracer_lookups_resolve():
 def test_perfbench_workloads_run_in_process(monkeypatch):
     """Every benchmark workload runs at its smoke size in process and passes its
     own check.  That pins the call forms the benchmark uses (the four-argument
-    ``random_two_point_family``, the scalar Ricci callback, ``--threads 1`` and
+    ``random_two_point_family``, the time-last Ricci callback, ``--threads 1`` and
     the closed-form calls) in this suite, not only in a benchmark run."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)

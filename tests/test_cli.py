@@ -391,8 +391,11 @@ class TestConfigFiles:
     @pytest.mark.parametrize(
         "argv, keys",
         [
-            (["bounds", "--k1", "1", "--k2", "1", "--T", "1", "--T-grid", "1:2:2"],
-             ["k1", "k2", "T", "T-grid", "profile", "format"]),
+            # --T and --T-grid exclude each other, so no config stores both
+            (["bounds", "--k1", "1", "--k2", "1", "--T", "1"],
+             ["k1", "k2", "T", "profile", "format"]),
+            (["bounds", "--k1", "1", "--k2", "1", "--T-grid", "1:2:2"],
+             ["k1", "k2", "T-grid", "profile", "format"]),
             (["simulate", "--manifold", "sphere", "--T", "0.1"],
              ["manifold", "dim", "kappa", "T", "steps", "paths", "seed", "mode",
               "functionals", "threads", "format"]),
@@ -400,7 +403,7 @@ class TestConfigFiles:
              ["manifold", "dim", "kappa", "T-ladder", "paths", "seed", "tol-rel",
               "threads", "format"]),
         ],
-        ids=["bounds", "simulate", "asymptotics"],
+        ids=["bounds", "bounds_grid", "simulate", "asymptotics"],
     )
     def test_written_keys_follow_the_flags(self, tmp_path, argv, keys):
         """A written config stores every flag but help, --config and
@@ -526,6 +529,29 @@ class TestConfigFiles:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
         assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--manifold", "sphere", "--T", "0.5", "--mode", "lsi", "--paths", "0",
+             "--seed=-1"],
+            ["simulate", "--manifold", "euclidean", "--kappa", "1", "--T", "1"],
+            ["simulate", "--manifold", "sphere", "--T", "0.5", "--mode", "bogus"],
+            ["bounds", "--k1", "1", "--k2", "2", "--T", "1"],
+            ["bounds", "--k1", "1", "--k2", "1", "--T", "1", "--T-grid", "1:2:2"],
+            ["asymptotics", "--manifold", "sphere", "--tol-rel", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_refused_run_writes_no_config(self, tmp_path, argv):
+        """--write-config runs the command's own checks first: a command that
+        exits 2 without the flag exits 2 with it, with the same error line,
+        and leaves no file."""
+        path = tmp_path / "exp.cfg"
+        code, out, err = run_cli_contract(argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert run_cli_contract(argv + ["--write-config", str(path)]) == (2, "", err)
+        assert not path.exists()
 
 
 def run_cli_contract(argv):

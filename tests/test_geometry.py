@@ -17,6 +17,7 @@ from pathgap.geometry import (
     ricci_matrix,
 )
 
+from conftest import constant_ricci
 from reference import curvature_action, frame_orthonormality_defect, surface_defect
 
 
@@ -58,9 +59,51 @@ class TestRicciMatrix:
         np.testing.assert_allclose(ricci_matrix(m, 0.0), 2.0 * np.eye(3), atol=1e-15)
 
     def test_synthetic_passthrough(self):
-        mat = lambda t: np.diag([np.sin(t), 2.0 * t])
+        mat = lambda ts: np.array([[np.sin(ts), np.zeros_like(ts)], [np.zeros_like(ts), 2.0 * ts]])
         m = pg.synthetic_ricci_path(2, mat)
-        np.testing.assert_array_equal(ricci_matrix(m, 0.7), mat(0.7))
+        np.testing.assert_array_equal(ricci_matrix(m, 0.7), np.diag([np.sin(0.7), 1.4]))
+
+    @pytest.mark.parametrize("kind", ["synthetic", "sphere"])
+    def test_times_shape_leads(self, kind):
+        """A scalar time gives (d, d), n times (n, d, d) and an (a, b) array
+        (a, b, d, d): the same matrices, read in one callback call."""
+        calls = []
+
+        def mat(ts):
+            calls.append(ts.shape)
+            return np.array([[np.sin(ts), np.cos(ts)], [-np.cos(ts), 2.0 * ts]])
+
+        m = pg.synthetic_ricci_path(2, mat) if kind == "synthetic" else pg.sphere(2, 1.5)
+        ts = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        one = np.array([ricci_matrix(m, t) for t in ts.ravel()])
+        assert one.shape == (6, 2, 2)
+        np.testing.assert_array_equal(ricci_matrix(m, ts.ravel()), one)
+        np.testing.assert_array_equal(ricci_matrix(m, ts), one.reshape(2, 3, 2, 2))
+        if kind == "synthetic":
+            assert calls == [(1,)] * 6 + [(6,), (6,)]
+        else:
+            np.testing.assert_array_equal(one, np.broadcast_to(1.5 * np.eye(2), (6, 2, 2)))
+
+    @pytest.mark.parametrize(
+        "returned", [lambda ts: np.ones((ts.size, 2, 2)), lambda ts: np.eye(2), lambda ts: 1.0]
+    )
+    def test_other_shapes_refused(self, returned):
+        """Only time last is read: (n, d, d), (d, d) and a scalar name the
+        (d, d, n) the callback must return."""
+        m = pg.synthetic_ricci_path(2, returned)
+        with pytest.raises(ValueError, match=re.escape("must return (d, d, n) = (2, 2, 3)")):
+            ricci_matrix(m, np.array([0.0, 0.5, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_by_its_first_time(self, bad):
+        def mat(ts):
+            out = constant_ricci(np.eye(2))(ts)
+            out[1, 0, ts > 0.5] = bad
+            return out
+
+        m = pg.synthetic_ricci_path(2, mat)
+        with pytest.raises(ValueError, match=r"not finite at t = 0\.75$"):
+            ricci_matrix(m, np.array([1.0, 0.25, 0.75, 0.5]))
 
     def test_contraction_identity(self):
         """Summing the curvature action over a basis recovers -Ric."""
@@ -94,7 +137,7 @@ class TestCurvatureAction:
         )
 
     def test_synthetic_unsupported(self):
-        m = pg.synthetic_ricci_path(2, lambda t: np.eye(2))
+        m = pg.synthetic_ricci_path(2, constant_ricci(np.eye(2)))
         with pytest.raises(ValueError):
             curvature_action(m, np.ones(2), np.ones(2))
 
@@ -225,7 +268,12 @@ def pin_manifolds():
     """S^2 and S^3 at four curvatures, H^2 and H^3 at four, R^3 and a synthetic path."""
     ms = [pg.sphere(d, k) for d in (2, 3) for k in (0.5, 1.0, 3.0, 7.3)]
     ms += [pg.hyperbolic(d, k) for d in (2, 3) for k in (-0.5, -1.0, -2.5, -7.3)]
-    return ms + [pg.euclidean(3), pg.synthetic_ricci_path(2, lambda t: np.diag([1.0, t]))]
+    return ms + [pg.euclidean(3), pg.synthetic_ricci_path(2, _diag_one_t)]
+
+
+def _diag_one_t(ts):
+    """diag(1, t) at each time, (2, 2, n)."""
+    return np.array([[np.ones_like(ts), np.zeros_like(ts)], [np.zeros_like(ts), ts]])
 
 
 def geometry_values(m, rng):

@@ -368,18 +368,18 @@ class TestSweeps:
         )
 
     def test_ricci_is_read_once_per_grid(self):
-        """Building the steps calls the Ricci callback once per node and
-        midpoint; the gradient algebra reads the nodes back from the bundle."""
+        """Building the steps calls the Ricci callback once, with every node
+        and midpoint; the gradient algebra reads the nodes back from the bundle."""
         m, path, _, F, v = self._case("synthetic")
         calls = []
 
-        def counted(t):
-            calls.append(t)
-            return m.ricci_path(t)
+        def counted(ts):
+            calls.append(ts.copy())
+            return m.ricci_path(ts)
 
         mc = pg.synthetic_ricci_path(2, counted)
         resolvent_on_grid(path.grid, mc, pg.CurvatureBounds(10.0, -10.0))
-        assert len(calls) == 2 * path.grid.n_steps + 1
+        assert len(calls) == 1 and calls[0].shape == (2 * path.grid.n_steps + 1,)
         R = resolvent(path.grid, mc, pg.CurvatureBounds(10.0, -10.0))
         calls.clear()
         tilde, hat = transform_pair(v, path, R, mc)

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import pathgap as pg
+from pathgap import estimators as est
 from pathgap._backend import kernels
 from pathgap.geometry import ricci_matrix
-from pathgap.gradients import DataError, resolvent_on_grid
+from pathgap.gradients import CylindricalFunctional, DataError, resolvent_on_grid
 from pathgap.sampling import TimeGrid, sample_path
 
-from conftest import smooth_ricci, spectral_norms, stiff_ricci
+from conftest import constant_ricci, smooth_ricci, spectral_norms, stiff_ricci
 from reference import ricci_at_nodes
 
 
@@ -74,7 +75,7 @@ class TestSyntheticMode:
     def test_constant_diagonal_product(self):
         """Constant diagonal data: RK4 matches the exact exponential closely."""
         rates = np.array([0.6, -0.2])
-        m = pg.synthetic_ricci_path(2, lambda t: np.diag(rates))
+        m = pg.synthetic_ricci_path(2, constant_ricci(np.diag(rates)))
         g = TimeGrid.with_times(1.0, 512, ())
         steps = resolvent_on_grid(g, m, pg.CurvatureBounds(0.6, -0.2))
         want = np.diag(np.exp(-0.5 * rates * 1.0))
@@ -82,10 +83,10 @@ class TestSyntheticMode:
 
     def test_piecewise_diagonal_product(self):
         """Breaks at grid nodes: first-order stage error stays below 1e-3."""
-        def ric(t):
-            a = 0.6 if t < 0.5 else -0.2
-            b = 0.3 if t < 0.25 else 0.8
-            return np.diag([a, b])
+        def ric(ts):
+            a = np.where(ts < 0.5, 0.6, -0.2)
+            b = np.where(ts < 0.25, 0.3, 0.8)
+            return np.array([[a, np.zeros_like(ts)], [np.zeros_like(ts), b]])
 
         m = pg.synthetic_ricci_path(2, ric)
         g = TimeGrid.with_times(1.0, 512, ())
@@ -137,20 +138,21 @@ class TestSyntheticMode:
         assert peak <= 2e6
 
     def test_each_ricci_node_evaluated_once(self):
-        """2n + 1 callback calls, one per node and midpoint, give the steps of
-        the Ricci matrices read one time at a time, bit for bit."""
+        """One callback call reads the 2n + 1 times, the nodes and then the
+        midpoints, each once; its matrices give the steps bit for bit."""
         m, cb = smooth_ricci(2, seed=5)
         calls = []
 
-        def counted(t):
-            calls.append(t)
-            return m.ricci_path(t)
+        def counted(ts):
+            calls.append(ts.copy())
+            return m.ricci_path(ts)
 
         g = TimeGrid.with_times(1.0, 32, ())
         steps = resolvent_on_grid(g, pg.synthetic_ricci_path(2, counted), cb)
-        assert len(calls) == 2 * 32 + 1 == len(set(calls))
-        nodes = ricci_at_nodes(m, g)
-        mids = np.array([ricci_matrix(m, 0.5 * (t0 + t1)) for t0, t1 in zip(g.times, g.times[1:])])
+        mid_times = 0.5 * (g.times[:-1] + g.times[1:])
+        assert len(calls) == 1 and np.unique(calls[0]).size == 2 * 32 + 1
+        np.testing.assert_array_equal(calls[0], np.concatenate([g.times, mid_times]))
+        nodes, mids = ricci_at_nodes(m, g), ricci_matrix(m, mid_times)
         np.testing.assert_array_equal(steps, kernels.resolvent_steps(nodes, mids, g.dts))
 
     def test_steps_are_the_rk4_steps(self):
@@ -168,6 +170,40 @@ class TestSyntheticMode:
             k4 = a2 @ (q + h * k3)
             want = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             np.testing.assert_allclose(step, want, rtol=0, atol=1e-15)
+
+
+class TestNonFiniteRicci:
+    """A Ricci matrix that is not finite is refused by the first time it is
+    read at, before eigvalsh and before any path is drawn: on 8 steps of
+    [0, 1], NaN or inf after t = 0.5 first shows at the midpoint 0.5625."""
+
+    @staticmethod
+    def _poisoned(bad):
+        def ric(ts):
+            out = constant_ricci(0.3 * np.eye(2))(ts)
+            out[0, 1, ts > 0.5] = bad
+            return out
+
+        return pg.synthetic_ricci_path(2, ric)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_resolvent_on_grid(self, bad):
+        m = self._poisoned(bad)
+        with pytest.raises(ValueError, match=r"^ricci_path is not finite at t = 0\.5625$"):
+            resolvent_on_grid(TimeGrid.with_times(1.0, 8, ()), m, pg.CurvatureBounds(1.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_verify_theorem1(self, monkeypatch, bad):
+        def refuse_draws(*args, **kwargs):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(est, "batch_increments", refuse_draws)
+        F = CylindricalFunctional(
+            (0.25,), lambda x: x[:, 0, 0], lambda x: np.broadcast_to([1.0, 0.0], x.shape)
+        )
+        m = self._poisoned(bad)
+        with pytest.raises(ValueError, match=r"^ricci_path is not finite at t = 0\.5625$"):
+            est.verify_theorem1(m, pg.CurvatureBounds(1.0, 0.0), [F], 1.0, 8, 4, 1)
 
 
 class TestConvergence:

@@ -13,7 +13,14 @@ from pathgap.sampling import (
     simulate_increments,
 )
 
-from reference import frame_orthonormality_defect, index_of, surface_defect, whole_increments
+from conftest import constant_ricci
+from reference import (
+    frame_orthonormality_defect,
+    index_of,
+    surface_defect,
+    whole_increments,
+    zonal_moment,
+)
 
 
 class TestTimeGrid:
@@ -278,7 +285,7 @@ SEAM_MANIFOLDS = {
     "H2": pg.hyperbolic(2, -1.0),
     "H3": pg.hyperbolic(3, -0.7),
     "R3": pg.euclidean(3),
-    "synthetic": pg.synthetic_ricci_path(2, lambda t: np.eye(2)),
+    "synthetic": pg.synthetic_ricci_path(2, constant_ricci(np.eye(2))),
 }
 
 
@@ -380,4 +387,43 @@ class TestSmallTimeStatistics:
         cosang = np.clip(pos[:, 0, :] @ start, -1.0, 1.0)
         rho2 = np.arccos(cosang) ** 2
         assert abs(float(rho2.mean()) - m.dim * T) <= 0.05 * m.dim * T
+        # the same sample's l = 1 zonal moment, against the exact heat kernel
+        assert abs(_zonal_z(m, T, pos[:, 0, :])) <= 4.0
+
+
+def _zonal_z(m, T, positions):
+    """(walk mean - exact mean) / stderr of the l = 1 zonal moment at T."""
+    values, exact = zonal_moment(m, positions, T)
+    return (float(values.mean()) - exact) / float(values.std(ddof=1) / np.sqrt(values.size))
+
+
+def _walk_endpoints(m, T, n_steps, n_paths, seed):
+    g = TimeGrid.with_times(T, n_steps, ())
+    inc = batch_increments(g, m.dim, seed=seed, indices=range(n_paths))
+    return simulate_increments(m, g, inc, record=np.array([g.n_steps]))[0][:, 0, :]
+
+
+# curved spaces and horizons of the heat-kernel checks; S^2 is checked on the
+# weak-convergence test's sample
+ZONAL_CASES = {
+    "S3": (pg.sphere(3, 2.5), 0.2),
+    "H2": (pg.hyperbolic(2, -1.0), 0.5),
+    "H3": (pg.hyperbolic(3, -1.0), 0.5),
+}
+
+
+class TestHeatKernelLaw:
+    """The walk's law at T: the mean of the l = 1 zonal eigenfunction,
+    cos(sqrt(kappa) rho_T) on S^d and cosh(sqrt(-kappa) rho_T) on H^d, is
+    exp(-d kappa T / 2).  The walk's weak error is first order in the step."""
+
+    @pytest.mark.parametrize("name", sorted(ZONAL_CASES))
+    def test_128_steps_match_the_exact_moment(self, name):
+        m, T = ZONAL_CASES[name]
+        assert abs(_zonal_z(m, T, _walk_endpoints(m, T, 128, 30_000, 29))) <= 4.0
+
+    @pytest.mark.parametrize("name", ["S3", "H3"])
+    def test_8_steps_bias_is_detected(self, name):
+        m, T = ZONAL_CASES[name]
+        assert _zonal_z(m, T, _walk_endpoints(m, T, 8, 100_000, 29)) < -4.0
 
